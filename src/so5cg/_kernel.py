@@ -1,6 +1,4 @@
-"""Pure-Python arithmetic kernel.
-
-Interface contract shared with the compiled kernel (_fast):
+"""Term-list arithmetic kernel behind SqrtSum.
 
   * a "term list" is a tuple of (rad, num, den) int triples meaning
     sum_i (num_i/den_i)*sqrt(rad_i), with rad square-free and strictly
@@ -13,7 +11,8 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd, isqrt
 
-BACKEND_NAME = "pure"
+# Read by the benchmark fingerprint (perfbench).
+BACKEND = "pure"
 
 
 @lru_cache(maxsize=1 << 16)

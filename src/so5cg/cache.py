@@ -5,6 +5,9 @@ is unset the cache is disabled and every lookup misses. Keys hash the engine
 version together with the request, so stale entries can never be replayed
 across engine revisions. Payloads round-trip bit-exactly through the exact
 number JSON encoding, which keeps cache hits byte-identical to cold runs.
+An entry that is unreadable or whose payload does not match the expected
+shape is a miss. Each writer goes through its own temporary file, so
+concurrent writers of one key never see each other's partial files.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -50,7 +54,28 @@ def cache_dir() -> Optional[Path]:
     return Path(root)
 
 
-def load(key: str) -> Optional[dict]:
+def _fits(value, shape) -> bool:
+    """Whether a decoded JSON value has the given shape.
+
+    A dict shape needs exactly its keys, each fitting its shape; a
+    one-element list shape needs a list whose items all fit that element;
+    a tuple lists alternatives; None needs None; a type needs an instance.
+    """
+    if isinstance(shape, dict):
+        return (isinstance(value, dict) and value.keys() == shape.keys()
+                and all(_fits(value[k], s) for k, s in shape.items()))
+    if isinstance(shape, list):
+        return (isinstance(value, list)
+                and all(_fits(item, shape[0]) for item in value))
+    if isinstance(shape, tuple):
+        return any(_fits(value, s) for s in shape)
+    if shape is None:
+        return value is None
+    return isinstance(value, shape)
+
+
+def load(key: str, shape=dict) -> Optional[dict]:
+    """The payload stored under key, or None on a miss or a corrupt entry."""
     root = cache_dir()
     if root is None:
         return None
@@ -58,11 +83,13 @@ def load(key: str) -> Optional[dict]:
     try:
         with path.open("r", encoding="utf-8") as fh:
             entry = json.load(fh)
-    except (FileNotFoundError, json.JSONDecodeError):
+    except (FileNotFoundError, ValueError):
         return None
-    if entry.get("schema") != SCHEMA or entry.get("key") != key:
+    if (not isinstance(entry, dict) or entry.get("schema") != SCHEMA
+            or entry.get("key") != key):
         return None
-    return entry.get("payload")
+    payload = entry.get("payload")
+    return payload if _fits(payload, shape) else None
 
 
 def store(key: str, payload: dict) -> None:
@@ -75,8 +102,11 @@ def store(key: str, payload: dict) -> None:
         created_at=datetime.now(timezone.utc).isoformat(),
         payload=payload,
     )
-    path = root / f"{key}.json"
-    tmp = path.with_suffix(".json.tmp")
-    with tmp.open("w", encoding="utf-8") as fh:
-        json.dump(entry.to_json_dict(), fh, sort_keys=True)
-    tmp.replace(path)
+    fd, tmp = tempfile.mkstemp(prefix=f"{key}.", suffix=".tmp", dir=root)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            json.dump(entry.to_json_dict(), fh, sort_keys=True)
+        os.replace(tmp, root / f"{key}.json")
+    except BaseException:
+        os.unlink(tmp)
+        raise

@@ -1,8 +1,9 @@
 """Command line front end for coefficient queries and verification.
 
 Exit codes: 0 success, 1 failed verification, 2 malformed key, 3 absent
-channel, 4 I/O error. Labels use the "a,b" syntax with half-integers written
-as fractions ("3/2"); JSON output carries doubled integers for exactness.
+channel, 4 I/O error, 5 request outside the supported domain. Labels use the
+"a,b" syntax with half-integers written as fractions ("3/2"); JSON output
+carries doubled integers for exactness.
 All output is deterministic, and cache hits render byte-identically to cold
 computations because both paths render from the same canonical payload.
 """
@@ -17,7 +18,7 @@ import sys
 from typing import Optional
 
 from . import cache
-from .errors import ChannelAbsent, MalformedKey
+from .errors import ChannelAbsent, MalformedKey, So5Error
 from .exactnum import ZERO, SqrtSum
 from .fullcg import FullKey, full
 from .labels import (
@@ -41,6 +42,7 @@ EXIT_VERIFY_FAIL = 1
 EXIT_MALFORMED = 2
 EXIT_ABSENT = 3
 EXIT_IO = 4
+EXIT_DOMAIN = 5
 
 AUX = "aux"
 
@@ -174,6 +176,16 @@ def _table_payload(source: IrrepLabel, channel) -> dict:
     }
 
 
+# A cached payload counts as a hit only if it has its command's shape;
+# anything else is recomputed (see cache.load).
+_TABLE_SHAPE = {
+    "source": str,
+    "channel": str,
+    "rows": [{"s": [int], "entry": [int], "part": [int], "t": ([int], None),
+              "value": {"terms": [{"num": str, "den": str, "rad": str}]}}],
+}
+
+
 def _render_table(payload: dict, fmt: str) -> str:
     if fmt == "json":
         doc = {"schema": cache.SCHEMA, "kind": "table"}
@@ -191,9 +203,9 @@ def _render_table(payload: dict, fmt: str) -> str:
     return buf.getvalue()
 
 
-def _cached_payload(args, key: str, build) -> dict:
+def _cached_payload(args, key: str, shape, build) -> dict:
     if not args.no_cache:
-        payload = cache.load(key)
+        payload = cache.load(key, shape)
         if payload is not None:
             return payload
     payload = build()
@@ -207,7 +219,7 @@ def cmd_table(args) -> int:
     channel = _parse_channel(args.channel)
     channel_text = AUX if channel is AUX else str(channel)
     key = cache.cache_key("table", str(source), channel_text)
-    payload = _cached_payload(args, key,
+    payload = _cached_payload(args, key, _TABLE_SHAPE,
                               lambda: _table_payload(source, channel))
     _emit(_render_table(payload, args.format), args.out)
     return EXIT_OK
@@ -226,6 +238,13 @@ def _decompose_payload(source: IrrepLabel) -> dict:
     }
 
 
+_DECOMPOSE_SHAPE = {
+    "source": str,
+    "entries": [{"target": [int], "multiplicity": int, "dim": int}],
+    "total_dim": int,
+}
+
+
 def _render_decompose(payload: dict, fmt: str) -> str:
     if fmt == "json":
         doc = {"schema": cache.SCHEMA, "kind": "decomposition"}
@@ -242,7 +261,8 @@ def _render_decompose(payload: dict, fmt: str) -> str:
 def cmd_decompose(args) -> int:
     source = IrrepLabel.parse(args.label)
     key = cache.cache_key("decompose", str(source))
-    payload = _cached_payload(args, key, lambda: _decompose_payload(source))
+    payload = _cached_payload(args, key, _DECOMPOSE_SHAPE,
+                              lambda: _decompose_payload(source))
     _emit(_render_decompose(payload, args.format), args.out)
     return EXIT_OK
 
@@ -251,6 +271,13 @@ def _branch_payload(label: IrrepLabel) -> dict:
     blocks = [{"so4": list(s.twice), "so3_dim": s.so3_dim}
               for s in branching(label)]
     return {"label": str(label), "blocks": blocks, "dim": dim(label)}
+
+
+_BRANCH_SHAPE = {
+    "label": str,
+    "blocks": [{"so4": [int], "so3_dim": int}],
+    "dim": int,
+}
 
 
 def _render_branch(payload: dict, fmt: str) -> str:
@@ -269,7 +296,8 @@ def _render_branch(payload: dict, fmt: str) -> str:
 def cmd_branch(args) -> int:
     label = IrrepLabel.parse(args.label)
     key = cache.cache_key("branch", str(label))
-    payload = _cached_payload(args, key, lambda: _branch_payload(label))
+    payload = _cached_payload(args, key, _BRANCH_SHAPE,
+                              lambda: _branch_payload(label))
     _emit(_render_branch(payload, args.format), args.out)
     return EXIT_OK
 
@@ -373,6 +401,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except So5Error as exc:
+        print(f"outside supported domain: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return EXIT_DOMAIN
 
 
 if __name__ == "__main__":

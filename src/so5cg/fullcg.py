@@ -282,8 +282,10 @@ def coupling_matrix(source: IrrepLabel) -> CouplingMatrix:
     """Assemble the full coupling matrix; always square by the dimension audit."""
     rows = product_rows(source)
     cols = coupled_cols(source)
-    assert len(cols) == 14 * dim(source), "dimension audit failed"
-    assert len(rows) == len(cols)
+    if len(cols) != 14 * dim(source) or len(rows) != len(cols):
+        raise AssertionError(
+            f"dimension audit failed for {source}: {len(rows)} rows, "
+            f"{len(cols)} columns, 14 * dim = {14 * dim(source)}")
     columns = {col: _column_vector(source, col) for col in cols}
     return CouplingMatrix(source, rows, cols, columns)
 

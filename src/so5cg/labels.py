@@ -155,7 +155,8 @@ def dim(label: IrrepLabel) -> int:
     """Dimension of the irrep (a quartic polynomial in the spins)."""
     a, b = label.j1.twice, label.j2.twice
     num = (a - b + 1) * (a + b + 3) * (a + 2) * (b + 1)
-    assert num % 6 == 0
+    if num % 6:
+        raise AssertionError(f"dim({label}): numerator {num} not divisible by 6")
     return num // 6
 
 
@@ -174,7 +175,8 @@ def branching(label: IrrepLabel) -> tuple[So4Label, ...]:
         for ts2 in range(-ty, ty + 1, 2):
             out.append(So4Label.of((ts1 + ts2) // 2, (ts1 - ts2) // 2))
     out.sort()
-    assert sum(s.so3_dim for s in out) == dim(label)
+    if sum(s.so3_dim for s in out) != dim(label):
+        raise AssertionError(f"branching of {label} does not sum to its dimension")
     return tuple(out)
 
 

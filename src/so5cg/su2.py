@@ -7,25 +7,12 @@ All spins enter as doubled integers so half-integer cases stay exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
 from .errors import MalformedKey
 from .exactnum import ZERO, SqrtSum, sqrt_rational
-
-
-@dataclass(frozen=True, slots=True)
-class Su2CgKey:
-    """Doubled arguments of <j1 m1 j2 m2 | J M>."""
-
-    tj1: int
-    tm1: int
-    tj2: int
-    tm2: int
-    tJ: int
-    tM: int
 
 
 def _check_pair(tj: int, tm: int, what: str) -> None:
@@ -60,7 +47,8 @@ def su2_cg(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int) -> SqrtSum:
 
     def f(twice: int) -> int:
         # All surviving factorial arguments are even doubled values.
-        assert twice % 2 == 0 and twice >= 0
+        if twice % 2 or twice < 0:
+            raise AssertionError(f"factorial of doubled value {twice}")
         return factorial(twice // 2)
 
     norm = Fraction(
@@ -92,7 +80,3 @@ def su2_cg(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int) -> SqrtSum:
         total += Fraction(-1 if k % 2 else 1, den)
     return sqrt_rational(norm) * total
 
-
-def su2_cg_key(key: Su2CgKey) -> SqrtSum:
-    """Record-argument form of su2_cg."""
-    return su2_cg(key.tj1, key.tm1, key.tj2, key.tm2, key.tJ, key.tM)

@@ -1,6 +1,8 @@
 """Command line contract: exit codes, pinned examples, cache determinism."""
 
 import json
+import sys
+import threading
 
 import pytest
 
@@ -165,3 +167,67 @@ def test_half_integer_syntax_round_trip(capsys):
     doc = json.loads(out)
     assert doc["label"] == "3/2,1/2"
     assert len(doc["blocks"]) == 6
+
+
+def test_domain_error_exits_5(capsys):
+    # The numeric oracle caps its dimension; (20,20) is far past the cap.
+    code, out, err = run(capsys, "verify", "oracle", "--source", "20,20")
+    assert code == 5
+    assert out == ""
+    assert err.startswith("outside supported domain: DimensionCap")
+    assert len(err.splitlines()) == 1
+
+
+def _corrupt_branch_entry(capsys, tmp_path, monkeypatch, corrupt):
+    monkeypatch.setenv("SO5CG_CACHE", str(tmp_path))
+    _, uncached, _ = run(capsys, "branch", "1,0", "--no-cache")
+    run(capsys, "branch", "1,0")
+    (path,) = tmp_path.glob("*.json")
+    corrupt(path)
+    code, out, _ = run(capsys, "branch", "1,0")
+    assert code == 0
+    assert out == uncached
+    # the corrupt entry was recomputed and overwritten
+    assert cache.load(cache.cache_key("branch", "1,0"))["label"] == "1,0"
+
+
+def test_cache_non_dict_entry_is_a_miss(capsys, tmp_path, monkeypatch):
+    _corrupt_branch_entry(capsys, tmp_path, monkeypatch,
+                          lambda path: path.write_text("[]"))
+
+
+def test_cache_wrong_payload_shape_is_a_miss(capsys, tmp_path, monkeypatch):
+    def corrupt(path):
+        entry = json.loads(path.read_text())
+        entry["payload"] = {"x": 1}
+        path.write_text(json.dumps(entry))
+
+    _corrupt_branch_entry(capsys, tmp_path, monkeypatch, corrupt)
+
+
+def test_cache_concurrent_writers_of_one_key(tmp_path, monkeypatch):
+    monkeypatch.setenv("SO5CG_CACHE", str(tmp_path))
+    key = cache.cache_key("table", "1,0", "+1,0")
+    errors = []
+
+    def writer(n):
+        try:
+            for i in range(50):
+                cache.store(key, {"writer": n, "i": i})
+        except Exception as exc:  # collected so the main thread sees it
+            errors.append(exc)
+
+    threads = [threading.Thread(target=writer, args=(n,)) for n in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert cache.load(key)["writer"] in range(4)
+    assert [p.name for p in tmp_path.iterdir()] == [f"{key}.json"]
