@@ -59,7 +59,8 @@ def _fits(value, shape) -> bool:
 
     A dict shape needs exactly its keys, each fitting its shape; a
     one-element list shape needs a list whose items all fit that element;
-    a tuple lists alternatives; None needs None; a type needs an instance.
+    a tuple lists alternatives; None needs None; a type needs an instance;
+    any other callable needs to return True for the value.
     """
     if isinstance(shape, dict):
         return (isinstance(value, dict) and value.keys() == shape.keys()
@@ -71,7 +72,9 @@ def _fits(value, shape) -> bool:
         return any(_fits(value, s) for s in shape)
     if shape is None:
         return value is None
-    return isinstance(value, shape)
+    if isinstance(shape, type):
+        return isinstance(value, shape)
+    return shape(value)
 
 
 def load(key: str, shape=dict) -> Optional[dict]:

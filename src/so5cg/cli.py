@@ -176,13 +176,21 @@ def _table_payload(source: IrrepLabel, channel) -> dict:
     }
 
 
+def _is_sqrt_sum(value) -> bool:
+    """Whether value is the canonical JSON form of a SqrtSum."""
+    try:
+        return SqrtSum.from_json_dict(value).to_json_dict() == value
+    except MalformedKey:
+        return False
+
+
 # A cached payload counts as a hit only if it has its command's shape;
 # anything else is recomputed (see cache.load).
 _TABLE_SHAPE = {
     "source": str,
     "channel": str,
     "rows": [{"s": [int], "entry": [int], "part": [int], "t": ([int], None),
-              "value": {"terms": [{"num": str, "den": str, "rad": str}]}}],
+              "value": _is_sqrt_sum}],
 }
 
 
@@ -331,6 +339,12 @@ def _add_output_flags(sub) -> None:
                      help="skip the SO5CG_CACHE directory")
 
 
+# argparse reads "--channel -1,-1" as two options, so the help shows the
+# "=" form that negative shifts need.
+_CHANNEL_HELP = ("channel shift, e.g. '+1,+1', '0,0#2', 'aux'; write a "
+                 "negative one as --channel=-1,-1")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="so5cg",
@@ -340,8 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = subs.add_parser("eval", help="evaluate one coefficient")
     p_eval.add_argument("--source", required=True, help="source irrep 'j1,j2'")
     p_eval.add_argument("--target", default=None, help="target irrep 'j1,j2'")
-    p_eval.add_argument("--channel", default=None,
-                        help="channel shift, e.g. '+1,+1', '0,0#2', 'aux'")
+    p_eval.add_argument("--channel", default=None, help=_CHANNEL_HELP)
     p_eval.add_argument("--copy", type=int, choices=(1, 2), default=1,
                         help="diagonal channel copy when using --target")
     p_eval.add_argument("--source-so4", required=True, dest="source_so4",
@@ -360,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_table = subs.add_parser("table", help="export one channel's reduced table")
     p_table.add_argument("--source", required=True)
-    p_table.add_argument("--channel", required=True)
+    p_table.add_argument("--channel", required=True, help=_CHANNEL_HELP)
     _add_output_flags(p_table)
     p_table.set_defaults(fn=cmd_table)
 

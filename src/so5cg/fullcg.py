@@ -10,12 +10,11 @@ orthonormality is asserted exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import MalformedKey
 from .exactnum import ZERO, SqrtSum
 from .labels import (
-    ENTRY_SHIFTS,
     FOURTEEN,
     HalfInt,
     Channel,
@@ -25,10 +24,9 @@ from .labels import (
     branching,
     decompose_with_14,
     dim,
-    in_branching,
     m_values,
 )
-from .reduced import ReducedKey, reduced
+from .reduced import ReducedKey, reduced, reduced_vector
 from .su2 import su2_cg
 
 SHIFTS_OK = {(2, 2), (2, 0), (0, 2), (2, -2), (1, 1), (1, -1), (0, 0),
@@ -147,32 +145,25 @@ def full(key: FullKey) -> SqrtSum:
     return r * cg1 * cg2
 
 
-Column = dict[RowState, SqrtSum]
+Column = dict[int, SqrtSum]
 
 
-def _column_vector(source: IrrepLabel, col: ColState) -> Column:
-    """All nonzero product-basis components of one coupled state."""
+def _column_vector(source: IrrepLabel, col: ColState,
+                   row_index: dict[RowState, int]) -> Column:
+    """All nonzero product-basis components of one coupled state, keyed by
+    row index."""
     channel = Channel.of(col.target.j1.twice - source.j1.twice,
                          col.target.j2.twice - source.j2.twice, col.copy)
     t = col.target_so4
     vec: Column = {}
-    for entry in ENTRY_SHIFTS:
-        sj1 = t.j1.twice - entry.dj1.twice
-        sj2 = t.j2.twice - entry.dj2.twice
-        if sj1 < 0 or sj2 < 0:
-            continue
-        s = So4Label.of(sj1, sj2)
-        if not in_branching(source, s):
-            continue
-        r = reduced(ReducedKey(source, channel, s, entry))
+    for (s, p), r in reduced_vector(source, channel, t).items():
         if not r:
             continue
-        p = entry.part
         for m1 in m_values(s.j1):
             tpm1 = col.mt1.twice - m1.twice
             if abs(tpm1) > p.j1.twice:
                 continue
-            cg1 = su2_cg(sj1, m1.twice, p.j1.twice, tpm1,
+            cg1 = su2_cg(s.j1.twice, m1.twice, p.j1.twice, tpm1,
                          t.j1.twice, col.mt1.twice)
             if not cg1:
                 continue
@@ -181,18 +172,21 @@ def _column_vector(source: IrrepLabel, col: ColState) -> Column:
                 tpm2 = col.mt2.twice - m2.twice
                 if abs(tpm2) > p.j2.twice:
                     continue
-                cg2 = su2_cg(sj2, m2.twice, p.j2.twice, tpm2,
+                cg2 = su2_cg(s.j2.twice, m2.twice, p.j2.twice, tpm2,
                              t.j2.twice, col.mt2.twice)
                 if not cg2:
                     continue
                 row = RowState(s, m1, m2, p, HalfInt(tpm1), HalfInt(tpm2))
-                vec[row] = rc1 * cg2
+                vec[row_index[row]] = rc1 * cg2
     return vec
 
 
 @dataclass(frozen=True)
 class CouplingMatrix:
-    """The full change of basis for one source irrep, stored column-sparse."""
+    """The full change of basis for one source irrep, stored column-sparse.
+
+    Each column maps a row index into ``rows`` to its nonzero value.
+    """
 
     source: IrrepLabel
     rows: tuple[RowState, ...]
@@ -203,26 +197,14 @@ class CouplingMatrix:
     def shape(self) -> tuple[int, int]:
         return (len(self.rows), len(self.cols))
 
-    def entry(self, row: RowState, col: ColState) -> SqrtSum:
-        return self.columns[col].get(row, ZERO)
-
     def iter_entries(self) -> Iterator[tuple[int, int, SqrtSum]]:
         """Nonzero entries as (row index, col index, value), row-major."""
-        row_index = {r: i for i, r in enumerate(self.rows)}
         triplets = []
         for j, col in enumerate(self.cols):
-            for row, value in self.columns[col].items():
-                triplets.append((row_index[row], j, value))
+            for i, value in self.columns[col].items():
+                triplets.append((i, j, value))
         triplets.sort(key=lambda t: (t[0], t[1]))
         yield from triplets
-
-    def rows_of(self) -> dict[RowState, dict[ColState, SqrtSum]]:
-        """Row-major view of the same data."""
-        out: dict[RowState, dict[ColState, SqrtSum]] = {r: {} for r in self.rows}
-        for col, vec in self.columns.items():
-            for row, value in vec.items():
-                out[row][col] = value
-        return out
 
     def to_json_dict(self) -> dict:
         return {
@@ -286,57 +268,57 @@ def coupling_matrix(source: IrrepLabel) -> CouplingMatrix:
         raise AssertionError(
             f"dimension audit failed for {source}: {len(rows)} rows, "
             f"{len(cols)} columns, 14 * dim = {14 * dim(source)}")
-    columns = {col: _column_vector(source, col) for col in cols}
+    row_index = {row: i for i, row in enumerate(rows)}
+    columns = {col: _column_vector(source, col, row_index) for col in cols}
     return CouplingMatrix(source, rows, cols, columns)
+
+
+def _gram_deviation(labels: Sequence, vectors: Sequence[Column],
+                    sector: Callable[..., tuple[int, int]]):
+    """First (label, label, value) where the exact Gram of the vectors
+    differs from identity, or None.
+
+    Vectors in different sectors share no components, so only same-sector
+    pairs are examined.
+    """
+    sectors: dict[tuple[int, int], list[int]] = {}
+    for k, label in enumerate(labels):
+        sectors.setdefault(sector(label), []).append(k)
+    for _, group in sorted(sectors.items()):
+        for a, ka in enumerate(group):
+            va = vectors[ka]
+            for kb in group[a:]:
+                vb = vectors[kb]
+                small, big = (va, vb) if len(va) <= len(vb) else (vb, va)
+                acc = ZERO
+                for index, value in small.items():
+                    other = big.get(index)
+                    if other is not None:
+                        acc = acc + value * other
+                if acc != (1 if ka == kb else 0):
+                    return (labels[ka], labels[kb], acc)
+    return None
 
 
 def column_gram_deviation(matrix: CouplingMatrix
                           ) -> Optional[tuple[ColState, ColState, SqrtSum]]:
     """First (col, col, value) where the exact Gram differs from identity.
 
-    Columns with different total magnetic charge share no rows, so only
-    same-charge pairs are examined; None means exact orthonormality.
+    Columns are grouped by total magnetic charge; None means exact
+    orthonormality.
     """
-    sectors: dict[tuple[int, int], list[ColState]] = {}
-    for col in matrix.cols:
-        sectors.setdefault((col.mt1.twice, col.mt2.twice), []).append(col)
-    for _, group in sorted(sectors.items()):
-        for a in range(len(group)):
-            va = matrix.columns[group[a]]
-            for b in range(a, len(group)):
-                vb = matrix.columns[group[b]]
-                small, big = (va, vb) if len(va) <= len(vb) else (vb, va)
-                acc = ZERO
-                for row, value in small.items():
-                    other = big.get(row)
-                    if other is not None:
-                        acc = acc + value * other
-                want = 1 if a == b else 0
-                if acc != want:
-                    return (group[a], group[b], acc)
-    return None
+    return _gram_deviation(matrix.cols,
+                           [matrix.columns[col] for col in matrix.cols],
+                           lambda col: (col.mt1.twice, col.mt2.twice))
 
 
 def row_gram_deviation(matrix: CouplingMatrix
                        ) -> Optional[tuple[RowState, RowState, SqrtSum]]:
     """Row-side analogue of column_gram_deviation (completeness check)."""
-    rows_map = matrix.rows_of()
-    sectors: dict[tuple[int, int], list[RowState]] = {}
-    for row in matrix.rows:
-        sectors.setdefault((row.m1.twice + row.pm1.twice,
-                            row.m2.twice + row.pm2.twice), []).append(row)
-    for _, group in sorted(sectors.items()):
-        for a in range(len(group)):
-            va = rows_map[group[a]]
-            for b in range(a, len(group)):
-                vb = rows_map[group[b]]
-                small, big = (va, vb) if len(va) <= len(vb) else (vb, va)
-                acc = ZERO
-                for col, value in small.items():
-                    other = big.get(col)
-                    if other is not None:
-                        acc = acc + value * other
-                want = 1 if a == b else 0
-                if acc != want:
-                    return (group[a], group[b], acc)
-    return None
+    transpose: list[Column] = [{} for _ in matrix.rows]
+    for j, col in enumerate(matrix.cols):
+        for i, value in matrix.columns[col].items():
+            transpose[i][j] = value
+    return _gram_deviation(matrix.rows, transpose,
+                           lambda row: (row.m1.twice + row.pm1.twice,
+                                        row.m2.twice + row.pm2.twice))

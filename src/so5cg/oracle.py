@@ -435,7 +435,8 @@ def _analytic_columns(matrix: CouplingMatrix,
     n = len(tag_index)
     for col in matrix.cols:
         v = np.zeros(n, dtype=complex)
-        for row, value in matrix.columns[col].items():
+        for i, value in matrix.columns[col].items():
+            row = matrix.rows[i]
             lt = (row.source_so4.j1.twice, row.source_so4.j2.twice,
                   row.m1.twice, row.m2.twice)
             rt = (row.part.j1.twice, row.part.j2.twice,

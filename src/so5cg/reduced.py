@@ -244,6 +244,23 @@ def channel_present_by_normalization(source: IrrepLabel, channel: Channel) -> bo
 ReducedVector = dict[tuple[So4Label, So4Label], SqrtSum]
 
 
+def _vector(evaluate, source: IrrepLabel, channel: Channel,
+            target_so4: So4Label) -> ReducedVector:
+    """evaluate() at every (source_so4, part) component coupling into one
+    target SO(4) label whose source block exists."""
+    out: ReducedVector = {}
+    for entry in ENTRY_SHIFTS:
+        tj1 = target_so4.j1.twice - entry.dj1.twice
+        tj2 = target_so4.j2.twice - entry.dj2.twice
+        if tj1 < 0 or tj2 < 0:
+            continue
+        s = So4Label.of(tj1, tj2)
+        if in_branching(source, s):
+            out[(s, entry.part)] = evaluate(
+                ReducedKey(source, channel, s, entry))
+    return out
+
+
 def reduced_vector(source: IrrepLabel, channel: Channel,
                    target_so4: So4Label) -> ReducedVector:
     """All (source_so4, part) components coupling into one target SO(4) label.
@@ -251,33 +268,12 @@ def reduced_vector(source: IrrepLabel, channel: Channel,
     The channel must be present; entries whose source block does not exist
     are simply missing from the mapping.
     """
-    out: ReducedVector = {}
-    for entry in ENTRY_SHIFTS:
-        tj1 = target_so4.j1.twice - entry.dj1.twice
-        tj2 = target_so4.j2.twice - entry.dj2.twice
-        if tj1 < 0 or tj2 < 0:
-            continue
-        s = So4Label.of(tj1, tj2)
-        if not in_branching(source, s):
-            continue
-        out[(s, entry.part)] = reduced(ReducedKey(source, channel, s, entry))
-    return out
+    return _vector(reduced, source, channel, target_so4)
 
 
 def aux_vector(source: IrrepLabel, target_so4: So4Label) -> ReducedVector:
     """Companion-row analogue of reduced_vector for the diagonal shift."""
-    out: ReducedVector = {}
-    for entry in ENTRY_SHIFTS:
-        tj1 = target_so4.j1.twice - entry.dj1.twice
-        tj2 = target_so4.j2.twice - entry.dj2.twice
-        if tj1 < 0 or tj2 < 0:
-            continue
-        s = So4Label.of(tj1, tj2)
-        if not in_branching(source, s):
-            continue
-        out[(s, entry.part)] = reduced_aux(ReducedKey(
-            source, Channel.of(0, 0), s, entry))
-    return out
+    return _vector(reduced_aux, source, Channel.of(0, 0), target_so4)
 
 
 def dot(u: ReducedVector, v: ReducedVector) -> SqrtSum:
@@ -300,8 +296,29 @@ class ReducedRow:
     value: SqrtSum
 
 
-def _entry_sort_key(entry: EntryShift) -> tuple[int, int, int]:
-    return (entry.dj1.twice, entry.dj2.twice, entry.part.j1.twice)
+_TABLE_ENTRIES = tuple(sorted(
+    ENTRY_SHIFTS, key=lambda e: (e.dj1.twice, e.dj2.twice, e.part.j1.twice)))
+
+
+def _table(evaluate, source: IrrepLabel, channel: Channel,
+           target: IrrepLabel) -> tuple[ReducedRow, ...]:
+    """evaluate() at every (source block, entry) row, in lexicographic order.
+
+    An entry that shifts to a negative spin is a row with value 0; the
+    target block is None wherever it falls outside the target's branching.
+    """
+    rows = []
+    for s in branching(source):
+        for entry in _TABLE_ENTRIES:
+            shifted = _shifted_so4(s, entry)
+            if shifted is None:
+                rows.append(ReducedRow(s, entry, None, ZERO))
+                continue
+            if not in_branching(target, shifted):
+                shifted = None
+            value = evaluate(ReducedKey(source, channel, s, entry))
+            rows.append(ReducedRow(s, entry, shifted, value))
+    return tuple(rows)
 
 
 def table_rows(source: IrrepLabel, channel: Channel) -> tuple[ReducedRow, ...]:
@@ -313,28 +330,9 @@ def table_rows(source: IrrepLabel, channel: Channel) -> tuple[ReducedRow, ...]:
     if target is None:
         raise ChannelAbsent(
             f"channel {channel} leaves no valid target for source {source}")
-    rows = []
-    for s in branching(source):
-        for entry in sorted(ENTRY_SHIFTS, key=_entry_sort_key):
-            shifted = _shifted_so4(s, entry)
-            if shifted is not None and not in_branching(target, shifted):
-                shifted = None
-            value = reduced(ReducedKey(source, channel, s, entry))
-            rows.append(ReducedRow(s, entry, shifted, value))
-    return tuple(rows)
+    return _table(reduced, source, channel, target)
 
 
 def aux_table_rows(source: IrrepLabel) -> tuple[ReducedRow, ...]:
     """Rows of the un-normalized diagonal companion, same shape as table_rows."""
-    rows = []
-    for s in branching(source):
-        for entry in sorted(ENTRY_SHIFTS, key=_entry_sort_key):
-            shifted = _shifted_so4(s, entry)
-            if shifted is None:
-                rows.append(ReducedRow(s, entry, None, ZERO))
-                continue
-            if not in_branching(source, shifted):
-                shifted = None
-            value = reduced_aux(ReducedKey(source, Channel.of(0, 0, 1), s, entry))
-            rows.append(ReducedRow(s, entry, shifted, value))
-    return tuple(rows)
+    return _table(reduced_aux, source, Channel.of(0, 0, 1), source)

@@ -30,6 +30,7 @@ from .labels import (
     target_of,
 )
 from .reduced import (
+    _table_of,
     aux_vector,
     channel_present_by_normalization,
     dot,
@@ -38,7 +39,6 @@ from .reduced import (
     symmetry_extend,
 )
 from .su2 import su2_cg
-from .tables import DIAGONAL_TABLE, RAISING_TABLES
 
 
 def reduced_unitarity(max_twice_j1: int) -> Optional[str]:
@@ -147,7 +147,7 @@ def guarded_zero_consistency(max_twice_j1: int) -> Optional[str]:
         for ch in channels_present(src):
             if ch.is_lowering or ch.copy == 2:
                 continue
-            table = RAISING_TABLES[ch.shift] if ch.is_raising else DIAGONAL_TABLE
+            table = _table_of(ch)
             tgt = target_of(src, ch)
             for s in branching(src):
                 j1, j2 = s.j1.as_fraction(), s.j2.as_fraction()
@@ -174,7 +174,7 @@ def normalization_positivity(max_twice_j1: int) -> Optional[str]:
         for ch in channels_present(src):
             if ch.is_lowering or ch.copy == 2:
                 continue
-            table = RAISING_TABLES[ch.shift] if ch.is_raising else DIAGONAL_TABLE
+            table = _table_of(ch)
             values = table.factor_values(b1, b2)
             if any(v <= 0 for v in values):
                 return f"source {src}, channel {ch}: factors {values}"

@@ -231,3 +231,31 @@ def test_cache_concurrent_writers_of_one_key(tmp_path, monkeypatch):
     assert errors == []
     assert cache.load(key)["writer"] in range(4)
     assert [p.name for p in tmp_path.iterdir()] == [f"{key}.json"]
+
+
+def test_cache_undecodable_value_is_a_miss(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("SO5CG_CACHE", str(tmp_path))
+    args = ("table", "--source", "1,0", "--channel", "+1,+1")
+    for fmt in ("csv", "json"):
+        _, uncached, _ = run(capsys, *args, "--format", fmt, "--no-cache")
+        run(capsys, *args)
+        (path,) = tmp_path.glob("*.json")
+        entry = json.loads(path.read_text())
+        row = next(r for r in entry["payload"]["rows"] if r["value"]["terms"])
+        row["value"]["terms"][0]["num"] = "x"
+        path.write_text(json.dumps(entry))
+        code, out, err = run(capsys, *args, "--format", fmt)
+        assert (code, err) == (0, "")
+        assert out == uncached
+        # the corrupt entry was recomputed and overwritten
+        key = cache.cache_key("table", "1,0", "+1,+1")
+        assert "x" not in json.dumps(cache.load(key))
+
+
+def test_table_lowering_channel_with_equals_form(capsys):
+    code, out, err = run(capsys, "table", "--source", "1,1",
+                         "--channel=-1,-1", "--no-cache")
+    assert (code, err) == (0, "")
+    lines = out.strip().splitlines()
+    assert len(lines) == 1 + 3 * 14  # header + 3 SO(4) blocks x 14 entries
+    assert any(line.split(",")[-1] != "0" for line in lines[1:])

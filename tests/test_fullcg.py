@@ -8,7 +8,9 @@ import pytest
 from so5cg.errors import MalformedKey
 from so5cg.exactnum import ONE, ZERO, sqrt_rational
 from so5cg.fullcg import (
+    CouplingMatrix,
     FullKey,
+    RowState,
     column_gram_deviation,
     coupling_matrix,
     full,
@@ -128,3 +130,22 @@ def test_row_order_is_lexicographic():
     assert keys == sorted(keys)
     ckeys = [c.sort_key() for c in matrix.cols]
     assert ckeys == sorted(ckeys)
+
+
+def test_gram_deviation_reports_labels_and_exact_value():
+    matrix = coupling_matrix(IrrepLabel.of(1, 0))
+    col = max(matrix.cols, key=lambda c: len(matrix.columns[c]))
+    column = matrix.columns[col]
+    columns = dict(matrix.columns)
+    columns[col] = {i: 2 * v for i, v in column.items()}
+    doubled = CouplingMatrix(matrix.source, matrix.rows, matrix.cols, columns)
+    # Doubling one column leaves every pair orthogonal and its norm 4.
+    assert column_gram_deviation(doubled) == (col, col, 4)
+    # Row-side, the rows of that column gain 3 * v_i * v_j; the first one
+    # examined is the column's lowest row index, paired with itself.
+    i = min(column)
+    row = matrix.rows[i]
+    v2 = column[i] * column[i]
+    assert v2 != 1
+    assert isinstance(row, RowState)
+    assert row_gram_deviation(doubled) == (row, row, 1 + 3 * v2)
