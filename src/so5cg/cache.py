@@ -1,9 +1,10 @@
 """Content-addressed on-disk cache for computed coefficient tables.
 
 The cache directory comes from the SO5CG_CACHE environment variable; when it
-is unset the cache is disabled and every lookup misses. Keys hash the engine
-version together with the request, so stale entries can never be replayed
-across engine revisions. Payloads round-trip bit-exactly through the exact
+is unset the cache is disabled and every lookup misses. Keys hash a
+fingerprint of the package's own source files together with the request, so
+any change to the engine's sources changes every key and stale entries are
+never replayed. Payloads round-trip bit-exactly through the exact
 number JSON encoding, which keeps cache hits byte-identical to cold runs.
 An entry that is unreadable or whose payload does not match the expected
 shape is a miss. Each writer goes through its own temporary file, so
@@ -18,10 +19,9 @@ import os
 import tempfile
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import lru_cache
 from pathlib import Path
 from typing import Optional
-
-from . import ENGINE_VERSION
 
 SCHEMA = "so5cg/1"
 
@@ -42,8 +42,17 @@ class CacheEntry:
         }
 
 
+@lru_cache(maxsize=None)
+def engine_fingerprint() -> str:
+    """sha256 over every module of the package, in file name order."""
+    h = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        h.update(path.name.encode("utf-8") + b"\0" + path.read_bytes())
+    return h.hexdigest()
+
+
 def cache_key(kind: str, *parts: str) -> str:
-    material = "\x1f".join((ENGINE_VERSION, kind) + parts)
+    material = "\x1f".join((engine_fingerprint(), kind) + parts)
     return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
 

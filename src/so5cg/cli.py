@@ -26,15 +26,19 @@ from .labels import (
     EntryShift,
     HalfInt,
     IrrepLabel,
-    LOWERING_SHIFTS,
     PARTS_14,
-    RAISING_SHIFTS,
     So4Label,
     branching,
     decompose_with_14,
     dim,
 )
-from .reduced import ReducedKey, reduced, reduced_aux, table_rows
+from .reduced import (
+    ReducedKey,
+    aux_table_rows,
+    reduced,
+    reduced_aux,
+    table_rows,
+)
 from .verify import run_suite
 
 EXIT_OK = 0
@@ -61,13 +65,7 @@ def _parse_channel(text: str):
     parts = s.split(",")
     if len(parts) != 2:
         raise MalformedKey(f"expected 'dj1,dj2', got {text!r}")
-    dj1, dj2 = HalfInt.parse(parts[0]), HalfInt.parse(parts[1])
-    shift = (dj1.twice, dj2.twice)
-    if copy == 2 and shift != (0, 0):
-        raise MalformedKey(f"only the diagonal channel has a second copy: {text!r}")
-    if shift != (0, 0) and shift not in RAISING_SHIFTS and shift not in LOWERING_SHIFTS:
-        raise MalformedKey(f"not a coupling shift: {text!r}")
-    return Channel(dj1, dj2, copy)
+    return Channel(HalfInt.parse(parts[0]), HalfInt.parse(parts[1]), copy)
 
 
 def _parse_pair(text: str, what: str) -> tuple[HalfInt, HalfInt]:
@@ -83,13 +81,7 @@ def _channel_of(source: IrrepLabel, args):
     if args.target is None:
         raise MalformedKey("need either --target or --channel")
     target = IrrepLabel.parse(args.target)
-    dj1 = target.j1 - source.j1
-    dj2 = target.j2 - source.j2
-    shift = (dj1.twice, dj2.twice)
-    if shift != (0, 0) and shift not in RAISING_SHIFTS and shift not in LOWERING_SHIFTS:
-        raise MalformedKey(
-            f"{source} and {target} are not related by a coupling shift")
-    return Channel(dj1, dj2, args.copy)
+    return Channel(target.j1 - source.j1, target.j2 - source.j2, args.copy)
 
 
 def _parse_part(text: str) -> So4Label:
@@ -142,11 +134,10 @@ def _eval_full(args, source: IrrepLabel, channel: Channel,
         tm1, tm2 = _parse_pair(args.target_m, "tm1,tm2")
     else:
         tm1, tm2 = m1 + pm1, m2 + pm2
-    tj1 = source_so4.j1 + entry.dj1
-    tj2 = source_so4.j2 + entry.dj2
-    if tj1.twice < 0 or tj2.twice < 0:
+    target_so4 = source_so4.shifted(entry.dj1.twice, entry.dj2.twice)
+    if target_so4 is None:
         return ZERO
-    key = FullKey(target=target, target_so4=So4Label(tj1, tj2),
+    key = FullKey(target=target, target_so4=target_so4,
                   tm1=tm1, tm2=tm2, copy=channel.copy,
                   source=source, source_so4=source_so4,
                   m1=m1, m2=m2, part=entry.part,
@@ -157,7 +148,6 @@ def _eval_full(args, source: IrrepLabel, channel: Channel,
 def _table_payload(source: IrrepLabel, channel) -> dict:
     rows = []
     if channel is AUX:
-        from .reduced import aux_table_rows
         listed = aux_table_rows(source)
     else:
         listed = table_rows(source, channel)

@@ -16,6 +16,7 @@ from .errors import MalformedKey
 from .exactnum import ZERO, SqrtSum
 from .labels import (
     FOURTEEN,
+    SHIFTS_14,
     HalfInt,
     Channel,
     EntryShift,
@@ -28,10 +29,6 @@ from .labels import (
 )
 from .reduced import ReducedKey, reduced, reduced_vector
 from .su2 import su2_cg
-
-SHIFTS_OK = {(2, 2), (2, 0), (0, 2), (2, -2), (1, 1), (1, -1), (0, 0),
-             (-2, -2), (-2, 0), (0, -2), (-2, 2), (-1, -1), (-1, 1)}
-
 
 @dataclass(frozen=True)
 class RowState:
@@ -126,7 +123,7 @@ def full(key: FullKey) -> SqrtSum:
         return ZERO
     shift = (key.target.j1.twice - key.source.j1.twice,
              key.target.j2.twice - key.source.j2.twice)
-    if shift not in SHIFTS_OK:
+    if shift not in SHIFTS_14:
         return ZERO
     r = reduced(ReducedKey(
         source=key.source,

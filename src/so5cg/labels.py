@@ -107,6 +107,13 @@ class So4Label:
     def twice(self) -> tuple[int, int]:
         return (self.j1.twice, self.j2.twice)
 
+    def shifted(self, tdj1: int, tdj2: int) -> Optional["So4Label"]:
+        """This label moved by doubled spin shifts; None on a negative spin."""
+        tj1, tj2 = self.j1.twice + tdj1, self.j2.twice + tdj2
+        if tj1 < 0 or tj2 < 0:
+            return None
+        return So4Label.of(tj1, tj2)
+
     @property
     def so3_dim(self) -> int:
         return (self.j1.twice + 1) * (self.j2.twice + 1)

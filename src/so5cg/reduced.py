@@ -72,14 +72,6 @@ def _check_source_block(source: IrrepLabel, source_so4: So4Label) -> None:
             f"SO(4) label {source_so4} is not a block of source {source}")
 
 
-def _shifted_so4(so4: So4Label, entry: EntryShift) -> Optional[So4Label]:
-    tj1 = so4.j1.twice + entry.dj1.twice
-    tj2 = so4.j2.twice + entry.dj2.twice
-    if tj1 < 0 or tj2 < 0:
-        return None
-    return So4Label.of(tj1, tj2)
-
-
 def _table_of(channel: Channel) -> ChannelTable:
     if channel.is_raising:
         return RAISING_TABLES[channel.shift]
@@ -113,7 +105,7 @@ def mixing(source: IrrepLabel) -> MixingData:
         # (which may diverge here) is ever needed.
         x, x2 = ZERO, Fraction(0)
     else:
-        x = x_rat * DIAGONAL_TABLE.normalization(b1, b2)
+        x = x_rat * normalization(Channel.of(0, 0, 1), source)
         x2 = (x * x).as_fraction()
     norm2 = h2 - x2
     if norm2 < 0:
@@ -136,17 +128,17 @@ def reduced(key: ReducedKey) -> SqrtSum:
     if target is None:
         raise ChannelAbsent(
             f"channel {channel} leaves no valid target for source {key.source}")
-    shifted = _shifted_so4(key.source_so4, key.entry)
+    shifted = key.source_so4.shifted(key.entry.dj1.twice,
+                                     key.entry.dj2.twice)
     if shifted is None or not in_branching(target, shifted):
         return ZERO
     if channel.is_lowering:
         return symmetry_extend(target, key.source, shifted,
                                key.source_so4, key.entry.part)
-    table = _table_of(channel)
+    norm = normalization(channel, key.source)
     b1, b2 = _spins(key.source)
-    norm = table.normalization(b1, b2)
     j1, j2 = _spins(key.source_so4)
-    return norm * table.bare_value(key.entry, j1, j2, b1, b2)
+    return norm * _table_of(channel).bare_value(key.entry, j1, j2, b1, b2)
 
 
 def reduced_aux(key: ReducedKey) -> SqrtSum:
@@ -154,7 +146,8 @@ def reduced_aux(key: ReducedKey) -> SqrtSum:
     if not key.channel.is_diagonal:
         raise MalformedKey("companion rows exist only for the (0,0) shift")
     _check_source_block(key.source, key.source_so4)
-    shifted = _shifted_so4(key.source_so4, key.entry)
+    shifted = key.source_so4.shifted(key.entry.dj1.twice,
+                                     key.entry.dj2.twice)
     if shifted is None:
         raise MalformedKey(
             f"entry {key.entry} shifts {key.source_so4} to a negative spin")
@@ -174,15 +167,13 @@ def reduced_copy2(key: ReducedKey) -> SqrtSum:
     if mix.norm2 == 0:
         raise ChannelAbsent(
             f"second diagonal copy absent for source {key.source}")
-    shifted = _shifted_so4(key.source_so4, key.entry)
+    shifted = key.source_so4.shifted(key.entry.dj1.twice,
+                                     key.entry.dj2.twice)
     if shifted is None or not in_branching(key.source, shifted):
         return ZERO
-    j1, j2 = _spins(key.source_so4)
-    b1, b2 = _spins(key.source)
-    aux = AUX_TABLE.bare_value(key.entry, j1, j2, b1, b2)
-    copy1 = (DIAGONAL_TABLE.normalization(b1, b2)
-             * DIAGONAL_TABLE.bare_value(key.entry, j1, j2, b1, b2))
-    return (aux - mix.x * copy1) * sqrt_rational(1 / mix.norm2)
+    copy1 = reduced(ReducedKey(key.source, Channel.of(0, 0, 1),
+                               key.source_so4, key.entry))
+    return (reduced_aux(key) - mix.x * copy1) * sqrt_rational(1 / mix.norm2)
 
 
 def symmetry_extend(target: IrrepLabel, source: IrrepLabel,
@@ -228,17 +219,15 @@ def channel_present_by_normalization(source: IrrepLabel, channel: Channel) -> bo
     target = target_of(source, channel)
     if target is None:
         return False
+    if channel.is_lowering:
+        # Lowering presence mirrors the raising presence of the transposed pair.
+        shift = channel.shift
+        return channel_present_by_normalization(
+            target, Channel.of(-shift[0], -shift[1]))
+    if channel.copy == 2:
+        return mixing(source).norm2 > 0
     b1, b2 = _spins(source)
-    if channel.is_raising:
-        return all(v > 0 for v in RAISING_TABLES[channel.shift].factor_values(b1, b2))
-    if channel.is_diagonal:
-        if channel.copy == 2:
-            return mixing(source).norm2 > 0
-        return all(v > 0 for v in DIAGONAL_TABLE.factor_values(b1, b2))
-    # Lowering presence mirrors the raising presence of the transposed pair.
-    shift = channel.shift
-    return channel_present_by_normalization(
-        target, Channel.of(-shift[0], -shift[1]))
+    return all(v > 0 for v in _table_of(channel).factor_values(b1, b2))
 
 
 ReducedVector = dict[tuple[So4Label, So4Label], SqrtSum]
@@ -250,12 +239,8 @@ def _vector(evaluate, source: IrrepLabel, channel: Channel,
     target SO(4) label whose source block exists."""
     out: ReducedVector = {}
     for entry in ENTRY_SHIFTS:
-        tj1 = target_so4.j1.twice - entry.dj1.twice
-        tj2 = target_so4.j2.twice - entry.dj2.twice
-        if tj1 < 0 or tj2 < 0:
-            continue
-        s = So4Label.of(tj1, tj2)
-        if in_branching(source, s):
+        s = target_so4.shifted(-entry.dj1.twice, -entry.dj2.twice)
+        if s is not None and in_branching(source, s):
             out[(s, entry.part)] = evaluate(
                 ReducedKey(source, channel, s, entry))
     return out
@@ -310,7 +295,7 @@ def _table(evaluate, source: IrrepLabel, channel: Channel,
     rows = []
     for s in branching(source):
         for entry in _TABLE_ENTRIES:
-            shifted = _shifted_so4(s, entry)
+            shifted = s.shifted(entry.dj1.twice, entry.dj2.twice)
             if shifted is None:
                 rows.append(ReducedRow(s, entry, None, ZERO))
                 continue

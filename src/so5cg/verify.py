@@ -25,7 +25,6 @@ from .labels import (
     dim,
     in_branching,
     iter_labels,
-    m_values,
     multiplicity_of,
     target_of,
 )
@@ -152,16 +151,14 @@ def guarded_zero_consistency(max_twice_j1: int) -> Optional[str]:
             for s in branching(src):
                 j1, j2 = s.j1.as_fraction(), s.j2.as_fraction()
                 for entry in ENTRY_SHIFTS:
-                    tj1 = s.j1.twice + entry.dj1.twice
-                    tj2 = s.j2.twice + entry.dj2.twice
-                    if (tj1 >= 0 and tj2 >= 0
-                            and in_branching(tgt, So4Label.of(tj1, tj2))):
+                    t = s.shifted(entry.dj1.twice, entry.dj2.twice)
+                    if t is not None and in_branching(tgt, t):
                         continue
                     try:
                         v = table.bare_value(entry, j1, j2, b1, b2)
                     except FormulaDomainError:
                         continue
-                    if not v.is_zero:
+                    if v:
                         return (f"source {src}, channel {ch}, s {s}, "
                                 f"entry {entry}: guarded cell evaluates to {v}")
     return None

@@ -136,6 +136,15 @@ def test_cache_key_depends_on_engine_and_request():
     assert k1 == cache.cache_key("table", "1,0", "+1,0")
 
 
+def test_cache_keys_follow_the_engine_sources(monkeypatch):
+    requests = [("table", "1,0", "+1,0"), ("table", "1,0", "aux"),
+                ("decompose", "1,0"), ("branch", "1,1")]
+    before = [cache.cache_key(*r) for r in requests]
+    monkeypatch.setattr(cache, "engine_fingerprint", lambda: "0" * 64)
+    after = [cache.cache_key(*r) for r in requests]
+    assert all(a != b for a, b in zip(before, after))
+
+
 def test_out_file_and_io_error(capsys, tmp_path):
     out_file = tmp_path / "t.csv"
     code, _, _ = run(capsys, "decompose", "1,1", "--no-cache",
@@ -158,6 +167,14 @@ def test_bad_channel_strings(capsys):
     code, _, _ = run(capsys, "eval", "--source", "1,0", "--source-so4", "1,0",
                      "--entry", "0,0", "--part", "0,0")
     assert code == 2  # neither --target nor --channel
+
+
+def test_eval_target_without_coupling_shift_exits_2(capsys):
+    code, _, err = run(capsys, "eval", "--source", "1,0", "--target", "3,0",
+                       "--source-so4", "1,0", "--entry", "0,0",
+                       "--part", "0,0")
+    assert code == 2
+    assert "not a coupling shift" in err
 
 
 def test_half_integer_syntax_round_trip(capsys):

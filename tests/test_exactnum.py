@@ -51,7 +51,7 @@ def test_add_cancels_to_empty_map():
     root2 = sqrt_rational(2)
     zero = root2 + (-root2)
     assert zero == ZERO
-    assert zero.is_zero
+    assert zero.is_zero()
     assert not zero
 
 

@@ -32,6 +32,8 @@ TABLE_DIGESTS = {
     ("3/2,1/2", "json"): "284e165b063beb8dbc66a6fb0cd8f86a6f464a3176c8957b1ae07d5800278820",
     ("2,1", "csv"): "b1d7359dba2098cc8208bd7e6434efd12f4784db9ce88e38624800bee1d9c759",
     ("2,1", "json"): "8e24d088819e052c090225d9164e0f1297c396b42b899bc2cb90fba86843a584",
+    ("7/2,3/2", "csv"): "4b14c98fe8fc024c788e88ebdb7179ec92862def38e39bf2bfe2999deeae3e82",
+    ("7/2,3/2", "json"): "b0e2af2d2de02d4c8c101d0777db5f1877d9ddd1955cf54c5b1c7db7b54cfd8c",
 }
 
 MATRIX_DIGESTS = {

@@ -240,3 +240,26 @@ def test_reduced_unitarity_sampled(src):
         for i, u in enumerate(vecs):
             for j, w in enumerate(vecs):
                 assert dot(u, w) == (ONE if i == j else ZERO)
+
+
+def test_table_export_normalizes_each_channel_once(monkeypatch):
+    # Rows take the channel normalization from the normalization() memo,
+    # so a cold export builds it once, not once per evaluated row.
+    from so5cg.labels import channels_present
+    from so5cg.tables import ChannelTable
+    calls = []
+    build = ChannelTable.normalization
+
+    def counted(self, b1, b2):
+        calls.append((self.shift, b1, b2))
+        return build(self, b1, b2)
+
+    monkeypatch.setattr(ChannelTable, "normalization", counted)
+    src = IrrepLabel.of(7, 3)
+    for ch in channels_present(src):
+        reduced.cache_clear()
+        normalization.cache_clear()
+        mixing.cache_clear()
+        calls.clear()
+        table_rows(src, ch)
+        assert len(calls) <= 1, (ch, calls)

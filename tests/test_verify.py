@@ -2,6 +2,7 @@
 
 import pytest
 
+from so5cg.exactnum import ONE
 from so5cg.labels import IrrepLabel
 from so5cg import verify
 
@@ -39,3 +40,14 @@ def test_guarded_zero_sweep():
 
 def test_normalization_positivity_sweep():
     assert verify.normalization_positivity(6) is None
+
+
+def test_guarded_zero_reports_a_nonzero_guarded_cell(monkeypatch):
+    class EveryCellIsOne:
+        def bare_value(self, entry, j1, j2, b1, b2):
+            return ONE
+
+    monkeypatch.setattr(verify, "_table_of", lambda channel: EveryCellIsOne())
+    bad = verify.guarded_zero_consistency(2)
+    assert bad is not None
+    assert bad.endswith("guarded cell evaluates to 1")
