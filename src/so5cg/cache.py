@@ -6,9 +6,15 @@ fingerprint of the package's own source files together with the request, so
 any change to the engine's sources changes every key and stale entries are
 never replayed. Payloads round-trip bit-exactly through the exact
 number JSON encoding, which keeps cache hits byte-identical to cold runs.
-An entry that is unreadable or whose payload does not match the expected
-shape is a miss. Each writer goes through its own temporary file, so
-concurrent writers of one key never see each other's partial files.
+Each entry carries a sha256 of its payload; an entry that is unreadable, has
+another schema or key, or whose payload does not hash to that digest is a
+miss, so any changed byte of a payload is recomputed rather than printed.
+Each writer goes through its own temporary file, so concurrent writers of
+one key never see each other's partial files.
+
+The cache is not an authentication boundary: the digest detects corruption,
+not tampering, and an entry whose digest matches is trusted as this engine's
+own output.
 """
 
 from __future__ import annotations
@@ -17,29 +23,12 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import lru_cache
 from pathlib import Path
 from typing import Optional
 
 SCHEMA = "so5cg/1"
-
-
-@dataclass(frozen=True)
-class CacheEntry:
-    key: str
-    created_at: str
-    payload: dict
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": SCHEMA,
-            "kind": "cache_entry",
-            "key": self.key,
-            "created_at": self.created_at,
-            "payload": self.payload,
-        }
 
 
 @lru_cache(maxsize=None)
@@ -63,30 +52,12 @@ def cache_dir() -> Optional[Path]:
     return Path(root)
 
 
-def _fits(value, shape) -> bool:
-    """Whether a decoded JSON value has the given shape.
-
-    A dict shape needs exactly its keys, each fitting its shape; a
-    one-element list shape needs a list whose items all fit that element;
-    a tuple lists alternatives; None needs None; a type needs an instance;
-    any other callable needs to return True for the value.
-    """
-    if isinstance(shape, dict):
-        return (isinstance(value, dict) and value.keys() == shape.keys()
-                and all(_fits(value[k], s) for k, s in shape.items()))
-    if isinstance(shape, list):
-        return (isinstance(value, list)
-                and all(_fits(item, shape[0]) for item in value))
-    if isinstance(shape, tuple):
-        return any(_fits(value, s) for s in shape)
-    if shape is None:
-        return value is None
-    if isinstance(shape, type):
-        return isinstance(value, shape)
-    return shape(value)
+def _digest(payload) -> str:
+    text = json.dumps(payload, sort_keys=True)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def load(key: str, shape=dict) -> Optional[dict]:
+def load(key: str) -> Optional[dict]:
     """The payload stored under key, or None on a miss or a corrupt entry."""
     root = cache_dir()
     if root is None:
@@ -97,11 +68,11 @@ def load(key: str, shape=dict) -> Optional[dict]:
             entry = json.load(fh)
     except (FileNotFoundError, ValueError):
         return None
-    if (not isinstance(entry, dict) or entry.get("schema") != SCHEMA
-            or entry.get("key") != key):
-        return None
-    payload = entry.get("payload")
-    return payload if _fits(payload, shape) else None
+    if (isinstance(entry, dict) and entry.get("schema") == SCHEMA
+            and entry.get("key") == key
+            and entry.get("sha256") == _digest(entry.get("payload"))):
+        return entry["payload"]
+    return None
 
 
 def store(key: str, payload: dict) -> None:
@@ -109,15 +80,18 @@ def store(key: str, payload: dict) -> None:
     if root is None:
         return
     root.mkdir(parents=True, exist_ok=True)
-    entry = CacheEntry(
-        key=key,
-        created_at=datetime.now(timezone.utc).isoformat(),
-        payload=payload,
-    )
+    entry = {
+        "schema": SCHEMA,
+        "kind": "cache_entry",
+        "key": key,
+        "created_at": datetime.now(timezone.utc).isoformat(),
+        "sha256": _digest(payload),
+        "payload": payload,
+    }
     fd, tmp = tempfile.mkstemp(prefix=f"{key}.", suffix=".tmp", dir=root)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(entry.to_json_dict(), fh, sort_keys=True)
+            json.dump(entry, fh, sort_keys=True)
         os.replace(tmp, root / f"{key}.json")
     except BaseException:
         os.unlink(tmp)

@@ -145,82 +145,67 @@ def _eval_full(args, source: IrrepLabel, channel: Channel,
     return full(key)
 
 
-def _table_payload(source: IrrepLabel, channel) -> dict:
-    rows = []
-    if channel is AUX:
-        listed = aux_table_rows(source)
+def _json_doc(kind: str, fields: dict) -> str:
+    doc = {"schema": cache.SCHEMA, "kind": kind}
+    doc.update(fields)
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def _export(args, request: tuple, kind: str, build, header: list,
+            csv_rows) -> int:
+    """Emit one exported document, from the cache or built and stored.
+
+    Both paths render from the same payload, so a hit prints the bytes of a
+    cold run; csv_rows maps the payload to the rows under header.
+    """
+    key = cache.cache_key(*request)
+    payload = None if args.no_cache else cache.load(key)
+    if payload is None:
+        payload = build()
+        if not args.no_cache:
+            cache.store(key, payload)
+    if args.format == "json":
+        text = _json_doc(kind, payload)
     else:
-        listed = table_rows(source, channel)
-    for row in listed:
-        rows.append({
-            "s": list(row.source_so4.twice),
-            "entry": [row.entry.dj1.twice, row.entry.dj2.twice],
-            "part": list(row.entry.part.twice),
-            "t": list(row.target_so4.twice) if row.target_so4 else None,
-            "value": row.value.to_json_dict(),
-        })
-    return {
-        "source": str(source),
-        "channel": AUX if channel is AUX else str(channel),
-        "rows": rows,
-    }
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(csv_rows(payload))
+        text = buf.getvalue()
+    _emit(text, args.out)
+    return EXIT_OK
 
 
-def _is_sqrt_sum(value) -> bool:
-    """Whether value is the canonical JSON form of a SqrtSum."""
-    try:
-        return SqrtSum.from_json_dict(value).to_json_dict() == value
-    except MalformedKey:
-        return False
+def _table_payload(source: IrrepLabel, channel, channel_text: str) -> dict:
+    listed = (aux_table_rows(source) if channel is AUX
+              else table_rows(source, channel))
+    rows = [{
+        "s": list(row.source_so4.twice),
+        "entry": [row.entry.dj1.twice, row.entry.dj2.twice],
+        "part": list(row.entry.part.twice),
+        "t": list(row.target_so4.twice) if row.target_so4 else None,
+        "value": row.value.to_json_dict(),
+    } for row in listed]
+    return {"source": str(source), "channel": channel_text, "rows": rows}
 
 
-# A cached payload counts as a hit only if it has its command's shape;
-# anything else is recomputed (see cache.load).
-_TABLE_SHAPE = {
-    "source": str,
-    "channel": str,
-    "rows": [{"s": [int], "entry": [int], "part": [int], "t": ([int], None),
-              "value": _is_sqrt_sum}],
-}
-
-
-def _render_table(payload: dict, fmt: str) -> str:
-    if fmt == "json":
-        doc = {"schema": cache.SCHEMA, "kind": "table"}
-        doc.update(payload)
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["s_tj1", "s_tj2", "entry_tdj1", "entry_tdj2",
-                     "part_tj1", "part_tj2", "t_tj1", "t_tj2", "value"])
+def _table_csv_rows(payload: dict):
     for row in payload["rows"]:
         t = row["t"] if row["t"] is not None else ["", ""]
         value = SqrtSum.from_json_dict(row["value"])
-        writer.writerow(row["s"] + row["entry"] + row["part"] + list(t)
-                        + [str(value)])
-    return buf.getvalue()
-
-
-def _cached_payload(args, key: str, shape, build) -> dict:
-    if not args.no_cache:
-        payload = cache.load(key, shape)
-        if payload is not None:
-            return payload
-    payload = build()
-    if not args.no_cache:
-        cache.store(key, payload)
-    return payload
+        yield row["s"] + row["entry"] + row["part"] + t + [str(value)]
 
 
 def cmd_table(args) -> int:
     source = IrrepLabel.parse(args.source)
     channel = _parse_channel(args.channel)
     channel_text = AUX if channel is AUX else str(channel)
-    key = cache.cache_key("table", str(source), channel_text)
-    payload = _cached_payload(args, key, _TABLE_SHAPE,
-                              lambda: _table_payload(source, channel))
-    _emit(_render_table(payload, args.format), args.out)
-    return EXIT_OK
+    return _export(
+        args, ("table", str(source), channel_text), "table",
+        lambda: _table_payload(source, channel, channel_text),
+        ["s_tj1", "s_tj2", "entry_tdj1", "entry_tdj2",
+         "part_tj1", "part_tj2", "t_tj1", "t_tj2", "value"],
+        _table_csv_rows)
 
 
 def _decompose_payload(source: IrrepLabel) -> dict:
@@ -236,33 +221,14 @@ def _decompose_payload(source: IrrepLabel) -> dict:
     }
 
 
-_DECOMPOSE_SHAPE = {
-    "source": str,
-    "entries": [{"target": [int], "multiplicity": int, "dim": int}],
-    "total_dim": int,
-}
-
-
-def _render_decompose(payload: dict, fmt: str) -> str:
-    if fmt == "json":
-        doc = {"schema": cache.SCHEMA, "kind": "decomposition"}
-        doc.update(payload)
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["target_tj1", "target_tj2", "multiplicity", "dim"])
-    for e in payload["entries"]:
-        writer.writerow(e["target"] + [e["multiplicity"], e["dim"]])
-    return buf.getvalue()
-
-
 def cmd_decompose(args) -> int:
     source = IrrepLabel.parse(args.label)
-    key = cache.cache_key("decompose", str(source))
-    payload = _cached_payload(args, key, _DECOMPOSE_SHAPE,
-                              lambda: _decompose_payload(source))
-    _emit(_render_decompose(payload, args.format), args.out)
-    return EXIT_OK
+    return _export(
+        args, ("decompose", str(source)), "decomposition",
+        lambda: _decompose_payload(source),
+        ["target_tj1", "target_tj2", "multiplicity", "dim"],
+        lambda p: (e["target"] + [e["multiplicity"], e["dim"]]
+                   for e in p["entries"]))
 
 
 def _branch_payload(label: IrrepLabel) -> dict:
@@ -271,33 +237,13 @@ def _branch_payload(label: IrrepLabel) -> dict:
     return {"label": str(label), "blocks": blocks, "dim": dim(label)}
 
 
-_BRANCH_SHAPE = {
-    "label": str,
-    "blocks": [{"so4": [int], "so3_dim": int}],
-    "dim": int,
-}
-
-
-def _render_branch(payload: dict, fmt: str) -> str:
-    if fmt == "json":
-        doc = {"schema": cache.SCHEMA, "kind": "branching"}
-        doc.update(payload)
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["tj1", "tj2", "so3_dim"])
-    for b in payload["blocks"]:
-        writer.writerow(b["so4"] + [b["so3_dim"]])
-    return buf.getvalue()
-
-
 def cmd_branch(args) -> int:
     label = IrrepLabel.parse(args.label)
-    key = cache.cache_key("branch", str(label))
-    payload = _cached_payload(args, key, _BRANCH_SHAPE,
-                              lambda: _branch_payload(label))
-    _emit(_render_branch(payload, args.format), args.out)
-    return EXIT_OK
+    return _export(
+        args, ("branch", str(label)), "branching",
+        lambda: _branch_payload(label),
+        ["tj1", "tj2", "so3_dim"],
+        lambda p: (b["so4"] + [b["so3_dim"]] for b in p["blocks"]))
 
 
 def cmd_verify(args) -> int:
@@ -305,16 +251,13 @@ def cmd_verify(args) -> int:
     results = run_suite(args.suite, max_twice_j=args.max_twice_j,
                         tol=args.tol, source=source)
     passed = all(r.passed for r in results)
-    report = {
-        "schema": cache.SCHEMA,
-        "kind": "verify_report",
+    _emit(_json_doc("verify_report", {
         "suite": args.suite,
         "max_twice_j": args.max_twice_j,
         "tol": args.tol,
         "checks": [r.to_json_dict() for r in results],
         "pass": passed,
-    }
-    _emit(json.dumps(report, sort_keys=True, indent=2) + "\n", args.out)
+    }), args.out)
     if not passed:
         first = next(r for r in results if not r.passed)
         print(f"FAIL {first.name}: {first.counterexample}", file=sys.stderr)

@@ -6,9 +6,7 @@ square-free radicals are linearly independent over Q, so two SqrtSums are
 equal iff their canonical term lists are identical, and equality, hashing,
 and zero tests are all structural.
 
-Rationals embed as the single term with r = 1. Rational is an alias for
-fractions.Fraction (arbitrary precision, lowest terms, positive
-denominator), which is exactly the required semantics.
+Rationals embed as the single term with r = 1.
 """
 
 from __future__ import annotations
@@ -20,8 +18,6 @@ from typing import Iterable, Union
 
 from . import _kernel
 from .errors import MalformedKey, NegativeRadicand
-
-Rational = Fraction
 
 _Scalar = Union[int, Fraction]
 
@@ -54,10 +50,6 @@ class SqrtSum:
         if q == 0:
             return _ZERO
         return cls(((1, q.numerator, q.denominator),))
-
-    @classmethod
-    def from_int(cls, n: int) -> "SqrtSum":
-        return cls.from_rational(n)
 
     @property
     def terms(self) -> tuple[tuple[int, int, int], ...]:
@@ -201,26 +193,19 @@ class SqrtSum:
         return f"SqrtSum({self})"
 
     def __str__(self):
-        return self.format(explicit=False)
+        """Canonical text form, unit parts elided.
 
-    def format(self, explicit: bool = False) -> str:
-        """Canonical text form.
-
-        Compact: "3/4", "-1/2*sqrt(2)+1/3*sqrt(5)", unit parts elided.
-        Explicit: every term fully spelled as num/den*sqrt(rad).
+        For example "3/4" or "-1/2*sqrt(2)+1/3*sqrt(5)".
         """
         if not self._terms:
-            return "0" if not explicit else "0/1*sqrt(1)"
+            return "0"
         parts = []
         for rad, num, den in self._terms:
-            if explicit:
-                text = f"{num}/{den}*sqrt({rad})"
-            else:
-                text = str(num)
-                if den != 1:
-                    text += f"/{den}"
-                if rad != 1:
-                    text += f"*sqrt({rad})"
+            text = str(num)
+            if den != 1:
+                text += f"/{den}"
+            if rad != 1:
+                text += f"*sqrt({rad})"
             if parts and num > 0:
                 parts.append("+")
             parts.append(text)

@@ -36,10 +36,6 @@ class HalfInt:
             raise MalformedKey(f"HalfInt needs an int doubled value, got {self.twice!r}")
 
     @classmethod
-    def from_int(cls, n: int) -> "HalfInt":
-        return cls(2 * n)
-
-    @classmethod
     def parse(cls, text: str) -> "HalfInt":
         """Parse "2", "-1", "3/2", "+1/2"."""
         s = text.strip()
@@ -52,10 +48,6 @@ class HalfInt:
             return cls(2 * int(s))
         except ValueError as exc:
             raise MalformedKey(f"cannot parse half-integer {text!r}") from exc
-
-    @property
-    def is_integer(self) -> bool:
-        return self.twice % 2 == 0
 
     def as_fraction(self) -> Fraction:
         return Fraction(self.twice, 2)
@@ -73,9 +65,6 @@ class HalfInt:
 
     def __neg__(self) -> "HalfInt":
         return HalfInt(-self.twice)
-
-    def __abs__(self) -> "HalfInt":
-        return HalfInt(abs(self.twice))
 
 
 ZERO_HALF = HalfInt(0)

@@ -27,7 +27,6 @@ from .labels import (
 )
 
 DEFAULT_CAP = 64
-EIGEN_TOL = 1e-10
 CLUSTER_TOL = 1e-6
 
 
@@ -304,9 +303,6 @@ class NumericBlock:
     multiplicity: int
     # (t, mt1, mt2) doubled -> (N x multiplicity) orthonormal columns
     cells: dict[tuple[int, int, int, int], np.ndarray]
-
-    def all_vectors(self) -> np.ndarray:
-        return np.column_stack([self.cells[k] for k in sorted(self.cells)])
 
 
 @dataclass

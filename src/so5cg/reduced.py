@@ -148,10 +148,7 @@ def reduced_aux(key: ReducedKey) -> SqrtSum:
     _check_source_block(key.source, key.source_so4)
     shifted = key.source_so4.shifted(key.entry.dj1.twice,
                                      key.entry.dj2.twice)
-    if shifted is None:
-        raise MalformedKey(
-            f"entry {key.entry} shifts {key.source_so4} to a negative spin")
-    if not in_branching(key.source, shifted):
+    if shifted is None or not in_branching(key.source, shifted):
         return ZERO
     j1, j2 = _spins(key.source_so4)
     b1, b2 = _spins(key.source)

@@ -8,6 +8,7 @@ import pytest
 
 from so5cg import cache
 from so5cg.cli import main
+from so5cg.exactnum import SqrtSum
 
 
 def run(capsys, *argv):
@@ -276,3 +277,46 @@ def test_table_lowering_channel_with_equals_form(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 1 + 3 * 14  # header + 3 SO(4) blocks x 14 entries
     assert any(line.split(",")[-1] != "0" for line in lines[1:])
+
+
+def test_cache_altered_canonical_value_is_a_miss(capsys, tmp_path,
+                                                 monkeypatch):
+    monkeypatch.setenv("SO5CG_CACHE", str(tmp_path))
+    args = ("table", "--source", "1,0", "--channel", "+1,+1")
+    key = cache.cache_key("table", "1,0", "+1,+1")
+    for fmt in ("csv", "json"):
+        _, uncached, _ = run(capsys, *args, "--format", fmt, "--no-cache")
+        run(capsys, *args)
+        (path,) = tmp_path.glob("*.json")
+        entry = json.loads(path.read_text())
+        stored = json.loads(json.dumps(entry["payload"]))
+        value, term = next((r["value"], t)
+                           for r in entry["payload"]["rows"]
+                           for t in r["value"]["terms"]
+                           if t["num"] == "1" and int(t["den"]) % 3)
+        term["num"] = "3"
+        # still a canonical SqrtSum, only a different one
+        assert SqrtSum.from_json_dict(value).to_json_dict() == value
+        path.write_text(json.dumps(entry))
+        code, out, err = run(capsys, *args, "--format", fmt)
+        assert (code, err) == (0, "")
+        assert out == uncached
+        # the altered entry was recomputed and overwritten
+        assert cache.load(key) == stored
+
+
+def test_eval_aux_entry_to_negative_spin_is_zero(capsys):
+    code, out, err = run(capsys, "eval", "--source", "1,1", "--channel", "aux",
+                         "--source-so4", "0,0", "--entry=-1/2,-1/2",
+                         "--part", "1/2,1/2")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["0", "0.0"]
+
+
+def test_absent_channel_table_stores_nothing(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("SO5CG_CACHE", str(tmp_path))
+    code, out, err = run(capsys, "table", "--source", "1,1",
+                         "--channel", "+1/2,+1/2")
+    assert (code, out) == (3, "")
+    assert err.startswith("channel absent:")
+    assert list(tmp_path.iterdir()) == []

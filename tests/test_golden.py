@@ -1,10 +1,13 @@
-"""Byte-identical exports: sha256 digests of table and coupling-matrix output.
+"""Byte-identical exports: sha256 digests of CLI and coupling-matrix output.
 
 Each table digest covers every channel string of one source in one format:
 for each channel, in the order of CHANNELS, the exit code, stderr and stdout
-of ``so5cg table``. A digest changes whenever any exported byte, error
-message or exit code does. To re-record after an intended output change, run
-``PYTHONPATH=src python tests/test_golden.py`` and paste what it prints.
+of ``so5cg table``. Each export digest covers ``so5cg decompose`` and then
+``so5cg branch`` of one label in one format, and each verify digest one
+``so5cg verify`` report, the same three parts each. A digest changes whenever
+any exported byte, error message or exit code does. To re-record after an
+intended output change, run ``PYTHONPATH=src python tests/test_golden.py``
+and paste what it prints.
 """
 
 import contextlib
@@ -36,6 +39,22 @@ TABLE_DIGESTS = {
     ("7/2,3/2", "json"): "b0e2af2d2de02d4c8c101d0777db5f1877d9ddd1955cf54c5b1c7db7b54cfd8c",
 }
 
+EXPORT_DIGESTS = {
+    ("0,0", "csv"): "a2527b72ed7b7d987c8e4d44d0fa9e7d3fd3148295fad8b2f40677c13e302b77",
+    ("0,0", "json"): "668be25a4aa1e4265b2b2ed3c61bc90843a7a1c5e7497647707df52da9879d00",
+    ("1,1", "csv"): "45bcd3da235b2a6708d55fc2ce8bf57dfba4dcbebb9e6274d0992cf1e713ff61",
+    ("1,1", "json"): "83a12a93f4eca18bbcfc0aec0e841c749eada2ebc14735a4c5ae9667e3093f13",
+    ("3/2,1/2", "csv"): "c3f2c6a9fe8bd4904940795dec0dce23135b8b5206d83feac7dc207e63a3c064",
+    ("3/2,1/2", "json"): "d10e99ba75a50f049ce7722346bc5ad9c7bfac72dbf825b0acc92176700a279d",
+    ("7/2,3/2", "csv"): "19a0d7ed5c9c57c9b3048ca7eba346de48550c8dfbf47e74147fed98f2d0ef4f",
+    ("7/2,3/2", "json"): "b2d67d8209ea82bd8d527ccc4b5cda70b77df1dce4d1f671a350f9a1e4f61ff9",
+}
+
+VERIFY_DIGESTS = {
+    ("su2", 4): "e6ff883d64f2b3ab2e34669ad0674fe9f3a7af603c7c2f243fcd03f2511e5316",
+    ("symmetry", 2): "9487a62b0a4ea724c9250aefc211d52d5a23616f80da08099a3a910be9560bf7",
+}
+
 MATRIX_DIGESTS = {
     (0, 0): "d698e2fc48db71feb29eda4c960c29a344d258ddadba5d9441801affa1866910",
     (1, 0): "ad4f03c1df53f1cfdae1a344443fc0f7ce2db995fb4e6dabbb7ee0416abc97b7",
@@ -44,19 +63,38 @@ MATRIX_DIGESTS = {
 }
 
 
-def table_digest(source: str, fmt: str) -> str:
+def cli_digest(runs) -> str:
+    """sha256 over (tag, exit code, stderr, stdout) of each (tag, argv)."""
     h = hashlib.sha256()
+    for tag, argv in runs:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        for part in (tag, str(code), err.getvalue(), out.getvalue()):
+            h.update(part.encode("utf-8") + b"\0")
+    return h.hexdigest()
+
+
+def table_digest(source: str, fmt: str) -> str:
+    runs = []
     for channel in CHANNELS:
         argv = ["table", "--source", source, f"--channel={channel}",
                 "--format", fmt]
         if fmt == "json":
             argv.append("--no-cache")
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-        for part in (channel, str(code), err.getvalue(), out.getvalue()):
-            h.update(part.encode("utf-8") + b"\0")
-    return h.hexdigest()
+        runs.append((channel, argv))
+    return cli_digest(runs)
+
+
+def export_digest(label: str, fmt: str) -> str:
+    return cli_digest([(command, [command, label, "--format", fmt,
+                                  "--no-cache"])
+                       for command in ("decompose", "branch")])
+
+
+def verify_digest(suite: str, max_twice_j: int) -> str:
+    return cli_digest([(suite, ["verify", suite, "--max-twice-j",
+                                str(max_twice_j)])])
 
 
 def matrix_digest(twice: tuple[int, int]) -> str:
@@ -72,6 +110,17 @@ def test_table_export_is_byte_identical(source, fmt, monkeypatch):
     assert table_digest(source, fmt) == TABLE_DIGESTS[(source, fmt)]
 
 
+@pytest.mark.parametrize("label,fmt", sorted(EXPORT_DIGESTS))
+def test_decompose_and_branch_export_is_byte_identical(label, fmt):
+    assert export_digest(label, fmt) == EXPORT_DIGESTS[(label, fmt)]
+
+
+@pytest.mark.parametrize("suite,max_twice_j", sorted(VERIFY_DIGESTS))
+def test_verify_report_is_byte_identical(suite, max_twice_j):
+    assert verify_digest(suite, max_twice_j) == VERIFY_DIGESTS[
+        (suite, max_twice_j)]
+
+
 @pytest.mark.parametrize("twice", sorted(MATRIX_DIGESTS))
 def test_coupling_matrix_csv_is_byte_identical(twice):
     assert matrix_digest(twice) == MATRIX_DIGESTS[twice]
@@ -80,5 +129,10 @@ def test_coupling_matrix_csv_is_byte_identical(twice):
 if __name__ == "__main__":
     for source, fmt in TABLE_DIGESTS:
         print(f'    ("{source}", "{fmt}"): "{table_digest(source, fmt)}",')
+    for label, fmt in EXPORT_DIGESTS:
+        print(f'    ("{label}", "{fmt}"): "{export_digest(label, fmt)}",')
+    for suite, max_twice_j in VERIFY_DIGESTS:
+        print(f'    ("{suite}", {max_twice_j}): '
+              f'"{verify_digest(suite, max_twice_j)}",')
     for twice in MATRIX_DIGESTS:
         print(f'    {twice}: "{matrix_digest(twice)}",')

@@ -135,11 +135,20 @@ def test_aux_examples():
     key = ReducedKey(IrrepLabel.of(3, 1), G1, So4Label.of(1, 1),
                      EntryShift.of(2, 2, PART_11))
     assert reduced_aux(key) == ZERO
-    # shifting j2 = 0 down is not a valid SO(4) label
+    # shifting j2 = 0 down leaves the branching, as for reduced()
     key = ReducedKey(IrrepLabel.of(3, 1), G1, So4Label.of(2, 0),
                      EntryShift.of(1, -1, PART_HH))
+    assert reduced_aux(key) == ZERO
+
+
+def test_aux_rejects_a_non_diagonal_channel_and_a_foreign_block():
+    entry = EntryShift.of(0, 0, PART_00)
     with pytest.raises(MalformedKey):
-        reduced_aux(key)
+        reduced_aux(ReducedKey(IrrepLabel.of(3, 1), A, So4Label.of(2, 0),
+                               entry))
+    with pytest.raises(MalformedKey):
+        reduced_aux(ReducedKey(IrrepLabel.of(3, 1), G1, So4Label.of(6, 6),
+                               entry))
 
 
 def test_mixing_identities_per_target_block():
