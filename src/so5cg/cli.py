@@ -190,9 +190,13 @@ def _table_payload(source: IrrepLabel, channel, channel_text: str) -> dict:
 
 
 def _table_csv_rows(payload: dict):
+    # The payload is canonical, freshly built or a cache entry whose digest
+    # matched, so its terms are formatted as they stand.
     for row in payload["rows"]:
         t = row["t"] if row["t"] is not None else ["", ""]
-        value = SqrtSum.from_json_dict(row["value"])
+        value = SqrtSum(tuple((int(term["rad"]), int(term["num"]),
+                               int(term["den"]))
+                              for term in row["value"]["terms"]))
         yield row["s"] + row["entry"] + row["part"] + t + [str(value)]
 
 

@@ -62,10 +62,6 @@ class MixingData:
     norm2: Fraction
 
 
-def _spins(label) -> tuple[Fraction, Fraction]:
-    return label.j1.as_fraction(), label.j2.as_fraction()
-
-
 def _check_source_block(source: IrrepLabel, source_so4: So4Label) -> None:
     if not in_branching(source, source_so4):
         raise MalformedKey(
@@ -90,14 +86,13 @@ def normalization(family: Channel, source: IrrepLabel) -> SqrtSum:
     if target_of(source, family) is None:
         raise ChannelAbsent(f"channel {family} leaves no valid target "
                             f"for source {source}")
-    b1, b2 = _spins(source)
-    return _table_of(family).normalization(b1, b2)
+    return _table_of(family).normalization(*source.twice)
 
 
 @lru_cache(maxsize=None)
 def mixing(source: IrrepLabel) -> MixingData:
     """Exact mixing data for the doubly-occurring diagonal target."""
-    b1, b2 = _spins(source)
+    b1, b2 = source.j1.as_fraction(), source.j2.as_fraction()
     x_rat = mixing_x_rational(b1, b2)
     h2 = mixing_h2(b1, b2)
     if x_rat == 0:
@@ -136,9 +131,8 @@ def reduced(key: ReducedKey) -> SqrtSum:
         return symmetry_extend(target, key.source, shifted,
                                key.source_so4, key.entry.part)
     norm = normalization(channel, key.source)
-    b1, b2 = _spins(key.source)
-    j1, j2 = _spins(key.source_so4)
-    return norm * _table_of(channel).bare_value(key.entry, j1, j2, b1, b2)
+    return norm * _table_of(channel).bare_value(
+        key.entry, *key.source_so4.twice, *key.source.twice)
 
 
 def reduced_aux(key: ReducedKey) -> SqrtSum:
@@ -150,9 +144,8 @@ def reduced_aux(key: ReducedKey) -> SqrtSum:
                                      key.entry.dj2.twice)
     if shifted is None or not in_branching(key.source, shifted):
         return ZERO
-    j1, j2 = _spins(key.source_so4)
-    b1, b2 = _spins(key.source)
-    return AUX_TABLE.bare_value(key.entry, j1, j2, b1, b2)
+    return AUX_TABLE.bare_value(key.entry, *key.source_so4.twice,
+                                *key.source.twice)
 
 
 def reduced_copy2(key: ReducedKey) -> SqrtSum:
@@ -223,8 +216,7 @@ def channel_present_by_normalization(source: IrrepLabel, channel: Channel) -> bo
             target, Channel.of(-shift[0], -shift[1]))
     if channel.copy == 2:
         return mixing(source).norm2 > 0
-    b1, b2 = _spins(source)
-    return all(v > 0 for v in _table_of(channel).factor_values(b1, b2))
+    return all(v > 0 for v in _table_of(channel).factor_values(*source.twice))
 
 
 ReducedVector = dict[tuple[So4Label, So4Label], SqrtSum]

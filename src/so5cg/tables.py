@@ -14,6 +14,27 @@ in (j1, j2, b1, b2).  Each channel also carries an overall normalization
 whose factors depend on (b1, b2) only; the channel is present in a given
 source exactly when every normalization factor is positive.
 
+The formulas are written below in the form a reader checks against the
+paper: strings of linear forms and Python polynomials in the spins.  At
+import each is compiled once to integer data over the doubled spins
+(tj1, tj2, tb1, tb2) = (2j1, 2j2, 2b1, 2b2), the arguments of every
+evaluation here.  A linear form L becomes a coefficient vector whose value
+is the int 2L, and a polynomial p of degree d becomes monomial data whose
+value is the int 2**d * p.  With n_o outer, n_n numerator and n_d
+denominator factors, a row is then
+
+    C * prod(2L_outer) * (2**d * poly) * sqrt(prod(2L_num) / prod(2L_den))
+
+on plain ints, where the one power-of-two correction is folded into the
+row constant
+
+    C = sign * scale * sqrt(srad * 2**(n_d - n_n)) / 2**(n_o + d).
+
+Likewise the normalization is C_norm / sqrt(prod(2**d_i * factor_i)) with
+C_norm = norm_scale * sqrt(norm_srad * 2**sum(d_i)).  The radicand is
+assembled from the memoized square-free split of each small factor, so no
+product is ever factored, and the coefficient is reduced once at the end.
+
 All arithmetic is exact: values are SqrtSum instances and never floats.
 """
 
@@ -21,35 +42,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Optional
+from functools import lru_cache
+from math import gcd
+from typing import Callable, Iterable, Mapping, Optional, Union
 
+from ._kernel import squarefree_split
 from .errors import ChannelAbsent, FormulaDomainError
-from .exactnum import ZERO, SqrtSum, sqrt_product
+from .exactnum import ZERO, SqrtSum, sqrt_rational
 from .labels import PART_00, PART_11, PART_HH, EntryShift, So4Label
 
-# A polynomial (or norm-factor) callable in the four table variables.
-Poly = Callable[[Fraction, Fraction, Fraction, Fraction], Fraction]
+# A polynomial as written: a function of the four undoubled table variables
+# (j1, j2, b1, b2), with integer coefficients.
+Poly = Callable
 
-_ZERO_F = Fraction(0)
-
-
-@dataclass(frozen=True)
-class LinForm:
-    """Integer-coefficient linear form in (j1, j2, b1, b2)."""
-
-    text: str
-    cj1: int
-    cj2: int
-    cb1: int
-    cb2: int
-    c0: int
-
-    def __call__(self, j1: Fraction, j2: Fraction, b1: Fraction, b2: Fraction) -> Fraction:
-        return self.cj1 * j1 + self.cj2 * j2 + self.cb1 * b1 + self.cb2 * b2 + self.c0
+# A linear form compiled to (c_j1, c_j2, c_b1, c_b2, 2*c_0): its dot product
+# with (tj1, tj2, tb1, tb2, 1) is twice the form's value.
+Lin = tuple[int, int, int, int, int]
 
 
-def lin(expr: str) -> LinForm:
-    """Parse a linear form such as ``"-j1+j2+b1+b2+2"`` or ``"2j1+3"``."""
+@lru_cache(maxsize=None)
+def _lin(expr: str) -> Lin:
+    """Compile a linear form such as ``"-j1+j2+b1+b2+2"`` or ``"2j1+3"``."""
     s = expr.replace(" ", "")
     coeffs = {"j1": 0, "j2": 0, "b1": 0, "b2": 0, "": 0}
     i, n = 0, len(s)
@@ -70,40 +83,184 @@ def lin(expr: str) -> LinForm:
             i = j
         else:
             raise ValueError(f"bad linear form: {expr!r}")
-    return LinForm(expr, coeffs["j1"], coeffs["j2"], coeffs["b1"], coeffs["b2"], coeffs[""])
+    return (coeffs["j1"], coeffs["j2"], coeffs["b1"], coeffs["b2"],
+            2 * coeffs[""])
 
 
-def _lins(exprs: str) -> tuple[LinForm, ...]:
-    return tuple(lin(p) for p in exprs.split(";") if p.strip())
+def _pieces(exprs: str) -> list[str]:
+    """The linear forms of a ';'-separated list, as written."""
+    return [p for p in exprs.split(";") if p.strip()]
+
+
+def _lins(exprs: str) -> tuple[Lin, ...]:
+    return tuple(_lin(p) for p in _pieces(exprs))
+
+
+class _Expansion:
+    """A polynomial being expanded: exponents of (j1, j2, b1, b2) -> coefficient.
+
+    Calling a formula on the four variables as instances of this class
+    expands it once; the formula itself is never evaluated on numbers.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict[tuple[int, int, int, int], int]):
+        self.terms = terms
+
+    @staticmethod
+    def _of(value) -> dict:
+        if isinstance(value, _Expansion):
+            return value.terms
+        if isinstance(value, int):
+            return {(0, 0, 0, 0): value}
+        return NotImplemented
+
+    def __add__(self, other):
+        terms = self._of(other)
+        if terms is NotImplemented:
+            return NotImplemented
+        out = dict(self.terms)
+        for e, c in terms.items():
+            out[e] = out.get(e, 0) + c
+        return _Expansion(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Expansion({e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        terms = self._of(other)
+        if terms is NotImplemented:
+            return NotImplemented
+        out: dict[tuple[int, int, int, int], int] = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in terms.items():
+                e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3])
+                out[e] = out.get(e, 0) + c1 * c2
+        return _Expansion(out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k: int):
+        out = _Expansion({(0, 0, 0, 0): 1})
+        for _ in range(k):
+            out = out * self
+        return out
+
+
+# Exponents of (j1, j2, b1, b2) in each entry of a compiled linear form.
+_UNITS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (0, 0, 0, 0))
+_VARIABLES = tuple(_Expansion({e: 1}) for e in _UNITS[:4])
+
+
+@dataclass(frozen=True)
+class IntPoly:
+    """A polynomial compiled over the doubled spins.
+
+    ``source`` is the polynomial as written: a function of (j1, j2, b1, b2)
+    or a linear-form string.  Its value at the doubled spins is the int
+    2**degree * source(tj1/2, tj2/2, tb1/2, tb2/2).
+    """
+
+    source: Union[Poly, str]
+    degree: int
+    terms: tuple[tuple[int, int, int, int, int], ...]  # (coeff, exponents)
+
+    def __call__(self, tj1: int, tj2: int, tb1: int, tb2: int) -> int:
+        total = 0
+        for c, e1, e2, e3, e4 in self.terms:
+            total += c * tj1 ** e1 * tj2 ** e2 * tb1 ** e3 * tb2 ** e4
+        return total
+
+
+def _int_poly(source: Union[Poly, str]) -> IntPoly:
+    if isinstance(source, str):
+        # A compiled linear form already is the degree-1 data.
+        return IntPoly(source, 1, tuple(
+            (c, *e) for c, e in zip(_lin(source), _UNITS) if c))
+    expanded = source(*_VARIABLES).terms
+    degree = max((sum(e) for e, c in expanded.items() if c), default=0)
+    # Each monomial of total degree k takes 2**(degree - k) from the
+    # substitution j = tj/2 scaled by 2**degree.
+    return IntPoly(source, degree, tuple(
+        (c << (degree - sum(e)), *e) for e, c in expanded.items() if c))
+
+
+@lru_cache(maxsize=None)
+def _constant(sign: int, scale: str, srad: str, root_exp: int,
+              halvings: int) -> tuple[int, int, int]:
+    """sign * scale * sqrt(srad * 2**root_exp) / 2**halvings as (rad, num, den)."""
+    root = sqrt_rational(Fraction(srad) * Fraction(2) ** root_exp)
+    (rad, num, den), = root.terms
+    q = Fraction(sign * num, den << halvings) * Fraction(scale)
+    return rad, q.numerator, q.denominator
+
+
+def _root(const: tuple[int, int, int], outer: int, den: int,
+          factors: Iterable[int]) -> SqrtSum:
+    """const * outer / den * sqrt(prod(factors)) for positive int factors.
+
+    Each factor is split on its own through the memoized square-free split,
+    the roots are merged pairwise, and the coefficient is reduced once.
+    """
+    rad, num, cden = const
+    num *= outer
+    den *= cden
+    for v in factors:
+        o, r = squarefree_split(v)
+        g = gcd(rad, r)
+        num *= o * g
+        rad = (rad // g) * (r // g)
+    g = gcd(num, den)
+    return SqrtSum(((rad, num // g, den // g),))
+
+
+def _half(twice: int, halvings: int = 1) -> Fraction:
+    """An undoubled value for a message: twice / 2**halvings."""
+    return Fraction(twice, 1 << halvings)
 
 
 @dataclass(frozen=True)
 class RowSpec:
-    """One table row of a coupling channel."""
+    """One table row of a coupling channel.
+
+    The formula is kept as written (sign, scale, srad and the strings of
+    linear forms, poly with its source); ``const``, ``outer_lins``,
+    ``num_lins`` and ``den_lins`` are the same formula compiled.
+    """
 
     key: EntryShift
     sign: int
-    scale: Fraction
-    srad: Fraction
-    outer: tuple[LinForm, ...]
-    poly: Optional[Poly]
-    num: tuple[LinForm, ...]
-    den: tuple[LinForm, ...]
+    scale: str
+    srad: str
+    outer: str
+    poly: Optional[IntPoly]
+    num: str
+    den: str
+    const: tuple[int, int, int]
+    outer_lins: tuple[Lin, ...]
+    num_lins: tuple[Lin, ...]
+    den_lins: tuple[Lin, ...]
 
 
 def _row(tdj1: int, tdj2: int, part: So4Label, sign: int, scale: str,
          srad: str = "1", outer: str = "", poly: Optional[Poly] = None,
          num: str = "", den: str = "") -> RowSpec:
-    return RowSpec(
-        key=EntryShift.of(tdj1, tdj2, part),
-        sign=sign,
-        scale=Fraction(scale),
-        srad=Fraction(srad),
-        outer=_lins(outer),
-        poly=poly,
-        num=_lins(num),
-        den=_lins(den),
-    )
+    outer_lins, num_lins, den_lins = _lins(outer), _lins(num), _lins(den)
+    compiled = None if poly is None else _int_poly(poly)
+    const = _constant(
+        sign, scale, srad, len(den_lins) - len(num_lins),
+        len(outer_lins) + (0 if compiled is None else compiled.degree))
+    return RowSpec(EntryShift.of(tdj1, tdj2, part), sign, scale, srad, outer,
+                   compiled, num, den, const, outer_lins, num_lins, den_lins)
 
 
 def _rows(*rows: RowSpec) -> Mapping[EntryShift, RowSpec]:
@@ -115,65 +272,89 @@ def _rows(*rows: RowSpec) -> Mapping[EntryShift, RowSpec]:
 
 @dataclass(frozen=True)
 class ChannelTable:
-    """One coupling channel: irrep-label shift, normalization, entry rows."""
+    """One coupling channel: irrep-label shift, normalization, entry rows.
+
+    ``norm_const`` is norm_scale * sqrt(norm_srad) with the power-of-two
+    correction of the compiled ``norm_factors``.  Every method takes the
+    doubled spins.
+    """
 
     shift: tuple[int, int]
-    norm_scale: Fraction
-    norm_srad: Fraction
-    norm_factors: tuple[Poly, ...]
+    norm_scale: str
+    norm_srad: str
+    norm_factors: tuple[IntPoly, ...]
+    norm_const: tuple[int, int, int]
     rows: Mapping[EntryShift, RowSpec]
 
-    def factor_values(self, b1: Fraction, b2: Fraction) -> tuple[Fraction, ...]:
-        # Normalization factors depend on (b1, b2) only.
-        return tuple(f(_ZERO_F, _ZERO_F, b1, b2) for f in self.norm_factors)
+    def factor_values(self, tb1: int, tb2: int) -> tuple[int, ...]:
+        # Normalization factors depend on (b1, b2) only; each value is
+        # 2**degree times the factor, so its sign is the factor's.
+        return tuple(f(0, 0, tb1, tb2) for f in self.norm_factors)
 
-    def normalization(self, b1: Fraction, b2: Fraction) -> SqrtSum:
-        values = self.factor_values(b1, b2)
-        for v in values:
+    def normalization(self, tb1: int, tb2: int) -> SqrtSum:
+        values = self.factor_values(tb1, tb2)
+        den = 1
+        for f, v in zip(self.norm_factors, values):
             if v <= 0:
                 raise ChannelAbsent(
                     f"channel with shift {self.shift} absent at source "
-                    f"({b1},{b2}): normalization factor {v} <= 0")
-        radicand = [self.norm_srad] + [1 / v for v in values]
-        return self.norm_scale * sqrt_product(radicand)
+                    f"({_half(tb1)},{_half(tb2)}): normalization factor "
+                    f"{_half(v, f.degree)} <= 0")
+            den *= v
+        return _root(self.norm_const, 1, den, values)
 
-    def bare_value(self, entry: EntryShift, j1: Fraction, j2: Fraction,
-                   b1: Fraction, b2: Fraction) -> SqrtSum:
+    def bare_value(self, entry: EntryShift, tj1: int, tj2: int,
+                   tb1: int, tb2: int) -> SqrtSum:
         """Row value without the channel normalization."""
         row = self.rows[entry]
-        outer = Fraction(row.sign) * row.scale
-        for f in row.outer:
-            outer *= f(j1, j2, b1, b2)
+        outer = 1
+        for c1, c2, c3, c4, c0 in row.outer_lins:
+            outer *= c1 * tj1 + c2 * tj2 + c3 * tb1 + c4 * tb2 + c0
         if outer and row.poly is not None:
-            outer *= row.poly(j1, j2, b1, b2)
+            outer *= row.poly(tj1, tj2, tb1, tb2)
         if not outer:
             return ZERO
-        radicand = [row.srad]
-        negatives = []
-        for f in row.num:
-            v = f(j1, j2, b1, b2)
-            if v == 0:
-                return ZERO
-            if v < 0:
-                negatives.append(v)
+        factors = []
+        negatives = 0
+        for c1, c2, c3, c4, c0 in row.num_lins:
+            v = c1 * tj1 + c2 * tj2 + c3 * tb1 + c4 * tb2 + c0
+            if v > 0:
+                factors.append(v)
+            elif v:
+                negatives += 1
+                factors.append(-v)
             else:
-                radicand.append(v)
+                return ZERO
         # Valid entries may hit pairs of negative factors whose product is
         # positive; an odd count means the key lies outside the domain.
-        if len(negatives) % 2:
+        if negatives % 2:
             raise FormulaDomainError(
                 f"negative radicand for entry {entry} at "
-                f"j=({j1},{j2}), b=({b1},{b2})")
-        for i in range(0, len(negatives), 2):
-            radicand.append(negatives[i] * negatives[i + 1])
-        for f in row.den:
-            v = f(j1, j2, b1, b2)
+                f"j=({_half(tj1)},{_half(tj2)}), b=({_half(tb1)},{_half(tb2)})")
+        den = 1
+        for i, (c1, c2, c3, c4, c0) in enumerate(row.den_lins):
+            v = c1 * tj1 + c2 * tj2 + c3 * tb1 + c4 * tb2 + c0
             if v <= 0:
                 raise FormulaDomainError(
-                    f"denominator factor {f.text} = {v} for entry {entry} at "
-                    f"j=({j1},{j2}), b=({b1},{b2})")
-            radicand.append(1 / v)
-        return outer * sqrt_product(radicand)
+                    f"denominator factor {_pieces(row.den)[i]} = {_half(v)} "
+                    f"for entry {entry} at j=({_half(tj1)},{_half(tj2)}), "
+                    f"b=({_half(tb1)},{_half(tb2)})")
+            den *= v
+            factors.append(v)
+        return _root(row.const, outer, den, factors)
+
+
+def _channel(shift: tuple[int, int], norm_factors: Union[str, tuple[Poly, ...]],
+             rows: Mapping[EntryShift, RowSpec], norm_scale: str = "1",
+             norm_srad: str = "1") -> ChannelTable:
+    """A channel from its formulas; norm_factors is a string of linear
+    forms or a tuple of polynomials."""
+    if isinstance(norm_factors, str):
+        norm_factors = tuple(_pieces(norm_factors))
+    compiled = tuple(_int_poly(f) for f in norm_factors)
+    const = _constant(1, norm_scale, norm_srad,
+                      sum(f.degree for f in compiled), 0)
+    return ChannelTable(shift, norm_scale, norm_srad, compiled, const, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -244,11 +425,9 @@ def _aux_scalar_poly(j1, j2, b1, b2):
 
 RAISING_TABLES: dict[tuple[int, int], ChannelTable] = {}
 
-RAISING_TABLES[(2, 2)] = ChannelTable(
+RAISING_TABLES[(2, 2)] = _channel(
     shift=(2, 2),
-    norm_scale=Fraction(1),
-    norm_srad=Fraction(1),
-    norm_factors=_lins(
+    norm_factors=(
         "2b1+2; 2b1+3; b1+b2+2; b1+b2+3; 2b2+1; 2b2+2; 2b1+2b2+3; 2b1+2b2+5"),
     rows=_rows(
         _row(2, 2, PART_11, +1, "1/4",
@@ -321,11 +500,9 @@ RAISING_TABLES[(2, 2)] = ChannelTable(
     ),
 )
 
-RAISING_TABLES[(2, 0)] = ChannelTable(
+RAISING_TABLES[(2, 0)] = _channel(
     shift=(2, 0),
-    norm_scale=Fraction(1),
-    norm_srad=Fraction(1),
-    norm_factors=_lins(
+    norm_factors=(
         "2b1+2; 2b1+3; 2b1-2b2+1; b1-b2+1; b2; b1+b2+2; 2b2+2; 2b1+2b2+3"),
     rows=_rows(
         _row(2, 2, PART_11, -1, "1/4",
@@ -405,11 +582,9 @@ RAISING_TABLES[(2, 0)] = ChannelTable(
     ),
 )
 
-RAISING_TABLES[(0, 2)] = ChannelTable(
+RAISING_TABLES[(0, 2)] = _channel(
     shift=(0, 2),
-    norm_scale=Fraction(1),
-    norm_srad=Fraction(1),
-    norm_factors=_lins(
+    norm_factors=(
         "2b1+1; 2b1+3; 2b1-2b2+1; b1-b2; b1+b2+2; 2b2+1; 2b2+2; 2b1+2b2+3"),
     rows=_rows(
         _row(2, 2, PART_11, +1, "1/2", srad="1/2",
@@ -489,11 +664,9 @@ RAISING_TABLES[(0, 2)] = ChannelTable(
     ),
 )
 
-RAISING_TABLES[(2, -2)] = ChannelTable(
+RAISING_TABLES[(2, -2)] = _channel(
     shift=(2, -2),
-    norm_scale=Fraction(1),
-    norm_srad=Fraction(1),
-    norm_factors=_lins(
+    norm_factors=(
         "2; 2b1+2; 2b1+3; 2b1-2b2+1; 2b1-2b2+3; b1-b2+1; b1-b2+2; b2; 2b2+1"),
     rows=_rows(
         _row(2, 2, PART_11, +1, "1/4",
@@ -569,11 +742,9 @@ RAISING_TABLES[(2, -2)] = ChannelTable(
     ),
 )
 
-RAISING_TABLES[(1, 1)] = ChannelTable(
+RAISING_TABLES[(1, 1)] = _channel(
     shift=(1, 1),
-    norm_scale=Fraction(1),
-    norm_srad=Fraction(1),
-    norm_factors=_lins(
+    norm_factors=(
         "2b1+2; b1-b2; b1-b2+1; b1+b2+1; b1+b2+2; b1+b2+3; 2b2+1; 2b1+2b2+3"),
     rows=_rows(
         _row(2, 2, PART_11, -1, "1/2", srad="1/2", outer="j1-j2",
@@ -650,11 +821,9 @@ RAISING_TABLES[(1, 1)] = ChannelTable(
     ),
 )
 
-RAISING_TABLES[(1, -1)] = ChannelTable(
+RAISING_TABLES[(1, -1)] = _channel(
     shift=(1, -1),
-    norm_scale=Fraction(1),
-    norm_srad=Fraction(1),
-    norm_factors=_lins(
+    norm_factors=(
         "2b1+2; 2b1-2b2+1; b1-b2; b1-b2+1; b1-b2+2; b1+b2+1; b1+b2+2; 2b2+1"),
     rows=_rows(
         _row(2, 2, PART_11, +1, "1/2", srad="1/2", outer="j1-j2",
@@ -793,10 +962,10 @@ def _diag_row(tdj1: int, tdj2: int, part: So4Label, sign: int, scale: str,
     return _row(tdj1, tdj2, part, sign, scale, srad, outer, poly, num, den)
 
 
-DIAGONAL_TABLE = ChannelTable(
+DIAGONAL_TABLE = _channel(
     shift=(0, 0),
-    norm_scale=Fraction(2),
-    norm_srad=Fraction(5),
+    norm_scale="2",
+    norm_srad="5",
     norm_factors=(_diag_norm_bracket,),
     rows=_rows(
         _diag_row(2, 2, PART_11, -1, "1/8"),
@@ -816,10 +985,8 @@ DIAGONAL_TABLE = ChannelTable(
     ),
 )
 
-AUX_TABLE = ChannelTable(
+AUX_TABLE = _channel(
     shift=(0, 0),
-    norm_scale=Fraction(1),
-    norm_srad=Fraction(1),
     norm_factors=(),
     rows=_rows(
         _diag_row(2, 2, PART_11, +1, "1/4", outer="j1-j2; j1-j2"),

@@ -142,20 +142,18 @@ def guarded_zero_consistency(max_twice_j1: int) -> Optional[str]:
     consistent; evaluable guarded cells must give exactly zero.
     """
     for src in iter_labels(max_twice_j1):
-        b1, b2 = src.j1.as_fraction(), src.j2.as_fraction()
         for ch in channels_present(src):
             if ch.is_lowering or ch.copy == 2:
                 continue
             table = _table_of(ch)
             tgt = target_of(src, ch)
             for s in branching(src):
-                j1, j2 = s.j1.as_fraction(), s.j2.as_fraction()
                 for entry in ENTRY_SHIFTS:
                     t = s.shifted(entry.dj1.twice, entry.dj2.twice)
                     if t is not None and in_branching(tgt, t):
                         continue
                     try:
-                        v = table.bare_value(entry, j1, j2, b1, b2)
+                        v = table.bare_value(entry, *s.twice, *src.twice)
                     except FormulaDomainError:
                         continue
                     if v:
@@ -165,14 +163,16 @@ def guarded_zero_consistency(max_twice_j1: int) -> Optional[str]:
 
 
 def normalization_positivity(max_twice_j1: int) -> Optional[str]:
-    """Every factor under a present channel's inverse square root is > 0."""
+    """Every factor under a present channel's inverse square root is > 0.
+
+    The factors are reported as the tables evaluate them: each one times
+    2**degree, at the doubled spins.
+    """
     for src in iter_labels(max_twice_j1):
-        b1, b2 = src.j1.as_fraction(), src.j2.as_fraction()
         for ch in channels_present(src):
             if ch.is_lowering or ch.copy == 2:
                 continue
-            table = _table_of(ch)
-            values = table.factor_values(b1, b2)
+            values = _table_of(ch).factor_values(*src.twice)
             if any(v <= 0 for v in values):
                 return f"source {src}, channel {ch}: factors {values}"
     return None

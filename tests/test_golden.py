@@ -37,6 +37,9 @@ TABLE_DIGESTS = {
     ("2,1", "json"): "8e24d088819e052c090225d9164e0f1297c396b42b899bc2cb90fba86843a584",
     ("7/2,3/2", "csv"): "4b14c98fe8fc024c788e88ebdb7179ec92862def38e39bf2bfe2999deeae3e82",
     ("7/2,3/2", "json"): "b0e2af2d2de02d4c8c101d0777db5f1877d9ddd1955cf54c5b1c7db7b54cfd8c",
+    ("13/2,6", "csv"): "0bcf6b8e90ae57adf7282bfd7861a71bcbcc2834453e32bd4dc0c6e813244bc9",
+    ("14,0", "json"): "39afe59e78e67579e0576dcab0b7c9a3431da939e7294c0e7650799e3a31e944",
+    ("20,20", "csv"): "b659f847d3f8ab9b0c058d45219abfed1c1af89b9d808e7cf674c4b8ec585c48",
 }
 
 EXPORT_DIGESTS = {

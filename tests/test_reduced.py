@@ -272,3 +272,33 @@ def test_table_export_normalizes_each_channel_once(monkeypatch):
         calls.clear()
         table_rows(src, ch)
         assert len(calls) <= 1, (ch, calls)
+
+
+large_labels = st.sampled_from(list(iter_labels(40)))
+
+
+@given(large_labels, st.data())
+@settings(max_examples=25, derandomize=True, deadline=None)
+def test_reduced_unitarity_sampled_large_spins(src, data):
+    # Every present channel whose target has the block t, at 2j1 <= 40.
+    from so5cg.labels import channels_present, in_branching
+    chans = channels_present(src)
+    blocks = sorted({t for ch in chans for t in branching(target_of(src, ch))},
+                    key=lambda t: t.twice)
+    t = data.draw(st.sampled_from(blocks))
+    vecs = [reduced_vector(src, ch, t) for ch in chans
+            if in_branching(target_of(src, ch), t)]
+    for i, u in enumerate(vecs):
+        for j, w in enumerate(vecs):
+            assert dot(u, w) == (ONE if i == j else ZERO), (str(src), str(t))
+
+
+@given(large_labels.filter(lambda src: channel_present_by_normalization(src, G1)),
+       st.data())
+@settings(max_examples=25, derandomize=True, deadline=None)
+def test_mixing_identities_sampled_large_spins(src, data):
+    t = data.draw(st.sampled_from(branching(src)))
+    mix = mixing(src)
+    aux = aux_vector(src, t)
+    assert dot(aux, reduced_vector(src, G1, t)) == mix.x, (str(src), str(t))
+    assert dot(aux, aux) == mix.h2, (str(src), str(t))

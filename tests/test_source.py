@@ -1,6 +1,10 @@
 """Source-level rules for the package."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import so5cg
@@ -36,3 +40,40 @@ def test_predicate_methods_are_called():
                   if isinstance(node, ast.Attribute)
                   and node.attr in PREDICATES and id(node) not in called]
     assert found == []
+
+
+BENCH_TRACE = """
+import json, sys
+from tracing import Tracer, install
+tracer = Tracer()
+install(tracer, with_oracle=False)
+from so5cg import cli
+out = sys.argv[1]
+codes = [cli.main(["table", "--source", "2,1", "--channel=-1,-1",
+                   "--no-cache", "--out", out + "/lowering.csv"]),
+         cli.main(["table", "--source", "2,1", "--channel", "aux",
+                   "--no-cache", "--out", out + "/aux.csv"])]
+calls = tracer.summary()["calls"]
+print(json.dumps({"codes": codes,
+                  "rows": calls["tables.ChannelTable.bare_value"][0]}))
+"""
+
+
+def test_benchmark_tracing_binds_every_wrapped_name(tmp_path):
+    # The benchmark's traced runs wrap so5cg functions and methods by name
+    # (perfbench/tracing.py); installing its wrappers fails on any name
+    # that is gone, and a table export must still reach the row evaluator.
+    root = PACKAGE.parents[1]
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([str(root / "src"),
+                                           str(root / "perfbench")]))
+    env.pop("SO5CG_CACHE", None)
+    proc = subprocess.run([sys.executable, "-c", BENCH_TRACE, str(tmp_path)],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["codes"] == [0, 0]
+    assert result["rows"] > 0
+    assert (tmp_path / "lowering.csv").stat().st_size > 0
+    assert (tmp_path / "aux.csv").stat().st_size > 0
