@@ -93,6 +93,40 @@ def mul_terms(a, b):
     return _canonical(acc)
 
 
+def dot_terms(pairs):
+    """Exact sum of the products of (a, b) term-list pairs.
+
+    Equal to folding add_terms over mul_terms(a, b), but every product goes
+    straight into one accumulator: per radicand the numerators share the
+    least common multiple of the denominators seen so far, and the sum is
+    canonicalized once.
+    """
+    acc: dict[int, tuple[int, int]] = {}
+    for a, b in pairs:
+        for r1, n1, d1 in a:
+            for r2, n2, d2 in b:
+                if r1 == r2:
+                    rad = 1
+                    num = n1 * n2 * r1
+                else:
+                    g = gcd(r1, r2)
+                    rad = (r1 // g) * (r2 // g)
+                    num = n1 * n2 * g
+                den = d1 * d2
+                old = acc.get(rad)
+                if old is None:
+                    acc[rad] = (num, den)
+                    continue
+                n0, d0 = old
+                if d0 == den:
+                    acc[rad] = (n0 + num, den)
+                else:
+                    g = gcd(d0, den)
+                    acc[rad] = (n0 * (den // g) + num * (d0 // g),
+                                d0 // g * den)
+    return _canonical(acc)
+
+
 def scale_terms(t, num: int, den: int):
     """Multiply a canonical term list by the rational num/den."""
     if num == 0:

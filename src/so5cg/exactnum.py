@@ -78,41 +78,6 @@ class SqrtSum:
     def __float__(self) -> float:
         return float(sum(num / den * _fsqrt(rad) for rad, num, den in self._terms))
 
-    def to_float(self, precision_bits: int = 53):
-        """Evaluate numerically with relative error below 2**(1-precision_bits).
-
-        Returns a float for the default precision, an mpmath value above it.
-        Extra working precision is added until two evaluations agree, which
-        absorbs cancellation between terms.
-        """
-        if precision_bits < 53:
-            raise ValueError("precision_bits must be at least 53")
-        if not self._terms:
-            return 0.0 if precision_bits == 53 else __import__("mpmath").mpf(0)
-        import mpmath
-
-        guard = 20
-        prev = None
-        while True:
-            with mpmath.workprec(precision_bits + guard):
-                val = mpmath.mpf(0)
-                for rad, num, den in self._terms:
-                    val += mpmath.mpf(num) / den * mpmath.sqrt(rad)
-            if prev is not None and prev == val:
-                break
-            if prev is not None:
-                with mpmath.workprec(precision_bits + guard):
-                    if abs(prev - val) <= abs(val) * mpmath.mpf(2) ** (1 - precision_bits - 8):
-                        break
-            prev = val
-            guard *= 3
-            if guard > 1 << 16:
-                raise ArithmeticError("to_float failed to stabilize")
-        if precision_bits == 53:
-            return float(val)
-        with mpmath.workprec(precision_bits):
-            return +val
-
     # -- ring operations ---------------------------------------------
 
     def __add__(self, other):

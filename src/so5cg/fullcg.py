@@ -10,10 +10,12 @@ orthonormality is asserted exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Callable, Iterator, Optional, Sequence
 
+from ._kernel import dot_terms, mul_terms
 from .errors import MalformedKey
-from .exactnum import ZERO, SqrtSum
+from .exactnum import ONE, ZERO, SqrtSum
 from .labels import (
     FOURTEEN,
     SHIFTS_14,
@@ -145,37 +147,42 @@ def full(key: FullKey) -> SqrtSum:
 Column = dict[int, SqrtSum]
 
 
-def _column_vector(source: IrrepLabel, col: ColState,
-                   row_index: dict[RowState, int]) -> Column:
-    """All nonzero product-basis components of one coupled state, keyed by
-    row index."""
-    channel = Channel.of(col.target.j1.twice - source.j1.twice,
-                         col.target.j2.twice - source.j2.twice, col.copy)
-    t = col.target_so4
-    vec: Column = {}
-    for (s, p), r in reduced_vector(source, channel, t).items():
-        if not r:
-            continue
-        for m1 in m_values(s.j1):
-            tpm1 = col.mt1.twice - m1.twice
-            if abs(tpm1) > p.j1.twice:
-                continue
-            cg1 = su2_cg(s.j1.twice, m1.twice, p.j1.twice, tpm1,
-                         t.j1.twice, col.mt1.twice)
-            if not cg1:
-                continue
-            rc1 = r * cg1
-            for m2 in m_values(s.j2):
-                tpm2 = col.mt2.twice - m2.twice
-                if abs(tpm2) > p.j2.twice:
-                    continue
-                cg2 = su2_cg(s.j2.twice, m2.twice, p.j2.twice, tpm2,
-                             t.j2.twice, col.mt2.twice)
-                if not cg2:
-                    continue
-                row = RowState(s, m1, m2, p, HalfInt(tpm1), HalfInt(tpm2))
-                vec[row_index[row]] = rc1 * cg2
-    return vec
+def _su2_factors(ts: int, tp: int, tt: int) -> list[tuple[int, int, int, tuple]]:
+    """Every nonzero <s m, p pm | t mt> of one SO(3) slot, pm = mt - m, as
+    (2mt, 2m, 2pm, terms); spins are doubled throughout."""
+    out = []
+    for tmt in range(-tt, tt + 1, 2):
+        for tm in range(-ts, ts + 1, 2):
+            tpm = tmt - tm
+            if abs(tpm) <= tp:
+                cg = su2_cg(ts, tm, tp, tpm, tt, tmt)
+                if cg:
+                    out.append((tmt, tm, tpm, cg.terms))
+    return out
+
+
+def _block_columns(components, t: So4Label,
+                   row_index: dict[tuple[int, ...], int]
+                   ) -> dict[tuple[int, int], Column]:
+    """The columns of every coupled state of target block t, keyed by their
+    doubled magnetic labels (2mt1, 2mt2); each column maps a row index to
+    its nonzero value.
+
+    components holds the block's nonzero reduced values as (2s1, 2s2, 2p1,
+    2p2, terms); each entry is r * cg1 * cg2 on term lists.
+    """
+    tt1, tt2 = t.twice
+    columns: dict[tuple[int, int], Column] = {
+        (tmt1, tmt2): {} for tmt1 in range(-tt1, tt1 + 1, 2)
+        for tmt2 in range(-tt2, tt2 + 1, 2)}
+    for ts1, ts2, tp1, tp2, r in components:
+        right = _su2_factors(ts2, tp2, tt2)
+        for tmt1, tm1, tpm1, cg1 in _su2_factors(ts1, tp1, tt1):
+            rc1 = mul_terms(r, cg1)
+            for tmt2, tm2, tpm2, cg2 in right:
+                row = row_index[(ts1, ts2, tm1, tm2, tp1, tp2, tpm1, tpm2)]
+                columns[(tmt1, tmt2)][row] = SqrtSum(mul_terms(rc1, cg2))
+    return columns
 
 
 @dataclass(frozen=True)
@@ -258,15 +265,29 @@ def coupled_cols(source: IrrepLabel) -> tuple[ColState, ...]:
 
 
 def coupling_matrix(source: IrrepLabel) -> CouplingMatrix:
-    """Assemble the full coupling matrix; always square by the dimension audit."""
+    """Assemble the full coupling matrix; always square by the dimension audit.
+
+    The reduced vector is evaluated once per (target, copy, target block);
+    its columns then differ only in their magnetic labels.
+    """
     rows = product_rows(source)
     cols = coupled_cols(source)
     if len(cols) != 14 * dim(source) or len(rows) != len(cols):
         raise AssertionError(
             f"dimension audit failed for {source}: {len(rows)} rows, "
             f"{len(cols)} columns, 14 * dim = {14 * dim(source)}")
-    row_index = {row: i for i, row in enumerate(rows)}
-    columns = {col: _column_vector(source, col, row_index) for col in cols}
+    row_index = {row.sort_key(): i for i, row in enumerate(rows)}
+    columns: dict[ColState, Column] = {}
+    for (target, copy, t), block in groupby(
+            cols, key=lambda col: (col.target, col.copy, col.target_so4)):
+        channel = Channel.of(target.j1.twice - source.j1.twice,
+                             target.j2.twice - source.j2.twice, copy)
+        components = [(*s.twice, *p.twice, r.terms)
+                      for (s, p), r in reduced_vector(source, channel,
+                                                      t).items() if r]
+        vectors = _block_columns(components, t, row_index)
+        for col in block:
+            columns[col] = vectors[(col.mt1.twice, col.mt2.twice)]
     return CouplingMatrix(source, rows, cols, columns)
 
 
@@ -276,24 +297,24 @@ def _gram_deviation(labels: Sequence, vectors: Sequence[Column],
     differs from identity, or None.
 
     Vectors in different sectors share no components, so only same-sector
-    pairs are examined.
+    pairs are examined. Each Gram entry is one fused dot_terms call over
+    the shared components.
     """
+    terms = [{i: value.terms for i, value in vec.items()} for vec in vectors]
     sectors: dict[tuple[int, int], list[int]] = {}
     for k, label in enumerate(labels):
         sectors.setdefault(sector(label), []).append(k)
     for _, group in sorted(sectors.items()):
         for a, ka in enumerate(group):
-            va = vectors[ka]
+            va = terms[ka]
             for kb in group[a:]:
-                vb = vectors[kb]
+                vb = terms[kb]
                 small, big = (va, vb) if len(va) <= len(vb) else (vb, va)
-                acc = ZERO
-                for index, value in small.items():
-                    other = big.get(index)
-                    if other is not None:
-                        acc = acc + value * other
-                if acc != (1 if ka == kb else 0):
-                    return (labels[ka], labels[kb], acc)
+                acc = dot_terms((value, big[index])
+                                for index, value in small.items()
+                                if index in big)
+                if acc != (ONE.terms if ka == kb else ()):
+                    return (labels[ka], labels[kb], SqrtSum(acc))
     return None
 
 

@@ -13,6 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
+from ._kernel import dot_terms
 from .errors import ChannelAbsent, MalformedKey
 from .exactnum import ZERO, SqrtSum, sqrt_rational
 from .labels import (
@@ -252,12 +253,8 @@ def aux_vector(source: IrrepLabel, target_so4: So4Label) -> ReducedVector:
 
 def dot(u: ReducedVector, v: ReducedVector) -> SqrtSum:
     """Exact inner product over the shared (source_so4, part) components."""
-    total = ZERO
-    for key, value in u.items():
-        other = v.get(key)
-        if other is not None and value and other:
-            total = total + value * other
-    return total
+    return SqrtSum(dot_terms((value.terms, v[key].terms)
+                             for key, value in u.items() if key in v))
 
 
 @dataclass(frozen=True)

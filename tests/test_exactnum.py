@@ -1,11 +1,13 @@
 """Exact algebraic-number ring: canonical form, ring laws, serialization."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from so5cg._kernel import add_terms, dot_terms, mul_terms
 from so5cg.errors import NegativeRadicand
 from so5cg.exactnum import ONE, ZERO, SqrtSum, sqrt_product, sqrt_rational
 
@@ -59,12 +61,6 @@ def test_float_values():
     assert float(ZERO) == 0.0
     assert float(ONE) == 1.0
     assert abs(float(sqrt_rational(Fraction(1, 1080))) - 0.03042903097) < 1e-11
-
-
-def test_to_float_high_precision():
-    value = sqrt_rational(Fraction(1, 1080))
-    approx = value.to_float(200)
-    assert abs(float(approx) - float(value)) < 1e-15
 
 
 def test_single_term_division():
@@ -122,3 +118,42 @@ def test_float_tracks_terms(a):
         int(t["num"]) / int(t["den"]) * math.sqrt(int(t["rad"]))
         for t in a.to_json_dict()["terms"])
     assert abs(float(a) - expected) < 1e-9 * (1 + abs(expected))
+
+
+# Square-free radicands: 6, 10 and 15 share prime factors pairwise, 2, 3
+# and 7 are coprime, and 1 is the rational part.
+SQUAREFREE = (1, 2, 3, 5, 6, 7, 10, 14, 15, 21, 30, 105)
+
+
+def term_lists(draw):
+    """A canonical (rad, num, den) term list drawn directly, possibly empty."""
+    rads = draw(st.lists(st.sampled_from(SQUAREFREE), unique=True,
+                         max_size=4))
+    terms = []
+    for rad in sorted(rads):
+        num = draw(st.integers(-10**6, 10**6).filter(bool))
+        den = draw(st.integers(1, 10**4))
+        g = gcd(num, den)
+        terms.append((rad, num // g, den // g))
+    return tuple(terms)
+
+
+term_list_values = st.composite(term_lists)()
+
+
+@given(st.lists(st.tuples(term_list_values, term_list_values), max_size=8))
+@example([((), ((1, 1, 1),))])
+@example([(((2, 1, 3),), ((2, 3, 1),)), (((1, -2, 1),), ((1, 1, 1),))])
+@example([(((6, 1, 1),), ((10, 1, 1),)), (((15, -2, 1),), ((1, 1, 1),))])
+@settings(max_examples=150)
+def test_dot_terms_is_the_folded_sum_of_products(pairs):
+    expected = ()
+    for a, b in pairs:
+        expected = add_terms(expected, mul_terms(a, b))
+    assert dot_terms(pairs) == expected
+    assert dot_terms(iter(pairs)) == expected
+
+
+def test_dot_terms_of_no_pairs_is_empty():
+    assert dot_terms([]) == ()
+    assert dot_terms(iter(())) == ()

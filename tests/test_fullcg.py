@@ -25,6 +25,7 @@ from so5cg.labels import (
     So4Label,
     dim,
 )
+from so5cg.oracle import DEFAULT_CAP
 
 H = HalfInt
 
@@ -149,3 +150,14 @@ def test_gram_deviation_reports_labels_and_exact_value():
     assert v2 != 1
     assert isinstance(row, RowState)
     assert row_gram_deviation(doubled) == (row, row, 1 + 3 * v2)
+
+
+@pytest.mark.parametrize("twice", [(5, 1), (5, 3), (5, 5)])
+def test_exact_orthonormality_above_the_oracle_cap(twice):
+    # The numeric oracle stops at dimension 64; the exact column and row
+    # Gram checks carry orthonormality past it.
+    src = IrrepLabel.of(*twice)
+    assert dim(src) > DEFAULT_CAP
+    matrix = coupling_matrix(src)
+    assert column_gram_deviation(matrix) is None
+    assert row_gram_deviation(matrix) is None

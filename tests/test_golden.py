@@ -63,6 +63,8 @@ MATRIX_DIGESTS = {
     (1, 0): "ad4f03c1df53f1cfdae1a344443fc0f7ce2db995fb4e6dabbb7ee0416abc97b7",
     (2, 2): "9f5e7d00144225b117f2d8a7e3bb710ba7c393e1deff52e14c135e25a0941c16",
     (3, 1): "7670d8063afb83306cdf21daa692a0dbbf8f70e79b8884d58654d2d38efee97f",
+    (4, 4): "89f9d5257518eef0dc6e0c306e1737fdbeb109b7831e3cc668d4938ebe8157b8",
+    (5, 1): "9d60d798733e5d8fd60176b830fe1902d23628398d76cbf99a7fa9044e3bea83",
 }
 
 
