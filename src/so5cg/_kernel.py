@@ -48,6 +48,18 @@ def squarefree_split(n: int) -> tuple[int, int]:
     return outer, rad
 
 
+def sqrt_of_product(factors, rad: int = 1) -> tuple[int, int]:
+    """(outer, rad') with sqrt(rad * prod(factors)) = outer * sqrt(rad'),
+    rad square-free; each positive int factor is split on its own."""
+    outer = 1
+    for v in factors:
+        o, r = squarefree_split(v)
+        g = gcd(rad, r)
+        outer *= o * g
+        rad = (rad // g) * (r // g)
+    return outer, rad
+
+
 def _canonical(acc: dict[int, tuple[int, int]]) -> tuple[tuple[int, int, int], ...]:
     out = []
     for rad in sorted(acc):

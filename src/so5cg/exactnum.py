@@ -12,7 +12,6 @@ Rationals embed as the single term with r = 1.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from math import sqrt as _fsqrt
 from typing import Iterable, Union
 
@@ -226,24 +225,18 @@ def sqrt_rational(q: Union[int, Fraction]) -> SqrtSum:
 
 
 def sqrt_product(factors: Iterable[Union[int, Fraction]]) -> SqrtSum:
-    """Exact sqrt of a product of nonnegative rationals.
-
-    Each factor is rooted separately and the roots are merged pairwise,
-    so only the individual factors are ever trial-divided; the full
-    product is never factored.
-    """
-    num, den, rad = 1, 1, 1
+    """Exact sqrt of a product of nonnegative rationals; only the single
+    factors are ever factored (_kernel.sqrt_of_product)."""
+    ints, den = [], 1
     for f in factors:
         f = Fraction(f)
         if f < 0:
             raise NegativeRadicand(f"sqrt of negative factor {f}")
         if f == 0:
             return _ZERO
-        outer, r = _kernel.squarefree_split(f.numerator * f.denominator)
-        num *= outer
+        # sqrt(p/q) = sqrt(p*q)/q
+        ints.append(f.numerator * f.denominator)
         den *= f.denominator
-        g = gcd(rad, r)
-        num *= g
-        rad = (rad // g) * (r // g)
-    q = Fraction(num, den)
+    outer, rad = _kernel.sqrt_of_product(ints)
+    q = Fraction(outer, den)
     return SqrtSum(((rad, q.numerator, q.denominator),))

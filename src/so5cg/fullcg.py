@@ -11,17 +11,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Hashable, Iterator, Mapping, Optional, Sequence
 
 from ._kernel import dot_terms, mul_terms
 from .errors import MalformedKey
 from .exactnum import ONE, ZERO, SqrtSum
 from .labels import (
+    ENTRY_SHIFTS,
     FOURTEEN,
     SHIFTS_14,
     HalfInt,
     Channel,
-    EntryShift,
     IrrepLabel,
     So4Label,
     branching,
@@ -105,6 +105,9 @@ def _check_magnetic(j: HalfInt, m: HalfInt, what: str) -> None:
         raise MalformedKey(f"magnetic label {m} invalid for {what} spin {j}")
 
 
+_ENTRIES = {(e.dj1.twice, e.dj2.twice, e.part): e for e in ENTRY_SHIFTS}
+
+
 def full(key: FullKey) -> SqrtSum:
     """Exact full coefficient: reduced value times two SU(2) factors."""
     if key.part not in branching(FOURTEEN) or key.part.j1 != key.part.j2:
@@ -118,10 +121,10 @@ def full(key: FullKey) -> SqrtSum:
     if (key.tm1.twice != key.m1.twice + key.pm1.twice
             or key.tm2.twice != key.m2.twice + key.pm2.twice):
         return ZERO
-    dj1 = key.target_so4.j1.twice - key.source_so4.j1.twice
-    dj2 = key.target_so4.j2.twice - key.source_so4.j2.twice
-    if (abs(dj1) > key.part.j1.twice or abs(dj2) > key.part.j2.twice
-            or (dj1 - key.part.j1.twice) % 2 or (dj2 - key.part.j2.twice) % 2):
+    entry = _ENTRIES.get((key.target_so4.j1.twice - key.source_so4.j1.twice,
+                          key.target_so4.j2.twice - key.source_so4.j2.twice,
+                          key.part))
+    if entry is None:
         return ZERO
     shift = (key.target.j1.twice - key.source.j1.twice,
              key.target.j2.twice - key.source.j2.twice)
@@ -131,7 +134,7 @@ def full(key: FullKey) -> SqrtSum:
         source=key.source,
         channel=Channel.of(shift[0], shift[1], key.copy),
         source_so4=key.source_so4,
-        entry=EntryShift.of(dj1, dj2, key.part),
+        entry=entry,
     ))
     if not r:
         return ZERO
@@ -228,15 +231,8 @@ class CouplingMatrix:
                   "t_tj1", "t_tj2", "tmt1", "tmt2", "value"]
         yield header
         for i, j, v in self.iter_entries():
-            r, c = self.rows[i], self.cols[j]
-            yield [str(x) for x in (
-                r.source_so4.j1.twice, r.source_so4.j2.twice,
-                r.m1.twice, r.m2.twice,
-                r.part.j1.twice, r.part.j2.twice,
-                r.pm1.twice, r.pm2.twice,
-                c.target.j1.twice, c.target.j2.twice, c.copy,
-                c.target_so4.j1.twice, c.target_so4.j2.twice,
-                c.mt1.twice, c.mt2.twice)] + [format(v)]
+            yield [str(x) for x in (self.rows[i].sort_key()
+                                    + self.cols[j].sort_key())] + [format(v)]
 
 
 def product_rows(source: IrrepLabel) -> tuple[RowState, ...]:
@@ -291,17 +287,18 @@ def coupling_matrix(source: IrrepLabel) -> CouplingMatrix:
     return CouplingMatrix(source, rows, cols, columns)
 
 
-def _gram_deviation(labels: Sequence, vectors: Sequence[Column],
-                    sector: Callable[..., tuple[int, int]]):
+def gram_deviation(labels: Sequence, vectors: Sequence[Mapping],
+                   sector: Callable[..., Hashable]):
     """First (label, label, value) where the exact Gram of the vectors
     differs from identity, or None.
 
-    Vectors in different sectors share no components, so only same-sector
-    pairs are examined. Each Gram entry is one fused dot_terms call over
-    the shared components.
+    Each vector maps component keys to SqrtSums. Vectors in different
+    sectors share no components, so only same-sector pairs (a, b), a <= b,
+    are examined, sector by sector. Each Gram entry is one fused dot_terms
+    call over the shared components.
     """
     terms = [{i: value.terms for i, value in vec.items()} for vec in vectors]
-    sectors: dict[tuple[int, int], list[int]] = {}
+    sectors: dict[Hashable, list[int]] = {}
     for k, label in enumerate(labels):
         sectors.setdefault(sector(label), []).append(k)
     for _, group in sorted(sectors.items()):
@@ -318,6 +315,15 @@ def _gram_deviation(labels: Sequence, vectors: Sequence[Column],
     return None
 
 
+def transpose(columns: Sequence[Column], size: int) -> list[Column]:
+    """The size rows of a column-sparse matrix, keyed by column index."""
+    rows: list[Column] = [{} for _ in range(size)]
+    for j, column in enumerate(columns):
+        for i, value in column.items():
+            rows[i][j] = value
+    return rows
+
+
 def column_gram_deviation(matrix: CouplingMatrix
                           ) -> Optional[tuple[ColState, ColState, SqrtSum]]:
     """First (col, col, value) where the exact Gram differs from identity.
@@ -325,18 +331,15 @@ def column_gram_deviation(matrix: CouplingMatrix
     Columns are grouped by total magnetic charge; None means exact
     orthonormality.
     """
-    return _gram_deviation(matrix.cols,
-                           [matrix.columns[col] for col in matrix.cols],
-                           lambda col: (col.mt1.twice, col.mt2.twice))
+    return gram_deviation(matrix.cols,
+                          [matrix.columns[col] for col in matrix.cols],
+                          lambda col: (col.mt1.twice, col.mt2.twice))
 
 
 def row_gram_deviation(matrix: CouplingMatrix
                        ) -> Optional[tuple[RowState, RowState, SqrtSum]]:
     """Row-side analogue of column_gram_deviation (completeness check)."""
-    transpose: list[Column] = [{} for _ in matrix.rows]
-    for j, col in enumerate(matrix.cols):
-        for i, value in matrix.columns[col].items():
-            transpose[i][j] = value
-    return _gram_deviation(matrix.rows, transpose,
-                           lambda row: (row.m1.twice + row.pm1.twice,
-                                        row.m2.twice + row.pm2.twice))
+    columns = [matrix.columns[col] for col in matrix.cols]
+    return gram_deviation(matrix.rows, transpose(columns, len(matrix.rows)),
+                          lambda row: (row.m1.twice + row.pm1.twice,
+                                       row.m2.twice + row.pm2.twice))

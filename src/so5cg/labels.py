@@ -185,6 +185,17 @@ def in_branching(label: IrrepLabel, so4: So4Label) -> bool:
     return ty <= ts1 <= tx and -ty <= ts2 <= ty and (ts1 - ty) % 2 == 0
 
 
+def reach(label: IrrepLabel, block: So4Label, tdj1: int,
+          tdj2: int) -> Optional[So4Label]:
+    """The block moved by doubled spin shifts if that lies in the branching
+    of label, else None: the one rule by which a table entry takes a source
+    block to a block of an irrep, or to nothing."""
+    shifted = block.shifted(tdj1, tdj2)
+    if shifted is not None and in_branching(label, shifted):
+        return shifted
+    return None
+
+
 # The 14 weights as (twice_d1, twice_d2) shifts; (0, 0) appears twice.
 SHIFTS_14: tuple[tuple[int, int], ...] = (
     (2, 2), (2, -2), (-2, 2), (-2, -2),

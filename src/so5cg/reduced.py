@@ -28,6 +28,7 @@ from .labels import (
     branching,
     dim,
     in_branching,
+    reach,
     target_of,
 )
 from .tables import (
@@ -124,9 +125,9 @@ def reduced(key: ReducedKey) -> SqrtSum:
     if target is None:
         raise ChannelAbsent(
             f"channel {channel} leaves no valid target for source {key.source}")
-    shifted = key.source_so4.shifted(key.entry.dj1.twice,
-                                     key.entry.dj2.twice)
-    if shifted is None or not in_branching(target, shifted):
+    shifted = reach(target, key.source_so4, key.entry.dj1.twice,
+                    key.entry.dj2.twice)
+    if shifted is None:
         return ZERO
     if channel.is_lowering:
         return symmetry_extend(target, key.source, shifted,
@@ -141,16 +142,16 @@ def reduced_aux(key: ReducedKey) -> SqrtSum:
     if not key.channel.is_diagonal:
         raise MalformedKey("companion rows exist only for the (0,0) shift")
     _check_source_block(key.source, key.source_so4)
-    shifted = key.source_so4.shifted(key.entry.dj1.twice,
-                                     key.entry.dj2.twice)
-    if shifted is None or not in_branching(key.source, shifted):
+    if reach(key.source, key.source_so4, key.entry.dj1.twice,
+             key.entry.dj2.twice) is None:
         return ZERO
     return AUX_TABLE.bare_value(key.entry, *key.source_so4.twice,
                                 *key.source.twice)
 
 
 def reduced_copy2(key: ReducedKey) -> SqrtSum:
-    """Second copy of the diagonal channel: (aux - x*copy1)/sqrt(norm2)."""
+    """Second copy of the diagonal channel: (aux - x*copy1)/sqrt(norm2),
+    0 off the branching like both of its parts."""
     if not key.channel.is_diagonal:
         raise MalformedKey(f"channel {key.channel} has no second copy")
     _check_source_block(key.source, key.source_so4)
@@ -158,10 +159,6 @@ def reduced_copy2(key: ReducedKey) -> SqrtSum:
     if mix.norm2 == 0:
         raise ChannelAbsent(
             f"second diagonal copy absent for source {key.source}")
-    shifted = key.source_so4.shifted(key.entry.dj1.twice,
-                                     key.entry.dj2.twice)
-    if shifted is None or not in_branching(key.source, shifted):
-        return ZERO
     copy1 = reduced(ReducedKey(key.source, Channel.of(0, 0, 1),
                                key.source_so4, key.entry))
     return (reduced_aux(key) - mix.x * copy1) * sqrt_rational(1 / mix.norm2)
@@ -229,8 +226,8 @@ def _vector(evaluate, source: IrrepLabel, channel: Channel,
     target SO(4) label whose source block exists."""
     out: ReducedVector = {}
     for entry in ENTRY_SHIFTS:
-        s = target_so4.shifted(-entry.dj1.twice, -entry.dj2.twice)
-        if s is not None and in_branching(source, s):
+        s = reach(source, target_so4, -entry.dj1.twice, -entry.dj2.twice)
+        if s is not None:
             out[(s, entry.part)] = evaluate(
                 ReducedKey(source, channel, s, entry))
     return out
@@ -273,22 +270,15 @@ _TABLE_ENTRIES = tuple(sorted(
 
 def _table(evaluate, source: IrrepLabel, channel: Channel,
            target: IrrepLabel) -> tuple[ReducedRow, ...]:
-    """evaluate() at every (source block, entry) row, in lexicographic order.
-
-    An entry that shifts to a negative spin is a row with value 0; the
-    target block is None wherever it falls outside the target's branching.
-    """
+    """Every (source block, entry) row, in lexicographic order; a row that
+    reaches no block of target is 0 with target block None, unevaluated."""
     rows = []
     for s in branching(source):
         for entry in _TABLE_ENTRIES:
-            shifted = s.shifted(entry.dj1.twice, entry.dj2.twice)
-            if shifted is None:
-                rows.append(ReducedRow(s, entry, None, ZERO))
-                continue
-            if not in_branching(target, shifted):
-                shifted = None
-            value = evaluate(ReducedKey(source, channel, s, entry))
-            rows.append(ReducedRow(s, entry, shifted, value))
+            t = reach(target, s, entry.dj1.twice, entry.dj2.twice)
+            value = ZERO if t is None else evaluate(
+                ReducedKey(source, channel, s, entry))
+            rows.append(ReducedRow(s, entry, t, value))
     return tuple(rows)
 
 

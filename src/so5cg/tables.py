@@ -46,7 +46,7 @@ from functools import lru_cache
 from math import gcd
 from typing import Callable, Iterable, Mapping, Optional, Union
 
-from ._kernel import squarefree_split
+from ._kernel import sqrt_of_product
 from .errors import ChannelAbsent, FormulaDomainError
 from .exactnum import ZERO, SqrtSum, sqrt_rational
 from .labels import PART_00, PART_11, PART_HH, EntryShift, So4Label
@@ -206,19 +206,12 @@ def _constant(sign: int, scale: str, srad: str, root_exp: int,
 
 def _root(const: tuple[int, int, int], outer: int, den: int,
           factors: Iterable[int]) -> SqrtSum:
-    """const * outer / den * sqrt(prod(factors)) for positive int factors.
-
-    Each factor is split on its own through the memoized square-free split,
-    the roots are merged pairwise, and the coefficient is reduced once.
-    """
+    """const * outer / den * sqrt(prod(factors)) for positive int factors,
+    with the coefficient reduced once."""
     rad, num, cden = const
-    num *= outer
+    root, rad = sqrt_of_product(factors, rad)
+    num *= outer * root
     den *= cden
-    for v in factors:
-        o, r = squarefree_split(v)
-        g = gcd(rad, r)
-        num *= o * g
-        rad = (rad // g) * (r // g)
     g = gcd(num, den)
     return SqrtSum(((rad, num // g, den // g),))
 

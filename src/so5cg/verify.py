@@ -8,12 +8,17 @@ command line front end renders as JSON.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 from typing import Callable, Optional
 
 from .errors import FormulaDomainError
 from .exactnum import ONE, ZERO, sqrt_rational
-from .fullcg import column_gram_deviation, coupling_matrix, row_gram_deviation
+from .fullcg import (
+    column_gram_deviation,
+    coupling_matrix,
+    gram_deviation,
+    row_gram_deviation,
+    transpose,
+)
 from .labels import (
     ALL_CHANNELS,
     ENTRY_SHIFTS,
@@ -23,9 +28,9 @@ from .labels import (
     branching,
     channels_present,
     dim,
-    in_branching,
     iter_labels,
     multiplicity_of,
+    reach,
     target_of,
 )
 from .reduced import (
@@ -41,26 +46,22 @@ from .su2 import su2_cg
 
 
 def reduced_unitarity(max_twice_j1: int) -> Optional[str]:
-    """Exact Gram identity of the reduced vectors at every (source, t)."""
+    """Exact Gram identity of the reduced vectors at every (source, t),
+    each target block t one Gram sector of the source's channel vectors."""
     for src in iter_labels(max_twice_j1):
-        chans = channels_present(src)
-        vecs: dict[Channel, dict[So4Label, dict]] = {}
-        targets = set()
-        for ch in chans:
-            tgt = target_of(src, ch)
-            for t in branching(tgt):
+        labels, vectors = [], []
+        for ch in channels_present(src):
+            for t in branching(target_of(src, ch)):
                 v = reduced_vector(src, ch, t)
                 if v:
-                    vecs.setdefault(ch, {})[t] = v
-                    targets.add(t)
-        for t in sorted(targets, key=lambda s: (s.j1.twice, s.j2.twice)):
-            present = [ch for ch in chans if t in vecs.get(ch, {})]
-            for c1, c2 in combinations_with_replacement(present, 2):
-                g = dot(vecs[c1][t], vecs[c2][t])
-                want = ONE if c1 == c2 else ZERO
-                if g != want:
-                    return (f"source {src}, t {t}, channels {c1} x {c2}: "
-                            f"gram {g} != {want}")
+                    labels.append((ch, t))
+                    vectors.append(v)
+        bad = gram_deviation(labels, vectors, lambda label: label[1])
+        if bad is not None:
+            (c1, t), (c2, _), g = bad
+            want = ONE if c1 == c2 else ZERO
+            return (f"source {src}, t {t}, channels {c1} x {c2}: "
+                    f"gram {g} != {want}")
     return None
 
 
@@ -149,8 +150,8 @@ def guarded_zero_consistency(max_twice_j1: int) -> Optional[str]:
             tgt = target_of(src, ch)
             for s in branching(src):
                 for entry in ENTRY_SHIFTS:
-                    t = s.shifted(entry.dj1.twice, entry.dj2.twice)
-                    if t is not None and in_branching(tgt, t):
+                    if reach(tgt, s, entry.dj1.twice,
+                             entry.dj2.twice) is not None:
                         continue
                     try:
                         v = table.bare_value(entry, *s.twice, *src.twice)
@@ -179,33 +180,28 @@ def normalization_positivity(max_twice_j1: int) -> Optional[str]:
 
 
 def su2_orthogonality(max_twice_j: int) -> Optional[str]:
-    """Orthogonality and completeness of the SO(3) layer up to the bound."""
+    """Orthogonality and completeness of the SO(3) layer up to the bound:
+    each (j1, j2) matrix's columns (J, M) by M, then its rows (m1, m2)."""
     for tj1 in range(max_twice_j + 1):
         for tj2 in range(max_twice_j + 1):
-            # orthogonality in (J, M) for each fixed (m1, m2) pair sector
-            for tm in range(-(tj1 + tj2), tj1 + tj2 + 1, 2):
-                pairs = [(tm1, tm - tm1) for tm1 in range(-tj1, tj1 + 1, 2)
-                         if abs(tm - tm1) <= tj2]
-                js = [tJ for tJ in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2)
-                      if abs(tm) <= tJ]
-                for ja, jb in combinations_with_replacement(js, 2):
-                    acc = ZERO
-                    for tm1, tm2 in pairs:
-                        acc = acc + (su2_cg(tj1, tm1, tj2, tm2, ja, tm)
-                                     * su2_cg(tj1, tm1, tj2, tm2, jb, tm))
-                    want = ONE if ja == jb else ZERO
-                    if acc != want:
-                        return (f"j1 {tj1}/2 j2 {tj2}/2 M {tm}/2: "
-                                f"<J {ja}/2|J {jb}/2> = {acc}")
-                for (a1, a2), (b1, b2) in combinations_with_replacement(pairs, 2):
-                    acc = ZERO
-                    for tJ in js:
-                        acc = acc + (su2_cg(tj1, a1, tj2, a2, tJ, tm)
-                                     * su2_cg(tj1, b1, tj2, b2, tJ, tm))
-                    want = ONE if (a1, a2) == (b1, b2) else ZERO
-                    if acc != want:
-                        return (f"j1 {tj1}/2 j2 {tj2}/2: completeness "
-                                f"({a1},{a2}) x ({b1},{b2}) = {acc}")
+            rows = [(tm1, tm2) for tm1 in range(-tj1, tj1 + 1, 2)
+                    for tm2 in range(-tj2, tj2 + 1, 2)]
+            cols = [(tJ, tM) for tJ in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2)
+                    for tM in range(-tJ, tJ + 1, 2)]
+            columns = [{i: su2_cg(tj1, tm1, tj2, tm2, tJ, tM)
+                        for i, (tm1, tm2) in enumerate(rows)
+                        if tm1 + tm2 == tM} for tJ, tM in cols]
+            bad = gram_deviation(cols, columns, lambda col: col[1])
+            if bad is not None:
+                (ja, tm), (jb, _), value = bad
+                return (f"j1 {tj1}/2 j2 {tj2}/2 M {tm}/2: "
+                        f"<J {ja}/2|J {jb}/2> = {value}")
+            bad = gram_deviation(rows, transpose(columns, len(rows)),
+                                 lambda row: row[0] + row[1])
+            if bad is not None:
+                (a1, a2), (b1, b2), value = bad
+                return (f"j1 {tj1}/2 j2 {tj2}/2: completeness "
+                        f"({a1},{a2}) x ({b1},{b2}) = {value}")
     return None
 
 
@@ -272,18 +268,16 @@ def suite_symmetry(max_twice_j: int) -> list[CheckResult]:
 def _symmetry_example() -> Optional[str]:
     from fractions import Fraction
 
-    from .labels import PART_11
-    value = symmetry_extend(IrrepLabel.of(0, 0), IrrepLabel.of(2, 2),
-                            So4Label.of(0, 0), So4Label.of(2, 2), PART_11)
+    from .labels import PART_11, PARTS_14
+    # (1,1) -> (0,0): one lowering component per 14-part
+    lowering = {(p, p): symmetry_extend(IrrepLabel.of(0, 0),
+                                        IrrepLabel.of(2, 2),
+                                        So4Label.of(0, 0), p, p)
+                for p in PARTS_14}
+    value = lowering[(PART_11, PART_11)]
     if value * value != sqrt_rational(Fraction(81, 196)):
         return f"lowering example squared is {value * value}, want 9/14"
-    squares = ZERO
-    for s, part in [(So4Label.of(2, 2), So4Label.of(2, 2)),
-                    (So4Label.of(1, 1), So4Label.of(1, 1)),
-                    (So4Label.of(0, 0), So4Label.of(0, 0))]:
-        v = symmetry_extend(IrrepLabel.of(0, 0), IrrepLabel.of(2, 2),
-                            So4Label.of(0, 0), s, part)
-        squares = squares + v * v
+    squares = dot(lowering, lowering)
     if squares != ONE:
         return f"lowering squares sum to {squares}, want 1"
     return None

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from so5cg._kernel import add_terms, dot_terms, mul_terms
+from so5cg._kernel import (
+    add_terms,
+    dot_terms,
+    mul_terms,
+    sqrt_of_product,
+    squarefree_split,
+)
 from so5cg.errors import NegativeRadicand
 from so5cg.exactnum import ONE, ZERO, SqrtSum, sqrt_product, sqrt_rational
 
@@ -78,6 +84,15 @@ def test_as_fraction_requires_rational():
 def test_sqrt_product_matches_factorwise():
     assert sqrt_product([2, 3, 6]) == SqrtSum.from_rational(6)
     assert sqrt_product([Fraction(1, 2), 8]) == SqrtSum.from_rational(2)
+
+
+@given(st.lists(st.integers(min_value=1, max_value=5000), max_size=6),
+       st.sampled_from([1, 2, 3, 6, 10, 30]))
+def test_sqrt_of_product_splits_the_whole_product(factors, rad):
+    product = rad
+    for v in factors:
+        product *= v
+    assert sqrt_of_product(factors, rad) == squarefree_split(product)
 
 
 @given(nonneg_rationals)

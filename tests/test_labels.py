@@ -25,6 +25,7 @@ from so5cg.labels import (
     iter_labels,
     m_values,
     multiplicity_of,
+    reach,
     target_of,
 )
 
@@ -88,6 +89,20 @@ def test_branching_dimension_audit(label):
 def test_in_branching_matches_membership(label, a, b):
     so4 = So4Label.of(a, b)
     assert in_branching(label, so4) == (so4 in branching(label))
+
+
+@given(labels, st.integers(min_value=0, max_value=10),
+       st.integers(min_value=0, max_value=10),
+       st.integers(min_value=-2, max_value=2),
+       st.integers(min_value=-2, max_value=2))
+def test_reach_is_the_shifted_block_inside_the_branching(label, a, b, d1, d2):
+    block = So4Label.of(a, b)
+    if a + d1 < 0 or b + d2 < 0:
+        assert reach(label, block, d1, d2) is None
+        return
+    shifted = So4Label.of(a + d1, b + d2)
+    want = shifted if shifted in branching(label) else None
+    assert reach(label, block, d1, d2) == want
 
 
 def test_decompose_examples():

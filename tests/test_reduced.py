@@ -302,3 +302,15 @@ def test_mixing_identities_sampled_large_spins(src, data):
     aux = aux_vector(src, t)
     assert dot(aux, reduced_vector(src, G1, t)) == mix.x, (str(src), str(t))
     assert dot(aux, aux) == mix.h2, (str(src), str(t))
+
+
+def test_table_export_evaluates_only_rows_that_reach_a_block():
+    # A row whose entry takes its source block outside the target's
+    # branching is 0 by definition: it is exported, but never evaluated.
+    source = IrrepLabel.of(7, 3)
+    reduced.cache_clear()
+    rows = table_rows(source, Channel.of(2, 0))
+    reaching = [row for row in rows if row.target_so4 is not None]
+    assert 0 < len(reaching) < len(rows)
+    assert all(row.value == ZERO for row in rows if row.target_so4 is None)
+    assert reduced.cache_info().currsize == len(reaching)

@@ -42,6 +42,28 @@ def test_predicate_methods_are_called():
     assert found == []
 
 
+def _calls(node: ast.AST, name: str) -> bool:
+    return any(isinstance(call, ast.Call)
+               and (getattr(call.func, "attr", None) == name
+                    or getattr(call.func, "id", None) == name)
+               for call in ast.walk(node))
+
+
+def test_block_rule_lives_in_labels():
+    # Whether an entry takes a source block to a block of an irrep is
+    # labels.reach; a function elsewhere that shifts a label and tests the
+    # branching itself is a second copy of that rule.
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "labels.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.name}" for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and _calls(node, "shifted") and _calls(node, "in_branching")]
+    assert found == []
+
+
 BENCH_TRACE = """
 import json, sys
 from tracing import Tracer, install

@@ -3,7 +3,7 @@
 import pytest
 
 from so5cg.exactnum import ONE
-from so5cg.labels import IrrepLabel
+from so5cg.labels import Channel, IrrepLabel, So4Label
 from so5cg import verify
 
 
@@ -51,3 +51,35 @@ def test_guarded_zero_reports_a_nonzero_guarded_cell(monkeypatch):
     bad = verify.guarded_zero_consistency(2)
     assert bad is not None
     assert bad.endswith("guarded cell evaluates to 1")
+
+
+def test_su2_orthogonality_reports_a_doubled_coefficient(monkeypatch):
+    original = verify.su2_cg
+
+    def doubled(*key):
+        value = original(*key)
+        return 2 * value if key == (1, 1, 1, -1, 0, 0) else value
+
+    monkeypatch.setattr(verify, "su2_cg", doubled)
+    assert verify.su2_orthogonality(2) == (
+        "j1 1/2 j2 1/2 M 0/2: <J 0/2|J 0/2> = 5/2")
+
+
+def test_reduced_unitarity_reports_a_scaled_component(monkeypatch):
+    # Tripling the first component of one copy-2 vector breaks its overlap
+    # with an earlier channel before its own norm; the expected text was
+    # recorded from the pairwise loop that the Gram routine replaced.
+    original = verify.reduced_vector
+    faulty = (IrrepLabel.of(3, 1), Channel.of(0, 0, 2), So4Label.of(3, 1))
+
+    def scaled(source, channel, target_so4):
+        vector = dict(original(source, channel, target_so4))
+        if (source, channel, target_so4) == faulty:
+            key = next(iter(vector))
+            vector[key] = 3 * vector[key]
+        return vector
+
+    monkeypatch.setattr(verify, "reduced_vector", scaled)
+    assert verify.reduced_unitarity(3) == (
+        "source 3/2,1/2, t 3/2,1/2, channels +1,+1 x 0,0#2: "
+        "gram 136/31995*sqrt(395) != 0")
