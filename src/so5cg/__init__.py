@@ -50,7 +50,6 @@ from .reduced import (  # noqa: E402
 )
 from .fullcg import (  # noqa: E402
     CouplingMatrix,
-    FullKey,
     column_gram_deviation,
     coupling_matrix,
     full,
@@ -71,6 +70,6 @@ __all__ = [
     "ReducedKey", "ReducedRow", "MixingData", "reduced", "reduced_aux",
     "reduced_vector", "normalization", "mixing", "symmetry_extend",
     "channel_present_by_normalization", "table_rows", "aux_table_rows",
-    "FullKey", "CouplingMatrix", "full", "coupling_matrix",
+    "CouplingMatrix", "full", "coupling_matrix",
     "column_gram_deviation", "row_gram_deviation",
 ]

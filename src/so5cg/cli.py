@@ -20,7 +20,7 @@ from typing import Optional
 from . import cache
 from .errors import ChannelAbsent, MalformedKey, So5Error
 from .exactnum import ZERO, SqrtSum
-from .fullcg import FullKey, full
+from .fullcg import ColState, RowState, full
 from .labels import (
     Channel,
     EntryShift,
@@ -38,8 +38,9 @@ from .reduced import (
     reduced,
     reduced_aux,
     table_rows,
+    valid_target,
 )
-from .verify import run_suite
+from .verify import SUITES, run_suite
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -107,19 +108,18 @@ def cmd_eval(args) -> int:
     dj1, dj2 = _parse_pair(args.entry, "entry shift")
     entry = EntryShift(dj1, dj2, part)
 
-    magnetic = [args.m, args.part_m]
-    if channel is AUX:
-        key = ReducedKey(source=source, channel=Channel.of(0, 0, 1),
-                         source_so4=source_so4, entry=entry)
-        value = reduced_aux(key)
-    elif any(v is not None for v in magnetic):
-        if any(v is None for v in magnetic):
+    if args.m is not None or args.part_m is not None:
+        if channel is AUX:
+            raise MalformedKey("the aux companion has no full coefficient; "
+                               "drop --m and --part-m")
+        if args.m is None or args.part_m is None:
             raise MalformedKey("full evaluation needs both --m and --part-m")
         value = _eval_full(args, source, channel, source_so4, entry)
+    elif channel is AUX:
+        value = reduced_aux(ReducedKey(source, Channel.of(0, 0, 1),
+                                       source_so4, entry))
     else:
-        key = ReducedKey(source=source, channel=channel,
-                         source_so4=source_so4, entry=entry)
-        value = reduced(key)
+        value = reduced(ReducedKey(source, channel, source_so4, entry))
     print(value)
     print(float(value))
     return EXIT_OK
@@ -127,7 +127,7 @@ def cmd_eval(args) -> int:
 
 def _eval_full(args, source: IrrepLabel, channel: Channel,
                source_so4: So4Label, entry: EntryShift) -> SqrtSum:
-    target = IrrepLabel(source.j1 + channel.dj1, source.j2 + channel.dj2)
+    target = valid_target(source, channel)
     m1, m2 = _parse_pair(args.m, "m1,m2")
     pm1, pm2 = _parse_pair(args.part_m, "pm1,pm2")
     if args.target_m is not None:
@@ -137,12 +137,8 @@ def _eval_full(args, source: IrrepLabel, channel: Channel,
     target_so4 = source_so4.shifted(entry.dj1.twice, entry.dj2.twice)
     if target_so4 is None:
         return ZERO
-    key = FullKey(target=target, target_so4=target_so4,
-                  tm1=tm1, tm2=tm2, copy=channel.copy,
-                  source=source, source_so4=source_so4,
-                  m1=m1, m2=m2, part=entry.part,
-                  pm1=pm1, pm2=pm2)
-    return full(key)
+    return full(source, RowState(source_so4, m1, m2, entry.part, pm1, pm2),
+                ColState(target, channel.copy, target_so4, tm1, tm2))
 
 
 def _json_doc(kind: str, fields: dict) -> str:
@@ -326,8 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_br.set_defaults(fn=cmd_branch)
 
     p_ver = subs.add_parser("verify", help="run an invariant suite")
-    p_ver.add_argument("suite", choices=("orthogonality", "mixing", "symmetry",
-                                         "su2", "oracle", "all"))
+    p_ver.add_argument("suite", choices=(*SUITES, "all"))
     p_ver.add_argument("--max-twice-j", type=int, default=8, dest="max_twice_j")
     p_ver.add_argument("--tol", type=float, default=1e-9)
     p_ver.add_argument("--source", default=None,

@@ -19,6 +19,7 @@ from .exactnum import ONE, ZERO, SqrtSum
 from .labels import (
     ENTRY_SHIFTS,
     FOURTEEN,
+    PARTS_14,
     SHIFTS_14,
     HalfInt,
     Channel,
@@ -31,6 +32,7 @@ from .labels import (
 )
 from .reduced import ReducedKey, reduced, reduced_vector
 from .su2 import su2_cg
+
 
 @dataclass(frozen=True)
 class RowState:
@@ -48,10 +50,6 @@ class RowState:
                 self.m1.twice, self.m2.twice,
                 self.part.j1.twice, self.part.j2.twice,
                 self.pm1.twice, self.pm2.twice)
-
-    def to_json(self) -> dict:
-        return {"s": list(self.source_so4.twice), "m": [self.m1.twice, self.m2.twice],
-                "p": list(self.part.twice), "pm": [self.pm1.twice, self.pm2.twice]}
 
     def __str__(self) -> str:
         return (f"{self.source_so4};{self.m1},{self.m2}|"
@@ -73,31 +71,8 @@ class ColState:
                 self.target_so4.j1.twice, self.target_so4.j2.twice,
                 self.mt1.twice, self.mt2.twice)
 
-    def to_json(self) -> dict:
-        return {"target": list(self.target.twice), "copy": self.copy,
-                "t": list(self.target_so4.twice),
-                "mt": [self.mt1.twice, self.mt2.twice]}
-
     def __str__(self) -> str:
         return f"{self.target}#{self.copy};{self.target_so4};{self.mt1},{self.mt2}"
-
-
-@dataclass(frozen=True)
-class FullKey:
-    """Addresses a single full coupling coefficient."""
-
-    target: IrrepLabel
-    target_so4: So4Label
-    tm1: HalfInt
-    tm2: HalfInt
-    copy: int
-    source: IrrepLabel
-    source_so4: So4Label
-    m1: HalfInt
-    m2: HalfInt
-    part: So4Label
-    pm1: HalfInt
-    pm2: HalfInt
 
 
 def _check_magnetic(j: HalfInt, m: HalfInt, what: str) -> None:
@@ -108,42 +83,35 @@ def _check_magnetic(j: HalfInt, m: HalfInt, what: str) -> None:
 _ENTRIES = {(e.dj1.twice, e.dj2.twice, e.part): e for e in ENTRY_SHIFTS}
 
 
-def full(key: FullKey) -> SqrtSum:
-    """Exact full coefficient: reduced value times two SU(2) factors."""
-    if key.part not in branching(FOURTEEN) or key.part.j1 != key.part.j2:
-        raise MalformedKey(f"part must be a 14-dim block, got {key.part}")
-    _check_magnetic(key.source_so4.j1, key.m1, "source")
-    _check_magnetic(key.source_so4.j2, key.m2, "source")
-    _check_magnetic(key.part.j1, key.pm1, "part")
-    _check_magnetic(key.part.j2, key.pm2, "part")
-    _check_magnetic(key.target_so4.j1, key.tm1, "target")
-    _check_magnetic(key.target_so4.j2, key.tm2, "target")
-    if (key.tm1.twice != key.m1.twice + key.pm1.twice
-            or key.tm2.twice != key.m2.twice + key.pm2.twice):
+def full(source: IrrepLabel, row: RowState, col: ColState) -> SqrtSum:
+    """Exact full coefficient, the entry of coupling_matrix(source) at
+    (row, col): reduced value times two SU(2) factors."""
+    s, p, t = row.source_so4, row.part, col.target_so4
+    if p not in PARTS_14:
+        raise MalformedKey(f"part must be a 14-dim block, got {p}")
+    _check_magnetic(s.j1, row.m1, "source")
+    _check_magnetic(s.j2, row.m2, "source")
+    _check_magnetic(p.j1, row.pm1, "part")
+    _check_magnetic(p.j2, row.pm2, "part")
+    _check_magnetic(t.j1, col.mt1, "target")
+    _check_magnetic(t.j2, col.mt2, "target")
+    if (col.mt1.twice != row.m1.twice + row.pm1.twice
+            or col.mt2.twice != row.m2.twice + row.pm2.twice):
         return ZERO
-    entry = _ENTRIES.get((key.target_so4.j1.twice - key.source_so4.j1.twice,
-                          key.target_so4.j2.twice - key.source_so4.j2.twice,
-                          key.part))
+    entry = _ENTRIES.get((t.j1.twice - s.j1.twice, t.j2.twice - s.j2.twice, p))
     if entry is None:
         return ZERO
-    shift = (key.target.j1.twice - key.source.j1.twice,
-             key.target.j2.twice - key.source.j2.twice)
+    shift = (col.target.j1.twice - source.j1.twice,
+             col.target.j2.twice - source.j2.twice)
     if shift not in SHIFTS_14:
         return ZERO
-    r = reduced(ReducedKey(
-        source=key.source,
-        channel=Channel.of(shift[0], shift[1], key.copy),
-        source_so4=key.source_so4,
-        entry=entry,
-    ))
+    r = reduced(ReducedKey(source, Channel.of(*shift, col.copy), s, entry))
     if not r:
         return ZERO
-    cg1 = su2_cg(key.source_so4.j1.twice, key.m1.twice,
-                 key.part.j1.twice, key.pm1.twice,
-                 key.target_so4.j1.twice, key.tm1.twice)
-    cg2 = su2_cg(key.source_so4.j2.twice, key.m2.twice,
-                 key.part.j2.twice, key.pm2.twice,
-                 key.target_so4.j2.twice, key.tm2.twice)
+    cg1 = su2_cg(s.j1.twice, row.m1.twice, p.j1.twice, row.pm1.twice,
+                 t.j1.twice, col.mt1.twice)
+    cg2 = su2_cg(s.j2.twice, row.m2.twice, p.j2.twice, row.pm2.twice,
+                 t.j2.twice, col.mt2.twice)
     return r * cg1 * cg2
 
 
@@ -212,18 +180,6 @@ class CouplingMatrix:
                 triplets.append((i, j, value))
         triplets.sort(key=lambda t: (t[0], t[1]))
         yield from triplets
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": "so5cg/1",
-            "kind": "coupling_matrix",
-            "source": self.source.to_json(),
-            "shape": list(self.shape),
-            "rows": [r.to_json() for r in self.rows],
-            "cols": [c.to_json() for c in self.cols],
-            "entries": [[i, j, v.to_json_dict()]
-                        for i, j, v in self.iter_entries()],
-        }
 
     def to_csv_rows(self) -> Iterator[list[str]]:
         header = ["s_tj1", "s_tj2", "tm1", "tm2", "p_tj1", "p_tj2",

@@ -63,12 +63,6 @@ class HalfInt:
     def __sub__(self, other: "HalfInt") -> "HalfInt":
         return HalfInt(self.twice - other.twice)
 
-    def __neg__(self) -> "HalfInt":
-        return HalfInt(-self.twice)
-
-
-ZERO_HALF = HalfInt(0)
-
 
 @dataclass(frozen=True, slots=True, order=True)
 class So4Label:

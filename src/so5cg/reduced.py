@@ -18,9 +18,6 @@ from .errors import ChannelAbsent, MalformedKey
 from .exactnum import ZERO, SqrtSum, sqrt_rational
 from .labels import (
     ENTRY_SHIFTS,
-    LOWERING_SHIFTS,
-    PARTS_14,
-    RAISING_SHIFTS,
     Channel,
     EntryShift,
     IrrepLabel,
@@ -70,6 +67,15 @@ def _check_source_block(source: IrrepLabel, source_so4: So4Label) -> None:
             f"SO(4) label {source_so4} is not a block of source {source}")
 
 
+def valid_target(source: IrrepLabel, channel: Channel) -> IrrepLabel:
+    """The irrep the channel shift reaches; ChannelAbsent if none is valid."""
+    target = target_of(source, channel)
+    if target is None:
+        raise ChannelAbsent(
+            f"channel {channel} leaves no valid target for source {source}")
+    return target
+
+
 def _table_of(channel: Channel) -> ChannelTable:
     if channel.is_raising:
         return RAISING_TABLES[channel.shift]
@@ -85,9 +91,7 @@ def normalization(family: Channel, source: IrrepLabel) -> SqrtSum:
         raise MalformedKey(
             f"channel {family} is symmetry-generated and carries no "
             f"normalization of its own")
-    if target_of(source, family) is None:
-        raise ChannelAbsent(f"channel {family} leaves no valid target "
-                            f"for source {source}")
+    valid_target(source, family)
     return _table_of(family).normalization(*source.twice)
 
 
@@ -117,21 +121,16 @@ def reduced(key: ReducedKey) -> SqrtSum:
     Returns 0 without evaluating when the shifted target SO(4) label falls
     outside the target irrep's branching.
     """
-    _check_source_block(key.source, key.source_so4)
     channel = key.channel
+    if channel.is_lowering:
+        return symmetry_extend(key)
+    _check_source_block(key.source, key.source_so4)
     if channel.copy == 2:
         return reduced_copy2(key)
-    target = target_of(key.source, channel)
-    if target is None:
-        raise ChannelAbsent(
-            f"channel {channel} leaves no valid target for source {key.source}")
-    shifted = reach(target, key.source_so4, key.entry.dj1.twice,
-                    key.entry.dj2.twice)
-    if shifted is None:
+    target = valid_target(key.source, channel)
+    if reach(target, key.source_so4, key.entry.dj1.twice,
+             key.entry.dj2.twice) is None:
         return ZERO
-    if channel.is_lowering:
-        return symmetry_extend(target, key.source, shifted,
-                               key.source_so4, key.entry.part)
     norm = normalization(channel, key.source)
     return norm * _table_of(channel).bare_value(
         key.entry, *key.source_so4.twice, *key.source.twice)
@@ -164,40 +163,32 @@ def reduced_copy2(key: ReducedKey) -> SqrtSum:
     return (reduced_aux(key) - mix.x * copy1) * sqrt_rational(1 / mix.norm2)
 
 
-def symmetry_extend(target: IrrepLabel, source: IrrepLabel,
-                    target_so4: So4Label, source_so4: So4Label,
-                    part: So4Label) -> SqrtSum:
-    """Reduced coefficient obtained from the transposed coupling.
+def symmetry_extend(key: ReducedKey) -> SqrtSum:
+    """Reduced coefficient of a raising or lowering key, read off its
+    transpose: target -> source, channel and entry negated, blocks swapped.
 
-    The value for (target <- source) equals a sign times a dimension ratio
-    times the value for (source <- target) with the SO(4) labels swapped.
+    The value equals a sign times the square root of a dimension ratio times
+    the transposed key's value, 0 when the entry reaches no target block.
     Applying it twice is the identity.
     """
-    if part not in PARTS_14:
-        raise MalformedKey(f"not a 14-part: {part}")
-    shift = (target.j1.twice - source.j1.twice,
-             target.j2.twice - source.j2.twice)
-    if shift not in RAISING_SHIFTS and shift not in LOWERING_SHIFTS:
-        raise MalformedKey(
-            f"{source} and {target} are not related by a single channel shift")
-    _check_source_block(source, source_so4)
-    _check_source_block(target, target_so4)
-    entry_shift = (target_so4.j1.twice - source_so4.j1.twice,
-                   target_so4.j2.twice - source_so4.j2.twice)
-    mirrored_entry = EntryShift.of(-entry_shift[0], -entry_shift[1], part)
-    phase_doubled = (shift[0] - shift[1] + entry_shift[0] + entry_shift[1]
-                     + part.j1.twice + part.j2.twice)
-    if phase_doubled % 2:
-        raise AssertionError("half-integral symmetry phase")
-    sign = -1 if (phase_doubled // 2) % 2 else 1
-    ratio = Fraction(dim(target) * source_so4.so3_dim,
-                     dim(source) * target_so4.so3_dim)
-    mirrored = reduced(ReducedKey(
-        source=target,
-        channel=Channel.of(-shift[0], -shift[1]),
-        source_so4=target_so4,
-        entry=mirrored_entry,
-    ))
+    channel, entry = key.channel, key.entry
+    if channel.is_diagonal:
+        raise MalformedKey(f"diagonal channel {channel} has no transpose")
+    _check_source_block(key.source, key.source_so4)
+    target = valid_target(key.source, channel)
+    target_so4 = reach(target, key.source_so4, entry.dj1.twice,
+                       entry.dj2.twice)
+    if target_so4 is None:
+        return ZERO
+    (d1, d2), e1, e2 = channel.shift, entry.dj1.twice, entry.dj2.twice
+    # d1 - d2, e1 + e2 and the part's doubled spins sum to even numbers.
+    phase = (d1 - d2 + e1 + e2 + entry.part.j1.twice
+             + entry.part.j2.twice) // 2
+    ratio = Fraction(dim(target) * key.source_so4.so3_dim,
+                     dim(key.source) * target_so4.so3_dim)
+    mirrored = reduced(ReducedKey(target, Channel.of(-d1, -d2), target_so4,
+                                  EntryShift.of(-e1, -e2, entry.part)))
+    sign = -1 if phase % 2 else 1
     return sign * sqrt_rational(ratio) * mirrored
 
 
@@ -287,11 +278,7 @@ def table_rows(source: IrrepLabel, channel: Channel) -> tuple[ReducedRow, ...]:
 
     Guarded entries appear with value 0 so the table shape is uniform.
     """
-    target = target_of(source, channel)
-    if target is None:
-        raise ChannelAbsent(
-            f"channel {channel} leaves no valid target for source {source}")
-    return _table(reduced, source, channel, target)
+    return _table(reduced, source, channel, valid_target(source, channel))
 
 
 def aux_table_rows(source: IrrepLabel) -> tuple[ReducedRow, ...]:

@@ -8,6 +8,7 @@ command line front end renders as JSON.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Optional
 
 from .errors import FormulaDomainError
@@ -22,9 +23,11 @@ from .fullcg import (
 from .labels import (
     ALL_CHANNELS,
     ENTRY_SHIFTS,
+    PART_11,
+    PARTS_14,
     Channel,
+    EntryShift,
     IrrepLabel,
-    So4Label,
     branching,
     channels_present,
     dim,
@@ -34,6 +37,7 @@ from .labels import (
     target_of,
 )
 from .reduced import (
+    ReducedKey,
     _table_of,
     aux_vector,
     channel_present_by_normalization,
@@ -41,6 +45,7 @@ from .reduced import (
     mixing,
     reduced_vector,
     symmetry_extend,
+    table_rows,
 )
 from .su2 import su2_cg
 
@@ -110,16 +115,16 @@ def mixing_identities(max_twice_j1: int) -> Optional[str]:
 def symmetry_involution(max_twice_j1: int) -> Optional[str]:
     """Applying the transposition relation twice returns every raising entry."""
     for src in iter_labels(max_twice_j1):
-        for ch in ALL_CHANNELS:
-            if not ch.is_raising or ch not in channels_present(src):
+        for ch in channels_present(src):
+            if not ch.is_raising:
                 continue
-            tgt = target_of(src, ch)
-            for t in branching(tgt):
-                for (s, part), v in reduced_vector(src, ch, t).items():
-                    w = symmetry_extend(tgt, src, t, s, part)
-                    if w != v:
-                        return (f"source {src}, channel {ch}, t {t}, s {s}, "
-                                f"part {part}: {w} != {v}")
+            for row in table_rows(src, ch):
+                w = symmetry_extend(ReducedKey(src, ch, row.source_so4,
+                                               row.entry))
+                if w != row.value:
+                    return (f"source {src}, channel {ch}, t {row.target_so4}, "
+                            f"s {row.source_so4}, part {row.entry.part}: "
+                            f"{w} != {row.value}")
     return None
 
 
@@ -229,7 +234,7 @@ ROW_SPOT_SOURCES = tuple(IrrepLabel.of(*t) for t in
                          [(1, 0), (1, 1), (2, 0), (2, 2)])
 
 
-def suite_orthogonality(max_twice_j: int) -> list[CheckResult]:
+def suite_orthogonality(max_twice_j: int, *_) -> list[CheckResult]:
     full_bound = min(max_twice_j, 4)
     full_sources = tuple(s for s in ORTHOGONALITY_SOURCES
                          if s.j1.twice <= full_bound)
@@ -243,7 +248,7 @@ def suite_orthogonality(max_twice_j: int) -> list[CheckResult]:
     ]
 
 
-def suite_mixing(max_twice_j: int) -> list[CheckResult]:
+def suite_mixing(max_twice_j: int, *_) -> list[CheckResult]:
     return [
         _run(f"mixing_identities <= {max_twice_j}",
              lambda: mixing_identities(max_twice_j)),
@@ -256,7 +261,7 @@ def suite_mixing(max_twice_j: int) -> list[CheckResult]:
     ]
 
 
-def suite_symmetry(max_twice_j: int) -> list[CheckResult]:
+def suite_symmetry(max_twice_j: int, *_) -> list[CheckResult]:
     bound = min(max_twice_j, 4)
     return [
         _run(f"symmetry_involution <= {bound}",
@@ -266,13 +271,10 @@ def suite_symmetry(max_twice_j: int) -> list[CheckResult]:
 
 
 def _symmetry_example() -> Optional[str]:
-    from fractions import Fraction
-
-    from .labels import PART_11, PARTS_14
     # (1,1) -> (0,0): one lowering component per 14-part
-    lowering = {(p, p): symmetry_extend(IrrepLabel.of(0, 0),
-                                        IrrepLabel.of(2, 2),
-                                        So4Label.of(0, 0), p, p)
+    lowering = {(p, p): symmetry_extend(ReducedKey(
+                    IrrepLabel.of(2, 2), Channel.of(-2, -2), p,
+                    EntryShift.of(-p.j1.twice, -p.j2.twice, p)))
                 for p in PARTS_14}
     value = lowering[(PART_11, PART_11)]
     if value * value != sqrt_rational(Fraction(81, 196)):
@@ -283,14 +285,14 @@ def _symmetry_example() -> Optional[str]:
     return None
 
 
-def suite_su2(max_twice_j: int) -> list[CheckResult]:
+def suite_su2(max_twice_j: int, *_) -> list[CheckResult]:
     return [
         _run(f"su2_orthogonality <= {min(max_twice_j, 6)}",
              lambda: su2_orthogonality(min(max_twice_j, 6))),
     ]
 
 
-def suite_oracle(source: Optional[IrrepLabel], tol: float,
+def suite_oracle(_max_twice_j: int, tol: float, source: Optional[IrrepLabel],
                  projector_tol: float = 1e-8) -> list[CheckResult]:
     from .oracle import compare, numeric_decompose
     from .labels import decompose_with_14
@@ -327,24 +329,22 @@ def suite_oracle(source: Optional[IrrepLabel], tol: float,
     return checks
 
 
+# Every suite by name, each called with (max_twice_j, tol, source), in the
+# order that "all" runs them.
+SUITES: dict[str, Callable[..., list[CheckResult]]] = {
+    "orthogonality": suite_orthogonality,
+    "mixing": suite_mixing,
+    "symmetry": suite_symmetry,
+    "su2": suite_su2,
+    "oracle": suite_oracle,
+}
+
+
 def run_suite(suite: str, max_twice_j: int = 8, tol: float = 1e-9,
               source: Optional[IrrepLabel] = None) -> list[CheckResult]:
-    if suite == "orthogonality":
-        return suite_orthogonality(max_twice_j)
-    if suite == "mixing":
-        return suite_mixing(max_twice_j)
-    if suite == "symmetry":
-        return suite_symmetry(max_twice_j)
-    if suite == "su2":
-        return suite_su2(max_twice_j)
-    if suite == "oracle":
-        return suite_oracle(source, tol)
     if suite == "all":
-        out = []
-        out.extend(suite_orthogonality(max_twice_j))
-        out.extend(suite_mixing(max_twice_j))
-        out.extend(suite_symmetry(max_twice_j))
-        out.extend(suite_su2(max_twice_j))
-        out.extend(suite_oracle(source, tol))
-        return out
-    raise ValueError(f"unknown suite: {suite}")
+        return [result for run in SUITES.values()
+                for result in run(max_twice_j, tol, source)]
+    if suite not in SUITES:
+        raise ValueError(f"unknown suite: {suite}")
+    return SUITES[suite](max_twice_j, tol, source)

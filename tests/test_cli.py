@@ -320,3 +320,29 @@ def test_absent_channel_table_stores_nothing(capsys, tmp_path, monkeypatch):
     assert (code, out) == (3, "")
     assert err.startswith("channel absent:")
     assert list(tmp_path.iterdir()) == []
+
+
+NO_TARGET_KEY = ("eval", "--source", "0,0", "--channel=-1,-1",
+                 "--source-so4", "0,0", "--entry", "0,0", "--part", "0,0")
+
+
+@pytest.mark.parametrize("magnetic", [(), ("--m", "0,0", "--part-m", "0,0")],
+                         ids=["reduced", "full"])
+def test_eval_channel_with_no_valid_target_exits_3(capsys, magnetic):
+    # The full path reports the missing target as the reduced path does.
+    code, out, err = run(capsys, *NO_TARGET_KEY, *magnetic)
+    assert (code, out) == (3, "")
+    assert err == ("channel absent: channel -1,-1 leaves no valid target "
+                   "for source 0,0\n")
+
+
+@pytest.mark.parametrize("magnetic", [("--m", "1,1"), ("--part-m", "0,0"),
+                                      ("--m", "1,1", "--part-m", "0,0")],
+                         ids=["m", "part-m", "both"])
+def test_eval_aux_rejects_magnetic_labels(capsys, magnetic):
+    # The aux companion has no full coefficient to evaluate.
+    code, out, err = run(capsys, "eval", "--source", "1,1", "--channel", "aux",
+                         "--source-so4", "1,1", "--entry", "0,0",
+                         "--part", "0,0", *magnetic)
+    assert (code, out) == (2, "")
+    assert err.startswith("malformed key:")

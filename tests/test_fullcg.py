@@ -1,6 +1,5 @@
 """Full coefficients and per-source coupling matrices."""
 
-import json
 from fractions import Fraction
 
 import pytest
@@ -8,8 +7,8 @@ import pytest
 from so5cg.errors import MalformedKey
 from so5cg.exactnum import ONE, ZERO, sqrt_rational
 from so5cg.fullcg import (
+    ColState,
     CouplingMatrix,
-    FullKey,
     RowState,
     column_gram_deviation,
     coupling_matrix,
@@ -30,52 +29,60 @@ from so5cg.oracle import DEFAULT_CAP
 H = HalfInt
 
 
-def key_trivial(tdm1: int, tdm2: int) -> FullKey:
-    return FullKey(
-        target=IrrepLabel.of(2, 2), target_so4=So4Label.of(2, 2),
-        tm1=H(tdm1), tm2=H(tdm2), copy=1,
-        source=IrrepLabel.of(0, 0), source_so4=So4Label.of(0, 0),
-        m1=H(0), m2=H(0), part=PART_11, pm1=H(tdm1), pm2=H(tdm2))
+TRIVIAL = IrrepLabel.of(0, 0)
+
+
+def trivial_row(tdm1: int, tdm2: int) -> RowState:
+    return RowState(So4Label.of(0, 0), H(0), H(0), PART_11, H(tdm1), H(tdm2))
+
+
+def fourteen_col(tdm1: int, tdm2: int) -> ColState:
+    return ColState(IrrepLabel.of(2, 2), 1, So4Label.of(2, 2), H(tdm1), H(tdm2))
 
 
 def test_trivial_source_embeds_each_14_state():
-    assert full(key_trivial(2, 2)) == ONE
-    assert full(key_trivial(0, -2)) == ONE
-    assert full(key_trivial(-2, 2)) == ONE
+    for tdm1, tdm2 in ((2, 2), (0, -2), (-2, 2)):
+        assert full(TRIVIAL, trivial_row(tdm1, tdm2),
+                    fourteen_col(tdm1, tdm2)) == ONE
 
 
 def test_m_conservation_zero():
-    key = FullKey(
-        target=IrrepLabel.of(2, 2), target_so4=So4Label.of(2, 2),
-        tm1=H(2), tm2=H(0), copy=1,
-        source=IrrepLabel.of(0, 0), source_so4=So4Label.of(0, 0),
-        m1=H(0), m2=H(0), part=PART_11, pm1=H(2), pm2=H(2))
-    assert full(key) == ZERO
+    assert full(TRIVIAL, trivial_row(2, 2), fourteen_col(2, 0)) == ZERO
 
 
 def test_magnetic_validation():
     with pytest.raises(MalformedKey):
-        full(FullKey(
-            target=IrrepLabel.of(2, 2), target_so4=So4Label.of(2, 2),
-            tm1=H(4), tm2=H(0), copy=1,
-            source=IrrepLabel.of(0, 0), source_so4=So4Label.of(0, 0),
-            m1=H(0), m2=H(0), part=PART_11, pm1=H(2), pm2=H(2)))
+        full(TRIVIAL, trivial_row(2, 2), fourteen_col(4, 0))
 
 
 def test_full_factorizes_reduced_times_su2():
     from so5cg.reduced import ReducedKey, reduced
     from so5cg.labels import EntryShift
     from so5cg.su2 import su2_cg
-    key = FullKey(
-        target=IrrepLabel.of(2, 1), target_so4=So4Label.of(2, 1),
-        tm1=H(2), tm2=H(1), copy=1,
-        source=IrrepLabel.of(1, 0), source_so4=So4Label.of(1, 0),
-        m1=H(1), m2=H(0), part=PART_HH, pm1=H(1), pm2=H(1))
-    r = reduced(ReducedKey(IrrepLabel.of(1, 0), Channel.of(1, 1),
-                           So4Label.of(1, 0), EntryShift.of(1, 1, PART_HH)))
+    src = IrrepLabel.of(1, 0)
+    row = RowState(So4Label.of(1, 0), H(1), H(0), PART_HH, H(1), H(1))
+    col = ColState(IrrepLabel.of(2, 1), 1, So4Label.of(2, 1), H(2), H(1))
+    r = reduced(ReducedKey(src, Channel.of(1, 1), So4Label.of(1, 0),
+                           EntryShift.of(1, 1, PART_HH)))
     expected = r * su2_cg(1, 1, 1, 1, 2, 2) * su2_cg(0, 0, 1, 1, 1, 1)
-    assert full(key) == expected
+    assert full(src, row, col) == expected
     assert expected == sqrt_rational(Fraction(1, 7))
+
+
+@pytest.mark.parametrize("twice", [(1, 0), (2, 2), (3, 1)])
+def test_full_is_the_coupling_matrix_entry(twice):
+    # (3/2,1/2) has a second diagonal copy and every lowering channel.
+    src = IrrepLabel.of(*twice)
+    matrix = coupling_matrix(src)
+    sectors = {}
+    for i, row in enumerate(matrix.rows):
+        sectors.setdefault((row.m1.twice + row.pm1.twice,
+                            row.m2.twice + row.pm2.twice), []).append(i)
+    for col in matrix.cols:
+        column = matrix.columns[col]
+        for i in sectors[(col.mt1.twice, col.mt2.twice)]:
+            assert full(src, matrix.rows[i], col) == column.get(i, 0), (
+                matrix.rows[i], col)
 
 
 def test_trivial_coupling_matrix_is_signed_permutation():
@@ -115,11 +122,6 @@ def test_dimension_audit():
 
 def test_matrix_export_shapes():
     matrix = coupling_matrix(IrrepLabel.of(1, 0))
-    doc = matrix.to_json_dict()
-    assert doc["schema"] == "so5cg/1"
-    assert doc["shape"] == [56, 56]
-    assert len(doc["rows"]) == 56 and len(doc["cols"]) == 56
-    json.dumps(doc)  # must be serializable as-is
     csv_rows = list(matrix.to_csv_rows())
     assert csv_rows[0][-1] == "value"
     assert len(csv_rows) == 1 + sum(1 for _ in matrix.iter_entries())

@@ -54,6 +54,7 @@ EXPORT_DIGESTS = {
 }
 
 VERIFY_DIGESTS = {
+    ("all", 2): "d22ae2314f57ca543f68e67bdc4dd9aa7a4ce758372dc54a5e368699fb4a6573",
     ("mixing", 4): "984a079fd4f697304a8457a71429f4b9ce04037cc891ad8c1739d8b4c31c77e6",
     ("orthogonality", 4): "6c51a59898152b14379801bde13079b41c85eecdf3ea182d1f69b1c2ef026c94",
     ("su2", 4): "e6ff883d64f2b3ab2e34669ad0674fe9f3a7af603c7c2f243fcd03f2511e5316",

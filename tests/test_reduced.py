@@ -161,24 +161,30 @@ def test_mixing_identities_per_target_block():
         assert dot(aux, aux) == SqrtSum.from_rational(mix.h2)
 
 
+def lowering_from_1_1(block: So4Label) -> ReducedKey:
+    # (1,1) -> (0,0): the one entry of each source block that reaches (0,0)
+    return ReducedKey(IrrepLabel.of(2, 2), Channel.of(-2, -2), block,
+                      EntryShift.of(-block.j1.twice, -block.j2.twice, block))
+
+
 def test_symmetry_lowering_example():
-    value = symmetry_extend(IrrepLabel.of(0, 0), IrrepLabel.of(2, 2),
-                            So4Label.of(0, 0), So4Label.of(2, 2), PART_11)
+    value = symmetry_extend(lowering_from_1_1(PART_11))
     assert value == sqrt_rational(Fraction(9, 14))
     squares = ZERO
-    for s, part in ((So4Label.of(2, 2), PART_11),
-                    (So4Label.of(1, 1), PART_HH),
-                    (So4Label.of(0, 0), PART_00)):
-        v = symmetry_extend(IrrepLabel.of(0, 0), IrrepLabel.of(2, 2),
-                            So4Label.of(0, 0), s, part)
+    for part in (PART_11, PART_HH, PART_00):
+        v = symmetry_extend(lowering_from_1_1(part))
         squares = squares + v * v
     assert squares == ONE
 
 
-def test_symmetry_rejects_unrelated_labels():
+def test_symmetry_rejects_a_diagonal_key():
+    # A diagonal key has no transpose; labels that no single channel shift
+    # relates cannot be written as a key at all.
     with pytest.raises(MalformedKey):
-        symmetry_extend(IrrepLabel.of(4, 0), IrrepLabel.of(0, 0),
-                        So4Label.of(0, 0), So4Label.of(0, 0), PART_00)
+        symmetry_extend(ReducedKey(IrrepLabel.of(2, 0), G1, So4Label.of(0, 0),
+                                   EntryShift.of(0, 0, PART_00)))
+    with pytest.raises(MalformedKey):
+        Channel.of(-4, 0)
 
 
 def test_lowering_channel_through_reduced():
@@ -194,10 +200,9 @@ def test_symmetry_involution(src):
     for ch in (A, B, E):
         if not channel_present(src, ch):
             continue
-        tgt = target_of(src, ch)
-        for t in branching(tgt)[:2]:
-            for (s, part), v in reduced_vector(src, ch, t).items():
-                assert symmetry_extend(tgt, src, t, s, part) == v
+        for row in table_rows(src, ch):
+            key = ReducedKey(src, ch, row.source_so4, row.entry)
+            assert symmetry_extend(key) == row.value
 
 
 @given(small_labels)

@@ -69,22 +69,35 @@ import json, sys
 from tracing import Tracer, install
 tracer = Tracer()
 install(tracer, with_oracle=False)
-from so5cg import cli
+from so5cg import cli, fullcg
+from so5cg.labels import IrrepLabel
 out = sys.argv[1]
 codes = [cli.main(["table", "--source", "2,1", "--channel=-1,-1",
                    "--no-cache", "--out", out + "/lowering.csv"]),
          cli.main(["table", "--source", "2,1", "--channel", "aux",
-                   "--no-cache", "--out", out + "/aux.csv"])]
-calls = tracer.summary()["calls"]
-print(json.dumps({"codes": codes,
-                  "rows": calls["tables.ChannelTable.bare_value"][0]}))
+                   "--no-cache", "--out", out + "/aux.csv"]),
+         cli.main(["eval", "--source", "2,1", "--channel=-1/2,+1/2",
+                   "--source-so4", "3/2,1/2", "--entry=+1/2,+1/2",
+                   "--part", "1/2,1/2", "--m", "1/2,-1/2",
+                   "--part-m=-1/2,1/2"])]
+matrix = fullcg.coupling_matrix(IrrepLabel.of(1, 0))
+gram = fullcg.column_gram_deviation(matrix)
+summary = tracer.summary()
+calls, counters = summary["calls"], summary["counters"]
+print(json.dumps({"codes": codes, "gram": gram,
+                  "rows": calls["tables.ChannelTable.bare_value"][0],
+                  "full": calls["fullcg.full"][0],
+                  "nnz": counters["fullcg.nnz"],
+                  "pairs": counters["fullcg.gram_pairs"]}))
 """
 
 
 def test_benchmark_tracing_binds_every_wrapped_name(tmp_path):
     # The benchmark's traced runs wrap so5cg functions and methods by name
     # (perfbench/tracing.py); installing its wrappers fails on any name
-    # that is gone, and a table export must still reach the row evaluator.
+    # that is gone. A table export must still reach the row evaluator, a
+    # full eval the wrapped full(), and the coupling-matrix hooks must
+    # still read the matrix they are handed.
     root = PACKAGE.parents[1]
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join([str(root / "src"),
@@ -94,8 +107,13 @@ def test_benchmark_tracing_binds_every_wrapped_name(tmp_path):
                           env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout)
-    assert result["codes"] == [0, 0]
+    *printed, last = proc.stdout.splitlines()
+    result = json.loads(last)
+    assert len(printed) == 2  # the eval's exact value and its float
+    assert result["codes"] == [0, 0, 0]
+    assert result["gram"] is None
     assert result["rows"] > 0
+    assert result["full"] > 0
+    assert result["nnz"] > 0 and result["pairs"] > 0
     assert (tmp_path / "lowering.csv").stat().st_size > 0
     assert (tmp_path / "aux.csv").stat().st_size > 0
