@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -35,6 +36,7 @@ from .labels import (
 from .reduced import (
     ReducedKey,
     aux_table_rows,
+    check_source_block,
     reduced,
     reduced_aux,
     table_rows,
@@ -108,10 +110,10 @@ def cmd_eval(args) -> int:
     dj1, dj2 = _parse_pair(args.entry, "entry shift")
     entry = EntryShift(dj1, dj2, part)
 
-    if args.m is not None or args.part_m is not None:
+    if any(v is not None for v in (args.m, args.part_m, args.target_m)):
         if channel is AUX:
             raise MalformedKey("the aux companion has no full coefficient; "
-                               "drop --m and --part-m")
+                               "drop --m, --part-m and --target-m")
         if args.m is None or args.part_m is None:
             raise MalformedKey("full evaluation needs both --m and --part-m")
         value = _eval_full(args, source, channel, source_so4, entry)
@@ -127,6 +129,9 @@ def cmd_eval(args) -> int:
 
 def _eval_full(args, source: IrrepLabel, channel: Channel,
                source_so4: So4Label, entry: EntryShift) -> SqrtSum:
+    # As on the reduced path, a key whose source block does not exist is
+    # malformed before it is a zero or an absent channel.
+    check_source_block(source, source_so4)
     target = valid_target(source, channel)
     m1, m2 = _parse_pair(args.m, "m1,m2")
     pm1, pm2 = _parse_pair(args.part_m, "pm1,pm2")
@@ -147,12 +152,64 @@ def _json_doc(kind: str, fields: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _export(args, request: tuple, kind: str, build, header: list,
+# A table document as json.dumps(doc, sort_keys=True, indent=2) writes it,
+# filled in from fixed templates: with indent set, json.dumps runs CPython's
+# pure-Python encoder, which took most of a table export's time.
+_TABLE_JSON = ('{\n  "channel": %s,\n  "kind": "table",\n  "rows": %s,\n'
+               '  "schema": %s,\n  "source": %s\n}\n')
+_ROW_JSON = """    {
+      "entry": [
+        %d,
+        %d
+      ],
+      "part": [
+        %d,
+        %d
+      ],
+      "s": [
+        %d,
+        %d
+      ],
+      "t": %s,
+      "value": {
+        "terms": %s
+      }
+    }"""
+_T_JSON = "[\n        %d,\n        %d\n      ]"
+_TERM_JSON = """          {
+            "den": "%s",
+            "num": "%s",
+            "rad": "%s"
+          }"""
+
+
+def _json_list(items: list[str], indent: str) -> str:
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(items) + "\n" + indent + "]"
+
+
+def _table_json(payload: dict) -> str:
+    """_json_doc("table", payload) for a canonical table payload, freshly
+    built or a cache entry whose digest matched."""
+    rows = [_ROW_JSON % (
+        *row["entry"], *row["part"], *row["s"],
+        "null" if row["t"] is None else _T_JSON % tuple(row["t"]),
+        _json_list([_TERM_JSON % (term["den"], term["num"], term["rad"])
+                    for term in row["value"]["terms"]], " " * 8))
+        for row in payload["rows"]]
+    return _TABLE_JSON % (json.dumps(payload["channel"]),
+                          _json_list(rows, "  "), json.dumps(cache.SCHEMA),
+                          json.dumps(payload["source"]))
+
+
+def _export(args, request: tuple, json_text, build, header: list,
             csv_rows) -> int:
     """Emit one exported document, from the cache or built and stored.
 
     Both paths render from the same payload, so a hit prints the bytes of a
-    cold run; csv_rows maps the payload to the rows under header.
+    cold run; json_text maps the payload to the JSON document and csv_rows
+    to the rows under header.
     """
     key = cache.cache_key(*request)
     payload = None if args.no_cache else cache.load(key)
@@ -161,7 +218,7 @@ def _export(args, request: tuple, kind: str, build, header: list,
         if not args.no_cache:
             cache.store(key, payload)
     if args.format == "json":
-        text = _json_doc(kind, payload)
+        text = json_text(payload)
     else:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -201,7 +258,7 @@ def cmd_table(args) -> int:
     channel = _parse_channel(args.channel)
     channel_text = AUX if channel is AUX else str(channel)
     return _export(
-        args, ("table", str(source), channel_text), "table",
+        args, ("table", str(source), channel_text), _table_json,
         lambda: _table_payload(source, channel, channel_text),
         ["s_tj1", "s_tj2", "entry_tdj1", "entry_tdj2",
          "part_tj1", "part_tj2", "t_tj1", "t_tj2", "value"],
@@ -224,7 +281,8 @@ def _decompose_payload(source: IrrepLabel) -> dict:
 def cmd_decompose(args) -> int:
     source = IrrepLabel.parse(args.label)
     return _export(
-        args, ("decompose", str(source)), "decomposition",
+        args, ("decompose", str(source)),
+        functools.partial(_json_doc, "decomposition"),
         lambda: _decompose_payload(source),
         ["target_tj1", "target_tj2", "multiplicity", "dim"],
         lambda p: (e["target"] + [e["multiplicity"], e["dim"]]
@@ -240,7 +298,8 @@ def _branch_payload(label: IrrepLabel) -> dict:
 def cmd_branch(args) -> int:
     label = IrrepLabel.parse(args.label)
     return _export(
-        args, ("branch", str(label)), "branching",
+        args, ("branch", str(label)),
+        functools.partial(_json_doc, "branching"),
         lambda: _branch_payload(label),
         ["tj1", "tj2", "so3_dim"],
         lambda p: (b["so4"] + [b["so3_dim"]] for b in p["blocks"]))
@@ -278,7 +337,9 @@ _CHANNEL_HELP = ("channel shift, e.g. '+1,+1', '0,0#2', 'aux'; write a "
                  "negative one as --channel=-1,-1")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The so5cg argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="so5cg",
         description="Exact Spin(5) coupling coefficients with the 14-dim rep.")

@@ -17,7 +17,7 @@ from ._kernel import dot_terms, mul_terms
 from .errors import MalformedKey
 from .exactnum import ONE, ZERO, SqrtSum
 from .labels import (
-    ENTRY_SHIFTS,
+    ENTRY_BY_TWICE,
     FOURTEEN,
     PARTS_14,
     SHIFTS_14,
@@ -30,7 +30,12 @@ from .labels import (
     dim,
     m_values,
 )
-from .reduced import ReducedKey, reduced, reduced_vector
+from .reduced import (
+    ReducedKey,
+    check_source_block,
+    reduced,
+    reduced_vector,
+)
 from .su2 import su2_cg
 
 
@@ -80,15 +85,13 @@ def _check_magnetic(j: HalfInt, m: HalfInt, what: str) -> None:
         raise MalformedKey(f"magnetic label {m} invalid for {what} spin {j}")
 
 
-_ENTRIES = {(e.dj1.twice, e.dj2.twice, e.part): e for e in ENTRY_SHIFTS}
-
-
 def full(source: IrrepLabel, row: RowState, col: ColState) -> SqrtSum:
     """Exact full coefficient, the entry of coupling_matrix(source) at
     (row, col): reduced value times two SU(2) factors."""
     s, p, t = row.source_so4, row.part, col.target_so4
     if p not in PARTS_14:
         raise MalformedKey(f"part must be a 14-dim block, got {p}")
+    check_source_block(source, s)
     _check_magnetic(s.j1, row.m1, "source")
     _check_magnetic(s.j2, row.m2, "source")
     _check_magnetic(p.j1, row.pm1, "part")
@@ -98,7 +101,8 @@ def full(source: IrrepLabel, row: RowState, col: ColState) -> SqrtSum:
     if (col.mt1.twice != row.m1.twice + row.pm1.twice
             or col.mt2.twice != row.m2.twice + row.pm2.twice):
         return ZERO
-    entry = _ENTRIES.get((t.j1.twice - s.j1.twice, t.j2.twice - s.j2.twice, p))
+    entry = ENTRY_BY_TWICE.get((t.j1.twice - s.j1.twice,
+                                t.j2.twice - s.j2.twice, p.j1.twice))
     if entry is None:
         return ZERO
     shift = (col.target.j1.twice - source.j1.twice,

@@ -305,6 +305,11 @@ ENTRY_SHIFTS: tuple[EntryShift, ...] = tuple(
     + [EntryShift.of(0, 0, PART_00)]
 )
 
+# Entry shifts by (doubled shift, doubled shift, doubled spin of the part);
+# both spins of a 14-part are equal.
+ENTRY_BY_TWICE: dict[tuple[int, int, int], EntryShift] = {
+    (e.dj1.twice, e.dj2.twice, e.part.j1.twice): e for e in ENTRY_SHIFTS}
+
 
 @dataclass(frozen=True, slots=True)
 class DecompEntry:

@@ -11,12 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import Optional
 
-from ._kernel import dot_terms
+from ._kernel import dot_terms, sqrt_of_product
 from .errors import ChannelAbsent, MalformedKey
 from .exactnum import ZERO, SqrtSum, sqrt_rational
 from .labels import (
+    ENTRY_BY_TWICE,
     ENTRY_SHIFTS,
     Channel,
     EntryShift,
@@ -61,7 +63,7 @@ class MixingData:
     norm2: Fraction
 
 
-def _check_source_block(source: IrrepLabel, source_so4: So4Label) -> None:
+def check_source_block(source: IrrepLabel, source_so4: So4Label) -> None:
     if not in_branching(source, source_so4):
         raise MalformedKey(
             f"SO(4) label {source_so4} is not a block of source {source}")
@@ -114,6 +116,77 @@ def mixing(source: IrrepLabel) -> MixingData:
     return MixingData(x=x, h2=h2, norm2=norm2)
 
 
+def _direct(table: ChannelTable, norm: Optional[SqrtSum], source: IrrepLabel):
+    """value(s, entry, t) of a row read straight off a table: the bare row at
+    source block s, times the channel normalization norm (None for the
+    un-normalized companion)."""
+    bare, (tb1, tb2) = table.bare_value, source.twice
+    if norm is None:
+        return lambda s, entry, t: bare(entry, *s.twice, tb1, tb2)
+    return lambda s, entry, t: norm * bare(entry, *s.twice, tb1, tb2)
+
+
+def _transposition(dims: tuple[int, int], shift: tuple[int, int],
+                   entry: EntryShift, s: So4Label, t: So4Label) -> SqrtSum:
+    """sign * sqrt(dim ratio) by which the transposed key's value becomes the
+    value of the key (shift, entry, s -> t); dims = (dim(source), dim(target)).
+    """
+    (d1, d2), part = shift, entry.part
+    # d1 - d2, e1 + e2 and the part's doubled spins sum to even numbers.
+    phase = (d1 - d2 + entry.dj1.twice + entry.dj2.twice + part.j1.twice
+             + part.j2.twice) // 2
+    # sqrt(num/den) = sqrt(num*den)/den
+    num, den = dims[1] * s.so3_dim, dims[0] * t.so3_dim
+    outer, rad = sqrt_of_product((num, den))
+    g = gcd(outer, den)
+    return SqrtSum(((rad, (-1 if phase % 2 else 1) * outer // g, den // g),))
+
+
+def _transposed(source: IrrepLabel, channel: Channel):
+    """value(s, entry, t) of a raising or lowering row, read off the row of
+    the transposed channel of the target: blocks swapped, entry negated."""
+    target = valid_target(source, channel)
+    (d1, d2), dims = channel.shift, (dim(source), dim(target))
+    mirrored = _row_values(target, Channel.of(-d1, -d2))
+
+    def value(s, entry, t):
+        flipped = ENTRY_BY_TWICE[(-entry.dj1.twice, -entry.dj2.twice,
+                                  entry.part.j1.twice)]
+        return (_transposition(dims, (d1, d2), entry, s, t)
+                * mirrored(t, flipped, s))
+    return value
+
+
+def _second_copy(source: IrrepLabel):
+    """value(s, entry, t) of the second diagonal copy, (aux - x*copy1) /
+    sqrt(norm2); ChannelAbsent when norm2 = 0."""
+    mix = mixing(source)
+    if mix.norm2 == 0:
+        raise ChannelAbsent(
+            f"second diagonal copy absent for source {source}")
+    copy1 = _row_values(source, Channel.of(0, 0, 1))
+    aux = _direct(AUX_TABLE, None, source)
+    x, scale = mix.x, sqrt_rational(1 / mix.norm2)
+
+    def value(s, entry, t):
+        # Copy 1 first, so a row outside the formulas' domain raises there.
+        first = copy1(s, entry, t)
+        return (aux(s, entry, t) - x * first) * scale
+    return value
+
+
+def _row_values(source: IrrepLabel, channel: Channel):
+    """value(s, entry, t) of the rows of one channel table that take source
+    block s to block t of the target. What depends on the channel only (its
+    normalization, the mixing data, the mirrored channel) is taken here,
+    once, so a table evaluates its rows without the reduced() memo."""
+    if channel.is_lowering:
+        return _transposed(source, channel)
+    if channel.copy == 2:
+        return _second_copy(source)
+    return _direct(_table_of(channel), normalization(channel, source), source)
+
+
 @lru_cache(maxsize=None)
 def reduced(key: ReducedKey) -> SqrtSum:
     """Exact reduced coefficient for one table entry.
@@ -124,28 +197,26 @@ def reduced(key: ReducedKey) -> SqrtSum:
     channel = key.channel
     if channel.is_lowering:
         return symmetry_extend(key)
-    _check_source_block(key.source, key.source_so4)
+    check_source_block(key.source, key.source_so4)
     if channel.copy == 2:
         return reduced_copy2(key)
     target = valid_target(key.source, channel)
-    if reach(target, key.source_so4, key.entry.dj1.twice,
-             key.entry.dj2.twice) is None:
+    t = reach(target, key.source_so4, key.entry.dj1.twice, key.entry.dj2.twice)
+    if t is None:
         return ZERO
-    norm = normalization(channel, key.source)
-    return norm * _table_of(channel).bare_value(
-        key.entry, *key.source_so4.twice, *key.source.twice)
+    return _row_values(key.source, channel)(key.source_so4, key.entry, t)
 
 
 def reduced_aux(key: ReducedKey) -> SqrtSum:
     """Value of one companion (un-normalized, diagonal-shift) table row."""
     if not key.channel.is_diagonal:
         raise MalformedKey("companion rows exist only for the (0,0) shift")
-    _check_source_block(key.source, key.source_so4)
-    if reach(key.source, key.source_so4, key.entry.dj1.twice,
-             key.entry.dj2.twice) is None:
+    check_source_block(key.source, key.source_so4)
+    t = reach(key.source, key.source_so4, key.entry.dj1.twice,
+              key.entry.dj2.twice)
+    if t is None:
         return ZERO
-    return AUX_TABLE.bare_value(key.entry, *key.source_so4.twice,
-                                *key.source.twice)
+    return _direct(AUX_TABLE, None, key.source)(key.source_so4, key.entry, t)
 
 
 def reduced_copy2(key: ReducedKey) -> SqrtSum:
@@ -153,14 +224,11 @@ def reduced_copy2(key: ReducedKey) -> SqrtSum:
     0 off the branching like both of its parts."""
     if not key.channel.is_diagonal:
         raise MalformedKey(f"channel {key.channel} has no second copy")
-    _check_source_block(key.source, key.source_so4)
-    mix = mixing(key.source)
-    if mix.norm2 == 0:
-        raise ChannelAbsent(
-            f"second diagonal copy absent for source {key.source}")
-    copy1 = reduced(ReducedKey(key.source, Channel.of(0, 0, 1),
-                               key.source_so4, key.entry))
-    return (reduced_aux(key) - mix.x * copy1) * sqrt_rational(1 / mix.norm2)
+    check_source_block(key.source, key.source_so4)
+    value = _second_copy(key.source)
+    t = reach(key.source, key.source_so4, key.entry.dj1.twice,
+              key.entry.dj2.twice)
+    return ZERO if t is None else value(key.source_so4, key.entry, t)
 
 
 def symmetry_extend(key: ReducedKey) -> SqrtSum:
@@ -174,22 +242,12 @@ def symmetry_extend(key: ReducedKey) -> SqrtSum:
     channel, entry = key.channel, key.entry
     if channel.is_diagonal:
         raise MalformedKey(f"diagonal channel {channel} has no transpose")
-    _check_source_block(key.source, key.source_so4)
+    check_source_block(key.source, key.source_so4)
     target = valid_target(key.source, channel)
-    target_so4 = reach(target, key.source_so4, entry.dj1.twice,
-                       entry.dj2.twice)
-    if target_so4 is None:
+    t = reach(target, key.source_so4, entry.dj1.twice, entry.dj2.twice)
+    if t is None:
         return ZERO
-    (d1, d2), e1, e2 = channel.shift, entry.dj1.twice, entry.dj2.twice
-    # d1 - d2, e1 + e2 and the part's doubled spins sum to even numbers.
-    phase = (d1 - d2 + e1 + e2 + entry.part.j1.twice
-             + entry.part.j2.twice) // 2
-    ratio = Fraction(dim(target) * key.source_so4.so3_dim,
-                     dim(key.source) * target_so4.so3_dim)
-    mirrored = reduced(ReducedKey(target, Channel.of(-d1, -d2), target_so4,
-                                  EntryShift.of(-e1, -e2, entry.part)))
-    sign = -1 if phase % 2 else 1
-    return sign * sqrt_rational(ratio) * mirrored
+    return _transposed(key.source, channel)(key.source_so4, entry, t)
 
 
 def channel_present_by_normalization(source: IrrepLabel, channel: Channel) -> bool:
@@ -259,28 +317,31 @@ _TABLE_ENTRIES = tuple(sorted(
     ENTRY_SHIFTS, key=lambda e: (e.dj1.twice, e.dj2.twice, e.part.j1.twice)))
 
 
-def _table(evaluate, source: IrrepLabel, channel: Channel,
-           target: IrrepLabel) -> tuple[ReducedRow, ...]:
+def _table(source: IrrepLabel, target: IrrepLabel,
+           values) -> tuple[ReducedRow, ...]:
     """Every (source block, entry) row, in lexicographic order; a row that
-    reaches no block of target is 0 with target block None, unevaluated."""
-    rows = []
-    for s in branching(source):
-        for entry in _TABLE_ENTRIES:
-            t = reach(target, s, entry.dj1.twice, entry.dj2.twice)
-            value = ZERO if t is None else evaluate(
-                ReducedKey(source, channel, s, entry))
-            rows.append(ReducedRow(s, entry, t, value))
-    return tuple(rows)
+    reaches no block of target is 0 with target block None, unevaluated.
+    values() gives the row evaluator; it is set up only once a row reaches
+    a block, so a table raises where its first evaluated key would."""
+    cells = [(s, entry, reach(target, s, entry.dj1.twice, entry.dj2.twice))
+             for s in branching(source) for entry in _TABLE_ENTRIES]
+    value = (values() if any(t is not None for _, _, t in cells)
+             else None)
+    return tuple(ReducedRow(s, entry, t,
+                            ZERO if t is None else value(s, entry, t))
+                 for s, entry, t in cells)
 
 
 def table_rows(source: IrrepLabel, channel: Channel) -> tuple[ReducedRow, ...]:
     """Every (source block, entry) row of one channel, in lexicographic order.
 
-    Guarded entries appear with value 0 so the table shape is uniform.
+    Guarded entries appear with value 0 so the table shape is uniform. The
+    rows are evaluated in one pass, outside the reduced() memo.
     """
-    return _table(reduced, source, channel, valid_target(source, channel))
+    target = valid_target(source, channel)
+    return _table(source, target, lambda: _row_values(source, channel))
 
 
 def aux_table_rows(source: IrrepLabel) -> tuple[ReducedRow, ...]:
     """Rows of the un-normalized diagonal companion, same shape as table_rows."""
-    return _table(reduced_aux, source, Channel.of(0, 0, 1), source)
+    return _table(source, source, lambda: _direct(AUX_TABLE, None, source))

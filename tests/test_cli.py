@@ -7,8 +7,15 @@ import threading
 import pytest
 
 from so5cg import cache
-from so5cg.cli import main
+from so5cg.cli import (
+    _json_doc,
+    _parse_channel,
+    _table_json,
+    _table_payload,
+    main,
+)
 from so5cg.exactnum import SqrtSum
+from so5cg.labels import IrrepLabel, channels_present
 
 
 def run(capsys, *argv):
@@ -336,9 +343,22 @@ def test_eval_channel_with_no_valid_target_exits_3(capsys, magnetic):
                    "for source 0,0\n")
 
 
+@pytest.mark.parametrize("magnetic", [(), ("--m", "0,0", "--part-m", "0,0")],
+                         ids=["reduced", "full"])
+def test_eval_block_outside_the_source_exits_2_before_an_absent_channel(
+        capsys, magnetic):
+    # Both paths check the source block before the channel's target.
+    key = list(NO_TARGET_KEY)
+    key[key.index("--source-so4") + 1] = "1,1"
+    code, out, err = run(capsys, *key, *magnetic)
+    assert (code, out) == (2, "")
+    assert err == "malformed key: SO(4) label 1,1 is not a block of source 0,0\n"
+
+
 @pytest.mark.parametrize("magnetic", [("--m", "1,1"), ("--part-m", "0,0"),
-                                      ("--m", "1,1", "--part-m", "0,0")],
-                         ids=["m", "part-m", "both"])
+                                      ("--m", "1,1", "--part-m", "0,0"),
+                                      ("--target-m", "1,1")],
+                         ids=["m", "part-m", "both", "target-m"])
 def test_eval_aux_rejects_magnetic_labels(capsys, magnetic):
     # The aux companion has no full coefficient to evaluate.
     code, out, err = run(capsys, "eval", "--source", "1,1", "--channel", "aux",
@@ -346,3 +366,76 @@ def test_eval_aux_rejects_magnetic_labels(capsys, magnetic):
                          "--part", "0,0", *magnetic)
     assert (code, out) == (2, "")
     assert err.startswith("malformed key:")
+
+
+@pytest.mark.parametrize("key", [
+    ("--source-so4", "1,1", "--entry=+1,+1", "--target-m", "0,0"),
+    ("--source-so4", "5,0", "--entry=-1,-1"),
+], ids=["m-not-conserved", "negative-target-spin"])
+def test_eval_full_rejects_a_block_outside_the_source(capsys, key):
+    # A zero always means a zero: a key whose source block is not a block
+    # of the source exits 2 on the full path too, whatever its magnetic
+    # labels or its entry.
+    code, out, err = run(capsys, "eval", "--source", "0,0", "--channel=+1,+1",
+                         "--part", "1,1", "--m", "0,0", "--part-m", "1,1",
+                         *key)
+    block = key[1]
+    assert (code, out) == (2, "")
+    assert err == (f"malformed key: SO(4) label {block} is not a block of "
+                   f"source 0,0\n")
+
+
+def test_eval_target_m_alone_exits_2(capsys):
+    # --target-m only means something on the full path, like a lone --m.
+    code, out, err = run(capsys, "eval", "--source", "1,1", "--channel=+1,+1",
+                         "--source-so4", "1,1", "--entry=+1,+1", "--part",
+                         "1,1", "--target-m", "9,9")
+    assert (code, out) == (2, "")
+    assert err == "malformed key: full evaluation needs both --m and --part-m\n"
+
+
+TABLE_JSON_CASES = [(source, channel)
+                    for source in ("3,1", "5/2,3/2")
+                    for channel in [str(c) for c in channels_present(
+                        IrrepLabel.parse(source))] + ["aux"]]
+
+
+@pytest.mark.parametrize("source,channel", TABLE_JSON_CASES)
+def test_table_json_renders_like_json_dumps(source, channel):
+    # Table documents are filled in from fixed templates; they must be the
+    # bytes json.dumps(doc, sort_keys=True, indent=2) writes.
+    payload = _table_payload(IrrepLabel.parse(source),
+                             _parse_channel(channel), channel)
+    rows = payload["rows"]
+    assert any(row["t"] is None for row in rows)
+    assert any(row["value"]["terms"] == [] for row in rows)
+    assert any(row["value"]["terms"] for row in rows)
+    assert _table_json(payload) == _json_doc("table", payload)
+
+
+def test_table_json_of_a_cached_payload(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("SO5CG_CACHE", str(tmp_path))
+    args = ("table", "--source", "5/2,3/2", "--channel=-1/2,-1/2",
+            "--format", "json")
+    code, cold, _ = run(capsys, *args)
+    assert code == 0
+    payload = cache.load(cache.cache_key("table", "5/2,3/2", "-1/2,-1/2"))
+    assert payload is not None
+    assert _table_json(payload) == _json_doc("table", payload) == cold
+    code, hit, _ = run(capsys, *args)
+    assert (code, hit) == (0, cold)
+
+
+def test_parser_is_built_once_and_survives_a_usage_error(capsys):
+    # main() reuses one parser per process; a request that argparse rejects
+    # leaves it fit for the next one.
+    from so5cg.cli import build_parser
+    assert build_parser() is build_parser()
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--source", "1,0"])
+    assert exc.value.code == 2
+    assert "the following arguments are required: --channel" in (
+        capsys.readouterr().err)
+    code, out, err = run(capsys, "branch", "1,0", "--no-cache")
+    assert (code, err) == (0, "")
+    assert out.startswith("tj1,tj2,so3_dim\n")

@@ -55,6 +55,15 @@ def test_magnetic_validation():
         full(TRIVIAL, trivial_row(2, 2), fourteen_col(4, 0))
 
 
+def test_source_block_is_checked_before_any_zero():
+    # (1,1) is no block of the trivial source: the key is malformed even
+    # where m-conservation alone would make it 0.
+    row = RowState(So4Label.of(2, 2), H(0), H(0), PART_11, H(2), H(2))
+    with pytest.raises(MalformedKey, match="not a block of source 0,0"):
+        full(TRIVIAL, row, ColState(IrrepLabel.of(2, 2), 1, So4Label.of(4, 4),
+                                    H(0), H(0)))
+
+
 def test_full_factorizes_reduced_times_su2():
     from so5cg.reduced import ReducedKey, reduced
     from so5cg.labels import EntryShift

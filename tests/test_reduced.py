@@ -309,13 +309,66 @@ def test_mixing_identities_sampled_large_spins(src, data):
     assert dot(aux, aux) == mix.h2, (str(src), str(t))
 
 
-def test_table_export_evaluates_only_rows_that_reach_a_block():
+def test_table_export_evaluates_only_rows_that_reach_a_block(monkeypatch):
     # A row whose entry takes its source block outside the target's
     # branching is 0 by definition: it is exported, but never evaluated.
+    # Rows are counted where they are evaluated, at the table's bare row.
+    from so5cg.tables import ChannelTable
+    evaluated = []
+    bare = ChannelTable.bare_value
+
+    def counted(self, entry, *spins):
+        evaluated.append(entry)
+        return bare(self, entry, *spins)
+
+    monkeypatch.setattr(ChannelTable, "bare_value", counted)
     source = IrrepLabel.of(7, 3)
-    reduced.cache_clear()
     rows = table_rows(source, Channel.of(2, 0))
     reaching = [row for row in rows if row.target_so4 is not None]
     assert 0 < len(reaching) < len(rows)
     assert all(row.value == ZERO for row in rows if row.target_so4 is None)
-    assert reduced.cache_info().currsize == len(reaching)
+    assert evaluated == [row.entry for row in reaching]
+
+
+def test_table_export_leaves_the_reduced_memo_alone():
+    # A table is evaluated in one pass per channel, outside the reduced()
+    # memo: exporting a raising and a lowering table adds no key to it.
+    source = IrrepLabel.of(7, 3)
+    for channel in (Channel.of(2, 0), Channel.of(-2, 0)):
+        size = reduced.cache_info().currsize
+        assert any(row.value for row in table_rows(source, channel))
+        assert reduced.cache_info().currsize == size, channel
+
+
+@given(st.sampled_from(list(iter_labels(24))), st.data())
+@settings(max_examples=30, derandomize=True, deadline=None)
+def test_table_rows_equal_single_key_evaluation(src, data):
+    # A table is evaluated in one pass outside the reduced() memo; each row
+    # must still be the value of its own key. Lowering rows are also checked
+    # against the transposition relation written out with a Fraction ratio.
+    from so5cg.labels import channels_present, dim
+    kind = data.draw(st.sampled_from(
+        ("is_raising", "is_diagonal", "is_lowering", "aux")), label="kind")
+    channel = "aux" if kind == "aux" else data.draw(st.sampled_from(
+        [c for c in channels_present(src) if getattr(c, kind)]),
+        label="channel")
+    if channel == "aux":
+        for row in aux_table_rows(src):
+            assert row.value == reduced_aux(
+                ReducedKey(src, G1, row.source_so4, row.entry)), str(row)
+        return
+    target = target_of(src, channel)
+    (d1, d2), mirror = channel.shift, Channel.of(*(-d for d in channel.shift))
+    for row in table_rows(src, channel):
+        key = ReducedKey(src, channel, row.source_so4, row.entry)
+        assert row.value == reduced(key), (str(channel), str(row))
+        if channel.is_lowering and row.target_so4 is not None:
+            s, t, e = row.source_so4, row.target_so4, row.entry
+            phase = (d1 - d2 + e.dj1.twice + e.dj2.twice + e.part.j1.twice
+                     + e.part.j2.twice) // 2
+            ratio = Fraction(dim(target) * s.so3_dim, dim(src) * t.so3_dim)
+            flipped = EntryShift.of(-e.dj1.twice, -e.dj2.twice, e.part)
+            transposed = reduced(ReducedKey(target, mirror, t, flipped))
+            sign = -1 if phase % 2 else 1
+            assert row.value == sign * sqrt_rational(ratio) * transposed, (
+                str(channel), str(row))

@@ -64,6 +64,46 @@ def test_block_rule_lives_in_labels():
     assert found == []
 
 
+def _reads(node: ast.AST, attr: str) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == attr
+
+
+def _callers(tree: ast.Module, name: str) -> list[str]:
+    """Module-level functions that call name, nested functions included."""
+    return sorted(node.name for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and _calls(node, name))
+
+
+def test_transposition_factor_lives_in_one_function():
+    # The sign and the dimension ratio by which a raising or lowering value
+    # is read off its transpose are reduced._transposition. A function
+    # elsewhere that multiplies an SO(4) block dimension, or takes a parity
+    # of a phase that involves an entry's part, is a second copy of them.
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "labels.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            ops = [op for op in ast.walk(node) if isinstance(op, ast.BinOp)]
+            ratio = any(isinstance(op.op, ast.Mult)
+                        and (_reads(op.left, "so3_dim")
+                             or _reads(op.right, "so3_dim")) for op in ops)
+            parity = any(isinstance(op.op, ast.Mod)
+                         and getattr(op.right, "value", None) == 2
+                         for op in ops)
+            part = any(_reads(n, "part") for n in ast.walk(node))
+            if ratio or (parity and part):
+                found.append(f"{path.name}:{node.name}")
+    assert found == ["reduced.py:_transposition"]
+    # The single keys and the table loop reach it through one evaluator.
+    tree = ast.parse((PACKAGE / "reduced.py").read_text(encoding="utf-8"))
+    assert _callers(tree, "_transposition") == ["_transposed"]
+    assert _callers(tree, "_transposed") == ["_row_values", "symmetry_extend"]
+
+
 BENCH_TRACE = """
 import json, sys
 from tracing import Tracer, install
