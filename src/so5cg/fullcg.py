@@ -28,6 +28,7 @@ from .labels import (
     branching,
     decompose_with_14,
     dim,
+    in_branching,
     m_values,
 )
 from .reduced import (
@@ -109,7 +110,13 @@ def full(source: IrrepLabel, row: RowState, col: ColState) -> SqrtSum:
              col.target.j2.twice - source.j2.twice)
     if shift not in SHIFTS_14:
         return ZERO
-    r = reduced(ReducedKey(source, Channel.of(*shift, col.copy), s, entry))
+    channel = Channel.of(*shift, col.copy)
+    if channel.copy == 1 and not in_branching(col.target, t):
+        # Copy 1 keeps its order here: a block outside the target's
+        # branching is 0 before the channel's absence is decided, whereas
+        # reduced() decides absence first.
+        return ZERO
+    r = reduced(ReducedKey(source, channel, s, entry))
     if not r:
         return ZERO
     cg1 = su2_cg(s.j1.twice, row.m1.twice, p.j1.twice, row.pm1.twice,

@@ -177,9 +177,10 @@ def _second_copy(source: IrrepLabel):
 
 def _row_values(source: IrrepLabel, channel: Channel):
     """value(s, entry, t) of the rows of one channel table that take source
-    block s to block t of the target. What depends on the channel only (its
+    block s to block t of the target: the one evaluator of single keys,
+    reduced vectors and tables. What depends on the channel only (its
     normalization, the mixing data, the mirrored channel) is taken here,
-    once, so a table evaluates its rows without the reduced() memo."""
+    once, and an absent channel raises ChannelAbsent here."""
     if channel.is_lowering:
         return _transposed(source, channel)
     if channel.copy == 2:
@@ -187,36 +188,31 @@ def _row_values(source: IrrepLabel, channel: Channel):
     return _direct(_table_of(channel), normalization(channel, source), source)
 
 
-@lru_cache(maxsize=None)
+def _evaluate(key: ReducedKey, values) -> SqrtSum:
+    """The single-key path: check the source block, set up the evaluator
+    values(source, channel) (so an absent channel raises for every key),
+    then evaluate the entry, or return 0 when it reaches no target block."""
+    check_source_block(key.source, key.source_so4)
+    target = valid_target(key.source, key.channel)
+    value = values(key.source, key.channel)
+    t = reach(target, key.source_so4, key.entry.dj1.twice, key.entry.dj2.twice)
+    return ZERO if t is None else value(key.source_so4, key.entry, t)
+
+
 def reduced(key: ReducedKey) -> SqrtSum:
     """Exact reduced coefficient for one table entry.
 
     Returns 0 without evaluating when the shifted target SO(4) label falls
     outside the target irrep's branching.
     """
-    channel = key.channel
-    if channel.is_lowering:
-        return symmetry_extend(key)
-    check_source_block(key.source, key.source_so4)
-    if channel.copy == 2:
-        return reduced_copy2(key)
-    target = valid_target(key.source, channel)
-    t = reach(target, key.source_so4, key.entry.dj1.twice, key.entry.dj2.twice)
-    if t is None:
-        return ZERO
-    return _row_values(key.source, channel)(key.source_so4, key.entry, t)
+    return _evaluate(key, _row_values)
 
 
 def reduced_aux(key: ReducedKey) -> SqrtSum:
     """Value of one companion (un-normalized, diagonal-shift) table row."""
     if not key.channel.is_diagonal:
         raise MalformedKey("companion rows exist only for the (0,0) shift")
-    check_source_block(key.source, key.source_so4)
-    t = reach(key.source, key.source_so4, key.entry.dj1.twice,
-              key.entry.dj2.twice)
-    if t is None:
-        return ZERO
-    return _direct(AUX_TABLE, None, key.source)(key.source_so4, key.entry, t)
+    return _evaluate(key, lambda source, _: _direct(AUX_TABLE, None, source))
 
 
 def reduced_copy2(key: ReducedKey) -> SqrtSum:
@@ -224,11 +220,7 @@ def reduced_copy2(key: ReducedKey) -> SqrtSum:
     0 off the branching like both of its parts."""
     if not key.channel.is_diagonal:
         raise MalformedKey(f"channel {key.channel} has no second copy")
-    check_source_block(key.source, key.source_so4)
-    value = _second_copy(key.source)
-    t = reach(key.source, key.source_so4, key.entry.dj1.twice,
-              key.entry.dj2.twice)
-    return ZERO if t is None else value(key.source_so4, key.entry, t)
+    return _evaluate(key, lambda source, _: _second_copy(source))
 
 
 def symmetry_extend(key: ReducedKey) -> SqrtSum:
@@ -239,15 +231,9 @@ def symmetry_extend(key: ReducedKey) -> SqrtSum:
     the transposed key's value, 0 when the entry reaches no target block.
     Applying it twice is the identity.
     """
-    channel, entry = key.channel, key.entry
-    if channel.is_diagonal:
-        raise MalformedKey(f"diagonal channel {channel} has no transpose")
-    check_source_block(key.source, key.source_so4)
-    target = valid_target(key.source, channel)
-    t = reach(target, key.source_so4, entry.dj1.twice, entry.dj2.twice)
-    if t is None:
-        return ZERO
-    return _transposed(key.source, channel)(key.source_so4, entry, t)
+    if key.channel.is_diagonal:
+        raise MalformedKey(f"diagonal channel {key.channel} has no transpose")
+    return _evaluate(key, _transposed)
 
 
 def channel_present_by_normalization(source: IrrepLabel, channel: Channel) -> bool:
@@ -269,16 +255,20 @@ def channel_present_by_normalization(source: IrrepLabel, channel: Channel) -> bo
 ReducedVector = dict[tuple[So4Label, So4Label], SqrtSum]
 
 
-def _vector(evaluate, source: IrrepLabel, channel: Channel,
-            target_so4: So4Label) -> ReducedVector:
-    """evaluate() at every (source_so4, part) component coupling into one
-    target SO(4) label whose source block exists."""
+def _check_target_block(target: IrrepLabel, target_so4: So4Label) -> None:
+    if not in_branching(target, target_so4):
+        raise MalformedKey(
+            f"SO(4) label {target_so4} is not a block of target {target}")
+
+
+def _vector(value, source: IrrepLabel, target_so4: So4Label) -> ReducedVector:
+    """value(s, entry, target_so4) at every (source_so4, part) component
+    coupling into one target SO(4) label whose source block exists."""
     out: ReducedVector = {}
     for entry in ENTRY_SHIFTS:
         s = reach(source, target_so4, -entry.dj1.twice, -entry.dj2.twice)
         if s is not None:
-            out[(s, entry.part)] = evaluate(
-                ReducedKey(source, channel, s, entry))
+            out[(s, entry.part)] = value(s, entry, target_so4)
     return out
 
 
@@ -286,15 +276,18 @@ def reduced_vector(source: IrrepLabel, channel: Channel,
                    target_so4: So4Label) -> ReducedVector:
     """All (source_so4, part) components coupling into one target SO(4) label.
 
-    The channel must be present; entries whose source block does not exist
-    are simply missing from the mapping.
+    The channel must be present and target_so4 a block of its target;
+    entries whose source block does not exist are simply missing from the
+    mapping.
     """
-    return _vector(reduced, source, channel, target_so4)
+    _check_target_block(valid_target(source, channel), target_so4)
+    return _vector(_row_values(source, channel), source, target_so4)
 
 
 def aux_vector(source: IrrepLabel, target_so4: So4Label) -> ReducedVector:
     """Companion-row analogue of reduced_vector for the diagonal shift."""
-    return _vector(reduced_aux, source, Channel.of(0, 0), target_so4)
+    _check_target_block(source, target_so4)
+    return _vector(_direct(AUX_TABLE, None, source), source, target_so4)
 
 
 def dot(u: ReducedVector, v: ReducedVector) -> SqrtSum:
@@ -317,31 +310,29 @@ _TABLE_ENTRIES = tuple(sorted(
     ENTRY_SHIFTS, key=lambda e: (e.dj1.twice, e.dj2.twice, e.part.j1.twice)))
 
 
-def _table(source: IrrepLabel, target: IrrepLabel,
-           values) -> tuple[ReducedRow, ...]:
-    """Every (source block, entry) row, in lexicographic order; a row that
-    reaches no block of target is 0 with target block None, unevaluated.
-    values() gives the row evaluator; it is set up only once a row reaches
-    a block, so a table raises where its first evaluated key would."""
-    cells = [(s, entry, reach(target, s, entry.dj1.twice, entry.dj2.twice))
-             for s in branching(source) for entry in _TABLE_ENTRIES]
-    value = (values() if any(t is not None for _, _, t in cells)
-             else None)
-    return tuple(ReducedRow(s, entry, t,
-                            ZERO if t is None else value(s, entry, t))
-                 for s, entry, t in cells)
+def _table(value, source: IrrepLabel,
+           target: IrrepLabel) -> tuple[ReducedRow, ...]:
+    """Every (source block, entry) row, in lexicographic order, evaluated
+    by value(s, entry, t); a row that reaches no block of target is 0 with
+    target block None, unevaluated."""
+    rows = []
+    for s in branching(source):
+        for entry in _TABLE_ENTRIES:
+            t = reach(target, s, entry.dj1.twice, entry.dj2.twice)
+            rows.append(ReducedRow(s, entry, t,
+                                   ZERO if t is None else value(s, entry, t)))
+    return tuple(rows)
 
 
 def table_rows(source: IrrepLabel, channel: Channel) -> tuple[ReducedRow, ...]:
     """Every (source block, entry) row of one channel, in lexicographic order.
 
-    Guarded entries appear with value 0 so the table shape is uniform. The
-    rows are evaluated in one pass, outside the reduced() memo.
+    Guarded entries appear with value 0 so the table shape is uniform.
     """
     target = valid_target(source, channel)
-    return _table(source, target, lambda: _row_values(source, channel))
+    return _table(_row_values(source, channel), source, target)
 
 
 def aux_table_rows(source: IrrepLabel) -> tuple[ReducedRow, ...]:
     """Rows of the un-normalized diagonal companion, same shape as table_rows."""
-    return _table(source, source, lambda: _direct(AUX_TABLE, None, source))
+    return _table(_direct(AUX_TABLE, None, source), source, source)

@@ -329,6 +329,23 @@ def test_absent_channel_table_stores_nothing(capsys, tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ("eval", "--source", "0,0", "--channel=+1,0", "--source-so4", "0,0",
+     "--entry=+1,+1", "--part", "1,1"),
+    ("eval", "--source", "0,0", "--channel=+1,0", "--source-so4", "0,0",
+     "--entry=+1,0", "--part", "1,1"),
+    ("eval", "--source", "1/2,1/2", "--channel=-1/2,-1/2", "--source-so4",
+     "0,0", "--entry=+1,+1", "--part", "1,1"),
+    ("table", "--source", "0,0", "--channel=+1,0", "--no-cache"),
+], ids=["unreached-entry", "reached-entry", "lowering", "table"])
+def test_absent_channel_exits_3_for_every_key(capsys, argv):
+    # A zero always means a zero: a key of an absent channel exits 3 also
+    # when its entry reaches no block of the target.
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("channel absent:")
+
+
 NO_TARGET_KEY = ("eval", "--source", "0,0", "--channel=-1,-1",
                  "--source-so4", "0,0", "--entry", "0,0", "--part", "0,0")
 

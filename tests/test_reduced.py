@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from so5cg.errors import ChannelAbsent, MalformedKey
 from so5cg.exactnum import ONE, ZERO, SqrtSum, sqrt_rational
 from so5cg.labels import (
+    ALL_CHANNELS,
+    ENTRY_SHIFTS,
     Channel,
     EntryShift,
     IrrepLabel,
@@ -31,6 +33,7 @@ from so5cg.reduced import (
     normalization,
     reduced,
     reduced_aux,
+    reduced_copy2,
     reduced_vector,
     symmetry_extend,
     table_rows,
@@ -73,11 +76,15 @@ def test_reduced_trivial_source_values():
 
 
 def test_reduced_guarded_zero():
-    # source (1,0), channel (+1,0): shifted targets outside branching((2,0))
+    # source (1,0), channel (+1,+1): shifted targets outside branching((2,1))
     src = IrrepLabel.of(2, 0)
+    for block, entry in ((So4Label.of(1, 1), EntryShift.of(-1, -1, PART_HH)),
+                         (So4Label.of(2, 0), EntryShift.of(2, 0, PART_11))):
+        assert reduced(ReducedKey(src, A, block, entry)) == ZERO
+    # (+1,0) is absent at (1,0): its entries that reach no block raise too.
     for entry in (EntryShift.of(2, 2, PART_11), EntryShift.of(1, -1, PART_HH)):
-        key = ReducedKey(src, B, So4Label.of(1, 1), entry)
-        assert reduced(key) == ZERO
+        with pytest.raises(ChannelAbsent):
+            reduced(ReducedKey(src, B, So4Label.of(1, 1), entry))
 
 
 def test_reduced_block_validation():
@@ -85,6 +92,40 @@ def test_reduced_block_validation():
                      EntryShift.of(0, 0, PART_00))
     with pytest.raises(MalformedKey):
         reduced(key)
+
+
+def test_absent_channel_raises_for_every_key():
+    # A zero always means a zero: every key of an absent channel raises
+    # ChannelAbsent, also one whose entry reaches no block of the target.
+    absent = 0
+    for src in iter_labels(4):
+        for ch in ALL_CHANNELS:
+            if target_of(src, ch) is None or channel_present(src, ch):
+                continue
+            entry_points = [reduced]
+            if ch.copy == 2:
+                entry_points.append(reduced_copy2)
+            if not ch.is_diagonal:
+                entry_points.append(symmetry_extend)
+            for s in branching(src):
+                for entry in ENTRY_SHIFTS:
+                    for evaluate in entry_points:
+                        with pytest.raises(ChannelAbsent):
+                            evaluate(ReducedKey(src, ch, s, entry))
+                    absent += 1
+    assert absent > 0
+
+
+def test_vectors_reject_a_block_outside_the_target():
+    # A target block outside the target's branching is malformed, as a
+    # source block outside the source's is for a single key.
+    src = IrrepLabel.of(3, 1)
+    with pytest.raises(MalformedKey, match="not a block of target 5/2,1/2"):
+        reduced_vector(src, Channel.of(2, 0), So4Label.of(6, 6))
+    with pytest.raises(MalformedKey, match="not a block of target 3/2,1/2"):
+        aux_vector(src, So4Label.of(0, 0))
+    with pytest.raises(MalformedKey, match="not a block of target 3/2,1/2"):
+        reduced_vector(src, G2, So4Label.of(4, 4))
 
 
 def test_mixing_values():
@@ -271,7 +312,6 @@ def test_table_export_normalizes_each_channel_once(monkeypatch):
     monkeypatch.setattr(ChannelTable, "normalization", counted)
     src = IrrepLabel.of(7, 3)
     for ch in channels_present(src):
-        reduced.cache_clear()
         normalization.cache_clear()
         mixing.cache_clear()
         calls.clear()
@@ -330,22 +370,13 @@ def test_table_export_evaluates_only_rows_that_reach_a_block(monkeypatch):
     assert evaluated == [row.entry for row in reaching]
 
 
-def test_table_export_leaves_the_reduced_memo_alone():
-    # A table is evaluated in one pass per channel, outside the reduced()
-    # memo: exporting a raising and a lowering table adds no key to it.
-    source = IrrepLabel.of(7, 3)
-    for channel in (Channel.of(2, 0), Channel.of(-2, 0)):
-        size = reduced.cache_info().currsize
-        assert any(row.value for row in table_rows(source, channel))
-        assert reduced.cache_info().currsize == size, channel
-
-
 @given(st.sampled_from(list(iter_labels(24))), st.data())
 @settings(max_examples=30, derandomize=True, deadline=None)
 def test_table_rows_equal_single_key_evaluation(src, data):
-    # A table is evaluated in one pass outside the reduced() memo; each row
-    # must still be the value of its own key. Lowering rows are also checked
-    # against the transposition relation written out with a Fraction ratio.
+    # A table is evaluated in one pass; each row must still be the value of
+    # its own key and the (s, part) component of the reduced vector at its
+    # target block. Lowering rows are also checked against the
+    # transposition relation written out with a Fraction ratio.
     from so5cg.labels import channels_present, dim
     kind = data.draw(st.sampled_from(
         ("is_raising", "is_diagonal", "is_lowering", "aux")), label="kind")
@@ -356,12 +387,18 @@ def test_table_rows_equal_single_key_evaluation(src, data):
         for row in aux_table_rows(src):
             assert row.value == reduced_aux(
                 ReducedKey(src, G1, row.source_so4, row.entry)), str(row)
+            if row.target_so4 is not None:
+                assert row.value == aux_vector(src, row.target_so4)[
+                    (row.source_so4, row.entry.part)], str(row)
         return
     target = target_of(src, channel)
     (d1, d2), mirror = channel.shift, Channel.of(*(-d for d in channel.shift))
     for row in table_rows(src, channel):
         key = ReducedKey(src, channel, row.source_so4, row.entry)
         assert row.value == reduced(key), (str(channel), str(row))
+        if row.target_so4 is not None:
+            assert row.value == reduced_vector(src, channel, row.target_so4)[
+                (row.source_so4, row.entry.part)], (str(channel), str(row))
         if channel.is_lowering and row.target_so4 is not None:
             s, t, e = row.source_so4, row.target_so4, row.entry
             phase = (d1 - d2 + e.dj1.twice + e.dj2.twice + e.part.j1.twice

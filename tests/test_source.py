@@ -68,10 +68,13 @@ def _reads(node: ast.AST, attr: str) -> bool:
     return isinstance(node, ast.Attribute) and node.attr == attr
 
 
-def _callers(tree: ast.Module, name: str) -> list[str]:
-    """Module-level functions that call name, nested functions included."""
+def _users(tree: ast.Module, name: str) -> list[str]:
+    """Module-level functions that call name or pass it on, nested functions
+    included."""
     return sorted(node.name for node in tree.body
-                  if isinstance(node, ast.FunctionDef) and _calls(node, name))
+                  if isinstance(node, ast.FunctionDef)
+                  and any(isinstance(n, ast.Name) and n.id == name
+                          for n in ast.walk(node)))
 
 
 def test_transposition_factor_lives_in_one_function():
@@ -100,8 +103,39 @@ def test_transposition_factor_lives_in_one_function():
     assert found == ["reduced.py:_transposition"]
     # The single keys and the table loop reach it through one evaluator.
     tree = ast.parse((PACKAGE / "reduced.py").read_text(encoding="utf-8"))
-    assert _callers(tree, "_transposition") == ["_transposed"]
-    assert _callers(tree, "_transposed") == ["_row_values", "symmetry_extend"]
+    assert _users(tree, "_transposition") == ["_transposed"]
+    assert _users(tree, "_transposed") == ["_row_values", "symmetry_extend"]
+
+
+def _unbounded_memo(decorator: ast.expr) -> bool:
+    """lru_cache(maxsize=None) or functools.cache, in any spelling."""
+    if not isinstance(decorator, ast.Call):
+        return _name(decorator) == "cache"
+    maxsize = decorator.args[:1] + [kw.value for kw in decorator.keywords
+                                    if kw.arg == "maxsize"]
+    return _name(decorator.func) == "lru_cache" and any(
+        isinstance(value, ast.Constant) and value.value is None
+        for value in maxsize)
+
+
+def _name(node: ast.expr):
+    return getattr(node, "attr", None) or getattr(node, "id", None)
+
+
+def test_unbounded_memos_are_per_label_source_or_formula():
+    # An unbounded memo may hold one entry per label, per source or per
+    # formula, never one per coefficient: such a memo grows with every
+    # coefficient a sweep touches, and memory on long sweeps stays bounded
+    # only without one.
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [node.name for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and any(_unbounded_memo(d) for d in node.decorator_list)]
+    assert sorted(found) == sorted([
+        "build_parser", "normalization", "mixing", "build_irrep", "_lin",
+        "_constant", "engine_fingerprint", "branching", "decompose_with_14"])
 
 
 BENCH_TRACE = """
