@@ -21,7 +21,7 @@ from typing import Optional
 from . import cache
 from .errors import ChannelAbsent, MalformedKey, So5Error
 from .exactnum import ZERO, SqrtSum
-from .fullcg import ColState, RowState, full
+from .fullcg import ColState, RowState, check_row, full
 from .labels import (
     Channel,
     EntryShift,
@@ -68,7 +68,8 @@ def _parse_channel(text: str):
     parts = s.split(",")
     if len(parts) != 2:
         raise MalformedKey(f"expected 'dj1,dj2', got {text!r}")
-    return Channel(HalfInt.parse(parts[0]), HalfInt.parse(parts[1]), copy)
+    return Channel(HalfInt.parse(parts[0]).twice, HalfInt.parse(parts[1]).twice,
+                   copy)
 
 
 def _parse_pair(text: str, what: str) -> tuple[HalfInt, HalfInt]:
@@ -84,7 +85,7 @@ def _channel_of(source: IrrepLabel, args):
     if args.target is None:
         raise MalformedKey("need either --target or --channel")
     target = IrrepLabel.parse(args.target)
-    return Channel(target.j1 - source.j1, target.j2 - source.j2, args.copy)
+    return Channel(target.tj1 - source.tj1, target.tj2 - source.tj2, args.copy)
 
 
 def _parse_part(text: str) -> So4Label:
@@ -108,7 +109,7 @@ def cmd_eval(args) -> int:
     source_so4 = So4Label.parse(args.source_so4)
     part = _parse_part(args.part)
     dj1, dj2 = _parse_pair(args.entry, "entry shift")
-    entry = EntryShift(dj1, dj2, part)
+    entry = EntryShift(dj1.twice, dj2.twice, part)
 
     if any(v is not None for v in (args.m, args.part_m, args.target_m)):
         if channel is AUX:
@@ -118,7 +119,7 @@ def cmd_eval(args) -> int:
             raise MalformedKey("full evaluation needs both --m and --part-m")
         value = _eval_full(args, source, channel, source_so4, entry)
     elif channel is AUX:
-        value = reduced_aux(ReducedKey(source, Channel.of(0, 0, 1),
+        value = reduced_aux(ReducedKey(source, Channel(0, 0, 1),
                                        source_so4, entry))
     else:
         value = reduced(ReducedKey(source, channel, source_so4, entry))
@@ -139,10 +140,14 @@ def _eval_full(args, source: IrrepLabel, channel: Channel,
         tm1, tm2 = _parse_pair(args.target_m, "tm1,tm2")
     else:
         tm1, tm2 = m1 + pm1, m2 + pm2
-    target_so4 = source_so4.shifted(entry.dj1.twice, entry.dj2.twice)
+    row = RowState(source_so4, m1, m2, entry.part, pm1, pm2)
+    # An invalid product state is malformed before an entry that takes the
+    # source block to a negative spin is 0.
+    check_row(source, row)
+    target_so4 = source_so4.shifted(entry.tdj1, entry.tdj2)
     if target_so4 is None:
         return ZERO
-    return full(source, RowState(source_so4, m1, m2, entry.part, pm1, pm2),
+    return full(source, row,
                 ColState(target, channel.copy, target_so4, tm1, tm2))
 
 
@@ -234,7 +239,7 @@ def _table_payload(source: IrrepLabel, channel, channel_text: str) -> dict:
               else table_rows(source, channel))
     rows = [{
         "s": list(row.source_so4.twice),
-        "entry": [row.entry.dj1.twice, row.entry.dj2.twice],
+        "entry": [row.entry.tdj1, row.entry.tdj2],
         "part": list(row.entry.part.twice),
         "t": list(row.target_so4.twice) if row.target_so4 else None,
         "value": row.value.to_json_dict(),

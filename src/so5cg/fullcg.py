@@ -52,9 +52,9 @@ class RowState:
     pm2: HalfInt
 
     def sort_key(self) -> tuple[int, ...]:
-        return (self.source_so4.j1.twice, self.source_so4.j2.twice,
+        return (self.source_so4.tj1, self.source_so4.tj2,
                 self.m1.twice, self.m2.twice,
-                self.part.j1.twice, self.part.j2.twice,
+                self.part.tj1, self.part.tj2,
                 self.pm1.twice, self.pm2.twice)
 
     def __str__(self) -> str:
@@ -73,44 +73,51 @@ class ColState:
     mt2: HalfInt
 
     def sort_key(self) -> tuple[int, ...]:
-        return (self.target.j1.twice, self.target.j2.twice, self.copy,
-                self.target_so4.j1.twice, self.target_so4.j2.twice,
+        return (self.target.tj1, self.target.tj2, self.copy,
+                self.target_so4.tj1, self.target_so4.tj2,
                 self.mt1.twice, self.mt2.twice)
 
     def __str__(self) -> str:
         return f"{self.target}#{self.copy};{self.target_so4};{self.mt1},{self.mt2}"
 
 
-def _check_magnetic(j: HalfInt, m: HalfInt, what: str) -> None:
-    if abs(m.twice) > j.twice or (m.twice - j.twice) % 2 != 0:
-        raise MalformedKey(f"magnetic label {m} invalid for {what} spin {j}")
+def _check_magnetic(tj: int, m: HalfInt, what: str) -> None:
+    if abs(m.twice) > tj or (m.twice - tj) % 2 != 0:
+        raise MalformedKey(
+            f"magnetic label {m} invalid for {what} spin {HalfInt(tj)}")
+
+
+def check_row(source: IrrepLabel, row: RowState) -> None:
+    """MalformedKey unless row is a product state of source: its part a
+    14-dim block, its source block in the branching, its magnetic labels
+    valid for both blocks."""
+    s, p = row.source_so4, row.part
+    if p not in PARTS_14:
+        raise MalformedKey(f"part must be a 14-dim block, got {p}")
+    check_source_block(source, s)
+    _check_magnetic(s.tj1, row.m1, "source")
+    _check_magnetic(s.tj2, row.m2, "source")
+    _check_magnetic(p.tj1, row.pm1, "part")
+    _check_magnetic(p.tj2, row.pm2, "part")
 
 
 def full(source: IrrepLabel, row: RowState, col: ColState) -> SqrtSum:
     """Exact full coefficient, the entry of coupling_matrix(source) at
     (row, col): reduced value times two SU(2) factors."""
     s, p, t = row.source_so4, row.part, col.target_so4
-    if p not in PARTS_14:
-        raise MalformedKey(f"part must be a 14-dim block, got {p}")
-    check_source_block(source, s)
-    _check_magnetic(s.j1, row.m1, "source")
-    _check_magnetic(s.j2, row.m2, "source")
-    _check_magnetic(p.j1, row.pm1, "part")
-    _check_magnetic(p.j2, row.pm2, "part")
-    _check_magnetic(t.j1, col.mt1, "target")
-    _check_magnetic(t.j2, col.mt2, "target")
+    check_row(source, row)
+    _check_magnetic(t.tj1, col.mt1, "target")
+    _check_magnetic(t.tj2, col.mt2, "target")
     if (col.mt1.twice != row.m1.twice + row.pm1.twice
             or col.mt2.twice != row.m2.twice + row.pm2.twice):
         return ZERO
-    entry = ENTRY_BY_TWICE.get((t.j1.twice - s.j1.twice,
-                                t.j2.twice - s.j2.twice, p.j1.twice))
+    entry = ENTRY_BY_TWICE.get((t.tj1 - s.tj1, t.tj2 - s.tj2, p.tj1))
     if entry is None:
         return ZERO
-    shift = (col.target.j1.twice - source.j1.twice,
-             col.target.j2.twice - source.j2.twice)
+    shift = (col.target.tj1 - source.tj1, col.target.tj2 - source.tj2)
     if shift not in SHIFTS_14:
         return ZERO
-    channel = Channel.of(*shift, col.copy)
+    channel = Channel(*shift, col.copy)
     if channel.copy == 1 and not in_branching(col.target, t):
         # Copy 1 keeps its order here: a block outside the target's
         # branching is 0 before the channel's absence is decided, whereas
@@ -119,10 +126,10 @@ def full(source: IrrepLabel, row: RowState, col: ColState) -> SqrtSum:
     r = reduced(ReducedKey(source, channel, s, entry))
     if not r:
         return ZERO
-    cg1 = su2_cg(s.j1.twice, row.m1.twice, p.j1.twice, row.pm1.twice,
-                 t.j1.twice, col.mt1.twice)
-    cg2 = su2_cg(s.j2.twice, row.m2.twice, p.j2.twice, row.pm2.twice,
-                 t.j2.twice, col.mt2.twice)
+    cg1 = su2_cg(s.tj1, row.m1.twice, p.tj1, row.pm1.twice,
+                 t.tj1, col.mt1.twice)
+    cg2 = su2_cg(s.tj2, row.m2.twice, p.tj2, row.pm2.twice,
+                 t.tj2, col.mt2.twice)
     return r * cg1 * cg2
 
 
@@ -206,13 +213,13 @@ def product_rows(source: IrrepLabel) -> tuple[RowState, ...]:
     """Every product-basis state, in lexicographic order."""
     rows = []
     for s in branching(source):
-        for m1 in m_values(s.j1):
-            for m2 in m_values(s.j2):
+        for m1 in m_values(HalfInt(s.tj1)):
+            for m2 in m_values(HalfInt(s.tj2)):
                 for p in branching(FOURTEEN):
-                    for pm1 in m_values(p.j1):
-                        for pm2 in m_values(p.j2):
+                    for pm1 in m_values(HalfInt(p.tj1)):
+                        for pm2 in m_values(HalfInt(p.tj2)):
                             rows.append(RowState(s, m1, m2, p, pm1, pm2))
-    return tuple(sorted(rows, key=RowState.sort_key))
+    return tuple(rows)
 
 
 def coupled_cols(source: IrrepLabel) -> tuple[ColState, ...]:
@@ -221,10 +228,10 @@ def coupled_cols(source: IrrepLabel) -> tuple[ColState, ...]:
     for block in decompose_with_14(source):
         for copy in range(1, block.multiplicity + 1):
             for t in branching(block.target):
-                for mt1 in m_values(t.j1):
-                    for mt2 in m_values(t.j2):
+                for mt1 in m_values(HalfInt(t.tj1)):
+                    for mt2 in m_values(HalfInt(t.tj2)):
                         cols.append(ColState(block.target, copy, t, mt1, mt2))
-    return tuple(sorted(cols, key=ColState.sort_key))
+    return tuple(cols)
 
 
 def coupling_matrix(source: IrrepLabel) -> CouplingMatrix:
@@ -243,8 +250,8 @@ def coupling_matrix(source: IrrepLabel) -> CouplingMatrix:
     columns: dict[ColState, Column] = {}
     for (target, copy, t), block in groupby(
             cols, key=lambda col: (col.target, col.copy, col.target_so4)):
-        channel = Channel.of(target.j1.twice - source.j1.twice,
-                             target.j2.twice - source.j2.twice, copy)
+        channel = Channel(target.tj1 - source.tj1, target.tj2 - source.tj2,
+                          copy)
         components = [(*s.twice, *p.twice, r.terms)
                       for (s, p), r in reduced_vector(source, channel,
                                                       t).items() if r]

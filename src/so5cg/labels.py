@@ -11,29 +11,35 @@ Conventions:
     (+-1, +-1), the four (+-1, 0)/(0, +-1), the four (+-1/2, +-1/2),
     and (0, 0) twice.
 
-All spins are stored as twice-values (ints) inside HalfInt so hashing
-and arithmetic stay exact.
+Every label record holds its spins and shifts as doubled ints (tj1, tj2,
+tdj1, tdj2), so hashing and arithmetic stay exact and cheap; HalfInt is
+the text form of one spin ("3/2") and the type of the magnetic labels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional
 
 from .errors import MalformedKey
 
 
+def _check_twice(*values) -> None:
+    for value in values:
+        if not isinstance(value, int):
+            raise MalformedKey(f"HalfInt needs an int doubled value, got {value!r}")
+
+
 @dataclass(frozen=True, slots=True, order=True)
 class HalfInt:
-    """A (half-)integer stored as its doubled value."""
+    """A (half-)integer stored as its doubled value: the text form of one
+    spin, and the type of the magnetic labels."""
 
     twice: int
 
     def __post_init__(self):
-        if not isinstance(self.twice, int):
-            raise MalformedKey(f"HalfInt needs an int doubled value, got {self.twice!r}")
+        _check_twice(self.twice)
 
     @classmethod
     def parse(cls, text: str) -> "HalfInt":
@@ -49,9 +55,6 @@ class HalfInt:
         except ValueError as exc:
             raise MalformedKey(f"cannot parse half-integer {text!r}") from exc
 
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.twice, 2)
-
     def __str__(self) -> str:
         if self.twice % 2 == 0:
             return str(self.twice // 2)
@@ -60,90 +63,66 @@ class HalfInt:
     def __add__(self, other: "HalfInt") -> "HalfInt":
         return HalfInt(self.twice + other.twice)
 
-    def __sub__(self, other: "HalfInt") -> "HalfInt":
-        return HalfInt(self.twice - other.twice)
-
 
 @dataclass(frozen=True, slots=True, order=True)
-class So4Label:
-    """An SO(3) x SO(3) spin pair (j1, j2), each >= 0."""
+class _SpinPair:
+    """A spin pair (j1, j2) held as its doubled values, ordered by them."""
 
-    j1: HalfInt
-    j2: HalfInt
-
-    def __post_init__(self):
-        if self.j1.twice < 0 or self.j2.twice < 0:
-            raise MalformedKey(f"SO(4) label needs nonnegative spins, got {self}")
+    tj1: int
+    tj2: int
 
     @classmethod
-    def of(cls, tj1: int, tj2: int) -> "So4Label":
-        return cls(HalfInt(tj1), HalfInt(tj2))
-
-    @classmethod
-    def parse(cls, text: str) -> "So4Label":
+    def parse(cls, text: str):
         parts = text.split(",")
         if len(parts) != 2:
             raise MalformedKey(f"expected 'j1,j2', got {text!r}")
-        return cls(HalfInt.parse(parts[0]), HalfInt.parse(parts[1]))
+        return cls(HalfInt.parse(parts[0]).twice, HalfInt.parse(parts[1]).twice)
 
     @property
     def twice(self) -> tuple[int, int]:
-        return (self.j1.twice, self.j2.twice)
+        return (self.tj1, self.tj2)
+
+    def __str__(self) -> str:
+        return f"{HalfInt(self.tj1)},{HalfInt(self.tj2)}"
+
+
+@dataclass(frozen=True, slots=True, order=True)
+class So4Label(_SpinPair):
+    """An SO(3) x SO(3) spin pair (j1, j2), each >= 0."""
+
+    def __post_init__(self):
+        _check_twice(self.tj1, self.tj2)
+        if self.tj1 < 0 or self.tj2 < 0:
+            raise MalformedKey(f"SO(4) label needs nonnegative spins, got {self}")
 
     def shifted(self, tdj1: int, tdj2: int) -> Optional["So4Label"]:
         """This label moved by doubled spin shifts; None on a negative spin."""
-        tj1, tj2 = self.j1.twice + tdj1, self.j2.twice + tdj2
+        tj1, tj2 = self.tj1 + tdj1, self.tj2 + tdj2
         if tj1 < 0 or tj2 < 0:
             return None
-        return So4Label.of(tj1, tj2)
+        return So4Label(tj1, tj2)
 
     @property
     def so3_dim(self) -> int:
-        return (self.j1.twice + 1) * (self.j2.twice + 1)
-
-    def __str__(self) -> str:
-        return f"{self.j1},{self.j2}"
+        return (self.tj1 + 1) * (self.tj2 + 1)
 
 
 @dataclass(frozen=True, slots=True, order=True)
-class IrrepLabel:
+class IrrepLabel(_SpinPair):
     """A Spin(5) irrep label (j1, j2) with j1 >= j2 >= 0."""
 
-    j1: HalfInt
-    j2: HalfInt
-
     def __post_init__(self):
-        if not (self.j1.twice >= self.j2.twice >= 0):
-            raise MalformedKey(f"irrep label needs j1 >= j2 >= 0, got ({self.j1},{self.j2})")
-
-    @classmethod
-    def of(cls, tj1: int, tj2: int) -> "IrrepLabel":
-        return cls(HalfInt(tj1), HalfInt(tj2))
-
-    @classmethod
-    def parse(cls, text: str) -> "IrrepLabel":
-        parts = text.split(",")
-        if len(parts) != 2:
-            raise MalformedKey(f"expected 'j1,j2', got {text!r}")
-        return cls(HalfInt.parse(parts[0]), HalfInt.parse(parts[1]))
-
-    @property
-    def twice(self) -> tuple[int, int]:
-        return (self.j1.twice, self.j2.twice)
-
-    def __str__(self) -> str:
-        return f"{self.j1},{self.j2}"
-
-    def to_json(self) -> dict:
-        return {"twice_j1": self.j1.twice, "twice_j2": self.j2.twice}
+        _check_twice(self.tj1, self.tj2)
+        if not (self.tj1 >= self.tj2 >= 0):
+            raise MalformedKey(f"irrep label needs j1 >= j2 >= 0, got ({self})")
 
 
-FOURTEEN = IrrepLabel.of(2, 2)
+FOURTEEN = IrrepLabel(2, 2)
 
 
 def dim(label: IrrepLabel) -> int:
     """Dimension of the irrep (a quartic polynomial in the spins)."""
-    a, b = label.j1.twice, label.j2.twice
+    a, b = label.tj1, label.tj2
     num = (a - b + 1) * (a + b + 3) * (a + 2) * (b + 1)
     if num % 6:
         raise AssertionError(f"dim({label}): numerator {num} not divisible by 6")
@@ -158,12 +137,12 @@ def branching(label: IrrepLabel) -> tuple[So4Label, ...]:
     rectangle y <= s1 <= x, -y <= s2 <= y with integer steps, mapped back
     through (j1', j2') = ((s1+s2)/2, (s1-s2)/2).
     """
-    tx = label.j1.twice + label.j2.twice
-    ty = label.j1.twice - label.j2.twice
+    tx = label.tj1 + label.tj2
+    ty = label.tj1 - label.tj2
     out = []
     for ts1 in range(ty, tx + 1, 2):
         for ts2 in range(-ty, ty + 1, 2):
-            out.append(So4Label.of((ts1 + ts2) // 2, (ts1 - ts2) // 2))
+            out.append(So4Label((ts1 + ts2) // 2, (ts1 - ts2) // 2))
     out.sort()
     if sum(s.so3_dim for s in out) != dim(label):
         raise AssertionError(f"branching of {label} does not sum to its dimension")
@@ -172,10 +151,10 @@ def branching(label: IrrepLabel) -> tuple[So4Label, ...]:
 
 def in_branching(label: IrrepLabel, so4: So4Label) -> bool:
     """Membership test equivalent to `so4 in branching(label)`, O(1)."""
-    tx = label.j1.twice + label.j2.twice
-    ty = label.j1.twice - label.j2.twice
-    ts1 = so4.j1.twice + so4.j2.twice
-    ts2 = so4.j1.twice - so4.j2.twice
+    tx = label.tj1 + label.tj2
+    ty = label.tj1 - label.tj2
+    ts1 = so4.tj1 + so4.tj2
+    ts2 = so4.tj1 - so4.tj2
     return ty <= ts1 <= tx and -ty <= ts2 <= ty and (ts1 - ty) % 2 == 0
 
 
@@ -216,26 +195,24 @@ class Channel:
     may be 1 or 2.
     """
 
-    dj1: HalfInt
-    dj2: HalfInt
+    tdj1: int
+    tdj2: int
     copy: int = 1
 
     def __post_init__(self):
-        shift = (self.dj1.twice, self.dj2.twice)
+        _check_twice(self.tdj1, self.tdj2)
+        shift = (self.tdj1, self.tdj2)
         if shift not in SHIFTS_14:
-            raise MalformedKey(f"not a coupling shift: ({self.dj1},{self.dj2})")
+            raise MalformedKey(f"not a coupling shift: "
+                               f"({HalfInt(self.tdj1)},{HalfInt(self.tdj2)})")
         if self.copy not in (1, 2):
             raise MalformedKey(f"copy must be 1 or 2, got {self.copy}")
         if self.copy == 2 and shift != (0, 0):
             raise MalformedKey("copy 2 exists only for the (0,0) shift")
 
-    @classmethod
-    def of(cls, tdj1: int, tdj2: int, copy: int = 1) -> "Channel":
-        return cls(HalfInt(tdj1), HalfInt(tdj2), copy)
-
     @property
     def shift(self) -> tuple[int, int]:
-        return (self.dj1.twice, self.dj2.twice)
+        return (self.tdj1, self.tdj2)
 
     @property
     def is_raising(self) -> bool:
@@ -250,27 +227,27 @@ class Channel:
         return self.shift == (0, 0)
 
     def __str__(self) -> str:
-        text = f"{_signed(self.dj1)},{_signed(self.dj2)}"
+        text = f"{_signed(self.tdj1)},{_signed(self.tdj2)}"
         if self.shift == (0, 0):
             text += f"#{self.copy}"
         return text
 
 
-def _signed(h: HalfInt) -> str:
-    return f"+{h}" if h.twice > 0 else str(h)
+def _signed(twice: int) -> str:
+    return f"+{HalfInt(twice)}" if twice > 0 else str(HalfInt(twice))
 
 
 ALL_CHANNELS: tuple[Channel, ...] = tuple(
-    [Channel.of(a, b) for (a, b) in RAISING_SHIFTS]
-    + [Channel.of(0, 0, 1), Channel.of(0, 0, 2)]
-    + [Channel.of(a, b) for (a, b) in LOWERING_SHIFTS]
+    [Channel(a, b) for (a, b) in RAISING_SHIFTS]
+    + [Channel(0, 0, 1), Channel(0, 0, 2)]
+    + [Channel(a, b) for (a, b) in LOWERING_SHIFTS]
 )
 
 
 # The three SO(4) types of states inside the 14-dimensional irrep.
-PART_11 = So4Label.of(2, 2)
-PART_HH = So4Label.of(1, 1)
-PART_00 = So4Label.of(0, 0)
+PART_11 = So4Label(2, 2)
+PART_HH = So4Label(1, 1)
+PART_00 = So4Label(0, 0)
 PARTS_14: tuple[So4Label, ...] = (PART_11, PART_HH, PART_00)
 
 
@@ -278,37 +255,36 @@ PARTS_14: tuple[So4Label, ...] = (PART_11, PART_HH, PART_00)
 class EntryShift:
     """One table row: an SO(4)-label shift together with the 14-part."""
 
-    dj1: HalfInt
-    dj2: HalfInt
+    tdj1: int
+    tdj2: int
     part: So4Label
 
     def __post_init__(self):
+        _check_twice(self.tdj1, self.tdj2)
         if self.part not in PARTS_14:
             raise MalformedKey(f"not a 14-part: {self.part}")
-        for d in (self.dj1, self.dj2):
-            if abs(d.twice) > self.part.j1.twice:
-                raise MalformedKey(f"shift {d} too large for part {self.part}")
-            if (d.twice - self.part.j1.twice) % 2 != 0:
-                raise MalformedKey(f"shift {d} has wrong parity for part {self.part}")
-
-    @classmethod
-    def of(cls, tdj1: int, tdj2: int, part: So4Label) -> "EntryShift":
-        return cls(HalfInt(tdj1), HalfInt(tdj2), part)
+        for d in (self.tdj1, self.tdj2):
+            if abs(d) > self.part.tj1:
+                raise MalformedKey(
+                    f"shift {HalfInt(d)} too large for part {self.part}")
+            if (d - self.part.tj1) % 2 != 0:
+                raise MalformedKey(
+                    f"shift {HalfInt(d)} has wrong parity for part {self.part}")
 
     def __str__(self) -> str:
-        return f"({_signed(self.dj1)},{_signed(self.dj2)};{self.part})"
+        return f"({_signed(self.tdj1)},{_signed(self.tdj2)};{self.part})"
 
 
 ENTRY_SHIFTS: tuple[EntryShift, ...] = tuple(
-    [EntryShift.of(a, b, PART_11) for a in (2, 0, -2) for b in (2, 0, -2)]
-    + [EntryShift.of(a, b, PART_HH) for a in (1, -1) for b in (1, -1)]
-    + [EntryShift.of(0, 0, PART_00)]
+    [EntryShift(a, b, PART_11) for a in (2, 0, -2) for b in (2, 0, -2)]
+    + [EntryShift(a, b, PART_HH) for a in (1, -1) for b in (1, -1)]
+    + [EntryShift(0, 0, PART_00)]
 )
 
 # Entry shifts by (doubled shift, doubled shift, doubled spin of the part);
 # both spins of a 14-part are equal.
 ENTRY_BY_TWICE: dict[tuple[int, int, int], EntryShift] = {
-    (e.dj1.twice, e.dj2.twice, e.part.j1.twice): e for e in ENTRY_SHIFTS}
+    (e.tdj1, e.tdj2, e.part.tj1): e for e in ENTRY_SHIFTS}
 
 
 @dataclass(frozen=True, slots=True)
@@ -349,8 +325,8 @@ def decompose_with_14(label: IrrepLabel) -> tuple[DecompEntry, ...]:
     dominant chamber with its sign, then tally. The result is checked
     against the total dimension.
     """
-    tx = label.j1.twice + label.j2.twice
-    ty = label.j1.twice - label.j2.twice
+    tx = label.tj1 + label.tj2
+    ty = label.tj1 - label.tj2
     # rho = (3/2, 1/2) doubled to (3, 1)
     counts: dict[tuple[int, int], int] = {}
     for td1, td2 in SHIFTS_14:
@@ -367,7 +343,7 @@ def decompose_with_14(label: IrrepLabel) -> tuple[DecompEntry, ...]:
             continue
         if mult < 0:
             raise AssertionError(f"negative multiplicity at {(lx, ly)}")
-        target = IrrepLabel.of((lx + ly) // 2, (lx - ly) // 2)
+        target = IrrepLabel((lx + ly) // 2, (lx - ly) // 2)
         out.append(DecompEntry(target, mult))
     out.sort(key=lambda e: e.target)
     total = sum(e.multiplicity * dim(e.target) for e in out)
@@ -378,11 +354,11 @@ def decompose_with_14(label: IrrepLabel) -> tuple[DecompEntry, ...]:
 
 def target_of(source: IrrepLabel, channel: Channel) -> Optional[IrrepLabel]:
     """The irrep label reached by the channel shift, or None if invalid."""
-    tj1 = source.j1.twice + channel.dj1.twice
-    tj2 = source.j2.twice + channel.dj2.twice
+    tj1 = source.tj1 + channel.tdj1
+    tj2 = source.tj2 + channel.tdj2
     if not (tj1 >= tj2 >= 0):
         return None
-    return IrrepLabel.of(tj1, tj2)
+    return IrrepLabel(tj1, tj2)
 
 
 def multiplicity_of(source: IrrepLabel, target: IrrepLabel) -> int:
@@ -415,4 +391,4 @@ def iter_labels(max_twice_j1: int) -> Iterable[IrrepLabel]:
     """All irrep labels with doubled first spin up to the bound."""
     for tj1 in range(max_twice_j1 + 1):
         for tj2 in range(tj1 + 1):
-            yield IrrepLabel.of(tj1, tj2)
+            yield IrrepLabel(tj1, tj2)

@@ -220,8 +220,8 @@ def build_irrep(label: IrrepLabel, cap: int = DEFAULT_CAP) -> RepMatrices:
     n = dim(label)
     if n > cap:
         raise DimensionCap(f"dim {n} exceeds cap {cap} for {label}")
-    nv = label.j2.twice
-    ns = label.j1.twice - label.j2.twice
+    nv = label.tj2
+    ns = label.tj1 - label.tj2
     vg = _vector_generators()
     sg = _spinor_generators()
     factors = [(5, vg)] * nv + [(4, sg)] * ns
@@ -290,8 +290,8 @@ def build_irrep(label: IrrepLabel, cap: int = DEFAULT_CAP) -> RepMatrices:
 
 def casimir_value(label: IrrepLabel) -> float:
     """Expected Casimir ratio anchor: l1(l1+3) + l2(l2+1) in weight coords."""
-    l1 = (label.j1.twice + label.j2.twice) / 2
-    l2 = (label.j1.twice - label.j2.twice) / 2
+    l1 = (label.tj1 + label.tj2) / 2
+    l2 = (label.tj1 - label.tj2) / 2
     return l1 * (l1 + 3) + l2 * (l2 + 1)
 
 
@@ -366,7 +366,7 @@ def numeric_decompose(source: IrrepLabel, cap: int = DEFAULT_CAP) -> NumericDeco
                             content[(tj1, tj2)] = v4.shape[1]
         target, mult = _identify(content, cval, baseline)
         blocks.append(NumericBlock(target, mult, cells))
-    blocks.sort(key=lambda b: (b.target.j1.twice, b.target.j2.twice))
+    blocks.sort(key=lambda b: (b.target.tj1, b.target.tj2))
     total = sum(b.multiplicity * dim(b.target) for b in blocks)
     if total != n:
         raise EigenFailure(f"blocks cover {total} of {n} product states")
@@ -380,7 +380,7 @@ def _identify(content: dict[tuple[int, int], int], cval: float,
         raise EigenFailure("empty Casimir cluster")
     max_tj1 = max(t[0] for t in content)
     for cand in _candidates(max_tj1):
-        want = {(s.j1.twice, s.j2.twice) for s in branching(cand)}
+        want = {(s.tj1, s.tj2) for s in branching(cand)}
         if set(content) != want:
             continue
         mults = {content[t] for t in content}
@@ -402,26 +402,12 @@ class BlockReport:
     max_abs_dev: float
     projector_dev: float
 
-    def to_json_dict(self) -> dict:
-        return {"target": self.target.to_json(), "copy_count": self.copy_count,
-                "max_abs_dev": self.max_abs_dev,
-                "projector_dev": self.projector_dev}
-
 
 @dataclass
 class ComparisonReport:
     source: IrrepLabel
     blocks: list[BlockReport]
     passed: bool
-    tol: float
-    projector_tol: float
-
-    def to_json_dict(self) -> dict:
-        return {"schema": "so5cg/1", "kind": "comparison",
-                "source": self.source.to_json(),
-                "blocks": [b.to_json_dict() for b in self.blocks],
-                "pass": self.passed, "tol": self.tol,
-                "projector_tol": self.projector_tol}
 
 
 def _analytic_columns(matrix: CouplingMatrix,
@@ -433,9 +419,9 @@ def _analytic_columns(matrix: CouplingMatrix,
         v = np.zeros(n, dtype=complex)
         for i, value in matrix.columns[col].items():
             row = matrix.rows[i]
-            lt = (row.source_so4.j1.twice, row.source_so4.j2.twice,
+            lt = (row.source_so4.tj1, row.source_so4.tj2,
                   row.m1.twice, row.m2.twice)
-            rt = (row.part.j1.twice, row.part.j2.twice,
+            rt = (row.part.tj1, row.part.tj2,
                   row.pm1.twice, row.pm2.twice)
             v[tag_index[(lt, rt)]] = float(value)
         out[col] = v
@@ -523,7 +509,7 @@ def compare(source: IrrepLabel, tol: float = 1e-9,
         p_num = v_all @ v_all.conj().T
         if block.multiplicity == 1:
             for col in cols:
-                key = (col.target_so4.j1.twice, col.target_so4.j2.twice,
+                key = (col.target_so4.tj1, col.target_so4.tj2,
                        col.mt1.twice, col.mt2.twice)
                 vnum = block.cells[key][:, 0]
                 dev = float(np.max(np.abs(np.abs(vnum) - np.abs(acols[col]))))
@@ -531,7 +517,7 @@ def compare(source: IrrepLabel, tol: float = 1e-9,
         else:
             for key, cell in block.cells.items():
                 group = [c for c in cols
-                         if (c.target_so4.j1.twice, c.target_so4.j2.twice,
+                         if (c.target_so4.tj1, c.target_so4.tj2,
                              c.mt1.twice, c.mt2.twice) == key]
                 d_num = np.sum(np.abs(cell) ** 2, axis=1)
                 d_ana = np.zeros(n)
@@ -545,4 +531,4 @@ def compare(source: IrrepLabel, tol: float = 1e-9,
                                    max_dev, proj_dev))
         if max_dev > tol or proj_dev > projector_tol:
             passed = False
-    return ComparisonReport(source, reports, passed, tol, projector_tol)
+    return ComparisonReport(source, reports, passed)

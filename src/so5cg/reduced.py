@@ -100,7 +100,7 @@ def normalization(family: Channel, source: IrrepLabel) -> SqrtSum:
 @lru_cache(maxsize=None)
 def mixing(source: IrrepLabel) -> MixingData:
     """Exact mixing data for the doubly-occurring diagonal target."""
-    b1, b2 = source.j1.as_fraction(), source.j2.as_fraction()
+    b1, b2 = Fraction(source.tj1, 2), Fraction(source.tj2, 2)
     x_rat = mixing_x_rational(b1, b2)
     h2 = mixing_h2(b1, b2)
     if x_rat == 0:
@@ -108,7 +108,7 @@ def mixing(source: IrrepLabel) -> MixingData:
         # (which may diverge here) is ever needed.
         x, x2 = ZERO, Fraction(0)
     else:
-        x = x_rat * normalization(Channel.of(0, 0, 1), source)
+        x = x_rat * normalization(Channel(0, 0, 1), source)
         x2 = (x * x).as_fraction()
     norm2 = h2 - x2
     if norm2 < 0:
@@ -133,8 +133,7 @@ def _transposition(dims: tuple[int, int], shift: tuple[int, int],
     """
     (d1, d2), part = shift, entry.part
     # d1 - d2, e1 + e2 and the part's doubled spins sum to even numbers.
-    phase = (d1 - d2 + entry.dj1.twice + entry.dj2.twice + part.j1.twice
-             + part.j2.twice) // 2
+    phase = (d1 - d2 + entry.tdj1 + entry.tdj2 + part.tj1 + part.tj2) // 2
     # sqrt(num/den) = sqrt(num*den)/den
     num, den = dims[1] * s.so3_dim, dims[0] * t.so3_dim
     outer, rad = sqrt_of_product((num, den))
@@ -147,11 +146,10 @@ def _transposed(source: IrrepLabel, channel: Channel):
     the transposed channel of the target: blocks swapped, entry negated."""
     target = valid_target(source, channel)
     (d1, d2), dims = channel.shift, (dim(source), dim(target))
-    mirrored = _row_values(target, Channel.of(-d1, -d2))
+    mirrored = _row_values(target, Channel(-d1, -d2))
 
     def value(s, entry, t):
-        flipped = ENTRY_BY_TWICE[(-entry.dj1.twice, -entry.dj2.twice,
-                                  entry.part.j1.twice)]
+        flipped = ENTRY_BY_TWICE[(-entry.tdj1, -entry.tdj2, entry.part.tj1)]
         return (_transposition(dims, (d1, d2), entry, s, t)
                 * mirrored(t, flipped, s))
     return value
@@ -164,7 +162,7 @@ def _second_copy(source: IrrepLabel):
     if mix.norm2 == 0:
         raise ChannelAbsent(
             f"second diagonal copy absent for source {source}")
-    copy1 = _row_values(source, Channel.of(0, 0, 1))
+    copy1 = _row_values(source, Channel(0, 0, 1))
     aux = _direct(AUX_TABLE, None, source)
     x, scale = mix.x, sqrt_rational(1 / mix.norm2)
 
@@ -195,7 +193,7 @@ def _evaluate(key: ReducedKey, values) -> SqrtSum:
     check_source_block(key.source, key.source_so4)
     target = valid_target(key.source, key.channel)
     value = values(key.source, key.channel)
-    t = reach(target, key.source_so4, key.entry.dj1.twice, key.entry.dj2.twice)
+    t = reach(target, key.source_so4, key.entry.tdj1, key.entry.tdj2)
     return ZERO if t is None else value(key.source_so4, key.entry, t)
 
 
@@ -246,7 +244,7 @@ def channel_present_by_normalization(source: IrrepLabel, channel: Channel) -> bo
         # Lowering presence mirrors the raising presence of the transposed pair.
         shift = channel.shift
         return channel_present_by_normalization(
-            target, Channel.of(-shift[0], -shift[1]))
+            target, Channel(-shift[0], -shift[1]))
     if channel.copy == 2:
         return mixing(source).norm2 > 0
     return all(v > 0 for v in _table_of(channel).factor_values(*source.twice))
@@ -266,7 +264,7 @@ def _vector(value, source: IrrepLabel, target_so4: So4Label) -> ReducedVector:
     coupling into one target SO(4) label whose source block exists."""
     out: ReducedVector = {}
     for entry in ENTRY_SHIFTS:
-        s = reach(source, target_so4, -entry.dj1.twice, -entry.dj2.twice)
+        s = reach(source, target_so4, -entry.tdj1, -entry.tdj2)
         if s is not None:
             out[(s, entry.part)] = value(s, entry, target_so4)
     return out
@@ -307,7 +305,7 @@ class ReducedRow:
 
 
 _TABLE_ENTRIES = tuple(sorted(
-    ENTRY_SHIFTS, key=lambda e: (e.dj1.twice, e.dj2.twice, e.part.j1.twice)))
+    ENTRY_SHIFTS, key=lambda e: (e.tdj1, e.tdj2, e.part.tj1)))
 
 
 def _table(value, source: IrrepLabel,
@@ -318,7 +316,7 @@ def _table(value, source: IrrepLabel,
     rows = []
     for s in branching(source):
         for entry in _TABLE_ENTRIES:
-            t = reach(target, s, entry.dj1.twice, entry.dj2.twice)
+            t = reach(target, s, entry.tdj1, entry.tdj2)
             rows.append(ReducedRow(s, entry, t,
                                    ZERO if t is None else value(s, entry, t)))
     return tuple(rows)

@@ -252,7 +252,7 @@ def _row(tdj1: int, tdj2: int, part: So4Label, sign: int, scale: str,
     const = _constant(
         sign, scale, srad, len(den_lins) - len(num_lins),
         len(outer_lins) + (0 if compiled is None else compiled.degree))
-    return RowSpec(EntryShift.of(tdj1, tdj2, part), sign, scale, srad, outer,
+    return RowSpec(EntryShift(tdj1, tdj2, part), sign, scale, srad, outer,
                    compiled, num, den, const, outer_lins, num_lins, den_lins)
 
 

@@ -95,7 +95,7 @@ def full_row_orthogonality(sources: tuple[IrrepLabel, ...]) -> Optional[str]:
 
 def mixing_identities(max_twice_j1: int) -> Optional[str]:
     """<aux, copy1> = X and <aux, aux> = H^2 exactly, per target SO(4) label."""
-    copy1 = Channel.of(0, 0, 1)
+    copy1 = Channel(0, 0, 1)
     for src in iter_labels(max_twice_j1):
         if not channel_present_by_normalization(src, copy1):
             continue
@@ -155,8 +155,7 @@ def guarded_zero_consistency(max_twice_j1: int) -> Optional[str]:
             tgt = target_of(src, ch)
             for s in branching(src):
                 for entry in ENTRY_SHIFTS:
-                    if reach(tgt, s, entry.dj1.twice,
-                             entry.dj2.twice) is not None:
+                    if reach(tgt, s, entry.tdj1, entry.tdj2) is not None:
                         continue
                     try:
                         v = table.bare_value(entry, *s.twice, *src.twice)
@@ -228,16 +227,16 @@ def _run(name: str, fn: Callable[[], Optional[str]]) -> CheckResult:
     return CheckResult(name, bad is None, bad)
 
 
-ORTHOGONALITY_SOURCES = tuple(IrrepLabel.of(*t) for t in
+ORTHOGONALITY_SOURCES = tuple(IrrepLabel(*t) for t in
                               [(0, 0), (1, 0), (1, 1), (2, 0), (2, 2), (3, 1), (4, 2)])
-ROW_SPOT_SOURCES = tuple(IrrepLabel.of(*t) for t in
+ROW_SPOT_SOURCES = tuple(IrrepLabel(*t) for t in
                          [(1, 0), (1, 1), (2, 0), (2, 2)])
 
 
 def suite_orthogonality(max_twice_j: int, *_) -> list[CheckResult]:
     full_bound = min(max_twice_j, 4)
     full_sources = tuple(s for s in ORTHOGONALITY_SOURCES
-                         if s.j1.twice <= full_bound)
+                         if s.tj1 <= full_bound)
     return [
         _run(f"reduced_unitarity <= {max_twice_j}",
              lambda: reduced_unitarity(max_twice_j)),
@@ -273,8 +272,8 @@ def suite_symmetry(max_twice_j: int, *_) -> list[CheckResult]:
 def _symmetry_example() -> Optional[str]:
     # (1,1) -> (0,0): one lowering component per 14-part
     lowering = {(p, p): symmetry_extend(ReducedKey(
-                    IrrepLabel.of(2, 2), Channel.of(-2, -2), p,
-                    EntryShift.of(-p.j1.twice, -p.j2.twice, p)))
+                    IrrepLabel(2, 2), Channel(-2, -2), p,
+                    EntryShift(-p.tj1, -p.tj2, p)))
                 for p in PARTS_14}
     value = lowering[(PART_11, PART_11)]
     if value * value != sqrt_rational(Fraction(81, 196)):
@@ -292,13 +291,13 @@ def suite_su2(max_twice_j: int, *_) -> list[CheckResult]:
     ]
 
 
-def suite_oracle(_max_twice_j: int, tol: float, source: Optional[IrrepLabel],
-                 projector_tol: float = 1e-8) -> list[CheckResult]:
+def suite_oracle(_max_twice_j: int, tol: float,
+                 source: Optional[IrrepLabel]) -> list[CheckResult]:
     from .oracle import compare, numeric_decompose
     from .labels import decompose_with_14
 
     def one(src: IrrepLabel) -> Optional[str]:
-        report = compare(src, tol=tol, projector_tol=projector_tol)
+        report = compare(src, tol=tol)
         if not report.passed:
             worst = max(report.blocks, key=lambda b: max(b.max_abs_dev,
                                                          b.projector_dev))
@@ -322,10 +321,10 @@ def suite_oracle(_max_twice_j: int, tol: float, source: Optional[IrrepLabel],
 
     checks = [_run("oracle_decompose dim<=35", content_sweep)]
     for t in [(1, 0), (1, 1), (2, 0)]:
-        src = IrrepLabel.of(*t)
+        src = IrrepLabel(*t)
         checks.append(_run(f"oracle_compare {src}", lambda s=src: one(s)))
     checks.append(_run("oracle_compare 3/2,1/2 (copy 2)",
-                       lambda: one(IrrepLabel.of(3, 1))))
+                       lambda: one(IrrepLabel(3, 1))))
     return checks
 
 

@@ -24,7 +24,7 @@ from so5cg.labels import (
 from so5cg.su2 import su2_cg
 from so5cg import verify
 
-FULL_SOURCES = tuple(IrrepLabel.of(*t) for t in
+FULL_SOURCES = tuple(IrrepLabel(*t) for t in
                      [(0, 0), (1, 0), (1, 1), (2, 0), (2, 2), (3, 1), (4, 2)])
 
 
@@ -78,7 +78,7 @@ def test_criterion_4_symmetry_involution_and_example(criterion):
 
 
 def test_criterion_5_trivial_source_signed_permutation(criterion):
-    matrix = coupling_matrix(IrrepLabel.of(0, 0))
+    matrix = coupling_matrix(IrrepLabel(0, 0))
     entries = list(matrix.iter_entries())
     ok_shape = matrix.shape == (14, 14) and len(entries) == 14
     ok_values = all(str(v) in ("1", "-1") for _, _, v in entries)
@@ -109,12 +109,12 @@ def test_criterion_6_oracle_equivalence(criterion):
 
     worst_moduli = 0.0
     for twice in ((1, 0), (1, 1), (2, 0)):
-        report = compare(IrrepLabel.of(*twice), tol=1e-9)
+        report = compare(IrrepLabel(*twice), tol=1e-9)
         worst_moduli = max(worst_moduli,
                            max(b.max_abs_dev for b in report.blocks))
 
     # smallest source with a second copy present (dim 81 exceeds the cap)
-    copy2_report = compare(IrrepLabel.of(3, 1), tol=1e-9, projector_tol=1e-8)
+    copy2_report = compare(IrrepLabel(3, 1), tol=1e-9, projector_tol=1e-8)
     proj_dev = max(b.projector_dev for b in copy2_report.blocks
                    if b.copy_count == 2)
     elapsed = time.monotonic() - start
@@ -153,8 +153,8 @@ def test_criterion_8_presence_logic(criterion):
     entries = decompose_with_14(FOURTEEN)
     audit = (len(entries) == 6
              and sum(e.multiplicity * dim(e.target) for e in entries) == 196
-             and multiplicity_of(FOURTEEN, IrrepLabel.of(3, 3)) == 0
-             and multiplicity_of(FOURTEEN, IrrepLabel.of(3, 1)) == 0)
+             and multiplicity_of(FOURTEEN, IrrepLabel(3, 3)) == 0
+             and multiplicity_of(FOURTEEN, IrrepLabel(3, 1)) == 0)
     passed = bad is None and audit
     criterion(8, passed,
               "channel presence = zero-factor = Racah-Speiser for 2*j1 <= 6; "

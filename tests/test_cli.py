@@ -402,6 +402,23 @@ def test_eval_full_rejects_a_block_outside_the_source(capsys, key):
                    f"source 0,0\n")
 
 
+@pytest.mark.parametrize("magnetic,message", [
+    (("--m", "7,7", "--part-m", "0,0"),
+     "magnetic label 7 invalid for source spin 0"),
+    (("--m", "0,0", "--part-m", "5,0"),
+     "magnetic label 5 invalid for part spin 1"),
+], ids=["source-m", "part-m"])
+def test_eval_full_rejects_an_invalid_magnetic_label(capsys, magnetic,
+                                                     message):
+    # The magnetic labels of the product state are checked before an entry
+    # that takes the source block to a negative spin gives 0.
+    code, out, err = run(capsys, "eval", "--source", "1,1", "--channel=+1,+1",
+                         "--source-so4", "0,0", "--entry=-1,-1",
+                         "--part", "1,1", *magnetic)
+    assert (code, out) == (2, "")
+    assert err == f"malformed key: {message}\n"
+
+
 def test_eval_target_m_alone_exits_2(capsys):
     # --target-m only means something on the full path, like a lone --m.
     code, out, err = run(capsys, "eval", "--source", "1,1", "--channel=+1,+1",

@@ -11,8 +11,10 @@ from so5cg.fullcg import (
     CouplingMatrix,
     RowState,
     column_gram_deviation,
+    coupled_cols,
     coupling_matrix,
     full,
+    product_rows,
     row_gram_deviation,
 )
 from so5cg.labels import (
@@ -23,21 +25,22 @@ from so5cg.labels import (
     PART_HH,
     So4Label,
     dim,
+    iter_labels,
 )
 from so5cg.oracle import DEFAULT_CAP
 
 H = HalfInt
 
 
-TRIVIAL = IrrepLabel.of(0, 0)
+TRIVIAL = IrrepLabel(0, 0)
 
 
 def trivial_row(tdm1: int, tdm2: int) -> RowState:
-    return RowState(So4Label.of(0, 0), H(0), H(0), PART_11, H(tdm1), H(tdm2))
+    return RowState(So4Label(0, 0), H(0), H(0), PART_11, H(tdm1), H(tdm2))
 
 
 def fourteen_col(tdm1: int, tdm2: int) -> ColState:
-    return ColState(IrrepLabel.of(2, 2), 1, So4Label.of(2, 2), H(tdm1), H(tdm2))
+    return ColState(IrrepLabel(2, 2), 1, So4Label(2, 2), H(tdm1), H(tdm2))
 
 
 def test_trivial_source_embeds_each_14_state():
@@ -58,9 +61,9 @@ def test_magnetic_validation():
 def test_source_block_is_checked_before_any_zero():
     # (1,1) is no block of the trivial source: the key is malformed even
     # where m-conservation alone would make it 0.
-    row = RowState(So4Label.of(2, 2), H(0), H(0), PART_11, H(2), H(2))
+    row = RowState(So4Label(2, 2), H(0), H(0), PART_11, H(2), H(2))
     with pytest.raises(MalformedKey, match="not a block of source 0,0"):
-        full(TRIVIAL, row, ColState(IrrepLabel.of(2, 2), 1, So4Label.of(4, 4),
+        full(TRIVIAL, row, ColState(IrrepLabel(2, 2), 1, So4Label(4, 4),
                                     H(0), H(0)))
 
 
@@ -68,11 +71,11 @@ def test_full_factorizes_reduced_times_su2():
     from so5cg.reduced import ReducedKey, reduced
     from so5cg.labels import EntryShift
     from so5cg.su2 import su2_cg
-    src = IrrepLabel.of(1, 0)
-    row = RowState(So4Label.of(1, 0), H(1), H(0), PART_HH, H(1), H(1))
-    col = ColState(IrrepLabel.of(2, 1), 1, So4Label.of(2, 1), H(2), H(1))
-    r = reduced(ReducedKey(src, Channel.of(1, 1), So4Label.of(1, 0),
-                           EntryShift.of(1, 1, PART_HH)))
+    src = IrrepLabel(1, 0)
+    row = RowState(So4Label(1, 0), H(1), H(0), PART_HH, H(1), H(1))
+    col = ColState(IrrepLabel(2, 1), 1, So4Label(2, 1), H(2), H(1))
+    r = reduced(ReducedKey(src, Channel(1, 1), So4Label(1, 0),
+                           EntryShift(1, 1, PART_HH)))
     expected = r * su2_cg(1, 1, 1, 1, 2, 2) * su2_cg(0, 0, 1, 1, 1, 1)
     assert full(src, row, col) == expected
     assert expected == sqrt_rational(Fraction(1, 7))
@@ -81,7 +84,7 @@ def test_full_factorizes_reduced_times_su2():
 @pytest.mark.parametrize("twice", [(1, 0), (2, 2), (3, 1)])
 def test_full_is_the_coupling_matrix_entry(twice):
     # (3/2,1/2) has a second diagonal copy and every lowering channel.
-    src = IrrepLabel.of(*twice)
+    src = IrrepLabel(*twice)
     matrix = coupling_matrix(src)
     sectors = {}
     for i, row in enumerate(matrix.rows):
@@ -95,7 +98,7 @@ def test_full_is_the_coupling_matrix_entry(twice):
 
 
 def test_trivial_coupling_matrix_is_signed_permutation():
-    matrix = coupling_matrix(IrrepLabel.of(0, 0))
+    matrix = coupling_matrix(IrrepLabel(0, 0))
     assert matrix.shape == (14, 14)
     nonzero = list(matrix.iter_entries())
     assert len(nonzero) == 14
@@ -108,7 +111,7 @@ def test_trivial_coupling_matrix_is_signed_permutation():
 
 
 def test_coupling_matrix_1_1_block_structure():
-    matrix = coupling_matrix(IrrepLabel.of(2, 2))
+    matrix = coupling_matrix(IrrepLabel(2, 2))
     assert matrix.shape == (196, 196)
     targets = {c.target.twice for c in matrix.cols}
     assert targets == {(0, 0), (2, 0), (2, 2), (4, 0), (4, 2), (4, 4)}
@@ -116,7 +119,7 @@ def test_coupling_matrix_1_1_block_structure():
 
 
 def test_coupling_matrix_half_0_exact_unitary_both_ways():
-    matrix = coupling_matrix(IrrepLabel.of(1, 0))
+    matrix = coupling_matrix(IrrepLabel(1, 0))
     assert matrix.shape == (56, 56)
     assert column_gram_deviation(matrix) is None
     assert row_gram_deviation(matrix) is None
@@ -124,28 +127,30 @@ def test_coupling_matrix_half_0_exact_unitary_both_ways():
 
 def test_dimension_audit():
     for twice in ((0, 0), (1, 1), (2, 0), (3, 1)):
-        src = IrrepLabel.of(*twice)
+        src = IrrepLabel(*twice)
         matrix = coupling_matrix(src)
         assert matrix.shape == (14 * dim(src), 14 * dim(src))
 
 
 def test_matrix_export_shapes():
-    matrix = coupling_matrix(IrrepLabel.of(1, 0))
+    matrix = coupling_matrix(IrrepLabel(1, 0))
     csv_rows = list(matrix.to_csv_rows())
     assert csv_rows[0][-1] == "value"
     assert len(csv_rows) == 1 + sum(1 for _ in matrix.iter_entries())
 
 
 def test_row_order_is_lexicographic():
-    matrix = coupling_matrix(IrrepLabel.of(1, 0))
-    keys = [r.sort_key() for r in matrix.rows]
-    assert keys == sorted(keys)
-    ckeys = [c.sort_key() for c in matrix.cols]
-    assert ckeys == sorted(ckeys)
+    # product_rows and coupled_cols build their states in sort_key order,
+    # copy 2 at (3/2,1/2) and side 770 at (2,2) included.
+    for source in iter_labels(4):
+        keys = [r.sort_key() for r in product_rows(source)]
+        assert keys == sorted(keys), source
+        ckeys = [c.sort_key() for c in coupled_cols(source)]
+        assert ckeys == sorted(ckeys), source
 
 
 def test_gram_deviation_reports_labels_and_exact_value():
-    matrix = coupling_matrix(IrrepLabel.of(1, 0))
+    matrix = coupling_matrix(IrrepLabel(1, 0))
     col = max(matrix.cols, key=lambda c: len(matrix.columns[c]))
     column = matrix.columns[col]
     columns = dict(matrix.columns)
@@ -167,7 +172,7 @@ def test_gram_deviation_reports_labels_and_exact_value():
 def test_exact_orthonormality_above_the_oracle_cap(twice):
     # The numeric oracle stops at dimension 64; the exact column and row
     # Gram checks carry orthonormality past it.
-    src = IrrepLabel.of(*twice)
+    src = IrrepLabel(*twice)
     assert dim(src) > DEFAULT_CAP
     matrix = coupling_matrix(src)
     assert column_gram_deviation(matrix) is None

@@ -108,7 +108,7 @@ def verify_digest(suite: str, max_twice_j: int) -> str:
 def matrix_digest(twice: tuple[int, int]) -> str:
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(
-        coupling_matrix(IrrepLabel.of(*twice)).to_csv_rows())
+        coupling_matrix(IrrepLabel(*twice)).to_csv_rows())
     return hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
 
 

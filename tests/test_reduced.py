@@ -39,57 +39,57 @@ from so5cg.reduced import (
     table_rows,
 )
 
-A = Channel.of(2, 2)
-B = Channel.of(2, 0)
-E = Channel.of(1, 1)
-G1 = Channel.of(0, 0, 1)
-G2 = Channel.of(0, 0, 2)
+A = Channel(2, 2)
+B = Channel(2, 0)
+E = Channel(1, 1)
+G1 = Channel(0, 0, 1)
+G2 = Channel(0, 0, 2)
 
 small_labels = st.sampled_from(list(iter_labels(5)))
 
 
 def test_normalization_anchors():
-    assert str(normalization(A, IrrepLabel.of(0, 0))) == "1/180*sqrt(30)"
-    assert str(normalization(E, IrrepLabel.of(1, 0))) == "2/315*sqrt(210)"
+    assert str(normalization(A, IrrepLabel(0, 0))) == "1/180*sqrt(30)"
+    assert str(normalization(E, IrrepLabel(1, 0))) == "2/315*sqrt(210)"
     # 4*1*4 + 11*29*2 + 1*3*1*7 = 675 under the diagonal bracket
-    assert str(normalization(G1, IrrepLabel.of(2, 2))) == "2/45*sqrt(15)"
+    assert str(normalization(G1, IrrepLabel(2, 2))) == "2/45*sqrt(15)"
 
 
 def test_normalization_absent_channels():
     with pytest.raises(ChannelAbsent):
-        normalization(B, IrrepLabel.of(2, 0))  # factor j2 = 0
+        normalization(B, IrrepLabel(2, 0))  # factor j2 = 0
     with pytest.raises(ChannelAbsent):
-        normalization(E, IrrepLabel.of(2, 2))  # factor j1 - j2 = 0
+        normalization(E, IrrepLabel(2, 2))  # factor j1 - j2 = 0
     with pytest.raises(ChannelAbsent):
-        normalization(Channel.of(2, -2), IrrepLabel.of(2, 0))  # target j2 < 0
+        normalization(Channel(2, -2), IrrepLabel(2, 0))  # target j2 < 0
     with pytest.raises(MalformedKey):
-        normalization(Channel.of(-2, 0), IrrepLabel.of(4, 2))
+        normalization(Channel(-2, 0), IrrepLabel(4, 2))
 
 
 def test_reduced_trivial_source_values():
-    key = ReducedKey(IrrepLabel.of(0, 0), A, So4Label.of(0, 0),
-                     EntryShift.of(2, 2, PART_11))
+    key = ReducedKey(IrrepLabel(0, 0), A, So4Label(0, 0),
+                     EntryShift(2, 2, PART_11))
     assert reduced(key) == ONE
-    key = ReducedKey(IrrepLabel.of(0, 0), A, So4Label.of(0, 0),
-                     EntryShift.of(0, 0, PART_00))
+    key = ReducedKey(IrrepLabel(0, 0), A, So4Label(0, 0),
+                     EntryShift(0, 0, PART_00))
     assert reduced(key) == ONE
 
 
 def test_reduced_guarded_zero():
     # source (1,0), channel (+1,+1): shifted targets outside branching((2,1))
-    src = IrrepLabel.of(2, 0)
-    for block, entry in ((So4Label.of(1, 1), EntryShift.of(-1, -1, PART_HH)),
-                         (So4Label.of(2, 0), EntryShift.of(2, 0, PART_11))):
+    src = IrrepLabel(2, 0)
+    for block, entry in ((So4Label(1, 1), EntryShift(-1, -1, PART_HH)),
+                         (So4Label(2, 0), EntryShift(2, 0, PART_11))):
         assert reduced(ReducedKey(src, A, block, entry)) == ZERO
     # (+1,0) is absent at (1,0): its entries that reach no block raise too.
-    for entry in (EntryShift.of(2, 2, PART_11), EntryShift.of(1, -1, PART_HH)):
+    for entry in (EntryShift(2, 2, PART_11), EntryShift(1, -1, PART_HH)):
         with pytest.raises(ChannelAbsent):
-            reduced(ReducedKey(src, B, So4Label.of(1, 1), entry))
+            reduced(ReducedKey(src, B, So4Label(1, 1), entry))
 
 
 def test_reduced_block_validation():
-    key = ReducedKey(IrrepLabel.of(2, 0), B, So4Label.of(2, 2),
-                     EntryShift.of(0, 0, PART_00))
+    key = ReducedKey(IrrepLabel(2, 0), B, So4Label(2, 2),
+                     EntryShift(0, 0, PART_00))
     with pytest.raises(MalformedKey):
         reduced(key)
 
@@ -119,45 +119,45 @@ def test_absent_channel_raises_for_every_key():
 def test_vectors_reject_a_block_outside_the_target():
     # A target block outside the target's branching is malformed, as a
     # source block outside the source's is for a single key.
-    src = IrrepLabel.of(3, 1)
+    src = IrrepLabel(3, 1)
     with pytest.raises(MalformedKey, match="not a block of target 5/2,1/2"):
-        reduced_vector(src, Channel.of(2, 0), So4Label.of(6, 6))
+        reduced_vector(src, Channel(2, 0), So4Label(6, 6))
     with pytest.raises(MalformedKey, match="not a block of target 3/2,1/2"):
-        aux_vector(src, So4Label.of(0, 0))
+        aux_vector(src, So4Label(0, 0))
     with pytest.raises(MalformedKey, match="not a block of target 3/2,1/2"):
-        reduced_vector(src, G2, So4Label.of(4, 4))
+        reduced_vector(src, G2, So4Label(4, 4))
 
 
 def test_mixing_values():
-    m = mixing(IrrepLabel.of(2, 0))
+    m = mixing(IrrepLabel(2, 0))
     assert str(m.x) == "-4/5*sqrt(105)"
     assert m.h2 == Fraction(336, 5)
     assert m.norm2 == 0
-    m = mixing(IrrepLabel.of(2, 1))
+    m = mixing(IrrepLabel(2, 1))
     assert m.h2 == Fraction(105, 32)
     assert m.norm2 == 0
-    m = mixing(IrrepLabel.of(2, 2))
+    m = mixing(IrrepLabel(2, 2))
     assert m.x == ZERO
     assert m.h2 == 0
-    m = mixing(IrrepLabel.of(3, 1))
+    m = mixing(IrrepLabel(3, 1))
     assert (m.x * m.x).as_fraction() == Fraction(34656, 395)
     assert m.h2 == Fraction(1464, 5)
     assert m.norm2 == Fraction(16200, 79)
-    m = mixing(IrrepLabel.of(4, 2))
+    m = mixing(IrrepLabel(4, 2))
     assert str(m.x) == "-4*sqrt(14)"
     assert m.h2 == 840
     assert m.norm2 == 616
 
 
 def test_copy2_absent_for_1_1():
-    key = ReducedKey(IrrepLabel.of(2, 2), G2, So4Label.of(2, 2),
-                     EntryShift.of(0, 0, PART_00))
+    key = ReducedKey(IrrepLabel(2, 2), G2, So4Label(2, 2),
+                     EntryShift(0, 0, PART_00))
     with pytest.raises(ChannelAbsent):
         reduced(key)
 
 
 def test_copy2_unitarity_smallest_source():
-    src = IrrepLabel.of(3, 1)
+    src = IrrepLabel(3, 1)
     for t in branching(src):
         c1 = reduced_vector(src, G1, t)
         c2 = reduced_vector(src, G2, t)
@@ -169,31 +169,31 @@ def test_copy2_unitarity_smallest_source():
 
 def test_aux_examples():
     # final companion row at j1 = j2 = 1 on source (1,1): H^2 = 0 forces 0
-    key = ReducedKey(IrrepLabel.of(2, 2), G1, So4Label.of(2, 2),
-                     EntryShift.of(0, 0, PART_00))
+    key = ReducedKey(IrrepLabel(2, 2), G1, So4Label(2, 2),
+                     EntryShift(0, 0, PART_00))
     assert reduced_aux(key) == ZERO
     # prefactor (j1 - j2)^2 kills the (+1,+1) companion entry at j1 = j2
-    key = ReducedKey(IrrepLabel.of(3, 1), G1, So4Label.of(1, 1),
-                     EntryShift.of(2, 2, PART_11))
+    key = ReducedKey(IrrepLabel(3, 1), G1, So4Label(1, 1),
+                     EntryShift(2, 2, PART_11))
     assert reduced_aux(key) == ZERO
     # shifting j2 = 0 down leaves the branching, as for reduced()
-    key = ReducedKey(IrrepLabel.of(3, 1), G1, So4Label.of(2, 0),
-                     EntryShift.of(1, -1, PART_HH))
+    key = ReducedKey(IrrepLabel(3, 1), G1, So4Label(2, 0),
+                     EntryShift(1, -1, PART_HH))
     assert reduced_aux(key) == ZERO
 
 
 def test_aux_rejects_a_non_diagonal_channel_and_a_foreign_block():
-    entry = EntryShift.of(0, 0, PART_00)
+    entry = EntryShift(0, 0, PART_00)
     with pytest.raises(MalformedKey):
-        reduced_aux(ReducedKey(IrrepLabel.of(3, 1), A, So4Label.of(2, 0),
+        reduced_aux(ReducedKey(IrrepLabel(3, 1), A, So4Label(2, 0),
                                entry))
     with pytest.raises(MalformedKey):
-        reduced_aux(ReducedKey(IrrepLabel.of(3, 1), G1, So4Label.of(6, 6),
+        reduced_aux(ReducedKey(IrrepLabel(3, 1), G1, So4Label(6, 6),
                                entry))
 
 
 def test_mixing_identities_per_target_block():
-    src = IrrepLabel.of(4, 2)
+    src = IrrepLabel(4, 2)
     mix = mixing(src)
     for t in branching(src):
         aux = aux_vector(src, t)
@@ -204,8 +204,8 @@ def test_mixing_identities_per_target_block():
 
 def lowering_from_1_1(block: So4Label) -> ReducedKey:
     # (1,1) -> (0,0): the one entry of each source block that reaches (0,0)
-    return ReducedKey(IrrepLabel.of(2, 2), Channel.of(-2, -2), block,
-                      EntryShift.of(-block.j1.twice, -block.j2.twice, block))
+    return ReducedKey(IrrepLabel(2, 2), Channel(-2, -2), block,
+                      EntryShift(-block.tj1, -block.tj2, block))
 
 
 def test_symmetry_lowering_example():
@@ -222,16 +222,16 @@ def test_symmetry_rejects_a_diagonal_key():
     # A diagonal key has no transpose; labels that no single channel shift
     # relates cannot be written as a key at all.
     with pytest.raises(MalformedKey):
-        symmetry_extend(ReducedKey(IrrepLabel.of(2, 0), G1, So4Label.of(0, 0),
-                                   EntryShift.of(0, 0, PART_00)))
+        symmetry_extend(ReducedKey(IrrepLabel(2, 0), G1, So4Label(0, 0),
+                                   EntryShift(0, 0, PART_00)))
     with pytest.raises(MalformedKey):
-        Channel.of(-4, 0)
+        Channel(-4, 0)
 
 
 def test_lowering_channel_through_reduced():
     # reduced() dispatches lowering keys through the symmetry relation
-    key = ReducedKey(IrrepLabel.of(2, 2), Channel.of(-2, -2),
-                     So4Label.of(2, 2), EntryShift.of(-2, -2, PART_11))
+    key = ReducedKey(IrrepLabel(2, 2), Channel(-2, -2),
+                     So4Label(2, 2), EntryShift(-2, -2, PART_11))
     assert reduced(key) == sqrt_rational(Fraction(9, 14))
 
 
@@ -257,19 +257,19 @@ def test_presence_agreement(src):
 
 
 def test_table_rows_shape_and_order():
-    rows = table_rows(IrrepLabel.of(0, 0), A)
+    rows = table_rows(IrrepLabel(0, 0), A)
     assert len(rows) == 14
     values = sorted(str(r.value) for r in rows)
     assert values == ["0"] * 11 + ["1"] * 3
-    keys = [(r.source_so4.twice, (r.entry.dj1.twice, r.entry.dj2.twice,
-                                  r.entry.part.j1.twice)) for r in rows]
+    keys = [(r.source_so4.twice, (r.entry.tdj1, r.entry.tdj2,
+                                  r.entry.part.tj1)) for r in rows]
     assert keys == sorted(keys)
     with pytest.raises(ChannelAbsent):
-        table_rows(IrrepLabel.of(0, 0), Channel.of(-2, -2))
+        table_rows(IrrepLabel(0, 0), Channel(-2, -2))
 
 
 def test_aux_table_rows_match_direct_evaluation():
-    src = IrrepLabel.of(3, 1)
+    src = IrrepLabel(3, 1)
     rows = aux_table_rows(src)
     assert len(rows) == 14 * len(branching(src))
     for row in rows[:20]:
@@ -310,7 +310,7 @@ def test_table_export_normalizes_each_channel_once(monkeypatch):
         return build(self, b1, b2)
 
     monkeypatch.setattr(ChannelTable, "normalization", counted)
-    src = IrrepLabel.of(7, 3)
+    src = IrrepLabel(7, 3)
     for ch in channels_present(src):
         normalization.cache_clear()
         mixing.cache_clear()
@@ -362,8 +362,8 @@ def test_table_export_evaluates_only_rows_that_reach_a_block(monkeypatch):
         return bare(self, entry, *spins)
 
     monkeypatch.setattr(ChannelTable, "bare_value", counted)
-    source = IrrepLabel.of(7, 3)
-    rows = table_rows(source, Channel.of(2, 0))
+    source = IrrepLabel(7, 3)
+    rows = table_rows(source, Channel(2, 0))
     reaching = [row for row in rows if row.target_so4 is not None]
     assert 0 < len(reaching) < len(rows)
     assert all(row.value == ZERO for row in rows if row.target_so4 is None)
@@ -392,7 +392,7 @@ def test_table_rows_equal_single_key_evaluation(src, data):
                     (row.source_so4, row.entry.part)], str(row)
         return
     target = target_of(src, channel)
-    (d1, d2), mirror = channel.shift, Channel.of(*(-d for d in channel.shift))
+    (d1, d2), mirror = channel.shift, Channel(*(-d for d in channel.shift))
     for row in table_rows(src, channel):
         key = ReducedKey(src, channel, row.source_so4, row.entry)
         assert row.value == reduced(key), (str(channel), str(row))
@@ -401,10 +401,10 @@ def test_table_rows_equal_single_key_evaluation(src, data):
                 (row.source_so4, row.entry.part)], (str(channel), str(row))
         if channel.is_lowering and row.target_so4 is not None:
             s, t, e = row.source_so4, row.target_so4, row.entry
-            phase = (d1 - d2 + e.dj1.twice + e.dj2.twice + e.part.j1.twice
-                     + e.part.j2.twice) // 2
+            phase = (d1 - d2 + e.tdj1 + e.tdj2 + e.part.tj1
+                     + e.part.tj2) // 2
             ratio = Fraction(dim(target) * s.so3_dim, dim(src) * t.so3_dim)
-            flipped = EntryShift.of(-e.dj1.twice, -e.dj2.twice, e.part)
+            flipped = EntryShift(-e.tdj1, -e.tdj2, e.part)
             transposed = reduced(ReducedKey(target, mirror, t, flipped))
             sign = -1 if phase % 2 else 1
             assert row.value == sign * sqrt_rational(ratio) * transposed, (

@@ -1,6 +1,7 @@
 """Source-level rules for the package."""
 
 import ast
+import dataclasses
 import json
 import os
 import subprocess
@@ -138,6 +139,25 @@ def test_unbounded_memos_are_per_label_source_or_formula():
         "_constant", "engine_fingerprint", "branching", "decompose_with_14"])
 
 
+def test_label_records_hold_doubled_ints():
+    # A label record holds its spins and shifts as plain doubled ints (an
+    # entry's part is an So4Label of them); HalfInt is only the text form
+    # of one spin and the magnetic-label type. The dataclass constructor
+    # takes the ints, so no record has an `of` constructor beside it.
+    from so5cg.labels import Channel, EntryShift, IrrepLabel, So4Label
+    want = {
+        So4Label: {"tj1": "int", "tj2": "int"},
+        IrrepLabel: {"tj1": "int", "tj2": "int"},
+        Channel: {"tdj1": "int", "tdj2": "int", "copy": "int"},
+        EntryShift: {"tdj1": "int", "tdj2": "int", "part": "So4Label"},
+    }
+    for record, types in want.items():
+        got = {f.name: f.type if isinstance(f.type, str) else f.type.__name__
+               for f in dataclasses.fields(record)}
+        assert got == types, record.__name__
+        assert not hasattr(record, "of"), record.__name__
+
+
 BENCH_TRACE = """
 import json, sys
 from tracing import Tracer, install
@@ -154,7 +174,7 @@ codes = [cli.main(["table", "--source", "2,1", "--channel=-1,-1",
                    "--source-so4", "3/2,1/2", "--entry=+1/2,+1/2",
                    "--part", "1/2,1/2", "--m", "1/2,-1/2",
                    "--part-m=-1/2,1/2"])]
-matrix = fullcg.coupling_matrix(IrrepLabel.of(1, 0))
+matrix = fullcg.coupling_matrix(IrrepLabel(1, 0))
 gram = fullcg.column_gram_deviation(matrix)
 summary = tracer.summary()
 calls, counters = summary["calls"], summary["counters"]

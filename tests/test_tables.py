@@ -133,9 +133,9 @@ def test_compiled_polynomial_equals_its_source(name, poly):
 def test_rows_match_their_formulas(name):
     table = TABLES[name]
     for src in SOURCES:
-        b1, b2 = src.j1.as_fraction(), src.j2.as_fraction()
+        b1, b2 = Fraction(src.tj1, 2), Fraction(src.tj2, 2)
         for s in branching(src):
-            j1, j2 = s.j1.as_fraction(), s.j2.as_fraction()
+            j1, j2 = Fraction(s.tj1, 2), Fraction(s.tj2, 2)
             values: dict = {}
             for entry in ENTRY_SHIFTS:
                 got = evaluated(table.bare_value, entry, *s.twice,
@@ -150,7 +150,7 @@ def test_rows_match_their_formulas(name):
 def test_normalization_matches_its_formula(name):
     table = TABLES[name]
     for src in SOURCES:
-        b1, b2 = src.j1.as_fraction(), src.j2.as_fraction()
+        b1, b2 = Fraction(src.tj1, 2), Fraction(src.tj2, 2)
         got = table.factor_values(*src.twice)
         want = [reference_factor(f.source, b1, b2) for f in table.norm_factors]
         assert [Fraction(v, 2 ** f.degree) for f, v in

@@ -29,7 +29,7 @@ def test_check_result_json_shape():
 
 
 def test_oracle_suite_single_source():
-    results = verify.run_suite("oracle", source=IrrepLabel.of(1, 0))
+    results = verify.run_suite("oracle", source=IrrepLabel(1, 0))
     assert len(results) == 1
     assert results[0].passed
 
@@ -70,7 +70,7 @@ def test_reduced_unitarity_reports_a_scaled_component(monkeypatch):
     # with an earlier channel before its own norm; the expected text was
     # recorded from the pairwise loop that the Gram routine replaced.
     original = verify.reduced_vector
-    faulty = (IrrepLabel.of(3, 1), Channel.of(0, 0, 2), So4Label.of(3, 1))
+    faulty = (IrrepLabel(3, 1), Channel(0, 0, 2), So4Label(3, 1))
 
     def scaled(source, channel, target_so4):
         vector = dict(original(source, channel, target_so4))
