@@ -1,16 +1,17 @@
-"""Content-addressed on-disk cache for computed coefficient tables.
+"""Content-addressed on-disk cache of exported documents.
 
 The cache directory comes from the SO5CG_CACHE environment variable; when it
-is unset the cache is disabled and every lookup misses. Keys hash a
-fingerprint of the package's own source files together with the request, so
-any change to the engine's sources changes every key and stale entries are
-never replayed. Payloads round-trip bit-exactly through the exact
-number JSON encoding, which keeps cache hits byte-identical to cold runs.
-Each entry carries a sha256 of its payload; an entry that is unreadable, has
-another schema or key, or whose payload does not hash to that digest is a
-miss, so any changed byte of a payload is recomputed rather than printed.
-Each writer goes through its own temporary file, so concurrent writers of
-one key never see each other's partial files.
+is unset the cache is disabled and every lookup misses. An entry holds the
+text of one exported document (a table, decomposition or branching, in CSV
+or JSON), so a hit prints exactly the bytes the cold run printed. Keys hash
+a fingerprint of the package's own source files together with the request
+and its format, so any change to the engine's sources changes every key and
+stale entries are never replayed. Each entry carries a sha256 of the UTF-8
+bytes of its text; an entry that is unreadable, has another schema or key,
+holds no text, or whose text does not hash to that digest is a miss, so any
+changed byte is recomputed rather than printed. Each writer goes through its
+own temporary file, so concurrent writers of one key never see each other's
+partial files.
 
 The cache is not an authentication boundary: the digest detects corruption,
 not tampering, and an entry whose digest matches is trusted as this engine's
@@ -52,13 +53,12 @@ def cache_dir() -> Optional[Path]:
     return Path(root)
 
 
-def _digest(payload) -> str:
-    text = json.dumps(payload, sort_keys=True)
+def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def load(key: str) -> Optional[dict]:
-    """The payload stored under key, or None on a miss or a corrupt entry."""
+def load(key: str) -> Optional[str]:
+    """The text stored under key, or None on a miss or a corrupt entry."""
     root = cache_dir()
     if root is None:
         return None
@@ -66,16 +66,17 @@ def load(key: str) -> Optional[dict]:
     try:
         with path.open("r", encoding="utf-8") as fh:
             entry = json.load(fh)
+        # A text with a lone surrogate does not encode: a ValueError too.
+        if (isinstance(entry, dict) and isinstance(entry.get("payload"), str)
+                and entry.get("schema") == SCHEMA and entry.get("key") == key
+                and entry.get("sha256") == _digest(entry["payload"])):
+            return entry["payload"]
     except (FileNotFoundError, ValueError):
-        return None
-    if (isinstance(entry, dict) and entry.get("schema") == SCHEMA
-            and entry.get("key") == key
-            and entry.get("sha256") == _digest(entry.get("payload"))):
-        return entry["payload"]
+        pass
     return None
 
 
-def store(key: str, payload: dict) -> None:
+def store(key: str, text: str) -> None:
     root = cache_dir()
     if root is None:
         return
@@ -85,8 +86,8 @@ def store(key: str, payload: dict) -> None:
         "kind": "cache_entry",
         "key": key,
         "created_at": datetime.now(timezone.utc).isoformat(),
-        "sha256": _digest(payload),
-        "payload": payload,
+        "sha256": _digest(text),
+        "payload": text,
     }
     fd, tmp = tempfile.mkstemp(prefix=f"{key}.", suffix=".tmp", dir=root)
     try:

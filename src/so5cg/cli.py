@@ -4,16 +4,16 @@ Exit codes: 0 success, 1 failed verification, 2 malformed key, 3 absent
 channel, 4 I/O error, 5 request outside the supported domain. Labels use the
 "a,b" syntax with half-integers written as fractions ("3/2"); JSON output
 carries doubled integers for exactness.
-All output is deterministic, and cache hits render byte-identically to cold
-computations because both paths render from the same canonical payload.
+All output is deterministic. Table, decompose and branch exports render
+straight from the computed rows to CSV or JSON text, and that text is what
+the disk cache stores, under the request and the format, so a cache hit
+prints the bytes of the cold run.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import sys
 from typing import Optional
@@ -81,11 +81,16 @@ def _parse_pair(text: str, what: str) -> tuple[HalfInt, HalfInt]:
 
 def _channel_of(source: IrrepLabel, args):
     if args.channel is not None:
+        # The channel string carries its own target shift and copy.
+        if args.target is not None or args.copy is not None:
+            raise MalformedKey("--channel cannot be combined with --target "
+                               "or --copy; write the copy as '0,0#2'")
         return _parse_channel(args.channel)
     if args.target is None:
         raise MalformedKey("need either --target or --channel")
     target = IrrepLabel.parse(args.target)
-    return Channel(target.tj1 - source.tj1, target.tj2 - source.tj2, args.copy)
+    return Channel(target.tj1 - source.tj1, target.tj2 - source.tj2,
+                   args.copy or 1)
 
 
 def _parse_part(text: str) -> So4Label:
@@ -144,17 +149,23 @@ def _eval_full(args, source: IrrepLabel, channel: Channel,
     # An invalid product state is malformed before an entry that takes the
     # source block to a negative spin is 0.
     check_row(source, row)
-    target_so4 = source_so4.shifted(entry.tdj1, entry.tdj2)
-    if target_so4 is None:
+    tj1, tj2 = source_so4.tj1 + entry.tdj1, source_so4.tj2 + entry.tdj2
+    if tj1 < 0 or tj2 < 0:
         return ZERO
     return full(source, row,
-                ColState(target, channel.copy, target_so4, tm1, tm2))
+                ColState(target, channel.copy, So4Label(tj1, tj2), tm1, tm2))
 
 
 def _json_doc(kind: str, fields: dict) -> str:
     doc = {"schema": cache.SCHEMA, "kind": kind}
     doc.update(fields)
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def _csv(header: list, rows) -> str:
+    """CSV text of header and rows, as csv.writer writes it: no cell of an
+    export holds a comma, a quote or a line break, so none is quoted."""
+    return "".join(",".join(map(str, row)) + "\n" for row in [header, *rows])
 
 
 # A table document as json.dumps(doc, sort_keys=True, indent=2) writes it,
@@ -182,9 +193,9 @@ _ROW_JSON = """    {
     }"""
 _T_JSON = "[\n        %d,\n        %d\n      ]"
 _TERM_JSON = """          {
-            "den": "%s",
-            "num": "%s",
-            "rad": "%s"
+            "den": "%d",
+            "num": "%d",
+            "rad": "%d"
           }"""
 
 
@@ -194,120 +205,99 @@ def _json_list(items: list[str], indent: str) -> str:
     return "[\n" + ",\n".join(items) + "\n" + indent + "]"
 
 
-def _table_json(payload: dict) -> str:
-    """_json_doc("table", payload) for a canonical table payload, freshly
-    built or a cache entry whose digest matched."""
-    rows = [_ROW_JSON % (
-        *row["entry"], *row["part"], *row["s"],
-        "null" if row["t"] is None else _T_JSON % tuple(row["t"]),
-        _json_list([_TERM_JSON % (term["den"], term["num"], term["rad"])
-                    for term in row["value"]["terms"]], " " * 8))
-        for row in payload["rows"]]
-    return _TABLE_JSON % (json.dumps(payload["channel"]),
-                          _json_list(rows, "  "), json.dumps(cache.SCHEMA),
-                          json.dumps(payload["source"]))
+def _table_json(source: IrrepLabel, channel_text: str, rows) -> str:
+    """The table document of rows, each value as its (rad, num, den) terms
+    in decimal strings."""
+    items = [_ROW_JSON % (
+        row.entry.tdj1, row.entry.tdj2, *row.entry.part.twice,
+        *row.source_so4.twice,
+        "null" if row.target_so4 is None else _T_JSON % row.target_so4.twice,
+        _json_list([_TERM_JSON % (den, num, rad)
+                    for rad, num, den in row.value.terms], " " * 8))
+        for row in rows]
+    return _TABLE_JSON % (json.dumps(channel_text), _json_list(items, "  "),
+                          json.dumps(cache.SCHEMA), json.dumps(str(source)))
 
 
-def _export(args, request: tuple, json_text, build, header: list,
-            csv_rows) -> int:
-    """Emit one exported document, from the cache or built and stored.
+def _export(args, request: tuple, render) -> int:
+    """Emit one exported document, from the cache or rendered and stored.
 
-    Both paths render from the same payload, so a hit prints the bytes of a
-    cold run; json_text maps the payload to the JSON document and csv_rows
-    to the rows under header.
+    The cache holds the rendered text under the request and the format, so
+    a hit prints the bytes of the cold run; render(format) renders it.
     """
-    key = cache.cache_key(*request)
-    payload = None if args.no_cache else cache.load(key)
-    if payload is None:
-        payload = build()
+    key = cache.cache_key(*request, args.format)
+    text = None if args.no_cache else cache.load(key)
+    if text is None:
+        text = render(args.format)
         if not args.no_cache:
-            cache.store(key, payload)
-    if args.format == "json":
-        text = json_text(payload)
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(csv_rows(payload))
-        text = buf.getvalue()
+            cache.store(key, text)
     _emit(text, args.out)
     return EXIT_OK
 
 
-def _table_payload(source: IrrepLabel, channel, channel_text: str) -> dict:
-    listed = (aux_table_rows(source) if channel is AUX
-              else table_rows(source, channel))
-    rows = [{
-        "s": list(row.source_so4.twice),
-        "entry": [row.entry.tdj1, row.entry.tdj2],
-        "part": list(row.entry.part.twice),
-        "t": list(row.target_so4.twice) if row.target_so4 else None,
-        "value": row.value.to_json_dict(),
-    } for row in listed]
-    return {"source": str(source), "channel": channel_text, "rows": rows}
+_TABLE_HEADER = ["s_tj1", "s_tj2", "entry_tdj1", "entry_tdj2", "part_tj1",
+                 "part_tj2", "t_tj1", "t_tj2", "value"]
 
 
-def _table_csv_rows(payload: dict):
-    # The payload is canonical, freshly built or a cache entry whose digest
-    # matched, so its terms are formatted as they stand.
-    for row in payload["rows"]:
-        t = row["t"] if row["t"] is not None else ["", ""]
-        value = SqrtSum(tuple((int(term["rad"]), int(term["num"]),
-                               int(term["den"]))
-                              for term in row["value"]["terms"]))
-        yield row["s"] + row["entry"] + row["part"] + t + [str(value)]
+def _table_text(source: IrrepLabel, channel, channel_text: str,
+                fmt: str) -> str:
+    rows = (aux_table_rows(source) if channel is AUX
+            else table_rows(source, channel))
+    if fmt == "json":
+        return _table_json(source, channel_text, rows)
+    return _csv(_TABLE_HEADER, (
+        [*row.source_so4.twice, row.entry.tdj1, row.entry.tdj2,
+         *row.entry.part.twice,
+         *(row.target_so4.twice if row.target_so4 else ("", "")), row.value]
+        for row in rows))
 
 
 def cmd_table(args) -> int:
     source = IrrepLabel.parse(args.source)
     channel = _parse_channel(args.channel)
     channel_text = AUX if channel is AUX else str(channel)
-    return _export(
-        args, ("table", str(source), channel_text), _table_json,
-        lambda: _table_payload(source, channel, channel_text),
-        ["s_tj1", "s_tj2", "entry_tdj1", "entry_tdj2",
-         "part_tj1", "part_tj2", "t_tj1", "t_tj2", "value"],
-        _table_csv_rows)
+    return _export(args, ("table", str(source), channel_text),
+                   functools.partial(_table_text, source, channel,
+                                     channel_text))
 
 
-def _decompose_payload(source: IrrepLabel) -> dict:
-    entries = [{
-        "target": list(entry.target.twice),
-        "multiplicity": entry.multiplicity,
-        "dim": dim(entry.target),
-    } for entry in decompose_with_14(source)]
-    return {
+def _decompose_text(source: IrrepLabel, fmt: str) -> str:
+    entries = [(entry.target, entry.multiplicity, dim(entry.target))
+               for entry in decompose_with_14(source)]
+    if fmt == "csv":
+        return _csv(["target_tj1", "target_tj2", "multiplicity", "dim"],
+                    ([*target.twice, mult, d] for target, mult, d in entries))
+    return _json_doc("decomposition", {
         "source": str(source),
-        "entries": entries,
-        "total_dim": sum(e["multiplicity"] * e["dim"] for e in entries),
-    }
+        "entries": [{"target": list(target.twice), "multiplicity": mult,
+                     "dim": d} for target, mult, d in entries],
+        "total_dim": sum(mult * d for _, mult, d in entries),
+    })
 
 
 def cmd_decompose(args) -> int:
     source = IrrepLabel.parse(args.label)
-    return _export(
-        args, ("decompose", str(source)),
-        functools.partial(_json_doc, "decomposition"),
-        lambda: _decompose_payload(source),
-        ["target_tj1", "target_tj2", "multiplicity", "dim"],
-        lambda p: (e["target"] + [e["multiplicity"], e["dim"]]
-                   for e in p["entries"]))
+    return _export(args, ("decompose", str(source)),
+                   functools.partial(_decompose_text, source))
 
 
-def _branch_payload(label: IrrepLabel) -> dict:
-    blocks = [{"so4": list(s.twice), "so3_dim": s.so3_dim}
-              for s in branching(label)]
-    return {"label": str(label), "blocks": blocks, "dim": dim(label)}
+def _branch_text(label: IrrepLabel, fmt: str) -> str:
+    blocks = branching(label)
+    if fmt == "csv":
+        return _csv(["tj1", "tj2", "so3_dim"],
+                    ([*s.twice, s.so3_dim] for s in blocks))
+    return _json_doc("branching", {
+        "label": str(label),
+        "blocks": [{"so4": list(s.twice), "so3_dim": s.so3_dim}
+                   for s in blocks],
+        "dim": dim(label),
+    })
 
 
 def cmd_branch(args) -> int:
     label = IrrepLabel.parse(args.label)
-    return _export(
-        args, ("branch", str(label)),
-        functools.partial(_json_doc, "branching"),
-        lambda: _branch_payload(label),
-        ["tj1", "tj2", "so3_dim"],
-        lambda p: (b["so4"] + [b["so3_dim"]] for b in p["blocks"]))
+    return _export(args, ("branch", str(label)),
+                   functools.partial(_branch_text, label))
 
 
 def cmd_verify(args) -> int:
@@ -354,8 +344,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--source", required=True, help="source irrep 'j1,j2'")
     p_eval.add_argument("--target", default=None, help="target irrep 'j1,j2'")
     p_eval.add_argument("--channel", default=None, help=_CHANNEL_HELP)
-    p_eval.add_argument("--copy", type=int, choices=(1, 2), default=1,
-                        help="diagonal channel copy when using --target")
+    p_eval.add_argument("--copy", type=int, choices=(1, 2), default=None,
+                        help="diagonal channel copy when using --target "
+                             "(default 1)")
     p_eval.add_argument("--source-so4", required=True, dest="source_so4",
                         help="source SO(4) block 'j1,j2'")
     p_eval.add_argument("--entry", required=True,

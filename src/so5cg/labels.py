@@ -95,13 +95,6 @@ class So4Label(_SpinPair):
         if self.tj1 < 0 or self.tj2 < 0:
             raise MalformedKey(f"SO(4) label needs nonnegative spins, got {self}")
 
-    def shifted(self, tdj1: int, tdj2: int) -> Optional["So4Label"]:
-        """This label moved by doubled spin shifts; None on a negative spin."""
-        tj1, tj2 = self.tj1 + tdj1, self.tj2 + tdj2
-        if tj1 < 0 or tj2 < 0:
-            return None
-        return So4Label(tj1, tj2)
-
     @property
     def so3_dim(self) -> int:
         return (self.tj1 + 1) * (self.tj2 + 1)
@@ -149,23 +142,29 @@ def branching(label: IrrepLabel) -> tuple[So4Label, ...]:
     return tuple(out)
 
 
+def _contains(ltj1: int, ltj2: int, tj1: int, tj2: int) -> bool:
+    """Whether the spin pair (tj1, tj2), doubled, is a block of the irrep
+    (ltj1, ltj2): the interleaving rectangle of branching(). A pair in it
+    has no negative spin."""
+    tx, ty = ltj1 + ltj2, ltj1 - ltj2
+    ts1, ts2 = tj1 + tj2, tj1 - tj2
+    return ty <= ts1 <= tx and -ty <= ts2 <= ty and (ts1 - ty) % 2 == 0
+
+
 def in_branching(label: IrrepLabel, so4: So4Label) -> bool:
     """Membership test equivalent to `so4 in branching(label)`, O(1)."""
-    tx = label.tj1 + label.tj2
-    ty = label.tj1 - label.tj2
-    ts1 = so4.tj1 + so4.tj2
-    ts2 = so4.tj1 - so4.tj2
-    return ty <= ts1 <= tx and -ty <= ts2 <= ty and (ts1 - ty) % 2 == 0
+    return _contains(label.tj1, label.tj2, so4.tj1, so4.tj2)
 
 
 def reach(label: IrrepLabel, block: So4Label, tdj1: int,
           tdj2: int) -> Optional[So4Label]:
     """The block moved by doubled spin shifts if that lies in the branching
     of label, else None: the one rule by which a table entry takes a source
-    block to a block of an irrep, or to nothing."""
-    shifted = block.shifted(tdj1, tdj2)
-    if shifted is not None and in_branching(label, shifted):
-        return shifted
+    block to a block of an irrep, or to nothing. The label is built only
+    for a block that is reached."""
+    tj1, tj2 = block.tj1 + tdj1, block.tj2 + tdj2
+    if _contains(label.tj1, label.tj2, tj1, tj2):
+        return So4Label(tj1, tj2)
     return None
 
 

@@ -1,19 +1,17 @@
 """Command line contract: exit codes, pinned examples, cache determinism."""
 
+import csv
+import hashlib
+import io
 import json
+import re
 import sys
 import threading
 
 import pytest
 
 from so5cg import cache
-from so5cg.cli import (
-    _json_doc,
-    _parse_channel,
-    _table_json,
-    _table_payload,
-    main,
-)
+from so5cg.cli import _json_doc, main
 from so5cg.exactnum import SqrtSum
 from so5cg.labels import IrrepLabel, channels_present
 
@@ -119,34 +117,39 @@ def test_cache_roundtrip_and_byte_identity(capsys, tmp_path, monkeypatch):
 
 def test_cache_entry_schema(tmp_path, monkeypatch):
     monkeypatch.setenv("SO5CG_CACHE", str(tmp_path))
-    key = cache.cache_key("table", "1,0", "+1,0")
-    cache.store(key, {"rows": [1, 2, 3]})
+    key = cache.cache_key("table", "1,0", "+1,0", "csv")
+    text = "s_tj1\n\u00e9\n"
+    cache.store(key, text)
     raw = json.loads(next(tmp_path.glob("*.json")).read_text())
     assert raw["schema"] == "so5cg/1"
     assert raw["kind"] == "cache_entry"
     assert raw["key"] == key
     assert "created_at" in raw
-    assert cache.load(key) == {"rows": [1, 2, 3]}
+    assert raw["payload"] == text
+    # the digest is over the UTF-8 bytes of the text
+    assert raw["sha256"] == hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert cache.load(key) == text
 
 
 def test_cache_disabled_without_env(monkeypatch):
     monkeypatch.delenv("SO5CG_CACHE", raising=False)
-    key = cache.cache_key("table", "1,0", "+1,0")
-    cache.store(key, {"x": 1})
+    key = cache.cache_key("table", "1,0", "+1,0", "csv")
+    cache.store(key, "x\n")
     assert cache.load(key) is None
 
 
 def test_cache_key_depends_on_engine_and_request():
-    k1 = cache.cache_key("table", "1,0", "+1,0")
-    k2 = cache.cache_key("table", "1,0", "+1,+1")
-    k3 = cache.cache_key("decompose", "1,0")
-    assert len({k1, k2, k3}) == 3
-    assert k1 == cache.cache_key("table", "1,0", "+1,0")
+    k1 = cache.cache_key("table", "1,0", "+1,0", "csv")
+    k2 = cache.cache_key("table", "1,0", "+1,+1", "csv")
+    k3 = cache.cache_key("decompose", "1,0", "csv")
+    k4 = cache.cache_key("table", "1,0", "+1,0", "json")
+    assert len({k1, k2, k3, k4}) == 4
+    assert k1 == cache.cache_key("table", "1,0", "+1,0", "csv")
 
 
 def test_cache_keys_follow_the_engine_sources(monkeypatch):
-    requests = [("table", "1,0", "+1,0"), ("table", "1,0", "aux"),
-                ("decompose", "1,0"), ("branch", "1,1")]
+    requests = [("table", "1,0", "+1,0", "csv"), ("table", "1,0", "aux", "json"),
+                ("decompose", "1,0", "csv"), ("branch", "1,1", "json")]
     before = [cache.cache_key(*r) for r in requests]
     monkeypatch.setattr(cache, "engine_fingerprint", lambda: "0" * 64)
     after = [cache.cache_key(*r) for r in requests]
@@ -203,42 +206,109 @@ def test_domain_error_exits_5(capsys):
     assert len(err.splitlines()) == 1
 
 
-def _corrupt_branch_entry(capsys, tmp_path, monkeypatch, corrupt):
+# (argv, cache request) of one export of each kind; the key adds --format.
+EXPORTS = [
+    (("table", "--source", "1,0", "--channel", "+1,+1"),
+     ("table", "1,0", "+1,+1")),
+    (("table", "--source", "1,1", "--channel", "aux"),
+     ("table", "1,1", "aux")),
+    (("decompose", "3/2,1/2"), ("decompose", "3/2,1/2")),
+    (("branch", "1,0"), ("branch", "1,0")),
+]
+FORMATS = ("csv", "json")
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("argv,request_", EXPORTS,
+                         ids=[" ".join(a) for a, _ in EXPORTS])
+def test_cache_entry_holds_the_exported_bytes(capsys, tmp_path, monkeypatch,
+                                              argv, request_, fmt):
+    # An entry is the document itself, keyed by request and format: a hit
+    # prints the stored bytes, which are the cold run's bytes.
     monkeypatch.setenv("SO5CG_CACHE", str(tmp_path))
-    _, uncached, _ = run(capsys, "branch", "1,0", "--no-cache")
-    run(capsys, "branch", "1,0")
+    code, cold, err = run(capsys, *argv, "--format", fmt)
+    assert (code, err) == (0, "")
     (path,) = tmp_path.glob("*.json")
-    corrupt(path)
-    code, out, _ = run(capsys, "branch", "1,0")
-    assert code == 0
-    assert out == uncached
-    # the corrupt entry was recomputed and overwritten
-    assert cache.load(cache.cache_key("branch", "1,0"))["label"] == "1,0"
+    assert path.name == cache.cache_key(*request_, fmt) + ".json"
+    entry = json.loads(path.read_text(encoding="utf-8"))
+    assert entry["payload"] == cold
+    assert entry["sha256"] == hashlib.sha256(cold.encode("utf-8")).hexdigest()
+    assert run(capsys, *argv, "--format", fmt) == (0, cold, "")
+    assert run(capsys, *argv, "--format", fmt, "--no-cache") == (0, cold, "")
+    assert list(tmp_path.glob("*.json")) == [path]
+
+
+def _corrupt_entries(capsys, tmp_path, monkeypatch, corrupt):
+    """For every export in both formats: corrupt its cache entry, then check
+    that the next run prints the uncached bytes and overwrites the entry."""
+    monkeypatch.setenv("SO5CG_CACHE", str(tmp_path))
+    for argv, request_ in EXPORTS:
+        for fmt in FORMATS:
+            _, uncached, _ = run(capsys, *argv, "--format", fmt, "--no-cache")
+            run(capsys, *argv, "--format", fmt)
+            key = cache.cache_key(*request_, fmt)
+            path = tmp_path / f"{key}.json"
+            corrupt(path, uncached)
+            assert cache.load(key) is None
+            code, out, err = run(capsys, *argv, "--format", fmt)
+            assert (code, out, err) == (0, uncached, "")
+            # the corrupt entry was recomputed and overwritten
+            assert cache.load(key) == uncached
 
 
 def test_cache_non_dict_entry_is_a_miss(capsys, tmp_path, monkeypatch):
-    _corrupt_branch_entry(capsys, tmp_path, monkeypatch,
-                          lambda path: path.write_text("[]"))
+    _corrupt_entries(capsys, tmp_path, monkeypatch,
+                     lambda path, _: path.write_text("[]"))
+
+
+def _rewrite(path, edit) -> None:
+    entry = json.loads(path.read_text(encoding="utf-8"))
+    edit(entry)
+    path.write_text(json.dumps(entry), encoding="utf-8")
 
 
 def test_cache_wrong_payload_shape_is_a_miss(capsys, tmp_path, monkeypatch):
-    def corrupt(path):
-        entry = json.loads(path.read_text())
-        entry["payload"] = {"x": 1}
-        path.write_text(json.dumps(entry))
+    # A payload that is not a string is no document, whatever its digest.
+    for payload in ({"x": 1}, ["a"], 7, None):
+        def corrupt(path, _):
+            def edit(entry):
+                entry["payload"] = payload
+                entry["sha256"] = hashlib.sha256(
+                    json.dumps(payload).encode("utf-8")).hexdigest()
+            _rewrite(path, edit)
 
-    _corrupt_branch_entry(capsys, tmp_path, monkeypatch, corrupt)
+        _corrupt_entries(capsys, tmp_path, monkeypatch, corrupt)
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_cache_any_changed_byte_is_a_miss(capsys, tmp_path, monkeypatch,
+                                          where):
+    def corrupt(path, text):
+        i = {"first": 0, "middle": len(text) // 2, "last": len(text) - 1}[where]
+        changed = text[:i] + ("%" if text[i] == "#" else "#") + text[i + 1:]
+        _rewrite(path, lambda entry: entry.update(payload=changed))
+
+    _corrupt_entries(capsys, tmp_path, monkeypatch, corrupt)
+
+
+def test_cache_text_that_does_not_encode_is_a_miss(capsys, tmp_path,
+                                                   monkeypatch):
+    # A lone surrogate decodes from a JSON escape but has no UTF-8 bytes.
+    _corrupt_entries(capsys, tmp_path, monkeypatch, lambda path, _: _rewrite(
+        path, lambda entry: entry.update(payload=entry["payload"] + "\ud800")))
 
 
 def test_cache_concurrent_writers_of_one_key(tmp_path, monkeypatch):
     monkeypatch.setenv("SO5CG_CACHE", str(tmp_path))
-    key = cache.cache_key("table", "1,0", "+1,0")
+    key = cache.cache_key("table", "1,0", "+1,0", "csv")
+    texts = {(n, i): f"writer {n} text {i}\n" * (1 + 500 * (i % 3))
+             for n in range(4) for i in range(50)}
     errors = []
 
     def writer(n):
         try:
             for i in range(50):
-                cache.store(key, {"writer": n, "i": i})
+                cache.store(key, texts[(n, i)])
         except Exception as exc:  # collected so the main thread sees it
             errors.append(exc)
 
@@ -254,27 +324,66 @@ def test_cache_concurrent_writers_of_one_key(tmp_path, monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
-    assert cache.load(key)["writer"] in range(4)
+    # one whole entry, whose digest matches: one writer's text, entire
+    assert cache.load(key) in texts.values()
     assert [p.name for p in tmp_path.iterdir()] == [f"{key}.json"]
 
 
 def test_cache_undecodable_value_is_a_miss(capsys, tmp_path, monkeypatch):
+    # A stored table whose value no longer reads as a number is a miss.
     monkeypatch.setenv("SO5CG_CACHE", str(tmp_path))
     args = ("table", "--source", "1,0", "--channel", "+1,+1")
-    for fmt in ("csv", "json"):
+    for fmt in FORMATS:
         _, uncached, _ = run(capsys, *args, "--format", fmt, "--no-cache")
-        run(capsys, *args)
-        (path,) = tmp_path.glob("*.json")
-        entry = json.loads(path.read_text())
-        row = next(r for r in entry["payload"]["rows"] if r["value"]["terms"])
-        row["value"]["terms"][0]["num"] = "x"
-        path.write_text(json.dumps(entry))
+        run(capsys, *args, "--format", fmt)
+        key = cache.cache_key("table", "1,0", "+1,+1", fmt)
+        path = tmp_path / f"{key}.json"
+        _rewrite(path, lambda entry: entry.update(
+            payload=entry["payload"].replace("sqrt(105)", "sqrt(x)", 1)))
         code, out, err = run(capsys, *args, "--format", fmt)
         assert (code, err) == (0, "")
         assert out == uncached
         # the corrupt entry was recomputed and overwritten
-        key = cache.cache_key("table", "1,0", "+1,+1")
-        assert "x" not in json.dumps(cache.load(key))
+        assert cache.load(key) == uncached
+
+
+def _alter_one_numerator(text: str, fmt: str) -> str:
+    """text with one numerator 1 made 3, over a denominator prime to 3: one
+    byte changed, and still a document of canonical values."""
+    if fmt == "json":
+        pattern, digit, den = r'"den": "(\d+)",\n *"num": "(1)"', 2, 1
+    else:
+        pattern, digit, den = r",(1)/(\d+)\*sqrt", 1, 2
+    match = next(m for m in re.finditer(pattern, text) if int(m[den]) % 3)
+    i = match.start(digit)
+    return text[:i] + "3" + text[i + 1:]
+
+
+def test_cache_altered_canonical_value_is_a_miss(capsys, tmp_path,
+                                                 monkeypatch):
+    monkeypatch.setenv("SO5CG_CACHE", str(tmp_path))
+    args = ("table", "--source", "1,0", "--channel", "+1,+1")
+    for fmt in FORMATS:
+        _, uncached, _ = run(capsys, *args, "--format", fmt, "--no-cache")
+        run(capsys, *args, "--format", fmt)
+        key = cache.cache_key("table", "1,0", "+1,+1", fmt)
+        path = tmp_path / f"{key}.json"
+        altered = _alter_one_numerator(uncached, fmt)
+        # still a document of canonical values, only a different one
+        assert altered != uncached and len(altered) == len(uncached)
+        if fmt == "json":
+            for row in json.loads(altered)["rows"]:
+                value = row["value"]
+                assert SqrtSum.from_json_dict(value).to_json_dict() == value
+        else:
+            rows = list(csv.reader(io.StringIO(altered)))
+            assert [len(r) for r in rows] == [9] * len(rows)
+        _rewrite(path, lambda entry: entry.update(payload=altered))
+        code, out, err = run(capsys, *args, "--format", fmt)
+        assert (code, err) == (0, "")
+        assert out == uncached
+        # the altered entry was recomputed and overwritten
+        assert cache.load(key) == uncached
 
 
 def test_table_lowering_channel_with_equals_form(capsys):
@@ -284,32 +393,6 @@ def test_table_lowering_channel_with_equals_form(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 1 + 3 * 14  # header + 3 SO(4) blocks x 14 entries
     assert any(line.split(",")[-1] != "0" for line in lines[1:])
-
-
-def test_cache_altered_canonical_value_is_a_miss(capsys, tmp_path,
-                                                 monkeypatch):
-    monkeypatch.setenv("SO5CG_CACHE", str(tmp_path))
-    args = ("table", "--source", "1,0", "--channel", "+1,+1")
-    key = cache.cache_key("table", "1,0", "+1,+1")
-    for fmt in ("csv", "json"):
-        _, uncached, _ = run(capsys, *args, "--format", fmt, "--no-cache")
-        run(capsys, *args)
-        (path,) = tmp_path.glob("*.json")
-        entry = json.loads(path.read_text())
-        stored = json.loads(json.dumps(entry["payload"]))
-        value, term = next((r["value"], t)
-                           for r in entry["payload"]["rows"]
-                           for t in r["value"]["terms"]
-                           if t["num"] == "1" and int(t["den"]) % 3)
-        term["num"] = "3"
-        # still a canonical SqrtSum, only a different one
-        assert SqrtSum.from_json_dict(value).to_json_dict() == value
-        path.write_text(json.dumps(entry))
-        code, out, err = run(capsys, *args, "--format", fmt)
-        assert (code, err) == (0, "")
-        assert out == uncached
-        # the altered entry was recomputed and overwritten
-        assert cache.load(key) == stored
 
 
 def test_eval_aux_entry_to_negative_spin_is_zero(capsys):
@@ -435,29 +518,90 @@ TABLE_JSON_CASES = [(source, channel)
 
 
 @pytest.mark.parametrize("source,channel", TABLE_JSON_CASES)
-def test_table_json_renders_like_json_dumps(source, channel):
+def test_table_json_renders_like_json_dumps(capsys, source, channel):
     # Table documents are filled in from fixed templates; they must be the
     # bytes json.dumps(doc, sort_keys=True, indent=2) writes.
-    payload = _table_payload(IrrepLabel.parse(source),
-                             _parse_channel(channel), channel)
-    rows = payload["rows"]
+    code, out, err = run(capsys, "table", "--source", source,
+                         f"--channel={channel}", "--format", "json",
+                         "--no-cache")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    rows = doc["rows"]
     assert any(row["t"] is None for row in rows)
     assert any(row["value"]["terms"] == [] for row in rows)
     assert any(row["value"]["terms"] for row in rows)
-    assert _table_json(payload) == _json_doc("table", payload)
+    fields = {k: v for k, v in doc.items() if k not in ("schema", "kind")}
+    assert out == _json_doc("table", fields)
 
 
 def test_table_json_of_a_cached_payload(capsys, tmp_path, monkeypatch):
+    # The cached payload of a table is its JSON document, bytes and all.
     monkeypatch.setenv("SO5CG_CACHE", str(tmp_path))
     args = ("table", "--source", "5/2,3/2", "--channel=-1/2,-1/2",
             "--format", "json")
     code, cold, _ = run(capsys, *args)
     assert code == 0
-    payload = cache.load(cache.cache_key("table", "5/2,3/2", "-1/2,-1/2"))
-    assert payload is not None
-    assert _table_json(payload) == _json_doc("table", payload) == cold
+    payload = cache.load(cache.cache_key("table", "5/2,3/2", "-1/2,-1/2",
+                                         "json"))
+    assert payload == cold
+    doc = json.loads(payload)
+    fields = {k: v for k, v in doc.items() if k not in ("schema", "kind")}
+    assert _json_doc("table", fields) == cold
     code, hit, _ = run(capsys, *args)
     assert (code, hit) == (0, cold)
+
+
+@pytest.mark.parametrize("use_cache", [False, True], ids=["no-cache", "cache"])
+def test_table_export_builds_no_json_value_dicts(capsys, tmp_path,
+                                                 monkeypatch, use_cache):
+    # A table renders straight from its rows' (rad, num, den) terms: no
+    # value goes through the SqrtSum JSON encoding on the way to the bytes,
+    # cold or from the cache.
+    args = ("table", "--source", "3/2,1/2", "--channel=0,0#2")
+    want = {fmt: run(capsys, *args, "--format", fmt, "--no-cache")
+            for fmt in FORMATS}
+
+    def refuse(*_):
+        raise AssertionError("SqrtSum JSON encoding used by a table export")
+
+    monkeypatch.setattr(SqrtSum, "to_json_dict", refuse)
+    monkeypatch.setattr(SqrtSum, "from_json_dict", classmethod(refuse))
+    monkeypatch.setenv("SO5CG_CACHE", str(tmp_path))
+    flags = () if use_cache else ("--no-cache",)
+    for fmt in FORMATS:
+        for _ in range(2):  # cold, then a hit when the cache is on
+            assert run(capsys, *args, "--format", fmt, *flags) == want[fmt]
+    assert want["csv"][0] == 0 and "sqrt" in want["csv"][1]
+
+
+EVAL_0_0 = ("eval", "--source", "3/2,1/2", "--source-so4", "3/2,1/2",
+            "--entry", "0,0", "--part", "0,0")
+
+
+@pytest.mark.parametrize("extra", [
+    ("--channel", "0,0", "--copy", "2"),
+    ("--channel", "0,0", "--copy", "1"),
+    ("--channel", "0,0", "--target", "3/2,1/2"),
+    ("--channel", "0,0#2", "--target", "3/2,1/2", "--copy", "2"),
+], ids=["channel-copy2", "channel-copy1", "channel-target", "all-three"])
+def test_eval_channel_with_target_or_copy_exits_2(capsys, extra):
+    # The channel string carries the target shift and the copy; a --copy or
+    # --target beside it was silently ignored (copy 2 printed copy 1).
+    code, out, err = run(capsys, *EVAL_0_0, *extra)
+    assert (code, out) == (2, "")
+    assert err.startswith("malformed key: --channel cannot be combined")
+
+
+@pytest.mark.parametrize("extra,value", [
+    (("--channel", "0,0#2"), "13/1896*sqrt(790)"),
+    (("--target", "3/2,1/2", "--copy", "2"), "13/1896*sqrt(790)"),
+    (("--target", "3/2,1/2"), "-3/316*sqrt(474)"),
+], ids=["channel", "target-copy2", "target-copy-default"])
+def test_eval_copy_by_channel_or_target(capsys, extra, value):
+    # Without --copy, --target means copy 1.
+    code, out, err = run(capsys, *EVAL_0_0, *extra)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == value
 
 
 def test_parser_is_built_once_and_survives_a_usage_error(capsys):

@@ -1,5 +1,8 @@
-"""Every ``$ so5cg ...`` example in README's text blocks prints what it shows."""
+"""Every ``$ so5cg ...`` example in README's text blocks prints what it
+shows, and the Library use block runs."""
 
+import contextlib
+import io
 import re
 import shlex
 from pathlib import Path
@@ -60,3 +63,14 @@ def test_readme_example(command, expected, capsys, tmp_path, monkeypatch):
     captured = capsys.readouterr()
     assert (code, captured.err) == (0, "")
     assert captured.out.splitlines() == expected
+
+
+def test_readme_library_example_runs():
+    # The ```python block runs as written and prints, last, the value its
+    # comment shows.
+    (block,) = re.findall(r"^```python\n(.*?)^```", README.read_text(),
+                          re.M | re.S)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    assert out.getvalue().splitlines()[-1] == "1/7*sqrt(7) 0.3779644730092272"

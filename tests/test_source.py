@@ -50,10 +50,13 @@ def _calls(node: ast.AST, name: str) -> bool:
                for call in ast.walk(node))
 
 
+MEMBERSHIP = ("in_branching", "branching", "_contains")
+
+
 def test_block_rule_lives_in_labels():
     # Whether an entry takes a source block to a block of an irrep is
-    # labels.reach; a function elsewhere that shifts a label and tests the
-    # branching itself is a second copy of that rule.
+    # labels.reach; a function elsewhere that builds an SO(4) label and
+    # tests it against the branching itself is a second copy of that rule.
     found = []
     for path in sorted(PACKAGE.rglob("*.py")):
         if path.name == "labels.py":
@@ -61,7 +64,8 @@ def test_block_rule_lives_in_labels():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.name}:{node.name}" for node in ast.walk(tree)
                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                  and _calls(node, "shifted") and _calls(node, "in_branching")]
+                  and _calls(node, "So4Label")
+                  and any(_calls(node, name) for name in MEMBERSHIP)]
     assert found == []
 
 
