@@ -1,6 +1,15 @@
-"""Exact Clebsch-Gordan machinery for Spin(5) coupling with the 14-dimensional representation."""
+"""Exact Clebsch-Gordan machinery for Spin(5) coupling with the 14-dimensional representation.
+
+Importing the package loads the table layer (errors, exact numbers, labels,
+reduced tables). The matrix layer (`su2_cg` and the `fullcg` names) loads on
+first access of one of its names, so a process that only exports tables
+never compiles it; `so5cg.verify` and `so5cg.oracle` are imported only by
+their users.
+"""
 
 ENGINE_VERSION = "1.0.0"
+
+import importlib  # noqa: E402
 
 from .errors import (  # noqa: E402
     ChannelAbsent,
@@ -33,7 +42,6 @@ from .labels import (  # noqa: E402
     multiplicity_of,
     target_of,
 )
-from .su2 import su2_cg  # noqa: E402
 from .reduced import (  # noqa: E402
     MixingData,
     ReducedKey,
@@ -48,13 +56,29 @@ from .reduced import (  # noqa: E402
     symmetry_extend,
     table_rows,
 )
-from .fullcg import (  # noqa: E402
-    CouplingMatrix,
-    column_gram_deviation,
-    coupling_matrix,
-    full,
-    row_gram_deviation,
-)
+
+# The matrix-layer names, by the submodule that defines them.
+_LAZY = {
+    "su2_cg": "su2",
+    "CouplingMatrix": "fullcg",
+    "coupling_matrix": "fullcg",
+    "column_gram_deviation": "fullcg",
+    "row_gram_deviation": "fullcg",
+    "full": "fullcg",
+}
+
+
+def __getattr__(name: str):
+    """Import a matrix-layer name's submodule on first access (PEP 562)."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})
 
 __all__ = [
     "ENGINE_VERSION",

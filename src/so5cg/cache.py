@@ -7,9 +7,11 @@ or JSON), so a hit prints exactly the bytes the cold run printed. Keys hash
 a fingerprint of the package's own source files together with the request
 and its format, so any change to the engine's sources changes every key and
 stale entries are never replayed. Each entry carries a sha256 of the UTF-8
-bytes of its text; an entry that is unreadable, has another schema or key,
-holds no text, or whose text does not hash to that digest is a miss, so any
-changed byte is recomputed rather than printed. Each writer goes through its
+bytes of its text; an entry that cannot be opened or read (any OSError,
+such as a directory or a permission-denied file at its path), is not JSON,
+has another schema or key, holds no text, or whose text does not hash to
+that digest is a miss, so any changed byte is recomputed rather than
+printed. A store that cannot write raises. Each writer goes through its
 own temporary file, so concurrent writers of one key never see each other's
 partial files.
 
@@ -23,8 +25,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
-from datetime import datetime, timezone
 from functools import lru_cache
 from pathlib import Path
 from typing import Optional
@@ -71,12 +71,16 @@ def load(key: str) -> Optional[str]:
                 and entry.get("schema") == SCHEMA and entry.get("key") == key
                 and entry.get("sha256") == _digest(entry["payload"])):
             return entry["payload"]
-    except (FileNotFoundError, ValueError):
+    except (OSError, ValueError):
         pass
     return None
 
 
 def store(key: str, text: str) -> None:
+    # Imported here: a process that only reads the cache never needs them.
+    import tempfile
+    from datetime import datetime, timezone
+
     root = cache_dir()
     if root is None:
         return

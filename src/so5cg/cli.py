@@ -8,6 +8,11 @@ All output is deterministic. Table, decompose and branch exports render
 straight from the computed rows to CSV or JSON text, and that text is what
 the disk cache stores, under the request and the format, so a cache hit
 prints the bytes of the cold run.
+
+Importing this module loads the table layer and the cache only. A full
+`eval` (with --m/--part-m) imports `fullcg`, and `verify` the verification
+layer, inside the command that runs them, so `table`, `decompose`, `branch`
+and a reduced `eval` never load either.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ from typing import Optional
 from . import cache
 from .errors import ChannelAbsent, MalformedKey, So5Error
 from .exactnum import ZERO, SqrtSum
-from .fullcg import ColState, RowState, check_row, full
 from .labels import (
     Channel,
     EntryShift,
@@ -42,7 +46,6 @@ from .reduced import (
     table_rows,
     valid_target,
 )
-from .verify import SUITES, run_suite
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -52,6 +55,10 @@ EXIT_IO = 4
 EXIT_DOMAIN = 5
 
 AUX = "aux"
+
+# The names of verify.SUITES, written out so that building the parser does
+# not import the verification layer; tests/test_layers.py checks they match.
+SUITE_NAMES = ("orthogonality", "mixing", "symmetry", "su2", "oracle")
 
 
 def _parse_channel(text: str):
@@ -135,6 +142,8 @@ def cmd_eval(args) -> int:
 
 def _eval_full(args, source: IrrepLabel, channel: Channel,
                source_so4: So4Label, entry: EntryShift) -> SqrtSum:
+    from .fullcg import ColState, RowState, check_row, full
+
     # As on the reduced path, a key whose source block does not exist is
     # malformed before it is a zero or an absent channel.
     check_source_block(source, source_so4)
@@ -223,13 +232,16 @@ def _export(args, request: tuple, render) -> int:
     """Emit one exported document, from the cache or rendered and stored.
 
     The cache holds the rendered text under the request and the format, so
-    a hit prints the bytes of the cold run; render(format) renders it.
+    a hit prints the bytes of the cold run; render(format) renders it. The
+    key, which hashes the engine's sources, is computed only when the cache
+    is on.
     """
-    key = cache.cache_key(*request, args.format)
-    text = None if args.no_cache else cache.load(key)
+    key = (None if args.no_cache or cache.cache_dir() is None
+           else cache.cache_key(*request, args.format))
+    text = None if key is None else cache.load(key)
     if text is None:
         text = render(args.format)
-        if not args.no_cache:
+        if key is not None:
             cache.store(key, text)
     _emit(text, args.out)
     return EXIT_OK
@@ -301,6 +313,8 @@ def cmd_branch(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_suite
+
     source = IrrepLabel.parse(args.source) if args.source else None
     results = run_suite(args.suite, max_twice_j=args.max_twice_j,
                         tol=args.tol, source=source)
@@ -379,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_br.set_defaults(fn=cmd_branch)
 
     p_ver = subs.add_parser("verify", help="run an invariant suite")
-    p_ver.add_argument("suite", choices=(*SUITES, "all"))
+    p_ver.add_argument("suite", choices=(*SUITE_NAMES, "all"))
     p_ver.add_argument("--max-twice-j", type=int, default=8, dest="max_twice_j")
     p_ver.add_argument("--tol", type=float, default=1e-9)
     p_ver.add_argument("--source", default=None,

@@ -7,6 +7,7 @@ import json
 import re
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -296,6 +297,65 @@ def test_cache_text_that_does_not_encode_is_a_miss(capsys, tmp_path,
     # A lone surrogate decodes from a JSON escape but has no UTF-8 bytes.
     _corrupt_entries(capsys, tmp_path, monkeypatch, lambda path, _: _rewrite(
         path, lambda entry: entry.update(payload=entry["payload"] + "\ud800")))
+
+
+def test_cache_directory_at_an_entry_path_is_a_miss(capsys, tmp_path,
+                                                   monkeypatch):
+    monkeypatch.setenv("SO5CG_CACHE", str(tmp_path))
+    key = cache.cache_key("branch", "1,1", "csv")
+    (tmp_path / f"{key}.json").mkdir()
+    assert cache.load(key) is None
+    # The store that follows cannot replace a directory and still fails
+    # loudly, with the I/O exit code and nothing printed.
+    code, out, err = run(capsys, "branch", "1,1")
+    assert (code, out) == (4, "")
+    assert err.startswith("i/o error:")
+
+
+def test_cache_entry_that_cannot_be_opened_is_a_miss(capsys, tmp_path,
+                                                     monkeypatch):
+    # As a permission-denied entry does for a user who is not its owner.
+    monkeypatch.setenv("SO5CG_CACHE", str(tmp_path))
+    _, uncached, _ = run(capsys, "branch", "1,1", "--no-cache")
+    run(capsys, "branch", "1,1")
+    key = cache.cache_key("branch", "1,1", "csv")
+    path_open = Path.open
+
+    def denied(self, *args, **kwargs):
+        if self.name == f"{key}.json":
+            raise PermissionError(13, "Permission denied", str(self))
+        return path_open(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", denied)
+    assert cache.load(key) is None
+    assert run(capsys, "branch", "1,1") == (0, uncached, "")
+    monkeypatch.setattr(Path, "open", path_open)
+    assert cache.load(key) == uncached
+
+
+@pytest.mark.parametrize("cache_off", ["--no-cache", "SO5CG_CACHE unset"])
+def test_export_without_the_cache_computes_no_key(capsys, tmp_path,
+                                                  monkeypatch, cache_off):
+    # The key hashes every engine source file; an export that neither
+    # reads nor writes the cache has no use for it.
+    expected = [run(capsys, *argv, "--format", fmt, "--no-cache")
+                for argv, _ in EXPORTS for fmt in FORMATS]
+
+    def fingerprint():
+        raise AssertionError("engine_fingerprint called")
+
+    monkeypatch.setattr(cache, "engine_fingerprint", fingerprint)
+    if cache_off == "--no-cache":
+        monkeypatch.setenv("SO5CG_CACHE", str(tmp_path))
+        extra = ("--no-cache",)
+    else:
+        monkeypatch.delenv("SO5CG_CACHE", raising=False)
+        extra = ()
+    got = [run(capsys, *argv, "--format", fmt, *extra)
+           for argv, _ in EXPORTS for fmt in FORMATS]
+    assert got == expected
+    assert all(code == 0 for code, _, _ in got)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cache_concurrent_writers_of_one_key(tmp_path, monkeypatch):
