@@ -3,13 +3,18 @@
   * a "term list" is a tuple of (rad, num, den) int triples meaning
     sum_i (num_i/den_i)*sqrt(rad_i), with rad square-free and strictly
     increasing across the tuple, num != 0, den > 0, gcd(num, den) == 1.
-  * all functions take and return canonical term lists.
+  * all functions take and return canonical term lists, except the dot
+    product kernel, which works on scaled vectors: a sparse vector of term
+    lists is brought once to integer numerators over one common
+    denominator (scale_vector), and the products of two scaled vectors are
+    summed on plain ints keyed by the product of their radicands
+    (dot_scaled); over() turns that sum back into a term list.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 # Read by the benchmark fingerprint (perfbench).
 BACKEND = "pure"
@@ -90,6 +95,15 @@ def mul_terms(a, b):
     reduced product of two square-free numbers is square-free, so no
     factorization is needed here.
     """
+    if len(a) == 1 and len(b) == 1:
+        (r1, n1, d1), = a
+        (r2, n2, d2), = b
+        g = gcd(r1, r2)
+        rad = (r1 // g) * (r2 // g)
+        num = n1 * n2 * g
+        den = d1 * d2
+        g = gcd(num, den)
+        return ((rad, num // g, den // g),)
     acc: dict[int, tuple[int, int]] = {}
     for r1, n1, d1 in a:
         for r2, n2, d2 in b:
@@ -105,38 +119,78 @@ def mul_terms(a, b):
     return _canonical(acc)
 
 
-def dot_terms(pairs):
-    """Exact sum of the products of (a, b) term-list pairs.
+def scale_vector(vector):
+    """A sparse vector of term lists, keyed by anything hashable, as
+    (den, layers): den is the least common multiple of every term's
+    denominator, and layers[k] maps each key whose term list has a term k
+    to (rad, num * den // d) of that term. A vector of single terms, as
+    every coupling-matrix column is, has one layer."""
+    den = 1
+    for terms in vector.values():
+        for _, _, d in terms:
+            if den % d:
+                den = lcm(den, d)
+    layers: list[dict] = []
+    for key, terms in vector.items():
+        for k, (rad, num, d) in enumerate(terms):
+            if k == len(layers):
+                layers.append({})
+            layers[k][key] = (rad, num * (den // d))
+    return den, layers
 
-    Equal to folding add_terms over mul_terms(a, b), but every product goes
-    straight into one accumulator: per radicand the numerators share the
-    least common multiple of the denominators seen so far, and the sum is
-    canonicalized once.
+
+def dot_scaled(a, b) -> dict[int, int]:
+    """Exact dot product of two scaled vectors' layers over their shared
+    keys, as {rad: numerator} over the product of their denominators, with
+    no zero numerator.
+
+    Products are summed keyed by r1*r2. For square-free r1, r2 that is
+    g**2 * rad with g = gcd(r1, r2) and rad square-free, so the key alone
+    fixes g and rad; one witness r1 per key recovers them with one gcd when
+    the sums are folded, and no product is ever factored.
     """
-    acc: dict[int, tuple[int, int]] = {}
-    for a, b in pairs:
-        for r1, n1, d1 in a:
-            for r2, n2, d2 in b:
-                if r1 == r2:
-                    rad = 1
-                    num = n1 * n2 * r1
-                else:
-                    g = gcd(r1, r2)
-                    rad = (r1 // g) * (r2 // g)
-                    num = n1 * n2 * g
-                den = d1 * d2
-                old = acc.get(rad)
-                if old is None:
-                    acc[rad] = (num, den)
-                    continue
-                n0, d0 = old
-                if d0 == den:
-                    acc[rad] = (n0 + num, den)
-                else:
-                    g = gcd(d0, den)
-                    acc[rad] = (n0 * (den // g) + num * (d0 // g),
-                                d0 // g * den)
-    return _canonical(acc)
+    acc: dict[int, int] = {}
+    witness: dict[int, int] = {}
+    for x in a:
+        for y in b:
+            small, big = (x, y) if len(x) <= len(y) else (y, x)
+            for key, (r1, n1) in small.items():
+                if key in big:
+                    r2, n2 = big[key]
+                    k = r1 * r2
+                    if k in acc:
+                        acc[k] += n1 * n2
+                    else:
+                        acc[k] = n1 * n2
+                        witness[k] = r1
+    out: dict[int, int] = {}
+    for k, total in acc.items():
+        if total:
+            r1 = witness[k]
+            g = gcd(r1, k // r1)
+            rad = k // (g * g)
+            out[rad] = out.get(rad, 0) + total * g
+    # Sums under distinct keys can still cancel on one radicand:
+    # sqrt(6)*sqrt(10) and sqrt(15)*1 both land on sqrt(15).
+    return out if all(out.values()) else {
+        rad: num for rad, num in out.items() if num}
+
+
+def over(acc: dict[int, int], den: int):
+    """The canonical term list of sum_rad (acc[rad]/den)*sqrt(rad)."""
+    return _canonical({rad: (num, den) for rad, num in acc.items()})
+
+
+def dot_terms(u, v):
+    """Exact dot product of two sparse vectors of term lists (mappings from
+    any hashable key to a term list) over their shared keys.
+
+    Equal to folding add_terms over mul_terms(u[key], v[key]); each vector
+    is scaled once and the products are summed on ints (dot_scaled).
+    """
+    du, lu = scale_vector(u)
+    dv, lv = scale_vector(v)
+    return over(dot_scaled(lu, lv), du * dv)
 
 
 def scale_terms(t, num: int, den: int):

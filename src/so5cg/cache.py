@@ -13,7 +13,9 @@ has another schema or key, holds no text, or whose text does not hash to
 that digest is a miss, so any changed byte is recomputed rather than
 printed. A store that cannot write raises. Each writer goes through its
 own temporary file, so concurrent writers of one key never see each other's
-partial files.
+partial files. Entries get the mode a plain open() gives, 0o666 less the
+umask, so a cache directory shared between users is shared by its entries
+too.
 
 The cache is not an authentication boundary: the digest detects corruption,
 not tampering, and an entry whose digest matches is trusted as this engine's
@@ -77,8 +79,7 @@ def load(key: str) -> Optional[str]:
 
 
 def store(key: str, text: str) -> None:
-    # Imported here: a process that only reads the cache never needs them.
-    import tempfile
+    # Imported here: a process that only reads the cache never needs it.
     from datetime import datetime, timezone
 
     root = cache_dir()
@@ -93,7 +94,10 @@ def store(key: str, text: str) -> None:
         "sha256": _digest(text),
         "payload": text,
     }
-    fd, tmp = tempfile.mkstemp(prefix=f"{key}.", suffix=".tmp", dir=root)
+    # O_EXCL on a random name, as tempfile.mkstemp does, but with mode 0o666
+    # for the umask to narrow where mkstemp would fix 0o600.
+    tmp = root / f"{key}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             json.dump(entry, fh, sort_keys=True)

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from itertools import groupby
 from typing import Callable, Hashable, Iterator, Mapping, Optional, Sequence
 
-from ._kernel import dot_terms, mul_terms
+from ._kernel import dot_scaled, mul_terms, over, scale_vector
 from .errors import MalformedKey
-from .exactnum import ONE, ZERO, SqrtSum
+from .exactnum import ZERO, SqrtSum
 from .labels import (
     ENTRY_BY_TWICE,
     FOURTEEN,
@@ -138,7 +138,8 @@ Column = dict[int, SqrtSum]
 
 def _su2_factors(ts: int, tp: int, tt: int) -> list[tuple[int, int, int, tuple]]:
     """Every nonzero <s m, p pm | t mt> of one SO(3) slot, pm = mt - m, as
-    (2mt, 2m, 2pm, terms); spins are doubled throughout."""
+    (2mt, i, j, terms), where i and j count m and pm up from -s and -p;
+    spins are doubled throughout."""
     out = []
     for tmt in range(-tt, tt + 1, 2):
         for tm in range(-ts, ts + 1, 2):
@@ -146,31 +147,60 @@ def _su2_factors(ts: int, tp: int, tt: int) -> list[tuple[int, int, int, tuple]]
             if abs(tpm) <= tp:
                 cg = su2_cg(ts, tm, tp, tpm, tt, tmt)
                 if cg:
-                    out.append((tmt, tm, tpm, cg.terms))
+                    out.append((tmt, (tm + ts) // 2, (tpm + tp) // 2,
+                                cg.terms))
     return out
 
 
-def _block_columns(components, t: So4Label,
-                   row_index: dict[tuple[int, ...], int]
-                   ) -> dict[tuple[int, int], Column]:
+def _block_starts(label: IrrepLabel, size: int) -> dict[tuple[int, int], int]:
+    """Index of the first state of each SO(4) block of label, keyed by its
+    doubled spins, when the blocks follow in branching order and block
+    (j1, j2) holds size * (2j1 + 1) * (2j2 + 1) states."""
+    starts = {}
+    first = 0
+    for block in branching(label):
+        starts[block.twice] = first
+        first += size * (block.tj1 + 1) * (block.tj2 + 1)
+    return starts
+
+
+# Where each 14-part's states start among the 14 product states that share
+# one source state, in product_rows order.
+_PART_STARTS = _block_starts(FOURTEEN, 1)
+
+
+def _block_columns(components, t: So4Label, bases: dict[tuple[int, int], int],
+                   factors: dict[tuple[int, int, int], list]
+                   ) -> dict[int, dict[int, Column]]:
     """The columns of every coupled state of target block t, keyed by their
-    doubled magnetic labels (2mt1, 2mt2); each column maps a row index to
+    doubled magnetic labels, 2mt1 then 2mt2; each column maps a row index to
     its nonzero value.
 
     components holds the block's nonzero reduced values as (2s1, 2s2, 2p1,
-    2p2, terms); each entry is r * cg1 * cg2 on term lists.
+    2p2, terms); each entry is r * cg1 * cg2 on term lists. bases maps each
+    source block to the index of its first row, and factors memoizes
+    _su2_factors.
     """
     tt1, tt2 = t.twice
-    columns: dict[tuple[int, int], Column] = {
-        (tmt1, tmt2): {} for tmt1 in range(-tt1, tt1 + 1, 2)
-        for tmt2 in range(-tt2, tt2 + 1, 2)}
+    columns = {tmt1: {tmt2: {} for tmt2 in range(-tt2, tt2 + 1, 2)}
+               for tmt1 in range(-tt1, tt1 + 1, 2)}
     for ts1, ts2, tp1, tp2, r in components:
-        right = _su2_factors(ts2, tp2, tt2)
-        for tmt1, tm1, tpm1, cg1 in _su2_factors(ts1, tp1, tt1):
+        left = factors.get((ts1, tp1, tt1))
+        if left is None:
+            left = factors[(ts1, tp1, tt1)] = _su2_factors(ts1, tp1, tt1)
+        right = factors.get((ts2, tp2, tt2))
+        if right is None:
+            right = factors[(ts2, tp2, tt2)] = _su2_factors(ts2, tp2, tt2)
+        # Row of (s; m1, m2 | p; pm1, pm2): the start of block s, 14 rows
+        # per (m1, m2) state, then the start of part p and (pm1, pm2) in it.
+        base = bases[(ts1, ts2)] + _PART_STARTS[(tp1, tp2)]
+        for tmt1, i1, j1, cg1 in left:
             rc1 = mul_terms(r, cg1)
-            for tmt2, tm2, tpm2, cg2 in right:
-                row = row_index[(ts1, ts2, tm1, tm2, tp1, tp2, tpm1, tpm2)]
-                columns[(tmt1, tmt2)][row] = SqrtSum(mul_terms(rc1, cg2))
+            first = base + i1 * (ts2 + 1) * 14 + j1 * (tp2 + 1)
+            by_mt2 = columns[tmt1]
+            for tmt2, i2, j2, cg2 in right:
+                by_mt2[tmt2][first + i2 * 14 + j2] = SqrtSum(
+                    mul_terms(rc1, cg2))
     return columns
 
 
@@ -209,29 +239,28 @@ class CouplingMatrix:
                                     + self.cols[j].sort_key())] + [format(v)]
 
 
+def _states(block: So4Label) -> list[tuple[HalfInt, HalfInt]]:
+    """The (m1, m2) magnetic labels of one SO(4) block, in increasing order."""
+    m2s = m_values(HalfInt(block.tj2))
+    return [(m1, m2) for m1 in m_values(HalfInt(block.tj1)) for m2 in m2s]
+
+
 def product_rows(source: IrrepLabel) -> tuple[RowState, ...]:
     """Every product-basis state, in lexicographic order."""
-    rows = []
-    for s in branching(source):
-        for m1 in m_values(HalfInt(s.tj1)):
-            for m2 in m_values(HalfInt(s.tj2)):
-                for p in branching(FOURTEEN):
-                    for pm1 in m_values(HalfInt(p.tj1)):
-                        for pm2 in m_values(HalfInt(p.tj2)):
-                            rows.append(RowState(s, m1, m2, p, pm1, pm2))
-    return tuple(rows)
+    parts = [(p, pm1, pm2) for p in branching(FOURTEEN)
+             for pm1, pm2 in _states(p)]
+    return tuple(RowState(s, m1, m2, p, pm1, pm2)
+                 for s in branching(source) for m1, m2 in _states(s)
+                 for p, pm1, pm2 in parts)
 
 
 def coupled_cols(source: IrrepLabel) -> tuple[ColState, ...]:
     """Every coupled state over all present channels, in lexicographic order."""
-    cols = []
-    for block in decompose_with_14(source):
-        for copy in range(1, block.multiplicity + 1):
-            for t in branching(block.target):
-                for mt1 in m_values(HalfInt(t.tj1)):
-                    for mt2 in m_values(HalfInt(t.tj2)):
-                        cols.append(ColState(block.target, copy, t, mt1, mt2))
-    return tuple(cols)
+    return tuple(ColState(block.target, copy, t, mt1, mt2)
+                 for block in decompose_with_14(source)
+                 for copy in range(1, block.multiplicity + 1)
+                 for t in branching(block.target)
+                 for mt1, mt2 in _states(t))
 
 
 def coupling_matrix(source: IrrepLabel) -> CouplingMatrix:
@@ -246,7 +275,8 @@ def coupling_matrix(source: IrrepLabel) -> CouplingMatrix:
         raise AssertionError(
             f"dimension audit failed for {source}: {len(rows)} rows, "
             f"{len(cols)} columns, 14 * dim = {14 * dim(source)}")
-    row_index = {row.sort_key(): i for i, row in enumerate(rows)}
+    bases = _block_starts(source, 14)
+    factors: dict[tuple[int, int, int], list] = {}
     columns: dict[ColState, Column] = {}
     for (target, copy, t), block in groupby(
             cols, key=lambda col: (col.target, col.copy, col.target_so4)):
@@ -255,9 +285,9 @@ def coupling_matrix(source: IrrepLabel) -> CouplingMatrix:
         components = [(*s.twice, *p.twice, r.terms)
                       for (s, p), r in reduced_vector(source, channel,
                                                       t).items() if r]
-        vectors = _block_columns(components, t, row_index)
+        vectors = _block_columns(components, t, bases, factors)
         for col in block:
-            columns[col] = vectors[(col.mt1.twice, col.mt2.twice)]
+            columns[col] = vectors[col.mt1.twice][col.mt2.twice]
     return CouplingMatrix(source, rows, cols, columns)
 
 
@@ -268,24 +298,26 @@ def gram_deviation(labels: Sequence, vectors: Sequence[Mapping],
 
     Each vector maps component keys to SqrtSums. Vectors in different
     sectors share no components, so only same-sector pairs (a, b), a <= b,
-    are examined, sector by sector. Each Gram entry is one fused dot_terms
-    call over the shared components.
+    are examined, sector by sector. A sector's vectors are scaled once, to
+    integer numerators over a common denominator D (_kernel.scale_vector);
+    each Gram entry is then summed on ints (_kernel.dot_scaled) and compared
+    with D_a * D_b on the diagonal and 0 off it. Only a deviation is turned
+    back into a SqrtSum.
     """
-    terms = [{i: value.terms for i, value in vec.items()} for vec in vectors]
     sectors: dict[Hashable, list[int]] = {}
     for k, label in enumerate(labels):
         sectors.setdefault(sector(label), []).append(k)
     for _, group in sorted(sectors.items()):
-        for a, ka in enumerate(group):
-            va = terms[ka]
-            for kb in group[a:]:
-                vb = terms[kb]
-                small, big = (va, vb) if len(va) <= len(vb) else (vb, va)
-                acc = dot_terms((value, big[index])
-                                for index, value in small.items()
-                                if index in big)
-                if acc != (ONE.terms if ka == kb else ()):
-                    return (labels[ka], labels[kb], SqrtSum(acc))
+        scaled = [scale_vector({i: value.terms
+                                for i, value in vectors[k].items()})
+                  for k in group]
+        for a, (da, la) in enumerate(scaled):
+            for b in range(a, len(group)):
+                db, lb = scaled[b]
+                acc = dot_scaled(la, lb)
+                if acc != ({1: da * db} if a == b else {}):
+                    return (labels[group[a]], labels[group[b]],
+                            SqrtSum(over(acc, da * db)))
     return None
 
 

@@ -290,8 +290,8 @@ def aux_vector(source: IrrepLabel, target_so4: So4Label) -> ReducedVector:
 
 def dot(u: ReducedVector, v: ReducedVector) -> SqrtSum:
     """Exact inner product over the shared (source_so4, part) components."""
-    return SqrtSum(dot_terms((value.terms, v[key].terms)
-                             for key, value in u.items() if key in v))
+    return SqrtSum(dot_terms({key: value.terms for key, value in u.items()},
+                             {key: value.terms for key, value in v.items()}))
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,9 @@ import csv
 import hashlib
 import io
 import json
+import os
 import re
+import stat
 import sys
 import threading
 from pathlib import Path
@@ -130,6 +132,21 @@ def test_cache_entry_schema(tmp_path, monkeypatch):
     # the digest is over the UTF-8 bytes of the text
     assert raw["sha256"] == hashlib.sha256(text.encode("utf-8")).hexdigest()
     assert cache.load(key) == text
+
+
+def test_cache_entry_mode_follows_the_umask(tmp_path, monkeypatch):
+    # A plain open() gives 0o666 less the umask; a cache shared between
+    # users needs entries the others can read.
+    monkeypatch.setenv("SO5CG_CACHE", str(tmp_path))
+    key = cache.cache_key("table", "1,0", "+1,0", "csv")
+    old = os.umask(0o022)
+    try:
+        cache.store(key, "x\n")
+    finally:
+        os.umask(old)
+    entries = list(tmp_path.iterdir())
+    assert [p.name for p in entries] == [f"{key}.json"]
+    assert stat.S_IMODE(entries[0].stat().st_mode) == 0o644
 
 
 def test_cache_disabled_without_env(monkeypatch):

@@ -9,8 +9,12 @@ from hypothesis import strategies as st
 
 from so5cg._kernel import (
     add_terms,
+    dot_scaled,
     dot_terms,
     mul_terms,
+    neg_terms,
+    over,
+    scale_vector,
     sqrt_of_product,
     squarefree_split,
 )
@@ -156,19 +160,68 @@ def term_lists(draw):
 term_list_values = st.composite(term_lists)()
 
 
-@given(st.lists(st.tuples(term_list_values, term_list_values), max_size=8))
-@example([((), ((1, 1, 1),))])
-@example([(((2, 1, 3),), ((2, 3, 1),)), (((1, -2, 1),), ((1, 1, 1),))])
-@example([(((6, 1, 1),), ((10, 1, 1),)), (((15, -2, 1),), ((1, 1, 1),))])
+@given(st.lists(st.tuples(term_list_values, term_list_values), max_size=8),
+       st.lists(term_list_values, max_size=3),
+       st.lists(term_list_values, max_size=3))
+# r1 == r2 with mixed denominators, products cancelling to empty across
+# pairs, and sqrt(6)*sqrt(10) = 2*sqrt(15) cancelling against -2*sqrt(15).
+@example([((), ((1, 1, 1),))], [], [])
+@example([(((2, 1, 3),), ((2, 3, 1),)), (((1, -2, 1),), ((1, 1, 1),))],
+         [], [])
+@example([(((6, 1, 1),), ((10, 1, 1),)), (((15, -2, 1),), ((1, 1, 1),))],
+         [((1, 5, 7),)], [((3, 1, 2),)])
+@example([(((2, 1, 3), (3, -1, 2)), ((2, 3, 5), (3, 1, 7))),
+          (((6, 1, 4),), ((6, 1, 9), (15, 2, 1)))], [], [])
 @settings(max_examples=150)
-def test_dot_terms_is_the_folded_sum_of_products(pairs):
+def test_dot_terms_is_the_folded_sum_of_products(pairs, only_u, only_v):
+    # Keys 0.. are shared; keys only one vector holds add nothing.
+    u = {i: a for i, (a, _) in enumerate(pairs)}
+    v = {i: b for i, (_, b) in enumerate(pairs)}
+    u.update({-1 - i: a for i, a in enumerate(only_u)})
+    v.update({("v", i): b for i, b in enumerate(only_v)})
     expected = ()
     for a, b in pairs:
         expected = add_terms(expected, mul_terms(a, b))
-    assert dot_terms(pairs) == expected
-    assert dot_terms(iter(pairs)) == expected
+    assert dot_terms(u, v) == expected
+    assert dot_terms(v, u) == expected
+    # The Gram check compares dot_scaled's sums as they are: no radicand
+    # may be left with a zero numerator.
+    (du, lu), (dv, lv) = scale_vector(u), scale_vector(v)
+    acc = dot_scaled(lu, lv)
+    assert 0 not in acc.values()
+    assert over(acc, du * dv) == expected
 
 
 def test_dot_terms_of_no_pairs_is_empty():
-    assert dot_terms([]) == ()
-    assert dot_terms(iter(())) == ()
+    assert dot_terms({}, {}) == ()
+    assert dot_terms({0: ((2, 1, 3),)}, {1: ((2, 1, 3),)}) == ()
+
+
+def single_terms(draw):
+    rad = draw(st.sampled_from(SQUAREFREE))
+    num = draw(st.integers(-10**6, 10**6).filter(bool))
+    den = draw(st.integers(1, 10**4))
+    g = gcd(num, den)
+    return ((rad, num // g, den // g),)
+
+
+single_term_values = st.composite(single_terms)()
+
+
+@given(single_term_values, single_term_values, term_list_values)
+@example(((6, 2, 3),), ((6, 3, 4),), ())
+@example(((6, 1, 1),), ((10, -1, 1),), ((15, 1, 2),))
+def test_single_term_product_is_the_general_product(a, b, c):
+    # The 1x1 path against the product rule on Fractions, with the square
+    # root split by factoring ...
+    (r1, n1, d1), = a
+    (r2, n2, d2), = b
+    outer, rad = squarefree_split(r1 * r2)
+    q = Fraction(n1 * n2 * outer, d1 * d2)
+    assert mul_terms(a, b) == ((rad, q.numerator, q.denominator),)
+    # ... and against the general path, which a product with a longer term
+    # list takes: (b + c)*a - c*a.
+    longer = add_terms(b, c)
+    if len(longer) > 1:
+        assert add_terms(mul_terms(a, longer),
+                         neg_terms(mul_terms(a, c))) == mul_terms(a, b)

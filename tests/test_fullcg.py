@@ -16,6 +16,7 @@ from so5cg.fullcg import (
     full,
     product_rows,
     row_gram_deviation,
+    transpose,
 )
 from so5cg.labels import (
     Channel,
@@ -81,9 +82,11 @@ def test_full_factorizes_reduced_times_su2():
     assert expected == sqrt_rational(Fraction(1, 7))
 
 
-@pytest.mark.parametrize("twice", [(1, 0), (2, 2), (3, 1)])
+@pytest.mark.parametrize("twice", [(1, 0), (2, 2), (3, 1), (2, 1)])
 def test_full_is_the_coupling_matrix_entry(twice):
-    # (3/2,1/2) has a second diagonal copy and every lowering channel.
+    # (3/2,1/2) has a second diagonal copy and every lowering channel; the
+    # blocks of (1,1/2) differ in size and in j1 - j2, so the row index
+    # strides are checked too.
     src = IrrepLabel(*twice)
     matrix = coupling_matrix(src)
     sectors = {}
@@ -177,3 +180,59 @@ def test_exact_orthonormality_above_the_oracle_cap(twice):
     matrix = coupling_matrix(src)
     assert column_gram_deviation(matrix) is None
     assert row_gram_deviation(matrix) is None
+
+
+def reference_gram(labels, vectors, sector):
+    """gram_deviation on SqrtSum ring operations: each same-sector pair
+    (a, b), a <= b, summed product by product, sectors in sorted order."""
+    sectors = {}
+    for k, label in enumerate(labels):
+        sectors.setdefault(sector(label), []).append(k)
+    for _, group in sorted(sectors.items()):
+        for a, ka in enumerate(group):
+            for kb in group[a:]:
+                va, vb = vectors[ka], vectors[kb]
+                value = ZERO
+                for i, x in va.items():
+                    if i in vb:
+                        value = value + x * vb[i]
+                if value != (ONE if ka == kb else ZERO):
+                    return labels[ka], labels[kb], value
+    return None
+
+
+def corrupted(matrix, how):
+    """The matrix with one entry of its middle column changed."""
+    col = matrix.cols[len(matrix.cols) // 2]
+    column = dict(matrix.columns[col])
+    i = sorted(column)[len(column) // 2]
+    v = column[i]
+    if how == "sign flip":
+        column[i] = -v
+    elif how == "dropped entry":
+        del column[i]
+    elif how == "scaled entry":
+        column[i] = v * Fraction(3, 2)
+    else:
+        column[i] = v + sqrt_rational(2 if v.terms[0][0] != 2 else 3) / 7
+        assert len(column[i].terms) == 2
+    columns = dict(matrix.columns)
+    columns[col] = column
+    return CouplingMatrix(matrix.source, matrix.rows, matrix.cols, columns)
+
+
+@pytest.mark.parametrize("source", ["1,0", "3/2,1/2", "2,2"])
+def test_gram_deviations_match_a_sqrtsum_reference(source):
+    matrix = coupling_matrix(IrrepLabel.parse(source))
+    for how in ("sign flip", "dropped entry", "scaled entry", "two-term"):
+        bad = corrupted(matrix, how)
+        columns = [bad.columns[col] for col in bad.cols]
+        col_ref = reference_gram(bad.cols, columns,
+                                 lambda col: (col.mt1.twice, col.mt2.twice))
+        row_ref = reference_gram(bad.rows,
+                                 transpose(columns, len(bad.rows)),
+                                 lambda row: (row.m1.twice + row.pm1.twice,
+                                              row.m2.twice + row.pm2.twice))
+        assert col_ref is not None and row_ref is not None, how
+        assert column_gram_deviation(bad) == col_ref, how
+        assert row_gram_deviation(bad) == row_ref, how

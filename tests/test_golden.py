@@ -54,9 +54,9 @@ EXPORT_DIGESTS = {
 }
 
 VERIFY_DIGESTS = {
-    ("all", 2): "d22ae2314f57ca543f68e67bdc4dd9aa7a4ce758372dc54a5e368699fb4a6573",
+    ("all", 2): "36dcc5935f71b393a66d7ff2be87f1092525d5da86e9d61150bffc7bc3c13da5",
     ("mixing", 4): "984a079fd4f697304a8457a71429f4b9ce04037cc891ad8c1739d8b4c31c77e6",
-    ("orthogonality", 4): "6c51a59898152b14379801bde13079b41c85eecdf3ea182d1f69b1c2ef026c94",
+    ("orthogonality", 4): "015c390f7da8e40e215b0db7a2c65477b3a008720ccc251ad2e8950fb7be517d",
     ("su2", 4): "e6ff883d64f2b3ab2e34669ad0674fe9f3a7af603c7c2f243fcd03f2511e5316",
     ("symmetry", 2): "9487a62b0a4ea724c9250aefc211d52d5a23616f80da08099a3a910be9560bf7",
 }
