@@ -257,11 +257,24 @@ def _table_text(source: IrrepLabel, channel, channel_text: str,
             else table_rows(source, channel))
     if fmt == "json":
         return _table_json(source, channel_text, rows)
-    return _csv(_TABLE_HEADER, (
-        [*row.source_so4.twice, row.entry.tdj1, row.entry.tdj2,
-         *row.entry.part.twice,
-         *(row.target_so4.twice if row.target_so4 else ("", "")), row.value]
-        for row in rows))
+    return _table_csv(rows)
+
+
+def _table_csv(rows) -> str:
+    """The table as _csv writes it; the four cells of an entry are rendered
+    once per table, not once per row."""
+    entry_cells: dict = {}
+    lines = [",".join(_TABLE_HEADER) + "\n"]
+    for row in rows:
+        entry, s, t = row.entry, row.source_so4, row.target_so4
+        cells = entry_cells.get(entry)
+        if cells is None:
+            cells = entry_cells[entry] = "%d,%d,%d,%d" % (
+                entry.tdj1, entry.tdj2, *entry.part.twice)
+        lines.append("%d,%d,%s,%s,%s\n" % (
+            s.tj1, s.tj2, cells,
+            "," if t is None else "%d,%d" % (t.tj1, t.tj2), row.value))
+    return "".join(lines)
 
 
 def cmd_table(args) -> int:

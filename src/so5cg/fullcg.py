@@ -330,11 +330,27 @@ def gram_deviation(labels: Sequence, vectors: Sequence[Mapping],
     return None
 
 
+class EntryOutsideMatrix(ValueError):
+    """A column of a matrix holds an entry at a row index outside it."""
+
+    def __init__(self, column, index: int, size: int):
+        super().__init__(f"column {column} has an entry at row index "
+                         f"{index}, outside the {size} rows")
+        self.column, self.index, self.size = column, index, size
+
+
 def transpose(columns: Sequence[Column], size: int) -> list[Column]:
-    """The size rows of a column-sparse matrix, keyed by column index."""
+    """The size rows of a column-sparse matrix, keyed by column index.
+
+    An entry at a row index outside range(size) raises EntryOutsideMatrix
+    with the column's index: neither one past the end nor a negative one is
+    filed under a row.
+    """
     rows: list[Column] = [{} for _ in range(size)]
     for j, column in enumerate(columns):
         for i, value in column.items():
+            if not 0 <= i < size:
+                raise EntryOutsideMatrix(j, i, size)
             rows[i][j] = value
     return rows
 
@@ -354,7 +370,15 @@ def column_gram_deviation(matrix: CouplingMatrix
 
 def row_gram_deviation(matrix: CouplingMatrix
                        ) -> Optional[tuple[RowState, RowState, SqrtSum]]:
-    """Row-side analogue of column_gram_deviation (completeness check)."""
+    """Row-side analogue of column_gram_deviation (completeness check).
+
+    A column entry outside the matrix's rows raises EntryOutsideMatrix
+    naming the column's ColState and the row index.
+    """
     columns = [matrix.columns[col] for col in matrix.cols]
-    return gram_deviation(matrix.rows, transpose(columns, len(matrix.rows)),
-                          lambda row: row.sector)
+    try:
+        rows = transpose(columns, len(matrix.rows))
+    except EntryOutsideMatrix as exc:
+        raise EntryOutsideMatrix(matrix.cols[exc.column], exc.index,
+                                 exc.size) from None
+    return gram_deviation(matrix.rows, rows, lambda row: row.sector)

@@ -11,14 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 from typing import Optional
 
 from ._kernel import dot_terms, sqrt_of_product
 from .errors import ChannelAbsent, MalformedKey
 from .exactnum import ZERO, SqrtSum, sqrt_rational
 from .labels import (
-    ENTRY_BY_TWICE,
     ENTRY_SHIFTS,
     Channel,
     EntryShift,
@@ -34,7 +32,11 @@ from .tables import (
     AUX_TABLE,
     DIAGONAL_TABLE,
     RAISING_TABLES,
+    UNIT,
+    BoundRow,
     ChannelTable,
+    Scale,
+    compose,
     mixing_h2,
     mixing_x_rational,
 )
@@ -117,19 +119,30 @@ def mixing(source: IrrepLabel) -> MixingData:
 
 
 def _direct(table: ChannelTable, norm: Optional[SqrtSum], source: IrrepLabel):
-    """value(s, entry, t) of a row read straight off a table: the bare row at
-    source block s, times the channel normalization norm (None for the
-    un-normalized companion)."""
-    bare, (tb1, tb2) = table.bare_value, source.twice
-    if norm is None:
-        return lambda s, entry, t: bare(entry, *s.twice, tb1, tb2)
-    return lambda s, entry, t: norm * bare(entry, *s.twice, tb1, tb2)
+    """value(s, i, t, scale) of a row read straight off a table: the row at
+    position i of ENTRY_SHIFTS at source block s, times the channel
+    normalization norm (None for the un-normalized companion) and times
+    scale, if given, in one ChannelTable.bare_value. A row is bound to the
+    source spins the first time it is evaluated, and kept in the
+    evaluator."""
+    bare, specs, (tb1, tb2) = table.bare_value, table.by_position, source.twice
+    own = UNIT if norm is None else norm.terms[0]
+    bound: list[Optional[BoundRow]] = [None] * len(specs)
+
+    def value(s, i, t, scale=None):
+        row = bound[i]
+        if row is None:
+            row = bound[i] = specs[i].bind(tb1, tb2)
+        return bare(ENTRY_SHIFTS[i], s.tj1, s.tj2, tb1, tb2,
+                    own if scale is None else compose(own, scale), row)
+    return value
 
 
 def _transposition(dims: tuple[int, int], shift: tuple[int, int],
-                   entry: EntryShift, s: So4Label, t: So4Label) -> SqrtSum:
-    """sign * sqrt(dim ratio) by which the transposed key's value becomes the
-    value of the key (shift, entry, s -> t); dims = (dim(source), dim(target)).
+                   entry: EntryShift, s: So4Label, t: So4Label) -> Scale:
+    """sign * sqrt(dim ratio), as a scale, by which the transposed key's
+    value becomes the value of the key (shift, entry, s -> t);
+    dims = (dim(source), dim(target)).
     """
     (d1, d2), part = shift, entry.part
     # d1 - d2, e1 + e2 and the part's doubled spins sum to even numbers.
@@ -137,26 +150,35 @@ def _transposition(dims: tuple[int, int], shift: tuple[int, int],
     # sqrt(num/den) = sqrt(num*den)/den
     num, den = dims[1] * s.so3_dim, dims[0] * t.so3_dim
     outer, rad = sqrt_of_product((num, den))
-    g = gcd(outer, den)
-    return SqrtSum(((rad, (-1 if phase % 2 else 1) * outer // g, den // g),))
+    return rad, -outer if phase % 2 else outer, den
+
+
+# Position in ENTRY_SHIFTS of each entry, keyed by its doubled shift and
+# the first doubled spin of its part, and of each entry's transpose: shift
+# negated, part kept.
+_POSITION = {(e.tdj1, e.tdj2, e.part.tj1): i
+             for i, e in enumerate(ENTRY_SHIFTS)}
+_FLIPPED = tuple(_POSITION[(-e.tdj1, -e.tdj2, e.part.tj1)]
+                 for e in ENTRY_SHIFTS)
 
 
 def _transposed(source: IrrepLabel, channel: Channel):
-    """value(s, entry, t) of a raising or lowering row, read off the row of
-    the transposed channel of the target: blocks swapped, entry negated."""
+    """value(s, i, t, scale) of a raising or lowering row, read off the row
+    of the transposed channel of the target: blocks swapped, entry negated,
+    and the transposition composed into the mirrored row's scale."""
     target = valid_target(source, channel)
     (d1, d2), dims = channel.shift, (dim(source), dim(target))
     mirrored = _row_values(target, Channel(-d1, -d2))
 
-    def value(s, entry, t):
-        flipped = ENTRY_BY_TWICE[(-entry.tdj1, -entry.tdj2, entry.part.tj1)]
-        return (_transposition(dims, (d1, d2), entry, s, t)
-                * mirrored(t, flipped, s))
+    def value(s, i, t, scale=None):
+        own = _transposition(dims, (d1, d2), ENTRY_SHIFTS[i], s, t)
+        return mirrored(t, _FLIPPED[i], s,
+                        own if scale is None else compose(own, scale))
     return value
 
 
 def _second_copy(source: IrrepLabel):
-    """value(s, entry, t) of the second diagonal copy, (aux - x*copy1) /
+    """value(s, i, t) of the second diagonal copy, (aux - x*copy1) /
     sqrt(norm2); ChannelAbsent when norm2 = 0."""
     mix = mixing(source)
     if mix.norm2 == 0:
@@ -166,19 +188,20 @@ def _second_copy(source: IrrepLabel):
     aux = _direct(AUX_TABLE, None, source)
     x, scale = mix.x, sqrt_rational(1 / mix.norm2)
 
-    def value(s, entry, t):
+    def value(s, i, t):
         # Copy 1 first, so a row outside the formulas' domain raises there.
-        first = copy1(s, entry, t)
-        return (aux(s, entry, t) - x * first) * scale
+        first = copy1(s, i, t)
+        return (aux(s, i, t) - x * first) * scale
     return value
 
 
 def _row_values(source: IrrepLabel, channel: Channel):
-    """value(s, entry, t) of the rows of one channel table that take source
-    block s to block t of the target: the one evaluator of single keys,
-    reduced vectors and tables. What depends on the channel only (its
-    normalization, the mixing data, the mirrored channel) is taken here,
-    once, and an absent channel raises ChannelAbsent here."""
+    """value(s, i, t) of the rows of one channel table that take source
+    block s to block t of the target, i the row's position in ENTRY_SHIFTS:
+    the one evaluator of single keys, reduced vectors and tables. What
+    depends on the channel only (its normalization, the mixing data, the
+    mirrored channel) is taken here, once, and an absent channel raises
+    ChannelAbsent here."""
     if channel.is_lowering:
         return _transposed(source, channel)
     if channel.copy == 2:
@@ -193,8 +216,10 @@ def _evaluate(key: ReducedKey, values) -> SqrtSum:
     check_source_block(key.source, key.source_so4)
     target = valid_target(key.source, key.channel)
     value = values(key.source, key.channel)
-    t = reach(target, key.source_so4, key.entry.tdj1, key.entry.tdj2)
-    return ZERO if t is None else value(key.source_so4, key.entry, t)
+    e = key.entry
+    t = reach(target, key.source_so4, e.tdj1, e.tdj2)
+    return (ZERO if t is None else value(
+        key.source_so4, _POSITION[(e.tdj1, e.tdj2, e.part.tj1)], t))
 
 
 def reduced(key: ReducedKey) -> SqrtSum:
@@ -260,13 +285,13 @@ def _check_target_block(target: IrrepLabel, target_so4: So4Label) -> None:
 
 
 def _vector(value, source: IrrepLabel, target_so4: So4Label) -> ReducedVector:
-    """value(s, entry, target_so4) at every (source_so4, part) component
+    """value(s, i, target_so4) at every (source_so4, part) component
     coupling into one target SO(4) label whose source block exists."""
     out: ReducedVector = {}
-    for entry in ENTRY_SHIFTS:
+    for i, entry in enumerate(ENTRY_SHIFTS):
         s = reach(source, target_so4, -entry.tdj1, -entry.tdj2)
         if s is not None:
-            out[(s, entry.part)] = value(s, entry, target_so4)
+            out[(s, entry.part)] = value(s, i, target_so4)
     return out
 
 
@@ -304,21 +329,23 @@ class ReducedRow:
     value: SqrtSum
 
 
+# (position in ENTRY_SHIFTS, entry) in the lexicographic order of entries.
 _TABLE_ENTRIES = tuple(sorted(
-    ENTRY_SHIFTS, key=lambda e: (e.tdj1, e.tdj2, e.part.tj1)))
+    enumerate(ENTRY_SHIFTS),
+    key=lambda p: (p[1].tdj1, p[1].tdj2, p[1].part.tj1)))
 
 
 def _table(value, source: IrrepLabel,
            target: IrrepLabel) -> tuple[ReducedRow, ...]:
     """Every (source block, entry) row, in lexicographic order, evaluated
-    by value(s, entry, t); a row that reaches no block of target is 0 with
+    by value(s, i, t); a row that reaches no block of target is 0 with
     target block None, unevaluated."""
     rows = []
     for s in branching(source):
-        for entry in _TABLE_ENTRIES:
+        for i, entry in _TABLE_ENTRIES:
             t = reach(target, s, entry.tdj1, entry.tdj2)
             rows.append(ReducedRow(s, entry, t,
-                                   ZERO if t is None else value(s, entry, t)))
+                                   ZERO if t is None else value(s, i, t)))
     return tuple(rows)
 
 

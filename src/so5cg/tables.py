@@ -16,11 +16,11 @@ source exactly when every normalization factor is positive.
 
 The formulas are written below in the form a reader checks against the
 paper: strings of linear forms and Python polynomials in the spins.  At
-import each is compiled once to integer data over the doubled spins
-(tj1, tj2, tb1, tb2) = (2j1, 2j2, 2b1, 2b2), the arguments of every
-evaluation here.  A linear form L becomes a coefficient vector whose value
-is the int 2L, and a polynomial p of degree d becomes monomial data whose
-value is the int 2**d * p.  With n_o outer, n_n numerator and n_d
+import each is compiled once (so5cg._formula) to integer data over the
+doubled spins (tj1, tj2, tb1, tb2) = (2j1, 2j2, 2b1, 2b2), the arguments of
+every evaluation here.  A linear form L becomes a coefficient vector whose
+value is the int 2L, and a polynomial p of degree d becomes monomial data
+whose value is the int 2**d * p.  With n_o outer, n_n numerator and n_d
 denominator factors, a row is then
 
     C * prod(2L_outer) * (2**d * poly) * sqrt(prod(2L_num) / prod(2L_den))
@@ -35,6 +35,13 @@ C_norm = norm_scale * sqrt(norm_srad * 2**sum(d_i)).  The radicand is
 assembled from the memoized square-free split of each small factor, so no
 product is ever factored, and the coefficient is reduced once at the end.
 
+An evaluator binds a row to its source spins (tb1, tb2) once (RowSpec.bind),
+folding b1 and b2 into each linear form's constant and into the polynomial's
+coefficients, and then evaluates it at each source block (tj1, tj2).  A row
+value may carry a scale, a single term (rad, num, den) such as the channel
+normalization: it is folded into the same radicand and the same final
+reduction, so a normalized row is one canonical term built once.
+
 All arithmetic is exact: values are SqrtSum instances and never floats.
 """
 
@@ -44,154 +51,30 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Callable, Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional, Union
 
+from ._formula import IntPoly, Lin, Poly, _int_poly, _lins, _pieces
 from ._kernel import sqrt_of_product
 from .errors import ChannelAbsent, FormulaDomainError
 from .exactnum import ZERO, SqrtSum, sqrt_rational
-from .labels import PART_00, PART_11, PART_HH, EntryShift, So4Label
+from .labels import (
+    ENTRY_SHIFTS,
+    PART_00,
+    PART_11,
+    PART_HH,
+    EntryShift,
+    So4Label,
+)
 
-# A polynomial as written: a function of the four undoubled table variables
-# (j1, j2, b1, b2), with integer coefficients.
-Poly = Callable
+# A single term (rad, num, den) meaning num/den * sqrt(rad), rad square-free
+# and den > 0, not necessarily reduced: the scale of a row value.
+Scale = tuple[int, int, int]
+UNIT: Scale = (1, 1, 1)
 
-# A linear form compiled to (c_j1, c_j2, c_b1, c_b2, 2*c_0): its dot product
-# with (tj1, tj2, tb1, tb2, 1) is twice the form's value.
-Lin = tuple[int, int, int, int, int]
-
-
-@lru_cache(maxsize=None)
-def _lin(expr: str) -> Lin:
-    """Compile a linear form such as ``"-j1+j2+b1+b2+2"`` or ``"2j1+3"``."""
-    s = expr.replace(" ", "")
-    coeffs = {"j1": 0, "j2": 0, "b1": 0, "b2": 0, "": 0}
-    i, n = 0, len(s)
-    while i < n:
-        sign = 1
-        if s[i] in "+-":
-            sign = -1 if s[i] == "-" else 1
-            i += 1
-        j = i
-        while j < n and s[j].isdigit():
-            j += 1
-        coef = int(s[i:j]) if j > i else 1
-        if j + 1 < n and s[j] in "jb" and s[j + 1] in "12":
-            coeffs[s[j:j + 2]] += sign * coef
-            i = j + 2
-        elif j > i:
-            coeffs[""] += sign * coef
-            i = j
-        else:
-            raise ValueError(f"bad linear form: {expr!r}")
-    return (coeffs["j1"], coeffs["j2"], coeffs["b1"], coeffs["b2"],
-            2 * coeffs[""])
-
-
-def _pieces(exprs: str) -> list[str]:
-    """The linear forms of a ';'-separated list, as written."""
-    return [p for p in exprs.split(";") if p.strip()]
-
-
-def _lins(exprs: str) -> tuple[Lin, ...]:
-    return tuple(_lin(p) for p in _pieces(exprs))
-
-
-class _Expansion:
-    """A polynomial being expanded: exponents of (j1, j2, b1, b2) -> coefficient.
-
-    Calling a formula on the four variables as instances of this class
-    expands it once; the formula itself is never evaluated on numbers.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[tuple[int, int, int, int], int]):
-        self.terms = terms
-
-    @staticmethod
-    def _of(value) -> dict:
-        if isinstance(value, _Expansion):
-            return value.terms
-        if isinstance(value, int):
-            return {(0, 0, 0, 0): value}
-        return NotImplemented
-
-    def __add__(self, other):
-        terms = self._of(other)
-        if terms is NotImplemented:
-            return NotImplemented
-        out = dict(self.terms)
-        for e, c in terms.items():
-            out[e] = out.get(e, 0) + c
-        return _Expansion(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _Expansion({e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + -other
-
-    def __rsub__(self, other):
-        return -self + other
-
-    def __mul__(self, other):
-        terms = self._of(other)
-        if terms is NotImplemented:
-            return NotImplemented
-        out: dict[tuple[int, int, int, int], int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in terms.items():
-                e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3])
-                out[e] = out.get(e, 0) + c1 * c2
-        return _Expansion(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        out = _Expansion({(0, 0, 0, 0): 1})
-        for _ in range(k):
-            out = out * self
-        return out
-
-
-# Exponents of (j1, j2, b1, b2) in each entry of a compiled linear form.
-_UNITS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (0, 0, 0, 0))
-_VARIABLES = tuple(_Expansion({e: 1}) for e in _UNITS[:4])
-
-
-@dataclass(frozen=True)
-class IntPoly:
-    """A polynomial compiled over the doubled spins.
-
-    ``source`` is the polynomial as written: a function of (j1, j2, b1, b2)
-    or a linear-form string.  Its value at the doubled spins is the int
-    2**degree * source(tj1/2, tj2/2, tb1/2, tb2/2).
-    """
-
-    source: Union[Poly, str]
-    degree: int
-    terms: tuple[tuple[int, int, int, int, int], ...]  # (coeff, exponents)
-
-    def __call__(self, tj1: int, tj2: int, tb1: int, tb2: int) -> int:
-        total = 0
-        for c, e1, e2, e3, e4 in self.terms:
-            total += c * tj1 ** e1 * tj2 ** e2 * tb1 ** e3 * tb2 ** e4
-        return total
-
-
-def _int_poly(source: Union[Poly, str]) -> IntPoly:
-    if isinstance(source, str):
-        # A compiled linear form already is the degree-1 data.
-        return IntPoly(source, 1, tuple(
-            (c, *e) for c, e in zip(_lin(source), _UNITS) if c))
-    expanded = source(*_VARIABLES).terms
-    degree = max((sum(e) for e, c in expanded.items() if c), default=0)
-    # Each monomial of total degree k takes 2**(degree - k) from the
-    # substitution j = tj/2 scaled by 2**degree.
-    return IntPoly(source, degree, tuple(
-        (c << (degree - sum(e)), *e) for e, c in expanded.items() if c))
+# A RowSpec bound to source spins (tb1, tb2) by RowSpec.bind: (spec, outer,
+# poly, num, den), each linear form as (c_j1, c_j2, c_b1*tb1 + c_b2*tb2 +
+# 2*c_0) and the polynomial, if any, as (coeff, e_j1, e_j2) terms.
+BoundRow = tuple
 
 
 @lru_cache(maxsize=None)
@@ -204,11 +87,20 @@ def _constant(sign: int, scale: str, srad: str, root_exp: int,
     return rad, q.numerator, q.denominator
 
 
+def compose(a: Scale, b: Scale) -> Scale:
+    """The product of two scales, unreduced: sqrt(r1) * sqrt(r2) is
+    g * sqrt((r1/g) * (r2/g)) with g = gcd(r1, r2), square-free again."""
+    (r1, n1, d1), (r2, n2, d2) = a, b
+    g = gcd(r1, r2)
+    return (r1 // g) * (r2 // g), n1 * n2 * g, d1 * d2
+
+
 def _root(const: tuple[int, int, int], outer: int, den: int,
-          factors: Iterable[int]) -> SqrtSum:
-    """const * outer / den * sqrt(prod(factors)) for positive int factors,
-    with the coefficient reduced once."""
-    rad, num, cden = const
+          factors: Iterable[int], scale: Scale = UNIT) -> SqrtSum:
+    """scale * const * outer * sqrt(prod(factors)) / den as one canonical
+    term: the factors are split into the product's square-free radicand and
+    the coefficient is reduced once."""
+    rad, num, cden = compose(const, scale)
     root, rad = sqrt_of_product(factors, rad)
     num *= outer * root
     den *= cden
@@ -242,6 +134,18 @@ class RowSpec:
     outer_lins: tuple[Lin, ...]
     num_lins: tuple[Lin, ...]
     den_lins: tuple[Lin, ...]
+
+    def bind(self, tb1: int, tb2: int) -> BoundRow:
+        """The row at source spins (tb1, tb2): a function of (tj1, tj2)."""
+        return (
+            self,
+            [(c1, c2, c3 * tb1 + c4 * tb2 + c0)
+             for c1, c2, c3, c4, c0 in self.outer_lins],
+            None if self.poly is None else self.poly.bind(tb1, tb2),
+            [(c1, c2, c3 * tb1 + c4 * tb2 + c0)
+             for c1, c2, c3, c4, c0 in self.num_lins],
+            [(c1, c2, c3 * tb1 + c4 * tb2 + c0)
+             for c1, c2, c3, c4, c0 in self.den_lins])
 
 
 def _row(tdj1: int, tdj2: int, part: So4Label, sign: int, scale: str,
@@ -278,6 +182,8 @@ class ChannelTable:
     norm_factors: tuple[IntPoly, ...]
     norm_const: tuple[int, int, int]
     rows: Mapping[EntryShift, RowSpec]
+    # rows[entry] for each entry of ENTRY_SHIFTS, in that order
+    by_position: tuple[RowSpec, ...]
 
     def factor_values(self, tb1: int, tb2: int) -> tuple[int, ...]:
         # Normalization factors depend on (b1, b2) only; each value is
@@ -297,25 +203,35 @@ class ChannelTable:
         return _root(self.norm_const, 1, den, values)
 
     def bare_value(self, entry: EntryShift, tj1: int, tj2: int,
-                   tb1: int, tb2: int) -> SqrtSum:
-        """Row value without the channel normalization."""
-        row = self.rows[entry]
+                   tb1: int, tb2: int, scale: Scale = UNIT,
+                   row: Optional[BoundRow] = None) -> SqrtSum:
+        """Row value without the channel normalization, times scale.
+
+        row is entry's row already bound to (tb1, tb2), as an evaluator
+        keeps it; when None the row is looked up and bound here.
+        """
+        spec, outer_lins, poly, num_lins, den_lins = (
+            self.rows[entry].bind(tb1, tb2) if row is None else row)
         outer = 1
-        for c1, c2, c3, c4, c0 in row.outer_lins:
-            outer *= c1 * tj1 + c2 * tj2 + c3 * tb1 + c4 * tb2 + c0
-        if outer and row.poly is not None:
-            outer *= row.poly(tj1, tj2, tb1, tb2)
+        for c1, c2, c0 in outer_lins:
+            outer *= c1 * tj1 + c2 * tj2 + c0
+        if outer and poly is not None:
+            value = 0
+            for c, e1, e2 in poly:
+                value += c * tj1 ** e1 * tj2 ** e2
+            outer *= value
         if not outer:
             return ZERO
         factors = []
+        append = factors.append
         negatives = 0
-        for c1, c2, c3, c4, c0 in row.num_lins:
-            v = c1 * tj1 + c2 * tj2 + c3 * tb1 + c4 * tb2 + c0
+        for c1, c2, c0 in num_lins:
+            v = c1 * tj1 + c2 * tj2 + c0
             if v > 0:
-                factors.append(v)
+                append(v)
             elif v:
                 negatives += 1
-                factors.append(-v)
+                append(-v)
             else:
                 return ZERO
         # Valid entries may hit pairs of negative factors whose product is
@@ -325,16 +241,16 @@ class ChannelTable:
                 f"negative radicand for entry {entry} at "
                 f"j=({_half(tj1)},{_half(tj2)}), b=({_half(tb1)},{_half(tb2)})")
         den = 1
-        for i, (c1, c2, c3, c4, c0) in enumerate(row.den_lins):
-            v = c1 * tj1 + c2 * tj2 + c3 * tb1 + c4 * tb2 + c0
+        for i, (c1, c2, c0) in enumerate(den_lins):
+            v = c1 * tj1 + c2 * tj2 + c0
             if v <= 0:
                 raise FormulaDomainError(
-                    f"denominator factor {_pieces(row.den)[i]} = {_half(v)} "
+                    f"denominator factor {_pieces(spec.den)[i]} = {_half(v)} "
                     f"for entry {entry} at j=({_half(tj1)},{_half(tj2)}), "
                     f"b=({_half(tb1)},{_half(tb2)})")
             den *= v
-            factors.append(v)
-        return _root(row.const, outer, den, factors)
+            append(v)
+        return _root(spec.const, outer, den, factors, scale)
 
 
 def _channel(shift: tuple[int, int], norm_factors: Union[str, tuple[Poly, ...]],
@@ -347,7 +263,8 @@ def _channel(shift: tuple[int, int], norm_factors: Union[str, tuple[Poly, ...]],
     compiled = tuple(_int_poly(f) for f in norm_factors)
     const = _constant(1, norm_scale, norm_srad,
                       sum(f.degree for f in compiled), 0)
-    return ChannelTable(shift, norm_scale, norm_srad, compiled, const, rows)
+    return ChannelTable(shift, norm_scale, norm_srad, compiled, const, rows,
+                        tuple(rows[entry] for entry in ENTRY_SHIFTS))
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from .errors import FormulaDomainError
 from .exactnum import ONE, ZERO, sqrt_rational
 from .fullcg import (
     CouplingMatrix,
+    EntryOutsideMatrix,
     column_gram_deviation,
     coupling_matrix,
     gram_deviation,
@@ -117,7 +118,10 @@ def full_row_orthogonality(sources: tuple[IrrepLabel, ...]) -> Optional[str]:
     kept as an independent cross-check of the rows.
     """
     for src in sources:
-        bad = row_gram_deviation(coupling_matrix(src))
+        try:
+            bad = row_gram_deviation(coupling_matrix(src))
+        except EntryOutsideMatrix as exc:
+            return f"source {src}: {exc}"
         if bad is not None:
             a, b, value = bad
             return f"source {src}: rows <{a}|{b}> = {value}"

@@ -9,6 +9,7 @@ from so5cg.exactnum import ONE, ZERO, sqrt_rational
 from so5cg.fullcg import (
     ColState,
     CouplingMatrix,
+    EntryOutsideMatrix,
     RowState,
     column_gram_deviation,
     coupled_cols,
@@ -236,3 +237,15 @@ def test_gram_deviations_match_a_sqrtsum_reference(source):
         assert col_ref is not None and row_ref is not None, how
         assert column_gram_deviation(bad) == col_ref, how
         assert row_gram_deviation(bad) == row_ref, how
+
+
+@pytest.mark.parametrize("index", [2, -1])
+def test_transpose_rejects_a_row_index_outside_the_matrix(index):
+    # Two rows: index 2 is one past the end, and index -1 must not be
+    # filed under the last row.
+    columns = [{0: ONE}, {1: ONE, index: ONE}]
+    with pytest.raises(EntryOutsideMatrix) as caught:
+        transpose(columns, 2)
+    assert (caught.value.column, caught.value.index, caught.value.size) == (
+        1, index, 2)
+    assert transpose(columns[:1], 2) == [{0: ONE}, {}]

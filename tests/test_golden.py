@@ -40,6 +40,11 @@ TABLE_DIGESTS = {
     ("13/2,6", "csv"): "0bcf6b8e90ae57adf7282bfd7861a71bcbcc2834453e32bd4dc0c6e813244bc9",
     ("14,0", "json"): "39afe59e78e67579e0576dcab0b7c9a3431da939e7294c0e7650799e3a31e944",
     ("20,20", "csv"): "b659f847d3f8ab9b0c058d45219abfed1c1af89b9d808e7cf674c4b8ec585c48",
+    ("30,20", "csv"): "be73fd8ff9529ab73283381f55f0eb6dacbad08b447486a9b64b802ebc818d99",
+    ("30,20", "json"): "eb759ef65ff554767be37979dc0acb11d48083f14ef8ba988a16389e2e10a973",
+    ("14,0", "csv"): "e7198eafc5c5615b4e0f2844e67034754629b0e213c036b6f06a9fb36a276d1b",
+    ("20,20", "json"): "5dc04a09c4f71aa8a6ac0f408644f2cba2e8ee78585915554036f25881885280",
+    ("13/2,6", "json"): "f39856480db3e2215232675213a08204671773427efc8643df521ae3157ffa98",
 }
 
 EXPORT_DIGESTS = {

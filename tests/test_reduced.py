@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from so5cg.errors import ChannelAbsent, MalformedKey
+from so5cg.errors import ChannelAbsent, FormulaDomainError, MalformedKey
 from so5cg.exactnum import ONE, ZERO, SqrtSum, sqrt_rational
 from so5cg.labels import (
     ALL_CHANNELS,
@@ -20,7 +20,10 @@ from so5cg.labels import (
     So4Label,
     branching,
     channel_present,
+    channels_present,
+    dim,
     iter_labels,
+    reach,
     target_of,
 )
 from so5cg.reduced import (
@@ -38,6 +41,7 @@ from so5cg.reduced import (
     symmetry_extend,
     table_rows,
 )
+from so5cg.tables import AUX_TABLE, DIAGONAL_TABLE, RAISING_TABLES
 
 A = Channel(2, 2)
 B = Channel(2, 0)
@@ -409,3 +413,79 @@ def test_table_rows_equal_single_key_evaluation(src, data):
             sign = -1 if phase % 2 else 1
             assert row.value == sign * sqrt_rational(ratio) * transposed, (
                 str(channel), str(row))
+
+
+def _outcome(f, *args):
+    """f(*args), or the error it raised."""
+    try:
+        return f(*args)
+    except FormulaDomainError as exc:
+        return exc
+
+
+def _same(got, want) -> bool:
+    if isinstance(want, Exception):
+        return type(got) is type(want) and str(got) == str(want)
+    return not isinstance(got, Exception) and got == want
+
+
+def _unfused_row(src: IrrepLabel, channel, s: So4Label, entry: EntryShift):
+    """One table row as separate exact products: the channel normalization
+    times the bare row, the transposition with a Fraction ratio times the
+    mirrored row, or (aux - x*copy1)/sqrt(norm2) for the second copy."""
+    if channel == "aux":
+        return AUX_TABLE.bare_value(entry, *s.twice, *src.twice)
+    if channel.is_lowering:
+        target = target_of(src, channel)
+        (d1, d2), part = channel.shift, entry.part
+        t = So4Label(s.tj1 + entry.tdj1, s.tj2 + entry.tdj2)
+        phase = (d1 - d2 + entry.tdj1 + entry.tdj2 + part.tj1 + part.tj2) // 2
+        ratio = Fraction(dim(target) * s.so3_dim, dim(src) * t.so3_dim)
+        mirrored = _unfused_row(target, Channel(-d1, -d2), t,
+                                EntryShift(-entry.tdj1, -entry.tdj2, part))
+        return (-1 if phase % 2 else 1) * sqrt_rational(ratio) * mirrored
+    if channel.copy == 2:
+        mix = mixing(src)
+        first = _unfused_row(src, G1, s, entry)
+        aux = _unfused_row(src, "aux", s, entry)
+        return (aux - mix.x * first) * sqrt_rational(1 / mix.norm2)
+    table = DIAGONAL_TABLE if channel.is_diagonal else RAISING_TABLES[
+        channel.shift]
+    return normalization(channel, src) * table.bare_value(
+        entry, *s.twice, *src.twice)
+
+
+_ENTRY_ORDER = sorted(ENTRY_SHIFTS, key=lambda e: (e.tdj1, e.tdj2, e.part.tj1))
+
+
+@given(st.sampled_from(list(iter_labels(24))), st.data())
+@settings(max_examples=12, derandomize=True, deadline=None)
+def test_fused_rows_equal_the_unfused_reference(src, data):
+    # A row value is one term with the normalization and the transposition
+    # folded in; it must equal the same row built as separate products at
+    # every block of every table, and raise the same FormulaDomainError
+    # where the reference raises. The single keys of one drawn block take
+    # the same evaluator one key at a time.
+    keyed = data.draw(st.sampled_from(branching(src)), label="keyed block")
+    for channel in [*channels_present(src), "aux"]:
+        target = src if channel == "aux" else target_of(src, channel)
+        single = reduced_aux if channel == "aux" else reduced
+        want = []
+        for s in branching(src):
+            for entry in _ENTRY_ORDER:
+                if reach(target, s, entry.tdj1, entry.tdj2) is None:
+                    want.append(ZERO)
+                    continue
+                want.append(_outcome(_unfused_row, src, channel, s, entry))
+                if s != keyed:
+                    continue
+                key = ReducedKey(src, G1 if channel == "aux" else channel,
+                                 s, entry)
+                assert _same(_outcome(single, key), want[-1]), (
+                    str(src), str(channel), str(s), str(entry))
+        got = _outcome(lambda: [row.value for row in (
+            aux_table_rows(src) if channel == "aux"
+            else table_rows(src, channel))])
+        errors = [w for w in want if isinstance(w, Exception)]
+        assert _same(got, errors[0] if errors else want), (
+            str(src), str(channel))

@@ -167,3 +167,38 @@ def test_normalization_matches_its_formula(name):
             expected = Fraction(table.norm_scale) * sqrt_rational(radicand)
         got_norm = evaluated(table.normalization, *src.twice)
         assert same(got_norm, expected), (name, str(src), got_norm, expected)
+
+
+# Doubled source spins (tb1, tb2) to bind rows to, and the (tj1, tj2) grid at
+# which each bound row is evaluated, negative values included.
+BIND_POINTS = [(tb1, tb2) for tb1 in (-1, 2) for tb2 in (-2, 1, 3)]
+BLOCK_GRID = list(itertools.product(range(-3, 4), repeat=2))
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
+def test_bound_rows_with_a_scale_match_their_formulas(name):
+    # The evaluators' call: each row bound once to the source spins, then
+    # evaluated with a scale folded in, must be the row as written times
+    # the scale, or raise the same FormulaDomainError.
+    table = TABLES[name]
+    scale, factor = (6, -3, 7), Fraction(-3, 7) * sqrt_rational(6)
+    errors = 0
+    for tb1, tb2 in BIND_POINTS:
+        b1, b2 = Fraction(tb1, 2), Fraction(tb2, 2)
+        for entry in ENTRY_SHIFTS:
+            row = table.rows[entry].bind(tb1, tb2)
+            values: dict = {}
+            for tj1, tj2 in BLOCK_GRID:
+                j1, j2 = Fraction(tj1, 2), Fraction(tj2, 2)
+                values.clear()
+                got = evaluated(table.bare_value, entry, tj1, tj2, tb1, tb2,
+                                scale, row)
+                want = reference_row(table.rows[entry], entry, j1, j2, b1, b2,
+                                     values)
+                if isinstance(want, Exception):
+                    errors += 1
+                else:
+                    want = want * factor
+                assert same(got, want), (name, str(entry), tj1, tj2, tb1, tb2,
+                                         got, want)
+    assert errors

@@ -6,7 +6,12 @@ from dataclasses import replace
 import pytest
 
 from so5cg.exactnum import ONE
-from so5cg.fullcg import column_gram_deviation, coupling_matrix
+from so5cg.fullcg import (
+    EntryOutsideMatrix,
+    column_gram_deviation,
+    coupling_matrix,
+    row_gram_deviation,
+)
 from so5cg.labels import Channel, IrrepLabel, So4Label, iter_labels
 from so5cg import verify
 
@@ -137,6 +142,32 @@ def test_full_orthogonality_reports_an_entry_outside_the_matrix(monkeypatch):
     monkeypatch.setattr(verify, "coupling_matrix", lambda src: bad)
     assert verify.full_orthogonality((source,)) == (
         "source 0,0: column 1,1#1;0,0;0,0 has an entry in row index 14")
+
+
+@pytest.mark.parametrize("index", [14, -1])
+def test_row_orthogonality_reports_an_entry_outside_the_matrix(index,
+                                                               monkeypatch):
+    # Neither row 14 past the end of the 14 x 14 matrix of the trivial
+    # source nor row -1 exists: the row Gram must name the column and the
+    # index, not fail on row 14 or file row -1 under the last row.
+    source = IrrepLabel(0, 0)
+
+    def move(columns, col):
+        moved = col("1,1#1;0,0;0,0")
+        (_, value), = columns[moved].items()
+        columns[moved] = {index: value}
+
+    bad = _corrupted(source, move)
+    monkeypatch.setattr(verify, "coupling_matrix", lambda src: bad)
+    assert verify.full_row_orthogonality((source,)) == (
+        f"source 0,0: column 1,1#1;0,0;0,0 has an entry at row index "
+        f"{index}, outside the 14 rows")
+    with pytest.raises(EntryOutsideMatrix) as caught:
+        row_gram_deviation(bad)
+    assert (str(caught.value.column), caught.value.index) == (
+        "1,1#1;0,0;0,0", index)
+    assert verify.full_orthogonality((source,)) == (
+        f"source 0,0: column 1,1#1;0,0;0,0 has an entry in row index {index}")
 
 
 def test_full_orthogonality_reports_a_scaled_entry(monkeypatch):
