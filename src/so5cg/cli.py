@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from typing import Optional
 
@@ -353,6 +354,20 @@ def _add_output_flags(sub) -> None:
                      help="skip the SO5CG_CACHE directory")
 
 
+def _non_negative(kind):
+    """An argparse type: kind(text), which must be finite and >= 0. A
+    negative --max-twice-j sweeps nothing and no deviation exceeds a NaN
+    --tol, so either would pass every check."""
+    def parse(text: str):
+        value = kind(text)
+        if not 0 <= value < math.inf:
+            raise argparse.ArgumentTypeError(
+                f"must be a finite number >= 0, got {text!r}")
+        return value
+    parse.__name__ = kind.__name__  # argparse: "invalid int value: 'x'"
+    return parse
+
+
 # argparse reads "--channel -1,-1" as two options, so the help shows the
 # "=" form that negative shifts need.
 _CHANNEL_HELP = ("channel shift, e.g. '+1,+1', '0,0#2', 'aux'; write a "
@@ -407,8 +422,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = subs.add_parser("verify", help="run an invariant suite")
     p_ver.add_argument("suite", choices=(*SUITE_NAMES, "all"))
-    p_ver.add_argument("--max-twice-j", type=int, default=8, dest="max_twice_j")
-    p_ver.add_argument("--tol", type=float, default=1e-9)
+    p_ver.add_argument("--max-twice-j", type=_non_negative(int), default=8,
+                       dest="max_twice_j")
+    p_ver.add_argument("--tol", type=_non_negative(float), default=1e-9)
     p_ver.add_argument("--source", default=None,
                        help="restrict the oracle suite to one source")
     p_ver.add_argument("--out", default=None)

@@ -10,6 +10,7 @@ orthonormality is asserted exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import groupby
 from typing import Callable, Hashable, Iterator, Mapping, Optional, Sequence
 
@@ -17,7 +18,8 @@ from ._kernel import dot_scaled, mul_terms, over, scale_vector
 from .errors import MalformedKey
 from .exactnum import ZERO, SqrtSum
 from .labels import (
-    ENTRY_BY_TWICE,
+    ENTRY_POSITION,
+    ENTRY_SHIFTS,
     FOURTEEN,
     PARTS_14,
     SHIFTS_14,
@@ -120,8 +122,8 @@ def full(source: IrrepLabel, row: RowState, col: ColState) -> SqrtSum:
     _check_magnetic(t.tj2, col.mt2, "target")
     if col.sector != row.sector:
         return ZERO
-    entry = ENTRY_BY_TWICE.get((t.tj1 - s.tj1, t.tj2 - s.tj2, p.tj1))
-    if entry is None:
+    i = ENTRY_POSITION.get((t.tj1 - s.tj1, t.tj2 - s.tj2, p.tj1))
+    if i is None:
         return ZERO
     shift = (col.target.tj1 - source.tj1, col.target.tj2 - source.tj2)
     if shift not in SHIFTS_14:
@@ -132,7 +134,7 @@ def full(source: IrrepLabel, row: RowState, col: ColState) -> SqrtSum:
         # branching is 0 before the channel's absence is decided, whereas
         # reduced() decides absence first.
         return ZERO
-    r = reduced(ReducedKey(source, channel, s, entry))
+    r = reduced(ReducedKey(source, channel, s, ENTRY_SHIFTS[i]))
     if not r:
         return ZERO
     cg1 = su2_cg(s.tj1, row.m1.twice, p.tj1, row.pm1.twice,
@@ -145,7 +147,9 @@ def full(source: IrrepLabel, row: RowState, col: ColState) -> SqrtSum:
 Column = dict[int, SqrtSum]
 
 
-def _su2_factors(ts: int, tp: int, tt: int) -> list[tuple[int, int, int, tuple]]:
+# At most six slots per source spin: the bound holds all for 2j1 < 680.
+@lru_cache(maxsize=4096)
+def _su2_factors(ts: int, tp: int, tt: int) -> tuple[tuple, ...]:
     """Every nonzero <s m, p pm | t mt> of one SO(3) slot, pm = mt - m, as
     (2mt, i, j, terms), where i and j count m and pm up from -s and -p;
     spins are doubled throughout."""
@@ -158,7 +162,7 @@ def _su2_factors(ts: int, tp: int, tt: int) -> list[tuple[int, int, int, tuple]]
                 if cg:
                     out.append((tmt, (tm + ts) // 2, (tpm + tp) // 2,
                                 cg.terms))
-    return out
+    return tuple(out)
 
 
 def _block_starts(label: IrrepLabel, size: int) -> dict[tuple[int, int], int]:
@@ -178,8 +182,7 @@ def _block_starts(label: IrrepLabel, size: int) -> dict[tuple[int, int], int]:
 _PART_STARTS = _block_starts(FOURTEEN, 1)
 
 
-def _block_columns(components, t: So4Label, bases: dict[tuple[int, int], int],
-                   factors: dict[tuple[int, int, int], list]
+def _block_columns(components, t: So4Label, bases: dict[tuple[int, int], int]
                    ) -> dict[int, dict[int, Column]]:
     """The columns of every coupled state of target block t, keyed by their
     doubled magnetic labels, 2mt1 then 2mt2; each column maps a row index to
@@ -187,19 +190,14 @@ def _block_columns(components, t: So4Label, bases: dict[tuple[int, int], int],
 
     components holds the block's nonzero reduced values as (2s1, 2s2, 2p1,
     2p2, terms); each entry is r * cg1 * cg2 on term lists. bases maps each
-    source block to the index of its first row, and factors memoizes
-    _su2_factors.
+    source block to the index of its first row.
     """
     tt1, tt2 = t.twice
     columns = {tmt1: {tmt2: {} for tmt2 in range(-tt2, tt2 + 1, 2)}
                for tmt1 in range(-tt1, tt1 + 1, 2)}
     for ts1, ts2, tp1, tp2, r in components:
-        left = factors.get((ts1, tp1, tt1))
-        if left is None:
-            left = factors[(ts1, tp1, tt1)] = _su2_factors(ts1, tp1, tt1)
-        right = factors.get((ts2, tp2, tt2))
-        if right is None:
-            right = factors[(ts2, tp2, tt2)] = _su2_factors(ts2, tp2, tt2)
+        left = _su2_factors(ts1, tp1, tt1)
+        right = _su2_factors(ts2, tp2, tt2)
         # Row of (s; m1, m2 | p; pm1, pm2): the start of block s, 14 rows
         # per (m1, m2) state, then the start of part p and (pm1, pm2) in it.
         base = bases[(ts1, ts2)] + _PART_STARTS[(tp1, tp2)]
@@ -285,7 +283,6 @@ def coupling_matrix(source: IrrepLabel) -> CouplingMatrix:
             f"dimension audit failed for {source}: {len(rows)} rows, "
             f"{len(cols)} columns, 14 * dim = {14 * dim(source)}")
     bases = _block_starts(source, 14)
-    factors: dict[tuple[int, int, int], list] = {}
     columns: dict[ColState, Column] = {}
     for (target, copy, t), block in groupby(
             cols, key=lambda col: (col.target, col.copy, col.target_so4)):
@@ -294,7 +291,7 @@ def coupling_matrix(source: IrrepLabel) -> CouplingMatrix:
         components = [(*s.twice, *p.twice, r.terms)
                       for (s, p), r in reduced_vector(source, channel,
                                                       t).items() if r]
-        vectors = _block_columns(components, t, bases, factors)
+        vectors = _block_columns(components, t, bases)
         for col in block:
             columns[col] = vectors[col.mt1.twice][col.mt2.twice]
     return CouplingMatrix(source, rows, cols, columns)

@@ -280,10 +280,10 @@ ENTRY_SHIFTS: tuple[EntryShift, ...] = tuple(
     + [EntryShift(0, 0, PART_00)]
 )
 
-# Entry shifts by (doubled shift, doubled shift, doubled spin of the part);
-# both spins of a 14-part are equal.
-ENTRY_BY_TWICE: dict[tuple[int, int, int], EntryShift] = {
-    (e.tdj1, e.tdj2, e.part.tj1): e for e in ENTRY_SHIFTS}
+# Position in ENTRY_SHIFTS of each entry, keyed by (doubled shift, doubled
+# shift, doubled spin of the part); both spins of a 14-part are equal.
+ENTRY_POSITION: dict[tuple[int, int, int], int] = {
+    (e.tdj1, e.tdj2, e.part.tj1): i for i, e in enumerate(ENTRY_SHIFTS)}
 
 
 @dataclass(frozen=True, slots=True)

@@ -17,6 +17,7 @@ from ._kernel import dot_terms, sqrt_of_product
 from .errors import ChannelAbsent, MalformedKey
 from .exactnum import ZERO, SqrtSum, sqrt_rational
 from .labels import (
+    ENTRY_POSITION,
     ENTRY_SHIFTS,
     Channel,
     EntryShift,
@@ -125,14 +126,14 @@ def _direct(table: ChannelTable, norm: Optional[SqrtSum], source: IrrepLabel):
     scale, if given, in one ChannelTable.bare_value. A row is bound to the
     source spins the first time it is evaluated, and kept in the
     evaluator."""
-    bare, specs, (tb1, tb2) = table.bare_value, table.by_position, source.twice
+    bare, rows, (tb1, tb2) = table.bare_value, table.rows, source.twice
     own = UNIT if norm is None else norm.terms[0]
-    bound: list[Optional[BoundRow]] = [None] * len(specs)
+    bound: list[Optional[BoundRow]] = [None] * len(ENTRY_SHIFTS)
 
     def value(s, i, t, scale=None):
         row = bound[i]
         if row is None:
-            row = bound[i] = specs[i].bind(tb1, tb2)
+            row = bound[i] = rows[ENTRY_SHIFTS[i]].bind(tb1, tb2)
         return bare(ENTRY_SHIFTS[i], s.tj1, s.tj2, tb1, tb2,
                     own if scale is None else compose(own, scale), row)
     return value
@@ -153,12 +154,8 @@ def _transposition(dims: tuple[int, int], shift: tuple[int, int],
     return rad, -outer if phase % 2 else outer, den
 
 
-# Position in ENTRY_SHIFTS of each entry, keyed by its doubled shift and
-# the first doubled spin of its part, and of each entry's transpose: shift
-# negated, part kept.
-_POSITION = {(e.tdj1, e.tdj2, e.part.tj1): i
-             for i, e in enumerate(ENTRY_SHIFTS)}
-_FLIPPED = tuple(_POSITION[(-e.tdj1, -e.tdj2, e.part.tj1)]
+# Position of each entry's transpose: shift negated, part kept.
+_FLIPPED = tuple(ENTRY_POSITION[(-e.tdj1, -e.tdj2, e.part.tj1)]
                  for e in ENTRY_SHIFTS)
 
 
@@ -219,7 +216,7 @@ def _evaluate(key: ReducedKey, values) -> SqrtSum:
     e = key.entry
     t = reach(target, key.source_so4, e.tdj1, e.tdj2)
     return (ZERO if t is None else value(
-        key.source_so4, _POSITION[(e.tdj1, e.tdj2, e.part.tj1)], t))
+        key.source_so4, ENTRY_POSITION[(e.tdj1, e.tdj2, e.part.tj1)], t))
 
 
 def reduced(key: ReducedKey) -> SqrtSum:
@@ -260,19 +257,14 @@ def symmetry_extend(key: ReducedKey) -> SqrtSum:
 
 
 def channel_present_by_normalization(source: IrrepLabel, channel: Channel) -> bool:
-    """Presence decided by the formulas alone: a valid target plus strictly
-    positive normalization factors (norm2 > 0 for the second copy)."""
-    target = target_of(source, channel)
-    if target is None:
+    """Presence decided by the formulas alone: whether _row_values sets up,
+    which takes a valid target and positive normalization factors (norm2 >
+    0 for the second copy, the transposed channel's for a lowering one)."""
+    try:
+        _row_values(source, channel)
+    except ChannelAbsent:
         return False
-    if channel.is_lowering:
-        # Lowering presence mirrors the raising presence of the transposed pair.
-        shift = channel.shift
-        return channel_present_by_normalization(
-            target, Channel(-shift[0], -shift[1]))
-    if channel.copy == 2:
-        return mixing(source).norm2 > 0
-    return all(v > 0 for v in _table_of(channel).factor_values(*source.twice))
+    return True
 
 
 ReducedVector = dict[tuple[So4Label, So4Label], SqrtSum]

@@ -58,7 +58,6 @@ from ._kernel import sqrt_of_product
 from .errors import ChannelAbsent, FormulaDomainError
 from .exactnum import ZERO, SqrtSum, sqrt_rational
 from .labels import (
-    ENTRY_SHIFTS,
     PART_00,
     PART_11,
     PART_HH,
@@ -182,8 +181,6 @@ class ChannelTable:
     norm_factors: tuple[IntPoly, ...]
     norm_const: tuple[int, int, int]
     rows: Mapping[EntryShift, RowSpec]
-    # rows[entry] for each entry of ENTRY_SHIFTS, in that order
-    by_position: tuple[RowSpec, ...]
 
     def factor_values(self, tb1: int, tb2: int) -> tuple[int, ...]:
         # Normalization factors depend on (b1, b2) only; each value is
@@ -263,8 +260,7 @@ def _channel(shift: tuple[int, int], norm_factors: Union[str, tuple[Poly, ...]],
     compiled = tuple(_int_poly(f) for f in norm_factors)
     const = _constant(1, norm_scale, norm_srad,
                       sum(f.degree for f in compiled), 0)
-    return ChannelTable(shift, norm_scale, norm_srad, compiled, const, rows,
-                        tuple(rows[entry] for entry in ENTRY_SHIFTS))
+    return ChannelTable(shift, norm_scale, norm_srad, compiled, const, rows)
 
 
 # ---------------------------------------------------------------------------

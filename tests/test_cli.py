@@ -694,3 +694,33 @@ def test_parser_is_built_once_and_survives_a_usage_error(capsys):
     code, out, err = run(capsys, "branch", "1,0", "--no-cache")
     assert (code, err) == (0, "")
     assert out.startswith("tj1,tj2,so3_dim\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("mixing", "--max-twice-j", "-3"),
+    ("oracle", "--source", "1,0", "--tol", "nan"),
+    ("oracle", "--source", "1,0", "--tol", "inf"),
+    ("oracle", "--source", "1,0", "--tol", "-0.5"),
+], ids=["negative-bound", "nan-tol", "inf-tol", "negative-tol"])
+def test_verify_rejects_a_bound_that_checks_nothing(capsys, argv):
+    # A negative bound sweeps no source, and no deviation exceeds a NaN
+    # tolerance; either would report passing checks and exit 0.
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", *argv])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "must be a finite number >= 0" in err
+
+
+def test_verify_accepts_zero_and_the_benchmark_bounds():
+    from so5cg.cli import build_parser
+    parser = build_parser()
+    for argv, bound, tol in [
+            (["su2", "--max-twice-j", "0"], 0, 1e-9),
+            (["su2", "--max-twice-j", "8"], 8, 1e-9),
+            (["symmetry", "--max-twice-j", "2"], 2, 1e-9),
+            (["oracle", "--source", "1/2,0"], 8, 1e-9),
+            (["oracle", "--source", "1,0", "--tol", "0"], 8, 0.0)]:
+        args = parser.parse_args(["verify", *argv])
+        assert (args.max_twice_j, args.tol) == (bound, tol)

@@ -249,3 +249,12 @@ def test_transpose_rejects_a_row_index_outside_the_matrix(index):
     assert (caught.value.column, caught.value.index, caught.value.size) == (
         1, index, 2)
     assert transpose(columns[:1], 2) == [{0: ONE}, {}]
+
+
+def test_su2_slot_factors_sit_in_a_bounded_memo():
+    # One memo of the SU(2) factors of each slot, shared by every matrix;
+    # its keys are slots, not sources, so it is bounded.
+    from so5cg.fullcg import _su2_factors
+    assert _su2_factors.cache_info().maxsize is not None
+    coupling_matrix(IrrepLabel(1, 0))
+    assert _su2_factors.cache_info().currsize > 0

@@ -260,6 +260,21 @@ def test_presence_agreement(src):
         assert channel_present_by_normalization(src, ch) == by_mult
 
 
+def test_presence_by_the_evaluator_is_multiplicity_presence_to_2j1_40():
+    # channel_present_by_normalization is whether the evaluator sets up, so
+    # this sweep checks the absence decision that evaluation makes, at
+    # every source the table exports reach.
+    from so5cg.labels import multiplicity_of
+    wrong = []
+    for src in iter_labels(40):
+        for ch in ALL_CHANNELS:
+            tgt = target_of(src, ch)
+            by_mult = tgt is not None and multiplicity_of(src, tgt) >= ch.copy
+            if channel_present_by_normalization(src, ch) != by_mult:
+                wrong.append((str(src), str(ch), by_mult))
+    assert wrong == []
+
+
 def test_table_rows_shape_and_order():
     rows = table_rows(IrrepLabel(0, 0), A)
     assert len(rows) == 14

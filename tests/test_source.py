@@ -112,6 +112,29 @@ def test_transposition_factor_lives_in_one_function():
     assert _users(tree, "_transposed") == ["_row_values", "symmetry_extend"]
 
 
+def test_entry_positions_live_in_labels():
+    # An entry's position in ENTRY_SHIFTS is labels.ENTRY_POSITION. A dict
+    # built over ENTRY_SHIFTS elsewhere, or a table's rows laid out again
+    # in its order, is a second copy of that map.
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "labels.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.DictComp)
+                  and any(isinstance(n, ast.Name) and n.id == "ENTRY_SHIFTS"
+                          for gen in node.generators
+                          for n in ast.walk(gen.iter))]
+    assert found == []
+    from so5cg.labels import ENTRY_POSITION, ENTRY_SHIFTS
+    from so5cg.tables import ChannelTable
+    assert [ENTRY_POSITION[(e.tdj1, e.tdj2, e.part.tj1)]
+            for e in ENTRY_SHIFTS] == list(range(len(ENTRY_SHIFTS)))
+    assert "by_position" not in {f.name
+                                 for f in dataclasses.fields(ChannelTable)}
+
+
 def _unbounded_memo(decorator: ast.expr) -> bool:
     """lru_cache(maxsize=None) or functools.cache, in any spelling."""
     if not isinstance(decorator, ast.Call):
