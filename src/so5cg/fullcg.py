@@ -35,9 +35,10 @@ from .labels import (
 )
 from .reduced import (
     ReducedKey,
+    _row_values,
+    _vector,
     check_source_block,
     reduced,
-    reduced_vector,
 )
 from .su2 import su2_cg
 
@@ -273,8 +274,8 @@ def coupled_cols(source: IrrepLabel) -> tuple[ColState, ...]:
 def coupling_matrix(source: IrrepLabel) -> CouplingMatrix:
     """Assemble the full coupling matrix; always square by the dimension audit.
 
-    The reduced vector is evaluated once per (target, copy, target block);
-    its columns then differ only in their magnetic labels.
+    One evaluator per (target, copy) gives each target block's reduced
+    vector once; its columns then differ only in their magnetic labels.
     """
     rows = product_rows(source)
     cols = coupled_cols(source)
@@ -284,16 +285,17 @@ def coupling_matrix(source: IrrepLabel) -> CouplingMatrix:
             f"{len(cols)} columns, 14 * dim = {14 * dim(source)}")
     bases = _block_starts(source, 14)
     columns: dict[ColState, Column] = {}
-    for (target, copy, t), block in groupby(
-            cols, key=lambda col: (col.target, col.copy, col.target_so4)):
-        channel = Channel(target.tj1 - source.tj1, target.tj2 - source.tj2,
-                          copy)
-        components = [(*s.twice, *p.twice, r.terms)
-                      for (s, p), r in reduced_vector(source, channel,
-                                                      t).items() if r]
-        vectors = _block_columns(components, t, bases)
-        for col in block:
-            columns[col] = vectors[col.mt1.twice][col.mt2.twice]
+    for (target, copy), channel_cols in groupby(
+            cols, key=lambda col: (col.target, col.copy)):
+        value = _row_values(source, Channel(target.tj1 - source.tj1,
+                                            target.tj2 - source.tj2, copy))
+        for t, block in groupby(channel_cols, key=lambda col: col.target_so4):
+            components = [(*s.twice, *p.twice, r.terms)
+                          for (s, p), r in _vector(value, source, t).items()
+                          if r]
+            vectors = _block_columns(components, t, bases)
+            for col in block:
+                columns[col] = vectors[col.mt1.twice][col.mt2.twice]
     return CouplingMatrix(source, rows, cols, columns)
 
 

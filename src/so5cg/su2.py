@@ -8,7 +8,6 @@ All spins enter as doubled integers so half-integer cases stay exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 
 from .errors import MalformedKey
@@ -24,7 +23,6 @@ def _check_pair(tj: int, tm: int, what: str) -> None:
         raise MalformedKey(f"{what}: m not in the j ladder ({Fraction(tm, 2)} vs {Fraction(tj, 2)})")
 
 
-@lru_cache(maxsize=1 << 18)
 def su2_cg(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int) -> SqrtSum:
     """<j1 m1 j2 m2 | J M> exactly; arguments are doubled values.
 

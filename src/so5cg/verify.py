@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .errors import FormulaDomainError
+from .errors import ChannelAbsent, FormulaDomainError
 from .exactnum import ONE, ZERO, sqrt_rational
 from .fullcg import (
     CouplingMatrix,
@@ -39,16 +39,20 @@ from .labels import (
 )
 from .reduced import (
     ReducedKey,
+    _direct,
+    _row_values,
+    _table,
     _table_of,
-    aux_vector,
+    _transposed,
+    _vector,
     channel_present_by_normalization,
     dot,
     mixing,
-    reduced_vector,
     symmetry_extend,
     table_rows,
 )
 from .su2 import su2_cg
+from .tables import AUX_TABLE
 
 
 def reduced_unitarity(max_twice_j1: int) -> Optional[str]:
@@ -57,8 +61,9 @@ def reduced_unitarity(max_twice_j1: int) -> Optional[str]:
     for src in iter_labels(max_twice_j1):
         labels, vectors = [], []
         for ch in channels_present(src):
+            value = _row_values(src, ch)
             for t in branching(target_of(src, ch)):
-                v = reduced_vector(src, ch, t)
+                v = _vector(value, src, t)
                 if v:
                     labels.append((ch, t))
                     vectors.append(v)
@@ -131,13 +136,15 @@ def mixing_identities(max_twice_j1: int) -> Optional[str]:
     """<aux, copy1> = X and <aux, aux> = H^2 exactly, per target SO(4) label."""
     copy1 = Channel(0, 0, 1)
     for src in iter_labels(max_twice_j1):
-        if not channel_present_by_normalization(src, copy1):
+        try:
+            c1_value = _row_values(src, copy1)
+        except ChannelAbsent:
             continue
+        aux_value = _direct(AUX_TABLE, None, src)
         mix = mixing(src)
         for t in branching(src):
-            aux = aux_vector(src, t)
-            c1v = reduced_vector(src, copy1, t)
-            x_t = dot(aux, c1v)
+            aux = _vector(aux_value, src, t)
+            x_t = dot(aux, _vector(c1_value, src, t))
             if x_t != mix.x:
                 return f"source {src}, t {t}: <aux,copy1> = {x_t} != {mix.x}"
             h2_t = dot(aux, aux)
@@ -152,13 +159,12 @@ def symmetry_involution(max_twice_j1: int) -> Optional[str]:
         for ch in channels_present(src):
             if not ch.is_raising:
                 continue
-            for row in table_rows(src, ch):
-                w = symmetry_extend(ReducedKey(src, ch, row.source_so4,
-                                               row.entry))
-                if w != row.value:
+            twice = _table(_transposed(src, ch), src, target_of(src, ch))
+            for row, back in zip(table_rows(src, ch), twice):
+                if back.value != row.value:
                     return (f"source {src}, channel {ch}, t {row.target_so4}, "
                             f"s {row.source_so4}, part {row.entry.part}: "
-                            f"{w} != {row.value}")
+                            f"{back.value} != {row.value}")
     return None
 
 
@@ -364,6 +370,10 @@ SUITES: dict[str, Callable[..., list[CheckResult]]] = {
 
 def run_suite(suite: str, max_twice_j: int = 8, tol: float = 1e-9,
               source: Optional[IrrepLabel] = None) -> list[CheckResult]:
+    if max_twice_j < 0:  # it would sweep nothing and pass
+        raise ValueError(f"max_twice_j must be >= 0, got {max_twice_j}")
+    if not 0 <= tol < float("inf"):  # no deviation exceeds a NaN tol
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     if suite == "all":
         return [result for run in SUITES.values()
                 for result in run(max_twice_j, tol, source)]

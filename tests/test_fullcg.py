@@ -253,8 +253,11 @@ def test_transpose_rejects_a_row_index_outside_the_matrix(index):
 
 def test_su2_slot_factors_sit_in_a_bounded_memo():
     # One memo of the SU(2) factors of each slot, shared by every matrix;
-    # its keys are slots, not sources, so it is bounded.
+    # its keys are slots, not sources, so it is bounded. It is the only
+    # SU(2) memo: su2_cg itself is not memoized.
     from so5cg.fullcg import _su2_factors
+    from so5cg.su2 import su2_cg
+    assert not hasattr(su2_cg, "cache_info")
     assert _su2_factors.cache_info().maxsize is not None
     coupling_matrix(IrrepLabel(1, 0))
     assert _su2_factors.cache_info().currsize > 0

@@ -12,7 +12,14 @@ from so5cg.fullcg import (
     coupling_matrix,
     row_gram_deviation,
 )
-from so5cg.labels import Channel, IrrepLabel, So4Label, iter_labels
+from so5cg.labels import (
+    Channel,
+    IrrepLabel,
+    So4Label,
+    channels_present,
+    iter_labels,
+)
+from so5cg.tables import RowSpec
 from so5cg import verify
 
 
@@ -27,6 +34,28 @@ def test_run_suite_names_and_passes():
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
         verify.run_suite("nonsense")
+
+
+@pytest.mark.parametrize("suite", ["mixing", "all"])
+def test_negative_bound_rejected_before_any_check(suite, monkeypatch):
+    # A negative bound sweeps nothing, so every check would pass.
+    monkeypatch.setattr(verify, "SUITES", {})
+    with pytest.raises(ValueError, match="max_twice_j must be >= 0, got -3"):
+        verify.run_suite(suite, -3)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9])
+def test_tolerance_rejected_unless_finite_and_non_negative(tol, monkeypatch):
+    # No deviation exceeds a NaN tol, so every comparison would pass.
+    monkeypatch.setattr(verify, "SUITES", {})
+    with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+        verify.run_suite("oracle", 0, tol)
+
+
+def test_zero_bound_and_zero_tolerance_still_run():
+    results = verify.run_suite("su2", 0, 0.0)
+    assert [(r.name, r.passed) for r in results] == [
+        ("su2_orthogonality <= 0", True)]
 
 
 def test_check_result_json_shape():
@@ -77,21 +106,54 @@ def test_su2_orthogonality_reports_a_doubled_coefficient(monkeypatch):
 def test_reduced_unitarity_reports_a_scaled_component(monkeypatch):
     # Tripling the first component of one copy-2 vector breaks its overlap
     # with an earlier channel before its own norm; the expected text was
-    # recorded from the pairwise loop that the Gram routine replaced.
-    original = verify.reduced_vector
-    faulty = (IrrepLabel(3, 1), Channel(0, 0, 2), So4Label(3, 1))
+    # recorded from the pairwise loop that the Gram routine replaced. The
+    # channel's evaluator triples the first value it gives at the block.
+    original = verify._row_values
+    faulty = (IrrepLabel(3, 1), Channel(0, 0, 2))
+    block = So4Label(3, 1)
 
-    def scaled(source, channel, target_so4):
-        vector = dict(original(source, channel, target_so4))
-        if (source, channel, target_so4) == faulty:
-            key = next(iter(vector))
-            vector[key] = 3 * vector[key]
-        return vector
+    def scaled(source, channel):
+        value = original(source, channel)
+        if (source, channel) != faulty:
+            return value
+        tripled = []
 
-    monkeypatch.setattr(verify, "reduced_vector", scaled)
+        def first_tripled(s, i, t):
+            v = value(s, i, t)
+            if t != block or tripled:
+                return v
+            tripled.append((s, i))
+            return 3 * v
+        return first_tripled
+
+    monkeypatch.setattr(verify, "_row_values", scaled)
     assert verify.reduced_unitarity(3) == (
         "source 3/2,1/2, t 3/2,1/2, channels +1,+1 x 0,0#2: "
         "gram 136/31995*sqrt(395) != 0")
+
+
+def test_bulk_passes_bind_each_row_at_most_once_per_channel(monkeypatch):
+    # A bulk pass sets up one evaluator per (source, channel) and reads
+    # every block from it; an evaluator binds each of the 14 table rows to
+    # the source spins at most once per table it reads, and a second
+    # diagonal copy reads two (copy 1 and the companion).
+    binds = []
+    original = RowSpec.bind
+
+    def counting(row, tb1, tb2):
+        binds.append(row)
+        return original(row, tb1, tb2)
+
+    monkeypatch.setattr(RowSpec, "bind", counting)
+    source = IrrepLabel(6, 4)
+    coupling_matrix(source)
+    assert len(channels_present(source)) == 12
+    assert len(binds) <= 14 * 2 * 12
+    binds.clear()
+    assert verify.reduced_unitarity(6) is None
+    channels = sum(len(channels_present(src)) for src in iter_labels(6))
+    assert channels == 222
+    assert len(binds) <= 14 * 2 * channels
 
 
 def _corrupted(source, edit):
