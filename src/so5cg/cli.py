@@ -87,20 +87,6 @@ def _parse_pair(text: str, what: str) -> tuple[HalfInt, HalfInt]:
     return HalfInt.parse(parts[0]), HalfInt.parse(parts[1])
 
 
-def _channel_of(source: IrrepLabel, args):
-    if args.channel is not None:
-        # The channel string carries its own target shift and copy.
-        if args.target is not None or args.copy is not None:
-            raise MalformedKey("--channel cannot be combined with --target "
-                               "or --copy; write the copy as '0,0#2'")
-        return _parse_channel(args.channel)
-    if args.target is None:
-        raise MalformedKey("need either --target or --channel")
-    target = IrrepLabel.parse(args.target)
-    return Channel(target.tj1 - source.tj1, target.tj2 - source.tj2,
-                   args.copy or 1)
-
-
 def _parse_part(text: str) -> So4Label:
     part = So4Label.parse(text)
     if part not in PARTS_14:
@@ -118,16 +104,16 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 def cmd_eval(args) -> int:
     source = IrrepLabel.parse(args.source)
-    channel = _channel_of(source, args)
+    channel = _parse_channel(args.channel)
     source_so4 = So4Label.parse(args.source_so4)
     part = _parse_part(args.part)
     dj1, dj2 = _parse_pair(args.entry, "entry shift")
     entry = EntryShift(dj1.twice, dj2.twice, part)
 
-    if any(v is not None for v in (args.m, args.part_m, args.target_m)):
+    if args.m is not None or args.part_m is not None:
         if channel is AUX:
             raise MalformedKey("the aux companion has no full coefficient; "
-                               "drop --m, --part-m and --target-m")
+                               "drop --m and --part-m")
         if args.m is None or args.part_m is None:
             raise MalformedKey("full evaluation needs both --m and --part-m")
         value = _eval_full(args, source, channel, source_so4, entry)
@@ -151,10 +137,6 @@ def _eval_full(args, source: IrrepLabel, channel: Channel,
     target = valid_target(source, channel)
     m1, m2 = _parse_pair(args.m, "m1,m2")
     pm1, pm2 = _parse_pair(args.part_m, "pm1,pm2")
-    if args.target_m is not None:
-        tm1, tm2 = _parse_pair(args.target_m, "tm1,tm2")
-    else:
-        tm1, tm2 = m1 + pm1, m2 + pm2
     row = RowState(source_so4, m1, m2, entry.part, pm1, pm2)
     # An invalid product state is malformed before an entry that takes the
     # source block to a negative spin is 0.
@@ -163,7 +145,8 @@ def _eval_full(args, source: IrrepLabel, channel: Channel,
     if tj1 < 0 or tj2 < 0:
         return ZERO
     return full(source, row,
-                ColState(target, channel.copy, So4Label(tj1, tj2), tm1, tm2))
+                ColState(target, channel.copy, So4Label(tj1, tj2),
+                         m1 + pm1, m2 + pm2))
 
 
 def _json_doc(kind: str, fields: dict) -> str:
@@ -262,19 +245,14 @@ def _table_text(source: IrrepLabel, channel, channel_text: str,
 
 
 def _table_csv(rows) -> str:
-    """The table as _csv writes it; the four cells of an entry are rendered
-    once per table, not once per row."""
-    entry_cells: dict = {}
+    """The table as _csv writes it, one format per row."""
     lines = [",".join(_TABLE_HEADER) + "\n"]
     for row in rows:
         entry, s, t = row.entry, row.source_so4, row.target_so4
-        cells = entry_cells.get(entry)
-        if cells is None:
-            cells = entry_cells[entry] = "%d,%d,%d,%d" % (
-                entry.tdj1, entry.tdj2, *entry.part.twice)
-        lines.append("%d,%d,%s,%s,%s\n" % (
-            s.tj1, s.tj2, cells,
-            "," if t is None else "%d,%d" % (t.tj1, t.tj2), row.value))
+        lines.append("%d,%d,%d,%d,%d,%d,%s,%s\n" % (
+            s.tj1, s.tj2, entry.tdj1, entry.tdj2, entry.part.tj1,
+            entry.part.tj2, "," if t is None else "%d,%d" % (t.tj1, t.tj2),
+            row.value))
     return "".join(lines)
 
 
@@ -330,6 +308,11 @@ def cmd_verify(args) -> int:
     from .verify import run_suite
 
     source = IrrepLabel.parse(args.source) if args.source else None
+    if source is not None and args.suite not in ("oracle", "all"):
+        # run_suite raises ValueError for it too, but so can a suite's own
+        # arithmetic (numpy's LinAlgError), which is no bad argument.
+        raise MalformedKey(f"--source restricts only the oracle and all "
+                           f"suites, not {args.suite}")
     results = run_suite(args.suite, max_twice_j=args.max_twice_j,
                         tol=args.tol, source=source)
     passed = all(r.passed for r in results)
@@ -384,11 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = subs.add_parser("eval", help="evaluate one coefficient")
     p_eval.add_argument("--source", required=True, help="source irrep 'j1,j2'")
-    p_eval.add_argument("--target", default=None, help="target irrep 'j1,j2'")
-    p_eval.add_argument("--channel", default=None, help=_CHANNEL_HELP)
-    p_eval.add_argument("--copy", type=int, choices=(1, 2), default=None,
-                        help="diagonal channel copy when using --target "
-                             "(default 1)")
+    p_eval.add_argument("--channel", required=True, help=_CHANNEL_HELP)
     p_eval.add_argument("--source-so4", required=True, dest="source_so4",
                         help="source SO(4) block 'j1,j2'")
     p_eval.add_argument("--entry", required=True,
@@ -399,8 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="source magnetic pair 'm1,m2' (full coefficient)")
     p_eval.add_argument("--part-m", default=None, dest="part_m",
                         help="14-dim magnetic pair 'pm1,pm2' (full coefficient)")
-    p_eval.add_argument("--target-m", default=None, dest="target_m",
-                        help="target magnetic pair; defaults to m + part-m")
     p_eval.set_defaults(fn=cmd_eval)
 
     p_table = subs.add_parser("table", help="export one channel's reduced table")
@@ -426,7 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
                        dest="max_twice_j")
     p_ver.add_argument("--tol", type=_non_negative(float), default=1e-9)
     p_ver.add_argument("--source", default=None,
-                       help="restrict the oracle suite to one source")
+                       help="restrict the oracle suite (also within all) "
+                            "to one source")
     p_ver.add_argument("--out", default=None)
     p_ver.set_defaults(fn=cmd_verify)
 

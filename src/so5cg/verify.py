@@ -284,16 +284,15 @@ def suite_mixing(max_twice_j: int, *_) -> list[CheckResult]:
              lambda: presence_agreement(max_twice_j)),
         _run(f"normalization_positivity <= {max_twice_j}",
              lambda: normalization_positivity(max_twice_j)),
-        _run(f"guarded_zero <= {min(max_twice_j, 6)}",
-             lambda: guarded_zero_consistency(min(max_twice_j, 6))),
+        _run(f"guarded_zero <= {max_twice_j}",
+             lambda: guarded_zero_consistency(max_twice_j)),
     ]
 
 
 def suite_symmetry(max_twice_j: int, *_) -> list[CheckResult]:
-    bound = min(max_twice_j, 4)
     return [
-        _run(f"symmetry_involution <= {bound}",
-             lambda: symmetry_involution(bound)),
+        _run(f"symmetry_involution <= {max_twice_j}",
+             lambda: symmetry_involution(max_twice_j)),
         _run("symmetry_example", _symmetry_example),
     ]
 
@@ -374,6 +373,9 @@ def run_suite(suite: str, max_twice_j: int = 8, tol: float = 1e-9,
         raise ValueError(f"max_twice_j must be >= 0, got {max_twice_j}")
     if not 0 <= tol < float("inf"):  # no deviation exceeds a NaN tol
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
+    if source is not None and suite not in ("oracle", "all"):
+        raise ValueError(f"a source restricts only the oracle and all "
+                         f"suites, not {suite}")
     if suite == "all":
         return [result for run in SUITES.values()
                 for result in run(max_twice_j, tol, source)]

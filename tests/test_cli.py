@@ -26,7 +26,7 @@ def run(capsys, *argv):
 
 
 def test_eval_trivial_embedding(capsys):
-    code, out, _ = run(capsys, "eval", "--source", "0,0", "--target", "1,1",
+    code, out, _ = run(capsys, "eval", "--source", "0,0", "--channel=+1,+1",
                        "--source-so4", "0,0", "--entry", "+1,+1",
                        "--part", "1,1")
     assert code == 0
@@ -35,14 +35,14 @@ def test_eval_trivial_embedding(capsys):
 
 def test_eval_absent_channel_exits_3(capsys):
     code, _, err = run(capsys, "eval", "--source", "1,1",
-                       "--target", "3/2,3/2", "--source-so4", "1,1",
+                       "--channel=+1/2,+1/2", "--source-so4", "1,1",
                        "--entry", "+1/2,+1/2", "--part", "1/2,1/2")
     assert code == 3
     assert "absent" in err
 
 
 def test_eval_malformed_label_exits_2(capsys):
-    code, _, err = run(capsys, "eval", "--source", "0,-1", "--target", "1,1",
+    code, _, err = run(capsys, "eval", "--source", "0,-1", "--channel=+1,+1",
                        "--source-so4", "0,0", "--entry", "+1,+1",
                        "--part", "1,1")
     assert code == 2
@@ -51,7 +51,7 @@ def test_eval_malformed_label_exits_2(capsys):
 
 def test_eval_full_coefficient(capsys):
     code, out, _ = run(capsys, "eval", "--source", "1/2,0",
-                       "--target", "1,1/2", "--source-so4", "1/2,0",
+                       "--channel=+1/2,+1/2", "--source-so4", "1/2,0",
                        "--entry", "+1/2,+1/2", "--part", "1/2,1/2",
                        "--m", "1/2,0", "--part-m", "1/2,1/2")
     assert code == 0
@@ -193,13 +193,14 @@ def test_bad_channel_strings(capsys):
     code, _, _ = run(capsys, "table", "--source", "1,0",
                      "--channel", "+1,0#2", "--no-cache")
     assert code == 2
-    code, _, _ = run(capsys, "eval", "--source", "1,0", "--source-so4", "1,0",
-                     "--entry", "0,0", "--part", "0,0")
-    assert code == 2  # neither --target nor --channel
+    with pytest.raises(SystemExit) as exc:  # --channel is required
+        main(["eval", "--source", "1,0", "--source-so4", "1,0",
+              "--entry", "0,0", "--part", "0,0"])
+    assert exc.value.code == 2
 
 
 def test_eval_target_without_coupling_shift_exits_2(capsys):
-    code, _, err = run(capsys, "eval", "--source", "1,0", "--target", "3,0",
+    code, _, err = run(capsys, "eval", "--source", "1,0", "--channel=+2,0",
                        "--source-so4", "1,0", "--entry", "0,0",
                        "--part", "0,0")
     assert code == 2
@@ -533,9 +534,8 @@ def test_eval_block_outside_the_source_exits_2_before_an_absent_channel(
 
 
 @pytest.mark.parametrize("magnetic", [("--m", "1,1"), ("--part-m", "0,0"),
-                                      ("--m", "1,1", "--part-m", "0,0"),
-                                      ("--target-m", "1,1")],
-                         ids=["m", "part-m", "both", "target-m"])
+                                      ("--m", "1,1", "--part-m", "0,0")],
+                         ids=["m", "part-m", "both"])
 def test_eval_aux_rejects_magnetic_labels(capsys, magnetic):
     # The aux companion has no full coefficient to evaluate.
     code, out, err = run(capsys, "eval", "--source", "1,1", "--channel", "aux",
@@ -546,13 +546,12 @@ def test_eval_aux_rejects_magnetic_labels(capsys, magnetic):
 
 
 @pytest.mark.parametrize("key", [
-    ("--source-so4", "1,1", "--entry=+1,+1", "--target-m", "0,0"),
     ("--source-so4", "5,0", "--entry=-1,-1"),
-], ids=["m-not-conserved", "negative-target-spin"])
+], ids=["negative-target-spin"])
 def test_eval_full_rejects_a_block_outside_the_source(capsys, key):
     # A zero always means a zero: a key whose source block is not a block
-    # of the source exits 2 on the full path too, whatever its magnetic
-    # labels or its entry.
+    # of the source exits 2 on the full path too, also when its entry takes
+    # that block to a negative spin.
     code, out, err = run(capsys, "eval", "--source", "0,0", "--channel=+1,+1",
                          "--part", "1,1", "--m", "0,0", "--part-m", "1,1",
                          *key)
@@ -577,15 +576,6 @@ def test_eval_full_rejects_an_invalid_magnetic_label(capsys, magnetic,
                          "--part", "1,1", *magnetic)
     assert (code, out) == (2, "")
     assert err == f"malformed key: {message}\n"
-
-
-def test_eval_target_m_alone_exits_2(capsys):
-    # --target-m only means something on the full path, like a lone --m.
-    code, out, err = run(capsys, "eval", "--source", "1,1", "--channel=+1,+1",
-                         "--source-so4", "1,1", "--entry=+1,+1", "--part",
-                         "1,1", "--target-m", "9,9")
-    assert (code, out) == (2, "")
-    assert err == "malformed key: full evaluation needs both --m and --part-m\n"
 
 
 TABLE_JSON_CASES = [(source, channel)
@@ -655,30 +645,35 @@ EVAL_0_0 = ("eval", "--source", "3/2,1/2", "--source-so4", "3/2,1/2",
             "--entry", "0,0", "--part", "0,0")
 
 
-@pytest.mark.parametrize("extra", [
-    ("--channel", "0,0", "--copy", "2"),
-    ("--channel", "0,0", "--copy", "1"),
-    ("--channel", "0,0", "--target", "3/2,1/2"),
-    ("--channel", "0,0#2", "--target", "3/2,1/2", "--copy", "2"),
-], ids=["channel-copy2", "channel-copy1", "channel-target", "all-three"])
-def test_eval_channel_with_target_or_copy_exits_2(capsys, extra):
-    # The channel string carries the target shift and the copy; a --copy or
-    # --target beside it was silently ignored (copy 2 printed copy 1).
-    code, out, err = run(capsys, *EVAL_0_0, *extra)
-    assert (code, out) == (2, "")
-    assert err.startswith("malformed key: --channel cannot be combined")
-
-
 @pytest.mark.parametrize("extra,value", [
     (("--channel", "0,0#2"), "13/1896*sqrt(790)"),
-    (("--target", "3/2,1/2", "--copy", "2"), "13/1896*sqrt(790)"),
-    (("--target", "3/2,1/2"), "-3/316*sqrt(474)"),
-], ids=["channel", "target-copy2", "target-copy-default"])
+    (("--channel", "0,0#1"), "-3/316*sqrt(474)"),
+    (("--channel", "0,0"), "-3/316*sqrt(474)"),
+], ids=["channel", "channel-copy1", "channel-default-copy"])
 def test_eval_copy_by_channel_or_target(capsys, extra, value):
-    # Without --copy, --target means copy 1.
+    # Without '#', a channel string means copy 1.
     code, out, err = run(capsys, *EVAL_0_0, *extra)
     assert (code, err) == (0, "")
     assert out.splitlines()[0] == value
+
+
+@pytest.mark.parametrize("extra", [
+    ("--target", "3/2,1/2"),
+    ("--copy", "2"),
+    ("--target-m", "1/2,1/2"),
+], ids=["target", "copy", "target-m"])
+def test_eval_takes_the_channel_string_only(capsys, extra):
+    # The channel string is the one spelling of a channel, so no second
+    # spelling can disagree with it; the target's magnetic labels are
+    # m + part-m, as any other choice is an m-conservation zero.
+    key = (*EVAL_0_0, "--channel", "0,0", "--m", "1/2,1/2", "--part-m", "0,0")
+    assert run(capsys, *key)[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main([*key, *extra])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "unrecognized arguments" in err
 
 
 def test_parser_is_built_once_and_survives_a_usage_error(capsys):
@@ -711,6 +706,18 @@ def test_verify_rejects_a_bound_that_checks_nothing(capsys, argv):
     out, err = capsys.readouterr()
     assert out == ""
     assert "must be a finite number >= 0" in err
+
+
+@pytest.mark.parametrize("suite", ["orthogonality", "mixing", "symmetry",
+                                   "su2"])
+def test_verify_source_outside_the_oracle_exits_2(capsys, suite):
+    # Any suite but oracle (and all, which runs it) sweeps every source, so
+    # a --source there would be silently ignored.
+    code, out, err = run(capsys, "verify", suite, "--source", "1,0",
+                         "--max-twice-j", "2")
+    assert (code, out) == (2, "")
+    assert err == ("malformed key: --source restricts only the oracle and "
+                   f"all suites, not {suite}\n")
 
 
 def test_verify_accepts_zero_and_the_benchmark_bounds():

@@ -66,7 +66,7 @@ def test_cache_hit_table_loads_no_matrix_or_verify_layer(tmp_path):
 @pytest.mark.parametrize("argv", [
     ("decompose", "3/2,1/2"),
     ("branch", "1,1", "--format", "json"),
-    ("eval", "--source", "1/2,0", "--target", "1,1/2",
+    ("eval", "--source", "1/2,0", "--channel=+1/2,+1/2",
      "--source-so4", "1/2,0", "--entry", "+1/2,+1/2", "--part", "1/2,1/2"),
 ], ids=["decompose", "branch", "reduced eval"])
 def test_command_loads_no_matrix_or_verify_layer(tmp_path, argv):
@@ -76,7 +76,7 @@ def test_command_loads_no_matrix_or_verify_layer(tmp_path, argv):
 
 
 def test_full_eval_loads_the_matrix_layer():
-    result = _command("eval", "--source", "1/2,0", "--target", "1,1/2",
+    result = _command("eval", "--source", "1/2,0", "--channel=+1/2,+1/2",
                       "--source-so4", "1/2,0", "--entry", "+1/2,+1/2",
                       "--part", "1/2,1/2", "--m", "1/2,0",
                       "--part-m", "1/2,1/2")

@@ -4,8 +4,16 @@ import numpy as np
 import pytest
 
 from so5cg.errors import DimensionCap
-from so5cg.labels import FOURTEEN, IrrepLabel, branching, decompose_with_14, dim
+from so5cg.labels import (
+    FOURTEEN,
+    PART_11,
+    IrrepLabel,
+    branching,
+    decompose_with_14,
+    dim,
+)
 from so5cg.oracle import (
+    PROJECTOR_TOL,
     build_irrep,
     casimir_value,
     compare,
@@ -90,3 +98,29 @@ def test_compare_copy2_projector():
     doubled = [b for b in report.blocks if b.copy_count == 2]
     assert len(doubled) == 1
     assert doubled[0].projector_dev <= 1e-8
+
+
+def test_compare_catches_a_sign_flip_that_keeps_every_table_unitary(
+        monkeypatch):
+    # Negating the (+1,+1) and (-1,-1) rows of part (1,1) in every table
+    # leaves the tables wrong but unitary: under this flip reduced_unitarity
+    # and mixing_identities up to 2j1 = 6, symmetry_involution up to 4 and
+    # full_orthogonality up to 4 all pass. Moduli do not show signs either;
+    # only the oracle's projector comparison sees it, so that path must not
+    # be weakened while no exact check covers signs.
+    from so5cg.tables import ChannelTable
+
+    bare = ChannelTable.bare_value
+
+    def flipped(self, entry, *args, **kwargs):
+        value = bare(self, entry, *args, **kwargs)
+        if entry.part == PART_11 and (entry.tdj1, entry.tdj2) in ((2, 2),
+                                                                  (-2, -2)):
+            return -value
+        return value
+
+    monkeypatch.setattr(ChannelTable, "bare_value", flipped)
+    report = compare(IrrepLabel(2, 1))
+    assert not report.passed
+    assert max(b.projector_dev for b in report.blocks) > PROJECTOR_TOL
+    assert all(b.max_abs_dev <= 1e-9 for b in report.blocks)

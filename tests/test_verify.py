@@ -72,6 +72,26 @@ def test_oracle_suite_single_source():
     assert results[0].passed
 
 
+@pytest.mark.parametrize("suite", ["orthogonality", "mixing", "symmetry",
+                                   "su2"])
+def test_source_rejected_by_a_suite_that_ignores_it(suite, monkeypatch):
+    # Only the oracle sweeps by source; any other suite would sweep every
+    # source up to the bound and pass, as if the one given had been checked.
+    monkeypatch.setattr(verify, "SUITES", {})
+    with pytest.raises(ValueError, match=f"not {suite}$"):
+        verify.run_suite(suite, 2, source=IrrepLabel(2, 0))
+
+
+@pytest.mark.parametrize("suite,bound,checks", [
+    ("symmetry", 6, ["symmetry_involution <= 6", "symmetry_example"]),
+    ("mixing", 8, ["mixing_identities <= 8", "presence_agreement <= 8",
+                   "normalization_positivity <= 8", "guarded_zero <= 8"]),
+], ids=["symmetry", "mixing"])
+def test_sweeps_reach_the_bound_asked_for(suite, bound, checks):
+    results = verify.run_suite(suite, bound)
+    assert [(r.name, r.passed) for r in results] == [(c, True) for c in checks]
+
+
 def test_guarded_zero_sweep():
     assert verify.guarded_zero_consistency(4) is None
 
