@@ -4,7 +4,9 @@ Importing the package loads the table layer (errors, exact numbers, labels,
 reduced tables). The matrix layer (`su2_cg` and the `fullcg` names) loads on
 first access of one of its names, so a process that only exports tables
 never compiles it; `so5cg.verify` and `so5cg.oracle` are imported only by
-their users.
+their users. Records are `typing.NamedTuple` classes and labels slotted
+classes, so no module but `so5cg.oracle` loads `dataclasses` (and with it
+`inspect`).
 """
 
 ENGINE_VERSION = "1.0.0"

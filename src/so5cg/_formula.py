@@ -11,9 +11,8 @@ from these.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import Callable, Union
+from functools import lru_cache
+from typing import Callable, NamedTuple, Union
 
 # A polynomial as written: a function of the four undoubled table variables
 # (j1, j2, b1, b2), with integer coefficients.
@@ -124,34 +123,26 @@ _UNITS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (0, 0, 0, 0))
 _VARIABLES = tuple(_Expansion({e: 1}) for e in _UNITS[:4])
 
 
-@dataclass(frozen=True)
-class IntPoly:
+class IntPoly(NamedTuple):
     """A polynomial compiled over the doubled spins.
 
     ``source`` is the polynomial as written: a function of (j1, j2, b1, b2)
     or a linear-form string.  Its value at the doubled spins is the int
-    2**degree * source(tj1/2, tj2/2, tb1/2, tb2/2).
+    2**degree * source(tj1/2, tj2/2, tb1/2, tb2/2).  ``by_j`` holds the
+    same terms grouped by their exponents of (j1, j2), as
+    (e_j1, e_j2, ((coeff, e_b1, e_b2), ...)).
     """
 
     source: Union[Poly, str]
     degree: int
     terms: tuple[tuple[int, int, int, int, int], ...]  # (coeff, exponents)
+    by_j: tuple[tuple[int, int, tuple[tuple[int, int, int], ...]], ...]
 
     def __call__(self, tj1: int, tj2: int, tb1: int, tb2: int) -> int:
         total = 0
         for c, e1, e2, e3, e4 in self.terms:
             total += c * tj1 ** e1 * tj2 ** e2 * tb1 ** e3 * tb2 ** e4
         return total
-
-    @cached_property
-    def by_j(self) -> tuple:
-        """The terms grouped by their exponents of (j1, j2), as
-        (e_j1, e_j2, ((coeff, e_b1, e_b2), ...)); grouped on first use."""
-        groups: dict[tuple[int, int], list] = {}
-        for c, e1, e2, e3, e4 in self.terms:
-            groups.setdefault((e1, e2), []).append((c, e3, e4))
-        return tuple((e1, e2, tuple(terms))
-                     for (e1, e2), terms in groups.items())
 
     def bind(self, tb1: int, tb2: int) -> list[tuple[int, int, int]]:
         """The polynomial at fixed (tb1, tb2) as (coeff, e_j1, e_j2) terms."""
@@ -168,11 +159,17 @@ class IntPoly:
 def _int_poly(source: Union[Poly, str]) -> IntPoly:
     if isinstance(source, str):
         # A compiled linear form already is the degree-1 data.
-        return IntPoly(source, 1, tuple(
-            (c, *e) for c, e in zip(_lin(source), _UNITS) if c))
-    expanded = source(*_VARIABLES).terms
-    degree = max((sum(e) for e, c in expanded.items() if c), default=0)
-    # Each monomial of total degree k takes 2**(degree - k) from the
-    # substitution j = tj/2 scaled by 2**degree.
-    return IntPoly(source, degree, tuple(
-        (c << (degree - sum(e)), *e) for e, c in expanded.items() if c))
+        degree, terms = 1, tuple(
+            (c, *e) for c, e in zip(_lin(source), _UNITS) if c)
+    else:
+        expanded = source(*_VARIABLES).terms
+        degree = max((sum(e) for e, c in expanded.items() if c), default=0)
+        # Each monomial of total degree k takes 2**(degree - k) from the
+        # substitution j = tj/2 scaled by 2**degree.
+        terms = tuple((c << (degree - sum(e)), *e)
+                      for e, c in expanded.items() if c)
+    groups: dict[tuple[int, int], list] = {}
+    for c, e1, e2, e3, e4 in terms:
+        groups.setdefault((e1, e2), []).append((c, e3, e4))
+    return IntPoly(source, degree, terms, tuple(
+        (e1, e2, tuple(group)) for (e1, e2), group in groups.items()))

@@ -12,7 +12,8 @@ prints the bytes of the cold run.
 Importing this module loads the table layer and the cache only. A full
 `eval` (with --m/--part-m) imports `fullcg`, and `verify` the verification
 layer, inside the command that runs them, so `table`, `decompose`, `branch`
-and a reduced `eval` never load either.
+and a reduced `eval` never load either. No command but `verify oracle`,
+whose numpy imports it, loads `dataclasses` or `inspect`.
 """
 
 from __future__ import annotations

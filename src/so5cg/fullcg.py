@@ -9,10 +9,10 @@ orthonormality is asserted exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
-from typing import Callable, Hashable, Iterator, Mapping, Optional, Sequence
+from typing import (Callable, Hashable, Iterator, Mapping, NamedTuple, Optional,
+                    Sequence)
 
 from ._kernel import dot_scaled, mul_terms, over, scale_vector
 from .errors import MalformedKey
@@ -43,8 +43,7 @@ from .reduced import (
 from .su2 import su2_cg
 
 
-@dataclass(frozen=True)
-class RowState:
+class RowState(NamedTuple):
     """One product-basis state: a source state paired with a 14-dim state."""
 
     source_so4: So4Label
@@ -70,8 +69,7 @@ class RowState:
                 f"{self.part};{self.pm1},{self.pm2}")
 
 
-@dataclass(frozen=True)
-class ColState:
+class ColState(NamedTuple):
     """One coupled state: target irrep, copy, target SO(4) block, magnetics."""
 
     target: IrrepLabel
@@ -212,8 +210,7 @@ def _block_columns(components, t: So4Label, bases: dict[tuple[int, int], int]
     return columns
 
 
-@dataclass(frozen=True)
-class CouplingMatrix:
+class CouplingMatrix(NamedTuple):
     """The full change of basis for one source irrep, stored column-sparse.
 
     Each column maps a row index into ``rows`` to its nonzero value.

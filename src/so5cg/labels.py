@@ -18,11 +18,13 @@ the text form of one spin ("3/2") and the type of the magnetic labels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Optional
+from functools import lru_cache, total_ordering
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import MalformedKey
+
+# Sets a slot of a label while it is built; assignment is refused after.
+_set = object.__setattr__
 
 
 def _check_twice(*values) -> None:
@@ -31,15 +33,53 @@ def _check_twice(*values) -> None:
             raise MalformedKey(f"HalfInt needs an int doubled value, got {value!r}")
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class HalfInt:
+class _Label:
+    """Base of the label types: slotted and immutable. Each subclass names
+    its fields in ``_names``, checks them in ``__init__``, is equal only to
+    a label of its own type with equal fields, and hashes as its field
+    tuple, so dict and set orders follow the fields."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, n) for n in self._names)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._names)
+        return f"{self.__class__.__name__}({fields})"
+
+
+@total_ordering
+class HalfInt(_Label):
     """A (half-)integer stored as its doubled value: the text form of one
     spin, and the type of the magnetic labels."""
 
+    __slots__ = ("twice",)
+    _names = __slots__
     twice: int
 
-    def __post_init__(self):
-        _check_twice(self.twice)
+    def __init__(self, twice: int):
+        _check_twice(twice)
+        _set(self, "twice", twice)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.twice == other.twice
+        return NotImplemented
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self.twice < other.twice
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.twice,))
 
     @classmethod
     def parse(cls, text: str) -> "HalfInt":
@@ -64,12 +104,28 @@ class HalfInt:
         return HalfInt(self.twice + other.twice)
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class _SpinPair:
-    """A spin pair (j1, j2) held as its doubled values, ordered by them."""
+@total_ordering
+class _SpinPair(_Label):
+    """A spin pair (j1, j2) held as its doubled values, ordered by them;
+    each subclass validates its own pairs."""
 
+    __slots__ = ("tj1", "tj2")
+    _names = __slots__
     tj1: int
     tj2: int
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.tj1 == other.tj1 and self.tj2 == other.tj2
+        return NotImplemented
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.tj1, self.tj2) < (other.tj1, other.tj2)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.tj1, self.tj2))
 
     @classmethod
     def parse(cls, text: str):
@@ -86,13 +142,16 @@ class _SpinPair:
         return f"{HalfInt(self.tj1)},{HalfInt(self.tj2)}"
 
 
-@dataclass(frozen=True, slots=True, order=True)
 class So4Label(_SpinPair):
     """An SO(3) x SO(3) spin pair (j1, j2), each >= 0."""
 
-    def __post_init__(self):
-        _check_twice(self.tj1, self.tj2)
-        if self.tj1 < 0 or self.tj2 < 0:
+    __slots__ = ()
+
+    def __init__(self, tj1: int, tj2: int):
+        _check_twice(tj1, tj2)
+        _set(self, "tj1", tj1)
+        _set(self, "tj2", tj2)
+        if tj1 < 0 or tj2 < 0:
             raise MalformedKey(f"SO(4) label needs nonnegative spins, got {self}")
 
     @property
@@ -100,13 +159,16 @@ class So4Label(_SpinPair):
         return (self.tj1 + 1) * (self.tj2 + 1)
 
 
-@dataclass(frozen=True, slots=True, order=True)
 class IrrepLabel(_SpinPair):
     """A Spin(5) irrep label (j1, j2) with j1 >= j2 >= 0."""
 
-    def __post_init__(self):
-        _check_twice(self.tj1, self.tj2)
-        if not (self.tj1 >= self.tj2 >= 0):
+    __slots__ = ()
+
+    def __init__(self, tj1: int, tj2: int):
+        _check_twice(tj1, tj2)
+        _set(self, "tj1", tj1)
+        _set(self, "tj2", tj2)
+        if not (tj1 >= tj2 >= 0):
             raise MalformedKey(f"irrep label needs j1 >= j2 >= 0, got ({self})")
 
 
@@ -186,28 +248,41 @@ LOWERING_SHIFTS: tuple[tuple[int, int], ...] = (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class Channel:
+class Channel(_Label):
     """One coupling channel: a label shift plus a copy index.
 
     copy is 1 except for the doubled diagonal shift (0, 0), where it
     may be 1 or 2.
     """
 
+    __slots__ = ("tdj1", "tdj2", "copy")
+    _names = __slots__
     tdj1: int
     tdj2: int
-    copy: int = 1
+    copy: int
 
-    def __post_init__(self):
-        _check_twice(self.tdj1, self.tdj2)
-        shift = (self.tdj1, self.tdj2)
+    def __init__(self, tdj1: int, tdj2: int, copy: int = 1):
+        _check_twice(tdj1, tdj2)
+        _set(self, "tdj1", tdj1)
+        _set(self, "tdj2", tdj2)
+        _set(self, "copy", copy)
+        shift = (tdj1, tdj2)
         if shift not in SHIFTS_14:
             raise MalformedKey(f"not a coupling shift: "
-                               f"({HalfInt(self.tdj1)},{HalfInt(self.tdj2)})")
-        if self.copy not in (1, 2):
-            raise MalformedKey(f"copy must be 1 or 2, got {self.copy}")
-        if self.copy == 2 and shift != (0, 0):
+                               f"({HalfInt(tdj1)},{HalfInt(tdj2)})")
+        if copy not in (1, 2):
+            raise MalformedKey(f"copy must be 1 or 2, got {copy}")
+        if copy == 2 and shift != (0, 0):
             raise MalformedKey("copy 2 exists only for the (0,0) shift")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.tdj1 == other.tdj1 and self.tdj2 == other.tdj2
+                    and self.copy == other.copy)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.tdj1, self.tdj2, self.copy))
 
     @property
     def shift(self) -> tuple[int, int]:
@@ -250,25 +325,38 @@ PART_00 = So4Label(0, 0)
 PARTS_14: tuple[So4Label, ...] = (PART_11, PART_HH, PART_00)
 
 
-@dataclass(frozen=True, slots=True)
-class EntryShift:
+class EntryShift(_Label):
     """One table row: an SO(4)-label shift together with the 14-part."""
 
+    __slots__ = ("tdj1", "tdj2", "part")
+    _names = __slots__
     tdj1: int
     tdj2: int
     part: So4Label
 
-    def __post_init__(self):
-        _check_twice(self.tdj1, self.tdj2)
-        if self.part not in PARTS_14:
-            raise MalformedKey(f"not a 14-part: {self.part}")
-        for d in (self.tdj1, self.tdj2):
-            if abs(d) > self.part.tj1:
+    def __init__(self, tdj1: int, tdj2: int, part: So4Label):
+        _check_twice(tdj1, tdj2)
+        _set(self, "tdj1", tdj1)
+        _set(self, "tdj2", tdj2)
+        _set(self, "part", part)
+        if part not in PARTS_14:
+            raise MalformedKey(f"not a 14-part: {part}")
+        for d in (tdj1, tdj2):
+            if abs(d) > part.tj1:
                 raise MalformedKey(
-                    f"shift {HalfInt(d)} too large for part {self.part}")
-            if (d - self.part.tj1) % 2 != 0:
+                    f"shift {HalfInt(d)} too large for part {part}")
+            if (d - part.tj1) % 2 != 0:
                 raise MalformedKey(
-                    f"shift {HalfInt(d)} has wrong parity for part {self.part}")
+                    f"shift {HalfInt(d)} has wrong parity for part {part}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.tdj1 == other.tdj1 and self.tdj2 == other.tdj2
+                    and self.part == other.part)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.tdj1, self.tdj2, self.part))
 
     def __str__(self) -> str:
         return f"({_signed(self.tdj1)},{_signed(self.tdj2)};{self.part})"
@@ -286,8 +374,7 @@ ENTRY_POSITION: dict[tuple[int, int, int], int] = {
     (e.tdj1, e.tdj2, e.part.tj1): i for i, e in enumerate(ENTRY_SHIFTS)}
 
 
-@dataclass(frozen=True, slots=True)
-class DecompEntry:
+class DecompEntry(NamedTuple):
     """One block of a tensor-product decomposition."""
 
     target: IrrepLabel

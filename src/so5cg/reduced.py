@@ -8,10 +8,9 @@ per-(target-SO(4)) reduced vectors on which unitarity is checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ._kernel import dot_terms, sqrt_of_product
 from .errors import ChannelAbsent, MalformedKey
@@ -43,8 +42,7 @@ from .tables import (
 )
 
 
-@dataclass(frozen=True)
-class ReducedKey:
+class ReducedKey(NamedTuple):
     """Addresses one table entry of one coupling channel."""
 
     source: IrrepLabel
@@ -53,8 +51,7 @@ class ReducedKey:
     entry: EntryShift
 
 
-@dataclass(frozen=True)
-class MixingData:
+class MixingData(NamedTuple):
     """Overlap data of the companion row set with the first diagonal copy.
 
     x is a single-radical value (the overlap itself); h2 and norm2 = h2 - x^2
@@ -311,8 +308,7 @@ def dot(u: ReducedVector, v: ReducedVector) -> SqrtSum:
                              {key: value.terms for key, value in v.items()}))
 
 
-@dataclass(frozen=True)
-class ReducedRow:
+class ReducedRow(NamedTuple):
     """One export row of a per-channel table."""
 
     source_so4: So4Label

@@ -47,11 +47,10 @@ All arithmetic is exact: values are SqrtSum instances and never floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 from ._formula import IntPoly, Lin, Poly, _int_poly, _lins, _pieces
 from ._kernel import sqrt_of_product
@@ -112,8 +111,7 @@ def _half(twice: int, halvings: int = 1) -> Fraction:
     return Fraction(twice, 1 << halvings)
 
 
-@dataclass(frozen=True)
-class RowSpec:
+class RowSpec(NamedTuple):
     """One table row of a coupling channel.
 
     The formula is kept as written (sign, scale, srad and the strings of
@@ -166,8 +164,7 @@ def _rows(*rows: RowSpec) -> Mapping[EntryShift, RowSpec]:
     return table
 
 
-@dataclass(frozen=True)
-class ChannelTable:
+class ChannelTable(NamedTuple):
     """One coupling channel: irrep-label shift, normalization, entry rows.
 
     ``norm_const`` is norm_scale * sqrt(norm_srad) with the power-of-two

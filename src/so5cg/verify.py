@@ -7,9 +7,8 @@ command line front end renders as JSON.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import ChannelAbsent, FormulaDomainError
 from .exactnum import ONE, ZERO, sqrt_rational
@@ -247,8 +246,7 @@ def su2_orthogonality(max_twice_j: int) -> Optional[str]:
     return None
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     counterexample: Optional[str]

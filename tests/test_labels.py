@@ -1,5 +1,8 @@
 """Label algebra: dimensions, branching, channels, decomposition."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -180,3 +183,123 @@ def test_m_values():
 
 def test_iter_labels_count():
     assert len(list(iter_labels(6))) == 28
+
+
+# Every label type: a value, an equal one built apart, a different one, and
+# the value's str, which the CLI prints and the disk cache keys on.
+LABEL_VALUES = [
+    (HalfInt(3), HalfInt.parse("3/2"), HalfInt(-1), "3/2"),
+    (So4Label(1, 3), So4Label.parse("1/2,3/2"), So4Label(2, 0), "1/2,3/2"),
+    (IrrepLabel(3, 1), IrrepLabel.parse("3/2,1/2"), IrrepLabel(2, 2),
+     "3/2,1/2"),
+    (Channel(1, -1), Channel(1, -1, 1), Channel(0, 0, 2), "+1/2,-1/2"),
+    (ENTRY_SHIFTS[9], EntryShift(1, 1, So4Label(1, 1)), ENTRY_SHIFTS[13],
+     "(+1/2,+1/2;1/2,1/2)"),
+]
+
+
+def test_labels_equal_only_their_own_type():
+    assert So4Label(2, 2) != IrrepLabel(2, 2)
+    assert IrrepLabel(2, 2) != So4Label(2, 2)
+    assert So4Label(2, 2) != (2, 2)
+    assert (2, 2) != So4Label(2, 2)
+    assert Channel(2, 2) != (2, 2, 1)
+    assert HalfInt(3) != 3 and HalfInt(3) != (3,)
+    assert EntryShift(0, 0, PART_00) != (0, 0, PART_00)
+    assert So4Label(2, 2) == PART_11 and FOURTEEN == IrrepLabel(2, 2)
+    assert {So4Label(2, 2): 1}.get(IrrepLabel(2, 2)) is None
+
+
+@pytest.mark.parametrize("a, same, b, text", LABEL_VALUES,
+                         ids=[type(v[0]).__name__ for v in LABEL_VALUES])
+def test_equal_labels_hash_equal(a, same, b, text):
+    assert same == a and same is not a and hash(same) == hash(a)
+    assert a != b and not a == b
+
+
+def test_label_hashes_are_field_tuple_hashes():
+    # Dict and set orders over labels follow from these hashes.
+    assert hash(So4Label(1, 3)) == hash((1, 3))
+    assert hash(HalfInt(3)) == hash((3,))
+    assert hash(Channel(0, 0, 2)) == hash((0, 0, 2))
+    assert hash(ENTRY_SHIFTS[13]) == hash((0, 0, PART_00))
+
+
+def test_sorted_orders_labels_by_their_doubled_fields():
+    assert sorted([HalfInt(1), HalfInt(-3), HalfInt(0)]) == [
+        HalfInt(-3), HalfInt(0), HalfInt(1)]
+    assert sorted([IrrepLabel(4, 2), IrrepLabel(2, 2), IrrepLabel(4, 0),
+                   IrrepLabel(3, 1)]) == [
+        IrrepLabel(2, 2), IrrepLabel(3, 1), IrrepLabel(4, 0), IrrepLabel(4, 2)]
+    assert branching(IrrepLabel(2, 0)) == (
+        So4Label(0, 2), So4Label(1, 1), So4Label(2, 0))
+    assert So4Label(1, 3) <= So4Label(1, 3) < So4Label(2, 0)
+    assert IrrepLabel(4, 2) >= IrrepLabel(4, 0) > IrrepLabel(3, 1)
+    with pytest.raises(TypeError):
+        So4Label(1, 1) < IrrepLabel(2, 2)  # noqa: B015
+    with pytest.raises(TypeError):
+        HalfInt(1) < 2  # noqa: B015
+
+
+@pytest.mark.parametrize("a, same, b, text", LABEL_VALUES,
+                         ids=[type(v[0]).__name__ for v in LABEL_VALUES])
+def test_labels_are_immutable(a, same, b, text):
+    name = "twice" if isinstance(a, HalfInt) else (
+        "tj1" if isinstance(a, (So4Label, IrrepLabel)) else "tdj1")
+    before = getattr(a, name)
+    with pytest.raises(AttributeError):
+        setattr(a, name, 0)
+    with pytest.raises(AttributeError):
+        delattr(a, name)
+    assert getattr(a, name) == before
+
+
+@pytest.mark.parametrize("a, same, b, text", LABEL_VALUES,
+                         ids=[type(v[0]).__name__ for v in LABEL_VALUES])
+def test_label_text_and_copies(a, same, b, text):
+    assert str(a) == text
+    for clone in (pickle.loads(pickle.dumps(a)), copy.copy(a),
+                  copy.deepcopy(a)):
+        assert clone == a and type(clone) is type(a) and str(clone) == text
+
+
+def test_label_repr_and_str():
+    assert repr(So4Label(2, 2)) == "So4Label(tj1=2, tj2=2)"
+    assert repr(IrrepLabel(3, 1)) == "IrrepLabel(tj1=3, tj2=1)"
+    assert repr(HalfInt(3)) == "HalfInt(twice=3)"
+    assert repr(Channel(0, 0, 2)) == "Channel(tdj1=0, tdj2=0, copy=2)"
+    assert repr(ENTRY_SHIFTS[0]) == (
+        "EntryShift(tdj1=2, tdj2=2, part=So4Label(tj1=2, tj2=2))")
+    assert [str(e) for e in ENTRY_SHIFTS] == [
+        "(+1,+1;1,1)", "(+1,0;1,1)", "(+1,-1;1,1)", "(0,+1;1,1)",
+        "(0,0;1,1)", "(0,-1;1,1)", "(-1,+1;1,1)", "(-1,0;1,1)",
+        "(-1,-1;1,1)", "(+1/2,+1/2;1/2,1/2)", "(+1/2,-1/2;1/2,1/2)",
+        "(-1/2,+1/2;1/2,1/2)", "(-1/2,-1/2;1/2,1/2)", "(0,0;0,0)"]
+    assert [str(c) for c in ALL_CHANNELS] == [
+        "+1,+1", "+1,0", "0,+1", "+1,-1", "+1/2,+1/2", "+1/2,-1/2",
+        "0,0#1", "0,0#2", "-1,-1", "-1,0", "0,-1", "-1,+1", "-1/2,-1/2",
+        "-1/2,+1/2"]
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: HalfInt(1.5), "HalfInt needs an int doubled value, got 1.5"),
+    (lambda: HalfInt("1"), "HalfInt needs an int doubled value, got '1'"),
+    (lambda: So4Label(-1, 0), "SO(4) label needs nonnegative spins, got -1/2,0"),
+    (lambda: So4Label(1, 1.0), "HalfInt needs an int doubled value, got 1.0"),
+    (lambda: IrrepLabel(1, 2), "irrep label needs j1 >= j2 >= 0, got (1/2,1)"),
+    (lambda: IrrepLabel(0, -2), "irrep label needs j1 >= j2 >= 0, got (0,-1)"),
+    (lambda: Channel(2, 4), "not a coupling shift: (1,2)"),
+    (lambda: Channel(2, 2, 2), "copy 2 exists only for the (0,0) shift"),
+    (lambda: Channel(0, 0, 3), "copy must be 1 or 2, got 3"),
+    (lambda: Channel(0.0, 0), "HalfInt needs an int doubled value, got 0.0"),
+    (lambda: EntryShift(2, 2, PART_00), "shift 1 too large for part 0,0"),
+    (lambda: EntryShift(1, 1, PART_11),
+     "shift 1/2 has wrong parity for part 1,1"),
+    (lambda: EntryShift(4, 0, PART_11), "shift 2 too large for part 1,1"),
+    (lambda: EntryShift(0, 0, So4Label(1, 0)), "not a 14-part: 1/2,0"),
+    (lambda: EntryShift(0, 0, IrrepLabel(2, 2)), "not a 14-part: 1,1"),
+])
+def test_label_validation_messages(build, message):
+    with pytest.raises(MalformedKey) as info:
+        build()
+    assert str(info.value) == message

@@ -17,8 +17,15 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # Modules that only a full eval, verify or the numeric oracle need.
 HEAVY = {"so5cg.fullcg", "so5cg.su2", "so5cg.verify", "so5cg.oracle", "numpy"}
 
+# Standard-library modules that no command but `verify oracle` may load:
+# `dataclasses` and the `inspect` it imports (with ast, dis and tokenize)
+# took about 10 ms of every process's start-up. The oracle loads numpy,
+# which imports `inspect` anyway.
+START_UP = {"dataclasses", "inspect"}
+
 # Runs so5cg.cli.main(argv) and prints its exit code, whether each cache
-# lookup hit, its stdout and the modules it left loaded.
+# lookup hit, its stdout, the heavy modules it left loaded and the start-up
+# modules it left loaded.
 RUN_COMMAND = """
 import contextlib, io, json, sys
 import so5cg.cli
@@ -34,8 +41,9 @@ out = io.StringIO()
 with contextlib.redirect_stdout(out):
     code = so5cg.cli.main(sys.argv[1:])
 print(json.dumps({"exit": code, "hits": hits, "out": out.getvalue(),
-                  "modules": sorted(m for m in sys.modules if m in %r)}))
-""" % sorted(HEAVY)
+                  "modules": sorted(m for m in sys.modules if m in %r),
+                  "start_up": sorted(m for m in sys.modules if m in %r)}))
+""" % (sorted(HEAVY), sorted(START_UP))
 
 
 def _fresh(code: str, *args: str, cache_dir=None) -> dict:
@@ -61,6 +69,7 @@ def test_cache_hit_table_loads_no_matrix_or_verify_layer(tmp_path):
     warm = _command(*argv, cache_dir=tmp_path)
     assert (warm["exit"], warm["hits"], warm["modules"]) == (0, [True], [])
     assert warm["out"] == cold["out"]
+    assert cold["start_up"] == warm["start_up"] == []
 
 
 @pytest.mark.parametrize("argv", [
@@ -71,7 +80,7 @@ def test_cache_hit_table_loads_no_matrix_or_verify_layer(tmp_path):
 ], ids=["decompose", "branch", "reduced eval"])
 def test_command_loads_no_matrix_or_verify_layer(tmp_path, argv):
     result = _command(*argv, cache_dir=tmp_path)
-    assert (result["exit"], result["modules"]) == (0, [])
+    assert (result["exit"], result["modules"], result["start_up"]) == (0, [], [])
     assert result["out"]
 
 
@@ -84,6 +93,7 @@ def test_full_eval_loads_the_matrix_layer():
     assert result["out"].splitlines()[0] == "1/7*sqrt(7)"
     assert "so5cg.fullcg" in result["modules"]
     assert "so5cg.verify" not in result["modules"]
+    assert result["start_up"] == []
 
 
 def test_verify_loads_the_verification_layer():
@@ -92,6 +102,15 @@ def test_verify_loads_the_verification_layer():
     assert json.loads(result["out"])["pass"] is True
     assert "so5cg.verify" in result["modules"]
     assert "numpy" not in result["modules"]
+    assert result["start_up"] == []
+
+
+@pytest.mark.parametrize("suite", ["symmetry", "mixing", "orthogonality"])
+def test_verify_suites_load_no_dataclasses_or_inspect(suite):
+    result = _command("verify", suite, "--max-twice-j", "2")
+    assert result["exit"] == 0
+    assert json.loads(result["out"])["pass"] is True
+    assert result["start_up"] == []
 
 
 PACKAGE_API = """

@@ -1,7 +1,6 @@
 """Source-level rules for the package."""
 
 import ast
-import dataclasses
 import json
 import os
 import subprocess
@@ -131,8 +130,7 @@ def test_entry_positions_live_in_labels():
     from so5cg.tables import ChannelTable
     assert [ENTRY_POSITION[(e.tdj1, e.tdj2, e.part.tj1)]
             for e in ENTRY_SHIFTS] == list(range(len(ENTRY_SHIFTS)))
-    assert "by_position" not in {f.name
-                                 for f in dataclasses.fields(ChannelTable)}
+    assert "by_position" not in ChannelTable._fields
 
 
 def _unbounded_memo(decorator: ast.expr) -> bool:
@@ -169,8 +167,8 @@ def test_unbounded_memos_are_per_label_source_or_formula():
 def test_label_records_hold_doubled_ints():
     # A label record holds its spins and shifts as plain doubled ints (an
     # entry's part is an So4Label of them); HalfInt is only the text form
-    # of one spin and the magnetic-label type. The dataclass constructor
-    # takes the ints, so no record has an `of` constructor beside it.
+    # of one spin and the magnetic-label type. The constructor takes the
+    # ints, so no record has an `of` constructor beside it.
     from so5cg.labels import Channel, EntryShift, IrrepLabel, So4Label
     want = {
         So4Label: {"tj1": "int", "tj2": "int"},
@@ -179,8 +177,9 @@ def test_label_records_hold_doubled_ints():
         EntryShift: {"tdj1": "int", "tdj2": "int", "part": "So4Label"},
     }
     for record, types in want.items():
-        got = {f.name: f.type if isinstance(f.type, str) else f.type.__name__
-               for f in dataclasses.fields(record)}
+        got = {name: cls.__annotations__[name]
+               for cls in reversed(record.__mro__)
+               for name in cls.__dict__.get("__slots__", ())}
         assert got == types, record.__name__
         assert not hasattr(record, "of"), record.__name__
 

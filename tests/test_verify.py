@@ -1,7 +1,6 @@
 """Suite runner plumbing and the cheap invariant sweeps."""
 
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -183,7 +182,7 @@ def _corrupted(source, edit):
     columns = {col: dict(entries) for col, entries in matrix.columns.items()}
     by_text = {str(col): col for col in matrix.cols}
     edit(columns, by_text.__getitem__)
-    return replace(matrix, columns=columns)
+    return matrix._replace(columns=columns)
 
 
 def test_full_orthogonality_reports_an_entry_in_another_sector(monkeypatch):
