@@ -128,21 +128,14 @@ class IntPoly(NamedTuple):
 
     ``source`` is the polynomial as written: a function of (j1, j2, b1, b2)
     or a linear-form string.  Its value at the doubled spins is the int
-    2**degree * source(tj1/2, tj2/2, tb1/2, tb2/2).  ``by_j`` holds the
-    same terms grouped by their exponents of (j1, j2), as
-    (e_j1, e_j2, ((coeff, e_b1, e_b2), ...)).
+    2**degree * source(tj1/2, tj2/2, tb1/2, tb2/2).  ``by_j`` holds its
+    terms grouped by their exponents of (j1, j2), as
+    (e_j1, e_j2, ((coeff, e_b1, e_b2), ...)); bind() folds in (tb1, tb2).
     """
 
     source: Union[Poly, str]
     degree: int
-    terms: tuple[tuple[int, int, int, int, int], ...]  # (coeff, exponents)
     by_j: tuple[tuple[int, int, tuple[tuple[int, int, int], ...]], ...]
-
-    def __call__(self, tj1: int, tj2: int, tb1: int, tb2: int) -> int:
-        total = 0
-        for c, e1, e2, e3, e4 in self.terms:
-            total += c * tj1 ** e1 * tj2 ** e2 * tb1 ** e3 * tb2 ** e4
-        return total
 
     def bind(self, tb1: int, tb2: int) -> list[tuple[int, int, int]]:
         """The polynomial at fixed (tb1, tb2) as (coeff, e_j1, e_j2) terms."""
@@ -171,5 +164,5 @@ def _int_poly(source: Union[Poly, str]) -> IntPoly:
     groups: dict[tuple[int, int], list] = {}
     for c, e1, e2, e3, e4 in terms:
         groups.setdefault((e1, e2), []).append((c, e3, e4))
-    return IntPoly(source, degree, terms, tuple(
+    return IntPoly(source, degree, tuple(
         (e1, e2, tuple(group)) for (e1, e2), group in groups.items()))

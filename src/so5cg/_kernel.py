@@ -193,23 +193,6 @@ def dot_terms(u, v):
     return over(dot_scaled(lu, lv), du * dv)
 
 
-def scale_terms(t, num: int, den: int):
-    """Multiply a canonical term list by the rational num/den."""
-    if num == 0:
-        return ()
-    out = []
-    for rad, n, d in t:
-        nn = n * num
-        dd = d * den
-        g = gcd(nn, dd)
-        nn //= g
-        dd //= g
-        if dd < 0:
-            nn, dd = -nn, -dd
-        out.append((rad, nn, dd))
-    return tuple(out)
-
-
 def neg_terms(t):
     """Negate a canonical term list."""
     return tuple((rad, -num, den) for rad, num, den in t)

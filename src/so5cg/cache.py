@@ -4,18 +4,20 @@ The cache directory comes from the SO5CG_CACHE environment variable; when it
 is unset the cache is disabled and every lookup misses. An entry holds the
 text of one exported document (a table, decomposition or branching, in CSV
 or JSON), so a hit prints exactly the bytes the cold run printed. Keys hash
-a fingerprint of the package's own source files together with the request
-and its format, so any change to the engine's sources changes every key and
-stale entries are never replayed. Each entry carries a sha256 of the UTF-8
-bytes of its text; an entry that cannot be opened or read (any OSError,
-such as a directory or a permission-denied file at its path), is not JSON,
-has another schema or key, holds no text, or whose text does not hash to
-that digest is a miss, so any changed byte is recomputed rather than
-printed. A store that cannot write raises. Each writer goes through its
-own temporary file, so concurrent writers of one key never see each other's
-partial files. Entries get the mode a plain open() gives, 0o666 less the
-umask, so a cache directory shared between users is shared by its entries
-too.
+the request and its format only, so each request has one entry file. The
+entry records the engine that wrote it, a fingerprint of the package's own
+source files: another engine's entry is a miss, and the store that follows
+overwrites it in place, so a change to the engine's sources never replays a
+stale entry and leaves no unread one behind. Each entry carries a sha256 of
+the UTF-8 bytes of its text; an entry that cannot be opened or read (any
+OSError, such as a directory or a permission-denied file at its path), is
+not JSON, has another schema, key or engine, holds no text, or whose text
+does not hash to that digest is a miss, so any changed byte is recomputed
+rather than printed. A store that cannot write raises. Each writer goes
+through its own temporary file, so concurrent writers of one key never see
+each other's partial files. Entries get the mode a plain open() gives,
+0o666 less the umask, so a cache directory shared between users is shared
+by its entries too.
 
 The cache is not an authentication boundary: the digest detects corruption,
 not tampering, and an entry whose digest matches is trusted as this engine's
@@ -44,7 +46,7 @@ def engine_fingerprint() -> str:
 
 
 def cache_key(kind: str, *parts: str) -> str:
-    material = "\x1f".join((engine_fingerprint(), kind) + parts)
+    material = "\x1f".join((kind,) + parts)
     return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
 
@@ -71,6 +73,7 @@ def load(key: str) -> Optional[str]:
         # A text with a lone surrogate does not encode: a ValueError too.
         if (isinstance(entry, dict) and isinstance(entry.get("payload"), str)
                 and entry.get("schema") == SCHEMA and entry.get("key") == key
+                and entry.get("engine") == engine_fingerprint()
                 and entry.get("sha256") == _digest(entry["payload"])):
             return entry["payload"]
     except (OSError, ValueError):
@@ -90,6 +93,7 @@ def store(key: str, text: str) -> None:
         "schema": SCHEMA,
         "kind": "cache_entry",
         "key": key,
+        "engine": engine_fingerprint(),
         "created_at": datetime.now(timezone.utc).isoformat(),
         "sha256": _digest(text),
         "payload": text,

@@ -33,16 +33,16 @@ from .labels import (
     EntryShift,
     HalfInt,
     IrrepLabel,
-    PARTS_14,
     So4Label,
     branching,
+    check_block,
     decompose_with_14,
     dim,
+    parse_pair,
 )
 from .reduced import (
     ReducedKey,
     aux_table_rows,
-    check_source_block,
     reduced,
     reduced_aux,
     table_rows,
@@ -74,25 +74,7 @@ def _parse_channel(text: str):
         if copy_text not in ("1", "2"):
             raise MalformedKey(f"channel copy must be 1 or 2, got {text!r}")
         copy = int(copy_text)
-    parts = s.split(",")
-    if len(parts) != 2:
-        raise MalformedKey(f"expected 'dj1,dj2', got {text!r}")
-    return Channel(HalfInt.parse(parts[0]).twice, HalfInt.parse(parts[1]).twice,
-                   copy)
-
-
-def _parse_pair(text: str, what: str) -> tuple[HalfInt, HalfInt]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise MalformedKey(f"expected '{what}' as 'a,b', got {text!r}")
-    return HalfInt.parse(parts[0]), HalfInt.parse(parts[1])
-
-
-def _parse_part(text: str) -> So4Label:
-    part = So4Label.parse(text)
-    if part not in PARTS_14:
-        raise MalformedKey(f"not an SO(4) block of the 14-dim rep: {text!r}")
-    return part
+    return Channel(*parse_pair(s, "'dj1,dj2'"), copy)
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -107,9 +89,10 @@ def cmd_eval(args) -> int:
     source = IrrepLabel.parse(args.source)
     channel = _parse_channel(args.channel)
     source_so4 = So4Label.parse(args.source_so4)
-    part = _parse_part(args.part)
-    dj1, dj2 = _parse_pair(args.entry, "entry shift")
-    entry = EntryShift(dj1.twice, dj2.twice, part)
+    part = So4Label.parse(args.part)
+    # EntryShift refuses a part that is not a block of the 14-dim rep.
+    entry = EntryShift(*parse_pair(args.entry, "'entry shift' as 'a,b'"),
+                       part)
 
     if args.m is not None or args.part_m is not None:
         if channel is AUX:
@@ -134,10 +117,10 @@ def _eval_full(args, source: IrrepLabel, channel: Channel,
 
     # As on the reduced path, a key whose source block does not exist is
     # malformed before it is a zero or an absent channel.
-    check_source_block(source, source_so4)
+    check_block(source, source_so4, "source")
     target = valid_target(source, channel)
-    m1, m2 = _parse_pair(args.m, "m1,m2")
-    pm1, pm2 = _parse_pair(args.part_m, "pm1,pm2")
+    m1, m2 = map(HalfInt, parse_pair(args.m, "'m1,m2' as 'a,b'"))
+    pm1, pm2 = map(HalfInt, parse_pair(args.part_m, "'pm1,pm2' as 'a,b'"))
     row = RowState(source_so4, m1, m2, entry.part, pm1, pm2)
     # An invalid product state is malformed before an entry that takes the
     # source block to a negative spin is 0.

@@ -6,7 +6,11 @@ square-free radicals are linearly independent over Q, so two SqrtSums are
 equal iff their canonical term lists are identical, and equality, hashing,
 and zero tests are all structural.
 
-Rationals embed as the single term with r = 1.
+Rationals embed as the single term with r = 1, and that embedding is the
+only way they enter: every ring operation coerces an int or Fraction operand
+to its one-term list (or to the empty list for 0) and runs the same
+term-list kernel (_kernel) as for two SqrtSums, so there is one arithmetic
+path per operation.
 """
 
 from __future__ import annotations
@@ -45,10 +49,7 @@ class SqrtSum:
 
     @classmethod
     def from_rational(cls, q: _Scalar) -> "SqrtSum":
-        q = Fraction(q)
-        if q == 0:
-            return _ZERO
-        return cls(((1, q.numerator, q.denominator),))
+        return cls(_coerce_terms(Fraction(q)))
 
     @property
     def terms(self) -> tuple[tuple[int, int, int], ...]:
@@ -103,40 +104,27 @@ class SqrtSum:
         return SqrtSum(_kernel.add_terms(terms, _kernel.neg_terms(self._terms)))
 
     def __mul__(self, other):
-        if isinstance(other, SqrtSum):
-            return SqrtSum(_kernel.mul_terms(self._terms, other._terms))
-        if isinstance(other, int):
-            return SqrtSum(_kernel.scale_terms(self._terms, other, 1))
-        if isinstance(other, Fraction):
-            return SqrtSum(
-                _kernel.scale_terms(self._terms, other.numerator, other.denominator)
-            )
-        return NotImplemented
+        terms = _coerce_terms(other)
+        if terms is NotImplemented:
+            return NotImplemented
+        return SqrtSum(_kernel.mul_terms(self._terms, terms))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        """Division by a rational or by a single-term SqrtSum."""
-        if isinstance(other, int):
-            if other == 0:
-                raise ZeroDivisionError("division by zero")
-            return SqrtSum(_kernel.scale_terms(self._terms, 1, other))
-        if isinstance(other, Fraction):
-            if other == 0:
-                raise ZeroDivisionError("division by zero")
-            return SqrtSum(
-                _kernel.scale_terms(self._terms, other.denominator, other.numerator)
-            )
-        if isinstance(other, SqrtSum):
-            if not other._terms:
-                raise ZeroDivisionError("division by zero")
-            if len(other._terms) != 1:
-                raise ValueError("division is only supported by single-term values")
-            rad, num, den = other._terms[0]
-            # 1/(q*sqrt(r)) = (1/(q*r))*sqrt(r)
-            q = Fraction(den, num * rad)
-            return self * SqrtSum(((rad, q.numerator, q.denominator),))
-        return NotImplemented
+        """Division by a nonzero rational or a nonzero single-term value."""
+        terms = _coerce_terms(other)
+        if terms is NotImplemented:
+            return NotImplemented
+        if not terms:
+            raise ZeroDivisionError("division by zero")
+        if len(terms) != 1:
+            raise ValueError("division is only supported by single-term values")
+        (rad, num, den), = terms
+        # 1/(q*sqrt(r)) = (1/(q*r))*sqrt(r)
+        q = Fraction(den, num * rad)
+        return SqrtSum(_kernel.mul_terms(
+            self._terms, ((rad, q.numerator, q.denominator),)))
 
     # -- comparison and hashing ----------------------------------------
 

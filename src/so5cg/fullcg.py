@@ -28,6 +28,7 @@ from .labels import (
     IrrepLabel,
     So4Label,
     branching,
+    check_block,
     decompose_with_14,
     dim,
     in_branching,
@@ -37,7 +38,6 @@ from .reduced import (
     ReducedKey,
     _row_values,
     _vector,
-    check_source_block,
     reduced,
 )
 from .su2 import su2_cg
@@ -105,7 +105,7 @@ def check_row(source: IrrepLabel, row: RowState) -> None:
     s, p = row.source_so4, row.part
     if p not in PARTS_14:
         raise MalformedKey(f"part must be a 14-dim block, got {p}")
-    check_source_block(source, s)
+    check_block(source, s, "source")
     _check_magnetic(s.tj1, row.m1, "source")
     _check_magnetic(s.tj2, row.m2, "source")
     _check_magnetic(p.tj1, row.pm1, "part")

@@ -28,9 +28,20 @@ _set = object.__setattr__
 
 
 def _check_twice(*values) -> None:
+    """The one check that doubled values are ints; a bool is refused too."""
     for value in values:
-        if not isinstance(value, int):
+        if value.__class__ is not int:
             raise MalformedKey(f"HalfInt needs an int doubled value, got {value!r}")
+
+
+def parse_pair(text: str, expected: str) -> tuple[int, int]:
+    """The doubled values of an "a,b" pair of half-integers: the one
+    splitter of label text. A text that is not two parts is reported as
+    "expected <expected>"."""
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise MalformedKey(f"expected {expected}, got {text!r}")
+    return HalfInt.parse(parts[0]).twice, HalfInt.parse(parts[1]).twice
 
 
 class _Label:
@@ -101,6 +112,8 @@ class HalfInt(_Label):
         return f"{self.twice}/2"
 
     def __add__(self, other: "HalfInt") -> "HalfInt":
+        if other.__class__ is not self.__class__:
+            return NotImplemented
         return HalfInt(self.twice + other.twice)
 
 
@@ -129,10 +142,7 @@ class _SpinPair(_Label):
 
     @classmethod
     def parse(cls, text: str):
-        parts = text.split(",")
-        if len(parts) != 2:
-            raise MalformedKey(f"expected 'j1,j2', got {text!r}")
-        return cls(HalfInt.parse(parts[0]).twice, HalfInt.parse(parts[1]).twice)
+        return cls(*parse_pair(text, "'j1,j2'"))
 
     @property
     def twice(self) -> tuple[int, int]:
@@ -218,6 +228,14 @@ def in_branching(label: IrrepLabel, so4: So4Label) -> bool:
     return _contains(label.tj1, label.tj2, so4.tj1, so4.tj2)
 
 
+def check_block(label: IrrepLabel, block: So4Label, role: str) -> None:
+    """MalformedKey unless block is in the branching of label, the source
+    or target irrep of a key as role says."""
+    if not in_branching(label, block):
+        raise MalformedKey(
+            f"SO(4) label {block} is not a block of {role} {label}")
+
+
 def reach(label: IrrepLabel, block: So4Label, tdj1: int,
           tdj2: int) -> Optional[So4Label]:
     """The block moved by doubled spin shifts if that lies in the branching
@@ -230,22 +248,17 @@ def reach(label: IrrepLabel, block: So4Label, tdj1: int,
     return None
 
 
-# The 14 weights as (twice_d1, twice_d2) shifts; (0, 0) appears twice.
-SHIFTS_14: tuple[tuple[int, int], ...] = (
-    (2, 2), (2, -2), (-2, 2), (-2, -2),
-    (2, 0), (-2, 0), (0, 2), (0, -2),
-    (1, 1), (1, -1), (-1, 1), (-1, -1),
-    (0, 0), (0, 0),
-)
-
-# Channel shifts with printed closed forms (the "raising" half plus the
-# diagonal); the remaining six follow from the symmetry relation.
+# Channel shifts, doubled, with printed closed forms (the "raising" half
+# plus the diagonal); the lowering six are their negatives and follow from
+# the symmetry relation.
 RAISING_SHIFTS: tuple[tuple[int, int], ...] = (
     (2, 2), (2, 0), (0, 2), (2, -2), (1, 1), (1, -1),
 )
-LOWERING_SHIFTS: tuple[tuple[int, int], ...] = (
-    (-2, -2), (-2, 0), (0, -2), (-2, 2), (-1, -1), (-1, 1),
-)
+LOWERING_SHIFTS: tuple[tuple[int, int], ...] = tuple(
+    (-a, -b) for a, b in RAISING_SHIFTS)
+# The 14 weights as (twice_d1, twice_d2) shifts; (0, 0) appears twice.
+SHIFTS_14: tuple[tuple[int, int], ...] = (
+    RAISING_SHIFTS + LOWERING_SHIFTS + ((0, 0), (0, 0)))
 
 
 class Channel(_Label):
@@ -262,7 +275,7 @@ class Channel(_Label):
     copy: int
 
     def __init__(self, tdj1: int, tdj2: int, copy: int = 1):
-        _check_twice(tdj1, tdj2)
+        _check_twice(tdj1, tdj2, copy)
         _set(self, "tdj1", tdj1)
         _set(self, "tdj2", tdj2)
         _set(self, "copy", copy)

@@ -23,8 +23,8 @@ from .labels import (
     IrrepLabel,
     So4Label,
     branching,
+    check_block,
     dim,
-    in_branching,
     reach,
     target_of,
 )
@@ -61,12 +61,6 @@ class MixingData(NamedTuple):
     x: SqrtSum
     h2: Fraction
     norm2: Fraction
-
-
-def check_source_block(source: IrrepLabel, source_so4: So4Label) -> None:
-    if not in_branching(source, source_so4):
-        raise MalformedKey(
-            f"SO(4) label {source_so4} is not a block of source {source}")
 
 
 def valid_target(source: IrrepLabel, channel: Channel) -> IrrepLabel:
@@ -207,7 +201,7 @@ def _evaluate(key: ReducedKey, values) -> SqrtSum:
     """The single-key path: check the source block, set up the evaluator
     values(source, channel) (so an absent channel raises for every key),
     then evaluate the entry, or return 0 when it reaches no target block."""
-    check_source_block(key.source, key.source_so4)
+    check_block(key.source, key.source_so4, "source")
     target = valid_target(key.source, key.channel)
     value = values(key.source, key.channel)
     e = key.entry
@@ -267,12 +261,6 @@ def channel_present_by_normalization(source: IrrepLabel, channel: Channel) -> bo
 ReducedVector = dict[tuple[So4Label, So4Label], SqrtSum]
 
 
-def _check_target_block(target: IrrepLabel, target_so4: So4Label) -> None:
-    if not in_branching(target, target_so4):
-        raise MalformedKey(
-            f"SO(4) label {target_so4} is not a block of target {target}")
-
-
 def _vector(value, source: IrrepLabel, target_so4: So4Label) -> ReducedVector:
     """value(s, i, target_so4) at every (source_so4, part) component
     coupling into one target SO(4) label whose source block exists."""
@@ -292,13 +280,13 @@ def reduced_vector(source: IrrepLabel, channel: Channel,
     entries whose source block does not exist are simply missing from the
     mapping.
     """
-    _check_target_block(valid_target(source, channel), target_so4)
+    check_block(valid_target(source, channel), target_so4, "target")
     return _vector(_row_values(source, channel), source, target_so4)
 
 
 def aux_vector(source: IrrepLabel, target_so4: So4Label) -> ReducedVector:
     """Companion-row analogue of reduced_vector for the diagonal shift."""
-    _check_target_block(source, target_so4)
+    check_block(source, target_so4, "target")
     return _vector(_direct(AUX_TABLE, None, source), source, target_so4)
 
 

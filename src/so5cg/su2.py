@@ -12,6 +12,7 @@ from math import factorial
 
 from .errors import MalformedKey
 from .exactnum import ZERO, SqrtSum, sqrt_rational
+from .labels import _check_twice
 
 
 def _check_pair(tj: int, tm: int, what: str) -> None:
@@ -26,13 +27,12 @@ def _check_pair(tj: int, tm: int, what: str) -> None:
 def su2_cg(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int) -> SqrtSum:
     """<j1 m1 j2 m2 | J M> exactly; arguments are doubled values.
 
-    Raises MalformedKey when a (j, m) pair is invalid (|m| > j or mixed
+    Raises MalformedKey when an argument is not an int (labels' one check,
+    which refuses a bool too) or a (j, m) pair is invalid (|m| > j or mixed
     integrality); selection-rule violations (m1 + m2 != M, broken triangle)
     are legitimate zeros, not errors.
     """
-    for v in (tj1, tm1, tj2, tm2, tJ, tM):
-        if not isinstance(v, int):
-            raise MalformedKey(f"doubled arguments must be ints, got {v!r}")
+    _check_twice(tj1, tm1, tj2, tm2, tJ, tM)
     _check_pair(tj1, tm1, "first factor")
     _check_pair(tj2, tm2, "second factor")
     _check_pair(tJ, tM, "total")

@@ -180,9 +180,11 @@ class ChannelTable(NamedTuple):
     rows: Mapping[EntryShift, RowSpec]
 
     def factor_values(self, tb1: int, tb2: int) -> tuple[int, ...]:
-        # Normalization factors depend on (b1, b2) only; each value is
-        # 2**degree times the factor, so its sign is the factor's.
-        return tuple(f(0, 0, tb1, tb2) for f in self.norm_factors)
+        # Normalization factors depend on (b1, b2) only, so each is its
+        # polynomial bound at (tb1, tb2) and read at tj1 = tj2 = 0; the value
+        # is 2**degree times the factor, so its sign is the factor's.
+        return tuple(sum(c for c, e1, e2 in f.bind(tb1, tb2) if e1 == e2 == 0)
+                     for f in self.norm_factors)
 
     def normalization(self, tb1: int, tb2: int) -> SqrtSum:
         values = self.factor_values(tb1, tb2)

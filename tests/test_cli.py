@@ -58,6 +58,29 @@ def test_eval_full_coefficient(capsys):
     assert out.splitlines()[0] == "1/7*sqrt(7)"
 
 
+FULL_KEY = {"--source": "1/2,0", "--channel": "+1/2,+1/2",
+            "--source-so4": "1/2,0", "--entry": "+1/2,+1/2",
+            "--part": "1/2,1/2", "--m": "1/2,0", "--part-m": "1/2,1/2"}
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--part", "1/2,0", "not a 14-part: 1/2,0"),
+    ("--m", "7/2,0", "magnetic label 7/2 invalid for source spin 1/2"),
+    ("--m", "1/2", "expected 'm1,m2' as 'a,b', got '1/2'"),
+    ("--part-m", "1,1,1", "expected 'pm1,pm2' as 'a,b', got '1,1,1'"),
+    ("--entry", "+1", "expected 'entry shift' as 'a,b', got '+1'"),
+    ("--channel", "+1", "expected 'dj1,dj2', got '+1'"),
+    ("--source-so4", "1/2", "expected 'j1,j2', got '1/2'"),
+])
+def test_eval_malformed_field_exits_2(capsys, flag, value, message):
+    # Every "a,b" field goes through the one splitter in labels, and the
+    # 14-part through EntryShift.
+    key = dict(FULL_KEY, **{flag: value})
+    code, out, err = run(capsys, "eval",
+                         *(f"{k}={v}" for k, v in key.items()))
+    assert (code, out, err) == (2, "", f"malformed key: {message}\n")
+
+
 def test_eval_copy2_channel(capsys):
     code, out, _ = run(capsys, "eval", "--source", "3/2,1/2",
                        "--channel", "0,0#2", "--source-so4", "1,1",
@@ -127,6 +150,7 @@ def test_cache_entry_schema(tmp_path, monkeypatch):
     assert raw["schema"] == "so5cg/1"
     assert raw["kind"] == "cache_entry"
     assert raw["key"] == key
+    assert raw["engine"] == cache.engine_fingerprint()
     assert "created_at" in raw
     assert raw["payload"] == text
     # the digest is over the UTF-8 bytes of the text
@@ -165,13 +189,31 @@ def test_cache_key_depends_on_engine_and_request():
     assert k1 == cache.cache_key("table", "1,0", "+1,0", "csv")
 
 
-def test_cache_keys_follow_the_engine_sources(monkeypatch):
-    requests = [("table", "1,0", "+1,0", "csv"), ("table", "1,0", "aux", "json"),
-                ("decompose", "1,0", "csv"), ("branch", "1,1", "json")]
-    before = [cache.cache_key(*r) for r in requests]
-    monkeypatch.setattr(cache, "engine_fingerprint", lambda: "0" * 64)
-    after = [cache.cache_key(*r) for r in requests]
-    assert all(a != b for a, b in zip(before, after))
+def test_cache_keeps_one_entry_per_request_across_engines(capsys, tmp_path,
+                                                          monkeypatch):
+    # A key names the request and format only; the entry records the engine
+    # that wrote it. Another engine's entry is a miss, and the store that
+    # follows overwrites it, so two engines leave one file and neither
+    # replays the other's text.
+    monkeypatch.setenv("SO5CG_CACHE", str(tmp_path))
+    argv = ("table", "--source", "1,0", "--channel", "+1,+1",
+            "--format", "csv")
+    key = cache.cache_key("table", "1,0", "+1,+1", "csv")
+    code, uncached, _ = run(capsys, *argv, "--no-cache")
+    assert code == 0
+    monkeypatch.setattr(cache, "engine_fingerprint", lambda: "a" * 64)
+    cache.store(key, "engine a\n")
+    assert cache.load(key) == "engine a\n"
+    monkeypatch.setattr(cache, "engine_fingerprint", lambda: "b" * 64)
+    assert cache.cache_key("table", "1,0", "+1,+1", "csv") == key
+    assert cache.load(key) is None
+    assert run(capsys, *argv) == (0, uncached, "")
+    assert [p.name for p in tmp_path.iterdir()] == [f"{key}.json"]
+    entry = json.loads((tmp_path / f"{key}.json").read_text(encoding="utf-8"))
+    assert (entry["engine"], entry["payload"]) == ("b" * 64, uncached)
+    assert run(capsys, *argv) == (0, uncached, "")
+    monkeypatch.setattr(cache, "engine_fingerprint", lambda: "a" * 64)
+    assert cache.load(key) is None
 
 
 def test_out_file_and_io_error(capsys, tmp_path):
@@ -286,6 +328,16 @@ def _rewrite(path, edit) -> None:
     path.write_text(json.dumps(entry), encoding="utf-8")
 
 
+@pytest.mark.parametrize("engine", ["0" * 64, None], ids=["other", "none"])
+def test_cache_entry_of_another_engine_is_a_miss(capsys, tmp_path,
+                                                 monkeypatch, engine):
+    # Another engine's entry, or one that names none, is never replayed.
+    def corrupt(path, _):
+        _rewrite(path, lambda entry: entry.update(engine=engine))
+
+    _corrupt_entries(capsys, tmp_path, monkeypatch, corrupt)
+
+
 def test_cache_wrong_payload_shape_is_a_miss(capsys, tmp_path, monkeypatch):
     # A payload that is not a string is no document, whatever its digest.
     for payload in ({"x": 1}, ["a"], 7, None):
@@ -354,8 +406,8 @@ def test_cache_entry_that_cannot_be_opened_is_a_miss(capsys, tmp_path,
 @pytest.mark.parametrize("cache_off", ["--no-cache", "SO5CG_CACHE unset"])
 def test_export_without_the_cache_computes_no_key(capsys, tmp_path,
                                                   monkeypatch, cache_off):
-    # The key hashes every engine source file; an export that neither
-    # reads nor writes the cache has no use for it.
+    # An entry records a hash of every engine source file; an export that
+    # neither reads nor writes the cache has no use for it, nor for a key.
     expected = [run(capsys, *argv, "--format", fmt, "--no-cache")
                 for argv, _ in EXPORTS for fmt in FORMATS]
 

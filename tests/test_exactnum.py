@@ -79,6 +79,43 @@ def test_single_term_division():
     assert (ONE / v) * v == ONE
 
 
+def test_rational_operands_take_the_one_product_path():
+    # An int or a Fraction is a one-term value with radicand 1: times and
+    # over it equal the same operation with that SqrtSum.
+    v = SqrtSum.from_rational(Fraction(-5, 6)) * sqrt_rational(10)
+    for q in (-3, Fraction(-4, 9), Fraction(7, 2), 1):
+        r = SqrtSum.from_rational(q)
+        assert v * q == v * r == q * v
+        assert v / q == v / r
+    assert (v * -3).terms == ((10, 5, 2),)
+    assert (v / Fraction(-5, 6)).terms == ((10, 1, 1),)
+    assert v * Fraction(-6, 5) == sqrt_rational(10)
+    # A multi-term value times a rational scales every term.
+    w = ONE + sqrt_rational(2) - sqrt_rational(Fraction(3, 4))
+    assert w.terms == ((1, 1, 1), (2, 1, 1), (3, -1, 2))
+    assert (w * Fraction(-2, 3)).terms == (
+        (1, -2, 3), (2, -2, 3), (3, 1, 3))
+    assert (w / -2).terms == ((1, -1, 2), (2, -1, 2), (3, 1, 4))
+    for zero in (0, Fraction(0), ZERO):
+        assert (w * zero).is_zero()
+        assert (zero * w).is_zero()
+
+
+def test_division_refuses_zero_multi_term_and_foreign_operands():
+    w = ONE + sqrt_rational(2)
+    for zero in (0, Fraction(0), ZERO):
+        with pytest.raises(ZeroDivisionError):
+            w / zero
+    with pytest.raises(ValueError, match="single-term"):
+        ONE / w
+    with pytest.raises(TypeError):
+        w * 1.5
+    with pytest.raises(TypeError):
+        1.5 * w
+    with pytest.raises(TypeError):
+        w / 2.0
+
+
 def test_as_fraction_requires_rational():
     assert (sqrt_rational(2) * sqrt_rational(2)).as_fraction() == 2
     with pytest.raises(ValueError):

@@ -31,6 +31,7 @@ from so5cg.labels import (
     reach,
     target_of,
 )
+from so5cg.su2 import su2_cg
 
 labels = st.builds(
     lambda tj1, extra: IrrepLabel(tj1 + extra, tj1),
@@ -47,6 +48,14 @@ def test_halfint_parse_and_str():
     assert str(HalfInt(4)) == "2"
     with pytest.raises(MalformedKey):
         HalfInt.parse("1/3")
+
+
+def test_halfint_adds_only_halfints():
+    assert HalfInt(1) + HalfInt(3) == HalfInt(4)
+    with pytest.raises(TypeError):
+        HalfInt(1) + 1
+    with pytest.raises(TypeError):
+        1 + HalfInt(1)
 
 
 def test_label_validation():
@@ -298,6 +307,19 @@ def test_label_repr_and_str():
     (lambda: EntryShift(4, 0, PART_11), "shift 2 too large for part 1,1"),
     (lambda: EntryShift(0, 0, So4Label(1, 0)), "not a 14-part: 1/2,0"),
     (lambda: EntryShift(0, 0, IrrepLabel(2, 2)), "not a 14-part: 1,1"),
+    # A bool is an int to isinstance, and copy is a doubled-int field too.
+    pytest.param(lambda: HalfInt(True),
+                 "HalfInt needs an int doubled value, got True",
+                 id="bool-halfint"),
+    pytest.param(lambda: Channel(0, 0, 1.0),
+                 "HalfInt needs an int doubled value, got 1.0",
+                 id="float-copy"),
+    pytest.param(lambda: Channel(0, 0, True),
+                 "HalfInt needs an int doubled value, got True",
+                 id="bool-copy"),
+    pytest.param(lambda: su2_cg(True, True, 0, 0, 1, 1),
+                 "HalfInt needs an int doubled value, got True",
+                 id="bool-su2"),
 ])
 def test_label_validation_messages(build, message):
     with pytest.raises(MalformedKey) as info:

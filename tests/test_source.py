@@ -72,6 +72,42 @@ def _reads(node: ast.AST, attr: str) -> bool:
     return isinstance(node, ast.Attribute) and node.attr == attr
 
 
+def _tests_int(node: ast.AST) -> bool:
+    """Whether node holds an isinstance(..., int) or an `is int` test."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "isinstance":
+            operands = n.args[1:]
+        elif isinstance(n, ast.Compare) and any(
+                isinstance(op, (ast.Is, ast.IsNot)) for op in n.ops):
+            operands = [n.left, *n.comparators]
+        else:
+            continue
+        if any(isinstance(x, ast.Name) and x.id == "int"
+               for op in operands for x in ast.walk(op)):
+            return True
+    return False
+
+
+def test_label_text_and_doubled_ints_are_checked_in_labels():
+    # labels.parse_pair is the one splitter of "a,b" label text and
+    # labels._check_twice the one check that doubled values are ints. A
+    # module elsewhere that splits text on "," or raises MalformedKey from
+    # an int test of its own is a second copy of that rule.
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "labels.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and _reads(node.func, "split")
+                  and any(isinstance(a, ast.Constant) and a.value == ","
+                          for a in node.args)]
+        found += [f"{path.name}:{node.name}" for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and _calls(node, "MalformedKey") and _tests_int(node)]
+    assert found == []
+
+
 def _users(tree: ast.Module, name: str) -> list[str]:
     """Module-level functions that call name or pass it on, nested functions
     included."""

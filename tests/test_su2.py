@@ -50,6 +50,16 @@ def test_malformed_keys_refused():
         su2_cg(-2, 0, 2, 0, 2, 0)
 
 
+@pytest.mark.parametrize("args", [
+    (True, True, 0, 0, 1, 1), (2, 0, 2, 0, 2, False), (2.0, 0, 2, 0, 2, 0),
+    (2, 0, 2, 0, Fraction(2), 0)])
+def test_non_int_doubled_arguments_refused(args):
+    # The one doubled-int check of labels: a bool or a float is refused
+    # before it can pass for a spin.
+    with pytest.raises(MalformedKey, match="int doubled value"):
+        su2_cg(*args)
+
+
 @given(twice_js, twice_js)
 def test_swap_symmetry(tj1, tj2):
     for tJ in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):

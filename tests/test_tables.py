@@ -123,10 +123,13 @@ def compiled_polys():
 def test_compiled_polynomial_equals_its_source(name, poly):
     # No polynomial exceeds degree 6 in any variable, so agreement on 7
     # values of each variable proves the two polynomials identical.
-    assert all(max(term[1:]) <= 6 for term in poly.terms)
+    assert all(max(e1, e2, e3, e4) <= 6 for e1, e2, terms in poly.by_j
+               for _, e3, e4 in terms)
     scale = 2 ** poly.degree
-    for point, spins in GRID:
-        assert poly(*point) == poly.source(*spins) * scale, (name, point)
+    for (tj1, tj2, tb1, tb2), spins in GRID:
+        value = sum(c * tj1 ** e1 * tj2 ** e2
+                    for c, e1, e2 in poly.bind(tb1, tb2))
+        assert value == poly.source(*spins) * scale, (name, spins)
 
 
 @pytest.mark.parametrize("name", sorted(TABLES))
