@@ -22,12 +22,14 @@ by its entries too.
 The cache is not an authentication boundary: the digest detects corruption,
 not tampering, and an entry whose digest matches is trusted as this engine's
 own output.
+
+Importing the module loads neither hashlib (which brings in OpenSSL) nor
+json: each function that hashes or parses imports them, so a process that
+runs with the cache off never loads either.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 from functools import lru_cache
 from pathlib import Path
@@ -39,6 +41,8 @@ SCHEMA = "so5cg/1"
 @lru_cache(maxsize=None)
 def engine_fingerprint() -> str:
     """sha256 over every module of the package, in file name order."""
+    import hashlib
+
     h = hashlib.sha256()
     for path in sorted(Path(__file__).parent.glob("*.py")):
         h.update(path.name.encode("utf-8") + b"\0" + path.read_bytes())
@@ -46,6 +50,8 @@ def engine_fingerprint() -> str:
 
 
 def cache_key(kind: str, *parts: str) -> str:
+    import hashlib
+
     material = "\x1f".join((kind,) + parts)
     return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
@@ -58,11 +64,15 @@ def cache_dir() -> Optional[Path]:
 
 
 def _digest(text: str) -> str:
+    import hashlib
+
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def load(key: str) -> Optional[str]:
     """The text stored under key, or None on a miss or a corrupt entry."""
+    import json
+
     root = cache_dir()
     if root is None:
         return None
@@ -83,6 +93,7 @@ def load(key: str) -> Optional[str]:
 
 def store(key: str, text: str) -> None:
     # Imported here: a process that only reads the cache never needs it.
+    import json
     from datetime import datetime, timezone
 
     root = cache_dir()

@@ -7,9 +7,15 @@ carries doubled integers for exactness.
 All output is deterministic. Table, decompose and branch exports render
 straight from the computed rows to CSV or JSON text, and that text is what
 the disk cache stores, under the request and the format, so a cache hit
-prints the bytes of the cold run.
+prints the bytes of the cold run. A table is rendered from the doubled-int
+rows of so5cg.reduced's table walk as each row is evaluated; each entry's
+fixed CSV cells and JSON row template are built once, at import, so no row
+builds a label.
 
-Importing this module loads the table layer and the cache only. A full
+Importing this module loads the table layer and the cache only, and the
+cache loads neither `hashlib` nor `json` until it is used: with the cache
+off (SO5CG_CACHE unset or --no-cache), a CSV export or a reduced `eval`
+loads neither, and `json` is imported by the two JSON renderers. A full
 `eval` (with --m/--part-m) imports `fullcg`, and `verify` the verification
 layer, inside the command that runs them, so `table`, `decompose`, `branch`
 and a reduced `eval` never load either. No command but `verify oracle`,
@@ -20,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 from typing import Optional
@@ -29,6 +34,7 @@ from . import cache
 from .errors import ChannelAbsent, MalformedKey, So5Error
 from .exactnum import ZERO, SqrtSum
 from .labels import (
+    ENTRY_SHIFTS,
     Channel,
     EntryShift,
     HalfInt,
@@ -42,10 +48,10 @@ from .labels import (
 )
 from .reduced import (
     ReducedKey,
-    aux_table_rows,
+    aux_table_walk,
     reduced,
     reduced_aux,
-    table_rows,
+    table_walk,
     valid_target,
 )
 
@@ -70,10 +76,13 @@ def _parse_channel(text: str):
         return AUX
     copy = 1
     if "#" in s:
+        # Channel checks the copy's range; only its text is read here.
         s, _, copy_text = s.partition("#")
-        if copy_text not in ("1", "2"):
-            raise MalformedKey(f"channel copy must be 1 or 2, got {text!r}")
-        copy = int(copy_text)
+        try:
+            copy = int(copy_text)
+        except ValueError as exc:
+            raise MalformedKey(
+                f"channel copy must be an integer, got {text!r}") from exc
     return Channel(*parse_pair(s, "'dj1,dj2'"), copy)
 
 
@@ -134,6 +143,8 @@ def _eval_full(args, source: IrrepLabel, channel: Channel,
 
 
 def _json_doc(kind: str, fields: dict) -> str:
+    import json
+
     doc = {"schema": cache.SCHEMA, "kind": kind}
     doc.update(fields)
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
@@ -150,7 +161,7 @@ def _csv(header: list, rows) -> str:
 # pure-Python encoder, which took most of a table export's time.
 _TABLE_JSON = ('{\n  "channel": %s,\n  "kind": "table",\n  "rows": %s,\n'
                '  "schema": %s,\n  "source": %s\n}\n')
-_ROW_JSON = """    {
+_ROW_JSON_ENTRY = """    {
       "entry": [
         %d,
         %d
@@ -159,7 +170,8 @@ _ROW_JSON = """    {
         %d,
         %d
       ],
-      "s": [
+"""
+_ROW_JSON_REST = """      "s": [
         %d,
         %d
       ],
@@ -175,6 +187,12 @@ _TERM_JSON = """          {
             "rad": "%d"
           }"""
 
+# Each entry's JSON row template, by position in ENTRY_SHIFTS: its entry
+# and part filled in, the source block, target block and terms left open.
+_ENTRY_ROW_JSON = tuple(
+    _ROW_JSON_ENTRY % (e.tdj1, e.tdj2, *e.part.twice) + _ROW_JSON_REST
+    for e in ENTRY_SHIFTS)
+
 
 def _json_list(items: list[str], indent: str) -> str:
     if not items:
@@ -183,15 +201,15 @@ def _json_list(items: list[str], indent: str) -> str:
 
 
 def _table_json(source: IrrepLabel, channel_text: str, rows) -> str:
-    """The table document of rows, each value as its (rad, num, den) terms
-    in decimal strings."""
-    items = [_ROW_JSON % (
-        row.entry.tdj1, row.entry.tdj2, *row.entry.part.twice,
-        *row.source_so4.twice,
-        "null" if row.target_so4 is None else _T_JSON % row.target_so4.twice,
+    """The table document of the walk's rows, each value as its (rad, num,
+    den) terms in decimal strings."""
+    import json
+
+    items = [_ENTRY_ROW_JSON[i] % (
+        ts1, ts2, "null" if tt1 is None else _T_JSON % (tt1, tt2),
         _json_list([_TERM_JSON % (den, num, rad)
-                    for rad, num, den in row.value.terms], " " * 8))
-        for row in rows]
+                    for rad, num, den in value.terms], " " * 8))
+        for ts1, ts2, i, tt1, tt2, value in rows]
     return _TABLE_JSON % (json.dumps(channel_text), _json_list(items, "  "),
                           json.dumps(cache.SCHEMA), json.dumps(str(source)))
 
@@ -219,10 +237,18 @@ _TABLE_HEADER = ["s_tj1", "s_tj2", "entry_tdj1", "entry_tdj2", "part_tj1",
                  "part_tj2", "t_tj1", "t_tj2", "value"]
 
 
+# Each entry's fixed CSV cells, by position in ENTRY_SHIFTS: the entry's
+# shift and its part.
+_ENTRY_CSV = tuple("%d,%d,%d,%d" % (e.tdj1, e.tdj2, *e.part.twice)
+                   for e in ENTRY_SHIFTS)
+
+
 def _table_text(source: IrrepLabel, channel, channel_text: str,
                 fmt: str) -> str:
-    rows = (aux_table_rows(source) if channel is AUX
-            else table_rows(source, channel))
+    """The table in fmt, rendered from the walk's rows as they are
+    evaluated; an absent channel raises before any row."""
+    rows = (aux_table_walk(source) if channel is AUX
+            else table_walk(source, channel))
     if fmt == "json":
         return _table_json(source, channel_text, rows)
     return _table_csv(rows)
@@ -230,13 +256,15 @@ def _table_text(source: IrrepLabel, channel, channel_text: str,
 
 def _table_csv(rows) -> str:
     """The table as _csv writes it, one format per row."""
+    cells = _ENTRY_CSV
     lines = [",".join(_TABLE_HEADER) + "\n"]
-    for row in rows:
-        entry, s, t = row.entry, row.source_so4, row.target_so4
-        lines.append("%d,%d,%d,%d,%d,%d,%s,%s\n" % (
-            s.tj1, s.tj2, entry.tdj1, entry.tdj2, entry.part.tj1,
-            entry.part.tj2, "," if t is None else "%d,%d" % (t.tj1, t.tj2),
-            row.value))
+    append = lines.append
+    for ts1, ts2, i, tt1, tt2, value in rows:
+        if tt1 is None:
+            append("%d,%d,%s,,,%s\n" % (ts1, ts2, cells[i], value))
+        else:
+            append("%d,%d,%s,%d,%d,%s\n" % (ts1, ts2, cells[i], tt1, tt2,
+                                             value))
     return "".join(lines)
 
 

@@ -21,7 +21,6 @@ from .labels import (
     ENTRY_POSITION,
     ENTRY_SHIFTS,
     FOURTEEN,
-    PARTS_14,
     SHIFTS_14,
     HalfInt,
     Channel,
@@ -29,6 +28,7 @@ from .labels import (
     So4Label,
     branching,
     check_block,
+    check_part,
     decompose_with_14,
     dim,
     in_branching,
@@ -103,8 +103,7 @@ def check_row(source: IrrepLabel, row: RowState) -> None:
     14-dim block, its source block in the branching, its magnetic labels
     valid for both blocks."""
     s, p = row.source_so4, row.part
-    if p not in PARTS_14:
-        raise MalformedKey(f"part must be a 14-dim block, got {p}")
+    check_part(p)
     check_block(source, s, "source")
     _check_magnetic(s.tj1, row.m1, "source")
     _check_magnetic(s.tj2, row.m2, "source")
@@ -187,22 +186,23 @@ def _block_columns(components, t: So4Label, bases: dict[tuple[int, int], int]
     doubled magnetic labels, 2mt1 then 2mt2; each column maps a row index to
     its nonzero value.
 
-    components holds the block's nonzero reduced values as (2s1, 2s2, 2p1,
-    2p2, terms); each entry is r * cg1 * cg2 on term lists. bases maps each
+    components holds the block's nonzero reduced values as (2s1, 2s2, 2p,
+    terms), the source block and the 14-part's spin (both of its spins are
+    p) doubled; each entry is r * cg1 * cg2 on term lists. bases maps each
     source block to the index of its first row.
     """
     tt1, tt2 = t.twice
     columns = {tmt1: {tmt2: {} for tmt2 in range(-tt2, tt2 + 1, 2)}
                for tmt1 in range(-tt1, tt1 + 1, 2)}
-    for ts1, ts2, tp1, tp2, r in components:
-        left = _su2_factors(ts1, tp1, tt1)
-        right = _su2_factors(ts2, tp2, tt2)
+    for ts1, ts2, tp, r in components:
+        left = _su2_factors(ts1, tp, tt1)
+        right = _su2_factors(ts2, tp, tt2)
         # Row of (s; m1, m2 | p; pm1, pm2): the start of block s, 14 rows
         # per (m1, m2) state, then the start of part p and (pm1, pm2) in it.
-        base = bases[(ts1, ts2)] + _PART_STARTS[(tp1, tp2)]
+        base = bases[(ts1, ts2)] + _PART_STARTS[(tp, tp)]
         for tmt1, i1, j1, cg1 in left:
             rc1 = mul_terms(r, cg1)
-            first = base + i1 * (ts2 + 1) * 14 + j1 * (tp2 + 1)
+            first = base + i1 * (ts2 + 1) * 14 + j1 * (tp + 1)
             by_mt2 = columns[tmt1]
             for tmt2, i2, j2, cg2 in right:
                 by_mt2[tmt2][first + i2 * 14 + j2] = SqrtSum(
@@ -287,8 +287,8 @@ def coupling_matrix(source: IrrepLabel) -> CouplingMatrix:
         value = _row_values(source, Channel(target.tj1 - source.tj1,
                                             target.tj2 - source.tj2, copy))
         for t, block in groupby(channel_cols, key=lambda col: col.target_so4):
-            components = [(*s.twice, *p.twice, r.terms)
-                          for (s, p), r in _vector(value, source, t).items()
+            components = [(*key, r.terms) for key, r
+                          in _vector(value, source, t.tj1, t.tj2).items()
                           if r]
             vectors = _block_columns(components, t, bases)
             for col in block:

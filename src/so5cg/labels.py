@@ -217,7 +217,8 @@ def branching(label: IrrepLabel) -> tuple[So4Label, ...]:
 def _contains(ltj1: int, ltj2: int, tj1: int, tj2: int) -> bool:
     """Whether the spin pair (tj1, tj2), doubled, is a block of the irrep
     (ltj1, ltj2): the interleaving rectangle of branching(). A pair in it
-    has no negative spin."""
+    has no negative spin. This is the block rule on doubled ints, the form
+    reach() and the table walks of so5cg.reduced apply to every row."""
     tx, ty = ltj1 + ltj2, ltj1 - ltj2
     ts1, ts2 = tj1 + tj2, tj1 - tj2
     return ty <= ts1 <= tx and -ty <= ts2 <= ty and (ts1 - ty) % 2 == 0
@@ -338,6 +339,13 @@ PART_00 = So4Label(0, 0)
 PARTS_14: tuple[So4Label, ...] = (PART_11, PART_HH, PART_00)
 
 
+def check_part(part) -> None:
+    """MalformedKey unless part is one of the three SO(4) blocks of the
+    14-dim irrep: the one check of a 14-part."""
+    if part not in PARTS_14:
+        raise MalformedKey(f"not a 14-part: {part}")
+
+
 class EntryShift(_Label):
     """One table row: an SO(4)-label shift together with the 14-part."""
 
@@ -352,8 +360,7 @@ class EntryShift(_Label):
         _set(self, "tdj1", tdj1)
         _set(self, "tdj2", tdj2)
         _set(self, "part", part)
-        if part not in PARTS_14:
-            raise MalformedKey(f"not a 14-part: {part}")
+        check_part(part)
         for d in (tdj1, tdj2):
             if abs(d) > part.tj1:
                 raise MalformedKey(
@@ -381,10 +388,15 @@ ENTRY_SHIFTS: tuple[EntryShift, ...] = tuple(
     + [EntryShift(0, 0, PART_00)]
 )
 
-# Position in ENTRY_SHIFTS of each entry, keyed by (doubled shift, doubled
-# shift, doubled spin of the part); both spins of a 14-part are equal.
+# Each entry of ENTRY_SHIFTS, by position, as its doubled ints (shift,
+# shift, spin of the part; both spins of a 14-part are equal): the form in
+# which the table walks read the entries.
+ENTRY_TWICE: tuple[tuple[int, int, int], ...] = tuple(
+    (e.tdj1, e.tdj2, e.part.tj1) for e in ENTRY_SHIFTS)
+
+# Position in ENTRY_SHIFTS of each entry, keyed by its ENTRY_TWICE ints.
 ENTRY_POSITION: dict[tuple[int, int, int], int] = {
-    (e.tdj1, e.tdj2, e.part.tj1): i for i, e in enumerate(ENTRY_SHIFTS)}
+    key: i for i, key in enumerate(ENTRY_TWICE)}
 
 
 class DecompEntry(NamedTuple):

@@ -28,6 +28,7 @@ from .labels import (
     Channel,
     EntryShift,
     IrrepLabel,
+    So4Label,
     branching,
     channels_present,
     dim,
@@ -40,15 +41,14 @@ from .reduced import (
     ReducedKey,
     _direct,
     _row_values,
-    _table,
     _table_of,
     _transposed,
     _vector,
+    _walk,
     channel_present_by_normalization,
     dot,
     mixing,
     symmetry_extend,
-    table_rows,
 )
 from .su2 import su2_cg
 from .tables import AUX_TABLE
@@ -62,7 +62,7 @@ def reduced_unitarity(max_twice_j1: int) -> Optional[str]:
         for ch in channels_present(src):
             value = _row_values(src, ch)
             for t in branching(target_of(src, ch)):
-                v = _vector(value, src, t)
+                v = _vector(value, src, t.tj1, t.tj2)
                 if v:
                     labels.append((ch, t))
                     vectors.append(v)
@@ -142,8 +142,8 @@ def mixing_identities(max_twice_j1: int) -> Optional[str]:
         aux_value = _direct(AUX_TABLE, None, src)
         mix = mixing(src)
         for t in branching(src):
-            aux = _vector(aux_value, src, t)
-            x_t = dot(aux, _vector(c1_value, src, t))
+            aux = _vector(aux_value, src, t.tj1, t.tj2)
+            x_t = dot(aux, _vector(c1_value, src, t.tj1, t.tj2))
             if x_t != mix.x:
                 return f"source {src}, t {t}: <aux,copy1> = {x_t} != {mix.x}"
             h2_t = dot(aux, aux)
@@ -158,12 +158,14 @@ def symmetry_involution(max_twice_j1: int) -> Optional[str]:
         for ch in channels_present(src):
             if not ch.is_raising:
                 continue
-            twice = _table(_transposed(src, ch), src, target_of(src, ch))
-            for row, back in zip(table_rows(src, ch), twice):
-                if back.value != row.value:
-                    return (f"source {src}, channel {ch}, t {row.target_so4}, "
-                            f"s {row.source_so4}, part {row.entry.part}: "
-                            f"{back.value} != {row.value}")
+            target = target_of(src, ch)
+            once = _walk(_row_values(src, ch), src, target)
+            twice = _walk(_transposed(src, ch), src, target)
+            for (ts1, ts2, i, tt1, tt2, value), back in zip(once, twice):
+                if back[-1] != value:
+                    return (f"source {src}, channel {ch}, "
+                            f"t {So4Label(tt1, tt2)}, s {So4Label(ts1, ts2)}, "
+                            f"part {ENTRY_SHIFTS[i].part}: {back[-1]} != {value}")
     return None
 
 

@@ -180,7 +180,7 @@ def test_cache_disabled_without_env(monkeypatch):
     assert cache.load(key) is None
 
 
-def test_cache_key_depends_on_engine_and_request():
+def test_cache_key_depends_on_request_and_format():
     k1 = cache.cache_key("table", "1,0", "+1,0", "csv")
     k2 = cache.cache_key("table", "1,0", "+1,+1", "csv")
     k3 = cache.cache_key("decompose", "1,0", "csv")
@@ -239,6 +239,23 @@ def test_bad_channel_strings(capsys):
         main(["eval", "--source", "1,0", "--source-so4", "1,0",
               "--entry", "0,0", "--part", "0,0"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("channel,message", [
+    ("0,0#x", "channel copy must be an integer, got '0,0#x'"),
+    ("0,0#", "channel copy must be an integer, got '0,0#'"),
+    ("0,0#1.0", "channel copy must be an integer, got '0,0#1.0'"),
+    ("0,0#3", "copy must be 1 or 2, got 3"),
+])
+def test_channel_copy_text_is_malformed_and_its_range_is_channels(
+        capsys, channel, message):
+    # The CLI reads the copy after "#" as an integer and leaves its range to
+    # Channel, the one check of a channel; text that is no integer is a
+    # malformed key too, not a traceback.
+    code, out, err = run(capsys, "table", "--source", "1,0",
+                         f"--channel={channel}", "--no-cache")
+    assert (code, out) == (2, "")
+    assert err == f"malformed key: {message}\n"
 
 
 def test_eval_target_without_coupling_shift_exits_2(capsys):

@@ -11,6 +11,7 @@ from so5cg.fullcg import (
     CouplingMatrix,
     EntryOutsideMatrix,
     RowState,
+    check_row,
     column_gram_deviation,
     coupled_cols,
     coupling_matrix,
@@ -58,6 +59,16 @@ def test_m_conservation_zero():
 def test_magnetic_validation():
     with pytest.raises(MalformedKey):
         full(TRIVIAL, trivial_row(2, 2), fourteen_col(4, 0))
+
+
+@pytest.mark.parametrize("part", [So4Label(1, 0), So4Label(4, 4)],
+                         ids=["1/2,0", "2,2"])
+def test_row_part_is_checked_by_the_labels_14_part_rule(part):
+    # check_row and EntryShift share labels.check_part: one message.
+    row = RowState(So4Label(0, 0), H(0), H(0), part, H(0), H(0))
+    with pytest.raises(MalformedKey) as exc:
+        check_row(TRIVIAL, row)
+    assert str(exc.value) == f"not a 14-part: {part}"
 
 
 def test_source_block_is_checked_before_any_zero():

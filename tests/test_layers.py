@@ -113,6 +113,37 @@ def test_verify_suites_load_no_dataclasses_or_inspect(suite):
     assert result["start_up"] == []
 
 
+# Runs so5cg.cli.main(argv) and lists which of hashlib and json it left
+# loaded, before this script imports json to print the result.
+CACHE_OFF = """
+import contextlib, io, sys
+import so5cg.cli
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = so5cg.cli.main(sys.argv[1:])
+loaded = sorted(m for m in ("hashlib", "json") if m in sys.modules)
+import json
+print(json.dumps({"exit": code, "loaded": loaded, "out": out.getvalue()}))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ("table", "--source", "2,1", "--channel=-1,-1", "--no-cache",
+     "--format", "csv"),
+    ("eval", "--source", "1/2,0", "--channel=+1/2,+1/2",
+     "--source-so4", "1/2,0", "--entry", "+1/2,+1/2", "--part", "1/2,1/2"),
+], ids=["csv table", "reduced eval"])
+def test_cache_off_command_loads_no_hashlib_or_json(argv):
+    # With SO5CG_CACHE unset the cache is never keyed, read or written, so
+    # neither hashlib (with OpenSSL's _hashlib) nor json is imported: the
+    # cache imports them in the functions that hash and parse, and the CLI
+    # imports json only in its JSON renderers.
+    result = _fresh(CACHE_OFF, *argv)
+    assert result["exit"] == 0
+    assert result["out"]
+    assert result["loaded"] == []
+
+
 PACKAGE_API = """
 import argparse, json, sys
 import so5cg.cli

@@ -126,10 +126,11 @@ def test_reduced_unitarity_reports_a_scaled_component(monkeypatch):
     # Tripling the first component of one copy-2 vector breaks its overlap
     # with an earlier channel before its own norm; the expected text was
     # recorded from the pairwise loop that the Gram routine replaced. The
-    # channel's evaluator triples the first value it gives at the block.
+    # channel's evaluator, which takes doubled ints, triples the first value
+    # it gives at the block.
     original = verify._row_values
     faulty = (IrrepLabel(3, 1), Channel(0, 0, 2))
-    block = So4Label(3, 1)
+    block = So4Label(3, 1).twice
 
     def scaled(source, channel):
         value = original(source, channel)
@@ -137,11 +138,11 @@ def test_reduced_unitarity_reports_a_scaled_component(monkeypatch):
             return value
         tripled = []
 
-        def first_tripled(s, i, t):
-            v = value(s, i, t)
-            if t != block or tripled:
+        def first_tripled(ts1, ts2, i, tt1, tt2):
+            v = value(ts1, ts2, i, tt1, tt2)
+            if (tt1, tt2) != block or tripled:
                 return v
-            tripled.append((s, i))
+            tripled.append((ts1, ts2, i))
             return 3 * v
         return first_tripled
 
