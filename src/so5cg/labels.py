@@ -97,6 +97,9 @@ class HalfInt(_Label):
         """Parse "2", "-1", "3/2", "+1/2"."""
         s = text.strip()
         try:
+            # int() alone would also read "1_0" as 10 and non-ASCII digits.
+            if not s.isascii() or "_" in s:
+                raise ValueError(s)
             if "/" in s:
                 num, den = s.split("/")
                 if int(den) != 2:

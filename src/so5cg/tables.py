@@ -14,6 +14,21 @@ in (j1, j2, b1, b2).  Each channel also carries an overall normalization
 whose factors depend on (b1, b2) only; the channel is present in a given
 source exactly when every normalization factor is positive.
 
+Each fact is written once.  A row's denominator depends only on its entry,
+so each entry's denominator is written once (_ENTRY_DEN) for every table.
+Each table writes its ten rows with tdj1 >= tdj2; the four with tdj1 < tdj2,
+the entries (0,+1), (-1,0), (-1,+1) and (-1/2,+1/2), are the swaps of the
+rows (+1,0), (0,-1), (+1,-1) and (+1/2,-1/2).  The swap of the row of entry
+(dj1, dj2) is the row of entry (dj2, dj1) with j1 and j2 exchanged in its
+outer and numerator forms and in its polynomial, and its sign times sigma:
+
+    row[(dj2, dj1)](j2, j1; b) = sigma * row[(dj1, dj2)](j1, j2; b),
+
+with sigma = -1 for the two half-shift channels (doubled shifts (1,1) and
+(1,-1)) and +1 for the other raising channels, the diagonal channel and its
+companion.  The derived rows keep their swapped text, so each row can still
+be read and checked against its own strings.
+
 The formulas are written below in the form a reader checks against the
 paper: strings of linear forms and Python polynomials in the spins.  At
 import each is compiled once (so5cg._formula) to integer data over the
@@ -115,8 +130,9 @@ class RowSpec(NamedTuple):
     """One table row of a coupling channel.
 
     The formula is kept as written (sign, scale, srad and the strings of
-    linear forms, poly with its source); ``const``, ``outer_lins``,
-    ``num_lins`` and ``den_lins`` are the same formula compiled.
+    linear forms, poly with its source), or for a swapped row as derived;
+    ``const``, ``outer_lins``, ``num_lins`` and ``den_lins`` are the same
+    formula compiled.
     """
 
     key: EntryShift
@@ -145,9 +161,29 @@ class RowSpec(NamedTuple):
              for c1, c2, c3, c4, c0 in self.den_lins])
 
 
+# The denominator of each entry's rows, as written: the same in every table.
+_ENTRY_DEN: dict[tuple[int, int, So4Label], str] = {
+    (2, 2, PART_11): "j1+1; 2j1+3; j2+1; 2j2+3",
+    (-2, -2, PART_11): "j1; 2j1-1; j2; 2j2-1",
+    (-2, 2, PART_11): "j1; 2j1-1; j2+1; 2j2+3",
+    (2, -2, PART_11): "j1+1; 2j1+3; j2; 2j2-1",
+    (2, 0, PART_11): "j1+1; 2j1+3; j2; j2+1",
+    (-2, 0, PART_11): "j1; 2j1-1; j2; j2+1",
+    (0, 2, PART_11): "j1; j1+1; j2+1; 2j2+3",
+    (0, -2, PART_11): "j1; j1+1; j2; 2j2-1",
+    (0, 0, PART_11): "j1; j1+1; j2; j2+1",
+    (1, 1, PART_HH): "j1+1; j2+1",
+    (-1, -1, PART_HH): "j1; j2",
+    (1, -1, PART_HH): "j1+1; j2",
+    (-1, 1, PART_HH): "j1; j2+1",
+    (0, 0, PART_00): "",
+}
+
+
 def _row(tdj1: int, tdj2: int, part: So4Label, sign: int, scale: str,
          srad: str = "1", outer: str = "", poly: Optional[Poly] = None,
-         num: str = "", den: str = "") -> RowSpec:
+         num: str = "") -> RowSpec:
+    den = _ENTRY_DEN[(tdj1, tdj2, part)]
     outer_lins, num_lins, den_lins = _lins(outer), _lins(num), _lins(den)
     compiled = None if poly is None else _int_poly(poly)
     const = _constant(
@@ -157,11 +193,20 @@ def _row(tdj1: int, tdj2: int, part: So4Label, sign: int, scale: str,
                    compiled, num, den, const, outer_lins, num_lins, den_lins)
 
 
-def _rows(*rows: RowSpec) -> Mapping[EntryShift, RowSpec]:
-    table = {r.key: r for r in rows}
-    if len(table) != 14:
-        raise ValueError("channel table must have exactly 14 distinct rows")
-    return table
+def _swapped(text: str) -> str:
+    """Linear forms as written, with j1 and j2 swapped."""
+    return text.replace("j1", "j_").replace("j2", "j1").replace("j_", "j2")
+
+
+def _swap(row: RowSpec, sigma: int) -> RowSpec:
+    """The row of entry (tdj2, tdj1) from the row of (tdj1, tdj2): j1 and j2
+    swapped in its outer and numerator forms and in its polynomial, the
+    denominator of its own entry, and its sign times sigma."""
+    key, source = row.key, None if row.poly is None else row.poly.source
+    poly = None if source is None else (
+        lambda j1, j2, b1, b2: source(j2, j1, b1, b2))
+    return _row(key.tdj2, key.tdj1, key.part, sigma * row.sign, row.scale,
+                row.srad, _swapped(row.outer), poly, _swapped(row.num))
 
 
 class ChannelTable(NamedTuple):
@@ -250,16 +295,28 @@ class ChannelTable(NamedTuple):
 
 
 def _channel(shift: tuple[int, int], norm_factors: Union[str, tuple[Poly, ...]],
-             rows: Mapping[EntryShift, RowSpec], norm_scale: str = "1",
+             rows: tuple[RowSpec, ...], norm_scale: str = "1",
              norm_srad: str = "1") -> ChannelTable:
     """A channel from its formulas; norm_factors is a string of linear
-    forms or a tuple of polynomials."""
+    forms or a tuple of polynomials.  rows are the ten written rows, those
+    with tdj1 >= tdj2; the other four are swaps of those with tdj1 > tdj2."""
     if isinstance(norm_factors, str):
         norm_factors = tuple(_pieces(norm_factors))
     compiled = tuple(_int_poly(f) for f in norm_factors)
     const = _constant(1, norm_scale, norm_srad,
                       sum(f.degree for f in compiled), 0)
-    return ChannelTable(shift, norm_scale, norm_srad, compiled, const, rows)
+    # The swap's sign: -1 for the half-shift channels, whose doubled shift
+    # is odd.
+    sigma = -1 if shift[0] % 2 else 1
+    table = {r.key: r for r in rows}
+    for r in rows:
+        if r.key.tdj1 > r.key.tdj2:
+            swapped = _swap(r, sigma)
+            table[swapped.key] = swapped
+    if len(rows) != 10 or len(table) != 14:
+        raise ValueError("a channel table writes 10 distinct rows with "
+                         "tdj1 >= tdj2 and swaps 4 of them")
+    return ChannelTable(shift, norm_scale, norm_srad, compiled, const, table)
 
 
 # ---------------------------------------------------------------------------
@@ -334,71 +391,42 @@ RAISING_TABLES[(2, 2)] = _channel(
     shift=(2, 2),
     norm_factors=(
         "2b1+2; 2b1+3; b1+b2+2; b1+b2+3; 2b2+1; 2b2+2; 2b1+2b2+3; 2b1+2b2+5"),
-    rows=_rows(
+    rows=(
         _row(2, 2, PART_11, +1, "1/4",
              num="j1+j2+b1-b2+2; j1+j2+b1-b2+3; j1+j2-b1+b2+1; j1+j2-b1+b2+2;"
                  "j1-j2+b1+b2+2; j1-j2+b1+b2+3; -j1+j2+b1+b2+2; -j1+j2+b1+b2+3;"
-                 "j1+j2+b1+b2+3; j1+j2+b1+b2+4; j1+j2+b1+b2+5; j1+j2+b1+b2+6",
-             den="j1+1; 2j1+3; j2+1; 2j2+3"),
+                 "j1+j2+b1+b2+3; j1+j2+b1+b2+4; j1+j2+b1+b2+5; j1+j2+b1+b2+6"),
         _row(-2, -2, PART_11, +1, "1/4",
              num="j1+j2+b1-b2; j1+j2+b1-b2+1; j1+j2-b1+b2-1; j1+j2-b1+b2;"
                  "-j1-j2+b1+b2+1; -j1-j2+b1+b2+2; -j1-j2+b1+b2+3; -j1-j2+b1+b2+4;"
-                 "j1-j2+b1+b2+2; j1-j2+b1+b2+3; -j1+j2+b1+b2+2; -j1+j2+b1+b2+3",
-             den="j1; 2j1-1; j2; 2j2-1"),
-        _row(-2, 2, PART_11, +1, "1/4",
-             num="j1-j2+b1-b2-1; j1-j2+b1-b2; -j1+j2+b1-b2+1; -j1+j2+b1-b2+2;"
-                 "-j1-j2+b1+b2+1; -j1-j2+b1+b2+2; -j1+j2+b1+b2+2; -j1+j2+b1+b2+3;"
-                 "-j1+j2+b1+b2+4; -j1+j2+b1+b2+5; j1+j2+b1+b2+3; j1+j2+b1+b2+4",
-             den="j1; 2j1-1; j2+1; 2j2+3"),
+                 "j1-j2+b1+b2+2; j1-j2+b1+b2+3; -j1+j2+b1+b2+2; -j1+j2+b1+b2+3"),
         _row(2, -2, PART_11, +1, "1/4",
              num="j1-j2+b1-b2+1; j1-j2+b1-b2+2; -j1+j2+b1-b2-1; -j1+j2+b1-b2;"
                  "-j1-j2+b1+b2+1; -j1-j2+b1+b2+2; j1-j2+b1+b2+2; j1-j2+b1+b2+3;"
-                 "j1-j2+b1+b2+4; j1-j2+b1+b2+5; j1+j2+b1+b2+3; j1+j2+b1+b2+4",
-             den="j1+1; 2j1+3; j2; 2j2-1"),
+                 "j1-j2+b1+b2+4; j1-j2+b1+b2+5; j1+j2+b1+b2+3; j1+j2+b1+b2+4"),
         _row(2, 0, PART_11, +1, "1/4",
              num="j1-j2+b1-b2+1; -j1+j2+b1-b2; j1+j2+b1-b2+2; j1+j2-b1+b2+1;"
                  "-j1-j2+b1+b2+1; j1-j2+b1+b2+2; j1-j2+b1+b2+3; j1-j2+b1+b2+4;"
-                 "-j1+j2+b1+b2+2; j1+j2+b1+b2+3; j1+j2+b1+b2+4; j1+j2+b1+b2+5",
-             den="j1+1; 2j1+3; j2; j2+1"),
-        _row(-2, 0, PART_11, -1, "1/4",
-             num="j1-j2+b1-b2; -j1+j2+b1-b2+1; j1+j2+b1-b2+1; j1+j2-b1+b2;"
-                 "-j1-j2+b1+b2+1; -j1-j2+b1+b2+2; -j1-j2+b1+b2+3; j1-j2+b1+b2+2;"
-                 "-j1+j2+b1+b2+2; -j1+j2+b1+b2+3; -j1+j2+b1+b2+4; j1+j2+b1+b2+3",
-             den="j1; 2j1-1; j2; j2+1"),
-        _row(0, 2, PART_11, +1, "1/4",
-             num="j1-j2+b1-b2; -j1+j2+b1-b2+1; j1+j2+b1-b2+2; j1+j2-b1+b2+1;"
-                 "-j1-j2+b1+b2+1; j1-j2+b1+b2+2; -j1+j2+b1+b2+2; -j1+j2+b1+b2+3;"
-                 "-j1+j2+b1+b2+4; j1+j2+b1+b2+3; j1+j2+b1+b2+4; j1+j2+b1+b2+5",
-             den="j1; j1+1; j2+1; 2j2+3"),
+                 "-j1+j2+b1+b2+2; j1+j2+b1+b2+3; j1+j2+b1+b2+4; j1+j2+b1+b2+5"),
         _row(0, -2, PART_11, -1, "1/4",
              num="j1-j2+b1-b2+1; -j1+j2+b1-b2; j1+j2+b1-b2+1; j1+j2-b1+b2;"
                  "-j1-j2+b1+b2+1; -j1-j2+b1+b2+2; -j1-j2+b1+b2+3; j1-j2+b1+b2+2;"
-                 "j1-j2+b1+b2+3; j1-j2+b1+b2+4; -j1+j2+b1+b2+2; j1+j2+b1+b2+3",
-             den="j1; j1+1; j2; 2j2-1"),
+                 "j1-j2+b1+b2+3; j1-j2+b1+b2+4; -j1+j2+b1+b2+2; j1+j2+b1+b2+3"),
         _row(0, 0, PART_11, -1, "1/4", poly=_shift_pp_swave_poly,
              num="-j1-j2+b1+b2+1; -j1-j2+b1+b2+2; j1-j2+b1+b2+2; j1-j2+b1+b2+3;"
-                 "-j1+j2+b1+b2+2; -j1+j2+b1+b2+3; j1+j2+b1+b2+3; j1+j2+b1+b2+4",
-             den="j1; j1+1; j2; j2+1"),
+                 "-j1+j2+b1+b2+2; -j1+j2+b1+b2+3; j1+j2+b1+b2+3; j1+j2+b1+b2+4"),
         _row(1, 1, PART_HH, +1, "1/2",
              num="j1+j2+b1-b2+2; j1+j2-b1+b2+1; -j1-j2+b1+b2+1; j1-j2+b1+b2+2;"
                  "j1-j2+b1+b2+3; -j1+j2+b1+b2+2; -j1+j2+b1+b2+3; j1+j2+b1+b2+3;"
-                 "j1+j2+b1+b2+4; j1+j2+b1+b2+5",
-             den="j1+1; j2+1"),
+                 "j1+j2+b1+b2+4; j1+j2+b1+b2+5"),
         _row(-1, -1, PART_HH, -1, "1/2",
              num="j1+j2+b1-b2+1; j1+j2-b1+b2; -j1-j2+b1+b2+1; -j1-j2+b1+b2+2;"
                  "-j1-j2+b1+b2+3; j1-j2+b1+b2+2; j1-j2+b1+b2+3; -j1+j2+b1+b2+2;"
-                 "-j1+j2+b1+b2+3; j1+j2+b1+b2+3",
-             den="j1; j2"),
+                 "-j1+j2+b1+b2+3; j1+j2+b1+b2+3"),
         _row(1, -1, PART_HH, +1, "1/2",
              num="j1-j2+b1-b2+1; -j1+j2+b1-b2; -j1-j2+b1+b2+1; -j1-j2+b1+b2+2;"
                  "j1-j2+b1+b2+2; j1-j2+b1+b2+3; j1-j2+b1+b2+4; -j1+j2+b1+b2+2;"
-                 "j1+j2+b1+b2+3; j1+j2+b1+b2+4",
-             den="j1+1; j2"),
-        _row(-1, 1, PART_HH, +1, "1/2",
-             num="j1-j2+b1-b2; -j1+j2+b1-b2+1; -j1-j2+b1+b2+1; -j1-j2+b1+b2+2;"
-                 "j1-j2+b1+b2+2; -j1+j2+b1+b2+2; -j1+j2+b1+b2+3; -j1+j2+b1+b2+4;"
-                 "j1+j2+b1+b2+3; j1+j2+b1+b2+4",
-             den="j1; j2+1"),
+                 "j1+j2+b1+b2+3; j1+j2+b1+b2+4"),
         _row(0, 0, PART_00, +1, "1/2", srad="5",
              num="-j1-j2+b1+b2+1; -j1-j2+b1+b2+2; j1-j2+b1+b2+2; j1-j2+b1+b2+3;"
                  "-j1+j2+b1+b2+2; -j1+j2+b1+b2+3; j1+j2+b1+b2+3; j1+j2+b1+b2+4"),
@@ -409,78 +437,46 @@ RAISING_TABLES[(2, 0)] = _channel(
     shift=(2, 0),
     norm_factors=(
         "2b1+2; 2b1+3; 2b1-2b2+1; b1-b2+1; b2; b1+b2+2; 2b2+2; 2b1+2b2+3"),
-    rows=_rows(
+    rows=(
         _row(2, 2, PART_11, -1, "1/4",
              num="j1-j2+b1-b2+1; -j1+j2+b1-b2+1; j1+j2+b1-b2+2; j1+j2+b1-b2+3;"
                  "j1+j2+b1-b2+4; j1+j2-b1+b2+1; -j1-j2+b1+b2; j1-j2+b1+b2+2;"
-                 "-j1+j2+b1+b2+2; j1+j2+b1+b2+3; j1+j2+b1+b2+4; j1+j2+b1+b2+5",
-             den="j1+1; 2j1+3; j2+1; 2j2+3"),
+                 "-j1+j2+b1+b2+2; j1+j2+b1+b2+3; j1+j2+b1+b2+4; j1+j2+b1+b2+5"),
         _row(-2, -2, PART_11, +1, "1/4",
              num="j1-j2+b1-b2+1; -j1+j2+b1-b2+1; j1+j2+b1-b2+1; j1+j2-b1+b2-2;"
                  "j1+j2-b1+b2-1; j1+j2-b1+b2; -j1-j2+b1+b2+1; -j1-j2+b1+b2+2;"
-                 "-j1-j2+b1+b2+3; j1-j2+b1+b2+2; -j1+j2+b1+b2+2; j1+j2+b1+b2+2",
-             den="j1; 2j1-1; j2; 2j2-1"),
-        _row(-2, 2, PART_11, +1, "1/4",
-             num="j1-j2+b1-b2; -j1+j2+b1-b2+1; -j1+j2+b1-b2+2; -j1+j2+b1-b2+3;"
-                 "j1+j2+b1-b2+2; j1+j2-b1+b2; -j1-j2+b1+b2+1; j1-j2+b1+b2+1;"
-                 "-j1+j2+b1+b2+2; -j1+j2+b1+b2+3; -j1+j2+b1+b2+4; j1+j2+b1+b2+3",
-             den="j1; 2j1-1; j2+1; 2j2+3"),
+                 "-j1-j2+b1+b2+3; j1-j2+b1+b2+2; -j1+j2+b1+b2+2; j1+j2+b1+b2+2"),
         _row(2, -2, PART_11, +1, "1/4",
              num="j1-j2+b1-b2+1; j1-j2+b1-b2+2; j1-j2+b1-b2+3; -j1+j2+b1-b2;"
                  "j1+j2+b1-b2+2; j1+j2-b1+b2; -j1-j2+b1+b2+1; j1-j2+b1+b2+2;"
-                 "j1-j2+b1+b2+3; j1-j2+b1+b2+4; -j1+j2+b1+b2+1; j1+j2+b1+b2+3",
-             den="j1+1; 2j1+3; j2; 2j2-1"),
+                 "j1-j2+b1+b2+3; j1-j2+b1+b2+4; -j1+j2+b1+b2+1; j1+j2+b1+b2+3"),
         _row(2, 0, PART_11, +1, "1/4",
              poly=lambda j1, j2, b1, b2: (-j1 * j1 + (2 * b1 + 1) * j1
                                           + j2 * j2 - b1 * b1 + b2 * b2
                                           + j2 - b1 + b2),
              num="j1-j2+b1-b2+1; j1-j2+b1-b2+2; j1+j2+b1-b2+2; j1+j2+b1-b2+3;"
-                 "j1-j2+b1+b2+2; j1-j2+b1+b2+3; j1+j2+b1+b2+3; j1+j2+b1+b2+4",
-             den="j1+1; 2j1+3; j2; j2+1"),
-        _row(-2, 0, PART_11, -1, "1/4",
-             poly=lambda j1, j2, b1, b2: (2 * j2 * b2
-                                          + (j1 - j2 + b1 - b2 + 1)
-                                          * (j1 + j2 + b1 + b2 + 2)),
-             num="-j1+j2+b1-b2+1; -j1+j2+b1-b2+2; j1+j2-b1+b2-1; j1+j2-b1+b2;"
-                 "-j1-j2+b1+b2+1; -j1-j2+b1+b2+2; -j1+j2+b1+b2+2; -j1+j2+b1+b2+3",
-             den="j1; 2j1-1; j2; j2+1"),
-        _row(0, 2, PART_11, +1, "1/4",
-             poly=lambda j1, j2, b1, b2: (j1 * j1 + j1 - j2 * j2
-                                          - b1 * b1 + b2 * b2 - b1
-                                          + j2 * (2 * b1 + 1) + b2),
-             num="-j1+j2+b1-b2+1; -j1+j2+b1-b2+2; j1+j2+b1-b2+2; j1+j2+b1-b2+3;"
-                 "-j1+j2+b1+b2+2; -j1+j2+b1+b2+3; j1+j2+b1+b2+3; j1+j2+b1+b2+4",
-             den="j1; j1+1; j2+1; 2j2+3"),
+                 "j1-j2+b1+b2+2; j1-j2+b1+b2+3; j1+j2+b1+b2+3; j1+j2+b1+b2+4"),
         _row(0, -2, PART_11, +1, "1/4",
              poly=lambda j1, j2, b1, b2: (j1 * j1 + j1 - j2 * j2
                                           - b1 * b1 + b2 * b2 - 3 * b1
                                           - j2 * (2 * b1 + 3) + b2 - 2),
              num="j1-j2+b1-b2+1; j1-j2+b1-b2+2; j1+j2-b1+b2-1; j1+j2-b1+b2;"
-                 "-j1-j2+b1+b2+1; -j1-j2+b1+b2+2; j1-j2+b1+b2+2; j1-j2+b1+b2+3",
-             den="j1; j1+1; j2; 2j2-1"),
+                 "-j1-j2+b1+b2+1; -j1-j2+b1+b2+2; j1-j2+b1+b2+2; j1-j2+b1+b2+3"),
         _row(0, 0, PART_11, -1, "1/4",
              poly=lambda j1, j2, b1, b2: (j1 * j1 + j1 + j2 * j2 + j2
                                           - b1 * b1 + b2 * b2
                                           - 3 * b1 + b2 - 2),
              num="j1-j2+b1-b2+1; -j1+j2+b1-b2+1; j1+j2+b1-b2+2; j1+j2-b1+b2;"
-                 "-j1-j2+b1+b2+1; j1-j2+b1+b2+2; -j1+j2+b1+b2+2; j1+j2+b1+b2+3",
-             den="j1; j1+1; j2; j2+1"),
+                 "-j1-j2+b1+b2+1; j1-j2+b1+b2+2; -j1+j2+b1+b2+2; j1+j2+b1+b2+3"),
         _row(1, 1, PART_HH, +1, "1/2", outer="j1+j2-b1",
              num="j1-j2+b1-b2+1; -j1+j2+b1-b2+1; j1+j2+b1-b2+2; j1+j2+b1-b2+3;"
-                 "j1-j2+b1+b2+2; -j1+j2+b1+b2+2; j1+j2+b1+b2+3; j1+j2+b1+b2+4",
-             den="j1+1; j2+1"),
+                 "j1-j2+b1+b2+2; -j1+j2+b1+b2+2; j1+j2+b1+b2+3; j1+j2+b1+b2+4"),
         _row(-1, -1, PART_HH, -1, "1/2", outer="j1+j2+b1+2",
              num="j1-j2+b1-b2+1; -j1+j2+b1-b2+1; j1+j2-b1+b2-1; j1+j2-b1+b2;"
-                 "-j1-j2+b1+b2+1; -j1-j2+b1+b2+2; j1-j2+b1+b2+2; -j1+j2+b1+b2+2",
-             den="j1; j2"),
+                 "-j1-j2+b1+b2+1; -j1-j2+b1+b2+2; j1-j2+b1+b2+2; -j1+j2+b1+b2+2"),
         _row(1, -1, PART_HH, +1, "1/2", outer="-j1+j2+b1+1",
              num="j1-j2+b1-b2+1; j1-j2+b1-b2+2; j1+j2+b1-b2+2; j1+j2-b1+b2;"
-                 "-j1-j2+b1+b2+1; j1-j2+b1+b2+2; j1-j2+b1+b2+3; j1+j2+b1+b2+3",
-             den="j1+1; j2"),
-        _row(-1, 1, PART_HH, +1, "1/2", outer="j1-j2+b1+1",
-             num="-j1+j2+b1-b2+1; -j1+j2+b1-b2+2; j1+j2+b1-b2+2; j1+j2-b1+b2;"
-                 "-j1-j2+b1+b2+1; -j1+j2+b1+b2+2; -j1+j2+b1+b2+3; j1+j2+b1+b2+3",
-             den="j1; j2+1"),
+                 "-j1-j2+b1+b2+1; j1-j2+b1+b2+2; j1-j2+b1+b2+3; j1+j2+b1+b2+3"),
         _row(0, 0, PART_00, +1, "1/2", srad="5",
              num="j1-j2+b1-b2+1; -j1+j2+b1-b2+1; j1+j2+b1-b2+2; j1+j2-b1+b2;"
                  "-j1-j2+b1+b2+1; j1-j2+b1+b2+2; -j1+j2+b1+b2+2; j1+j2+b1+b2+3"),
@@ -491,78 +487,46 @@ RAISING_TABLES[(0, 2)] = _channel(
     shift=(0, 2),
     norm_factors=(
         "2b1+1; 2b1+3; 2b1-2b2+1; b1-b2; b1+b2+2; 2b2+1; 2b2+2; 2b1+2b2+3"),
-    rows=_rows(
+    rows=(
         _row(2, 2, PART_11, +1, "1/2", srad="1/2",
              num="j1-j2+b1-b2; -j1+j2+b1-b2; j1+j2+b1-b2+2; j1+j2-b1+b2+1;"
                  "j1+j2-b1+b2+2; j1+j2-b1+b2+3; -j1-j2+b1+b2; j1-j2+b1+b2+2;"
-                 "-j1+j2+b1+b2+2; j1+j2+b1+b2+3; j1+j2+b1+b2+4; j1+j2+b1+b2+5",
-             den="j1+1; 2j1+3; j2+1; 2j2+3"),
+                 "-j1+j2+b1+b2+2; j1+j2+b1+b2+3; j1+j2+b1+b2+4; j1+j2+b1+b2+5"),
         _row(-2, -2, PART_11, -1, "1/2", srad="1/2",
              num="j1-j2+b1-b2; -j1+j2+b1-b2; j1+j2+b1-b2-1; j1+j2+b1-b2;"
                  "j1+j2+b1-b2+1; j1+j2-b1+b2; -j1-j2+b1+b2+1; -j1-j2+b1+b2+2;"
-                 "-j1-j2+b1+b2+3; j1-j2+b1+b2+2; -j1+j2+b1+b2+2; j1+j2+b1+b2+2",
-             den="j1; 2j1-1; j2; 2j2-1"),
-        _row(-2, 2, PART_11, +1, "1/2", srad="1/2",
-             num="j1-j2+b1-b2-2; j1-j2+b1-b2-1; j1-j2+b1-b2; -j1+j2+b1-b2+1;"
-                 "j1+j2+b1-b2+1; j1+j2-b1+b2+1; -j1-j2+b1+b2+1; j1-j2+b1+b2+1;"
-                 "-j1+j2+b1+b2+2; -j1+j2+b1+b2+3; -j1+j2+b1+b2+4; j1+j2+b1+b2+3",
-             den="j1; 2j1-1; j2+1; 2j2+3"),
+                 "-j1-j2+b1+b2+3; j1-j2+b1+b2+2; -j1+j2+b1+b2+2; j1+j2+b1+b2+2"),
         _row(2, -2, PART_11, +1, "1/2", srad="1/2",
              num="j1-j2+b1-b2+1; -j1+j2+b1-b2-2; -j1+j2+b1-b2-1; -j1+j2+b1-b2;"
                  "j1+j2+b1-b2+1; j1+j2-b1+b2+1; -j1-j2+b1+b2+1; j1-j2+b1+b2+2;"
-                 "j1-j2+b1+b2+3; j1-j2+b1+b2+4; -j1+j2+b1+b2+1; j1+j2+b1+b2+3",
-             den="j1+1; 2j1+3; j2; 2j2-1"),
+                 "j1-j2+b1+b2+3; j1-j2+b1+b2+4; -j1+j2+b1+b2+1; j1+j2+b1+b2+3"),
         _row(2, 0, PART_11, +1, "1/2", srad="1/2",
              poly=lambda j1, j2, b1, b2: (-j1 * j1 + 2 * b2 * j1 + j2 * j2
                                           + b1 * b1 - b2 * b2 + j2
                                           + 2 * b1 + 1),
              num="j1-j2-b1+b2; j1-j2-b1+b2+1; j1+j2-b1+b2+1; j1+j2-b1+b2+2;"
-                 "j1-j2+b1+b2+2; j1-j2+b1+b2+3; j1+j2+b1+b2+3; j1+j2+b1+b2+4",
-             den="j1+1; 2j1+3; j2; j2+1"),
-        _row(-2, 0, PART_11, -1, "1/2", srad="1/2",
-             poly=lambda j1, j2, b1, b2: (j1 * j1 + 2 * (b2 + 1) * j1
-                                          - j2 * j2 - b1 * b1 + b2 * b2
-                                          - j2 - 2 * b1 + 2 * b2),
-             num="j1-j2+b1-b2-1; j1-j2+b1-b2; j1+j2+b1-b2; j1+j2+b1-b2+1;"
-                 "-j1-j2+b1+b2+1; -j1-j2+b1+b2+2; -j1+j2+b1+b2+2; -j1+j2+b1+b2+3",
-             den="j1; 2j1-1; j2; j2+1"),
-        _row(0, 2, PART_11, +1, "1/2", srad="1/2",
-             poly=lambda j1, j2, b1, b2: (j1 * j1 + j1 - j2 * j2
-                                          + b1 * b1 - b2 * b2 + 2 * b1
-                                          + 2 * j2 * b2 + 1),
-             num="j1-j2+b1-b2-1; j1-j2+b1-b2; j1+j2-b1+b2+1; j1+j2-b1+b2+2;"
-                 "-j1+j2+b1+b2+2; -j1+j2+b1+b2+3; j1+j2+b1+b2+3; j1+j2+b1+b2+4",
-             den="j1; j1+1; j2+1; 2j2+3"),
+                 "j1-j2+b1+b2+2; j1-j2+b1+b2+3; j1+j2+b1+b2+3; j1+j2+b1+b2+4"),
         _row(0, -2, PART_11, +1, "1/2", srad="1/2",
              poly=lambda j1, j2, b1, b2: (j1 * j1 + j1 - j2 * j2
                                           + b1 * b1 - b2 * b2 + 2 * b1
                                           - 2 * b2 - 2 * j2 * (b2 + 1)),
              num="-j1+j2+b1-b2-1; -j1+j2+b1-b2; j1+j2+b1-b2; j1+j2+b1-b2+1;"
-                 "-j1-j2+b1+b2+1; -j1-j2+b1+b2+2; j1-j2+b1+b2+2; j1-j2+b1+b2+3",
-             den="j1; j1+1; j2; 2j2-1"),
+                 "-j1-j2+b1+b2+1; -j1-j2+b1+b2+2; j1-j2+b1+b2+2; j1-j2+b1+b2+3"),
         _row(0, 0, PART_11, +1, "1/2", srad="1/2",
              poly=lambda j1, j2, b1, b2: (j1 * j1 + j1 + j2 * j2 + j2
                                           + b1 * b1 - b2 * b2
                                           + 2 * b1 - 2 * b2),
              num="j1-j2+b1-b2; -j1+j2+b1-b2; j1+j2+b1-b2+1; j1+j2-b1+b2+1;"
-                 "-j1-j2+b1+b2+1; j1-j2+b1+b2+2; -j1+j2+b1+b2+2; j1+j2+b1+b2+3",
-             den="j1; j1+1; j2; j2+1"),
+                 "-j1-j2+b1+b2+1; j1-j2+b1+b2+2; -j1+j2+b1+b2+2; j1+j2+b1+b2+3"),
         _row(1, 1, PART_HH, -1, "1/2", srad="1/2", outer="2j1+2j2-2b2+1",
              num="j1-j2+b1-b2; -j1+j2+b1-b2; j1+j2-b1+b2+1; j1+j2-b1+b2+2;"
-                 "j1-j2+b1+b2+2; -j1+j2+b1+b2+2; j1+j2+b1+b2+3; j1+j2+b1+b2+4",
-             den="j1+1; j2+1"),
+                 "j1-j2+b1+b2+2; -j1+j2+b1+b2+2; j1+j2+b1+b2+3; j1+j2+b1+b2+4"),
         _row(-1, -1, PART_HH, +1, "1/2", srad="1/2", outer="2j1+2j2+2b2+3",
              num="j1-j2+b1-b2; -j1+j2+b1-b2; j1+j2+b1-b2; j1+j2+b1-b2+1;"
-                 "-j1-j2+b1+b2+1; -j1-j2+b1+b2+2; j1-j2+b1+b2+2; -j1+j2+b1+b2+2",
-             den="j1; j2"),
+                 "-j1-j2+b1+b2+1; -j1-j2+b1+b2+2; j1-j2+b1+b2+2; -j1+j2+b1+b2+2"),
         _row(1, -1, PART_HH, +1, "1/2", srad="1/2", outer="-2j1+2j2+2b2+1",
              num="-j1+j2+b1-b2-1; -j1+j2+b1-b2; j1+j2+b1-b2+1; j1+j2-b1+b2+1;"
-                 "-j1-j2+b1+b2+1; j1-j2+b1+b2+2; j1-j2+b1+b2+3; j1+j2+b1+b2+3",
-             den="j1+1; j2"),
-        _row(-1, 1, PART_HH, +1, "1/2", srad="1/2", outer="2j1-2j2+2b2+1",
-             num="j1-j2+b1-b2-1; j1-j2+b1-b2; j1+j2+b1-b2+1; j1+j2-b1+b2+1;"
-                 "-j1-j2+b1+b2+1; -j1+j2+b1+b2+2; -j1+j2+b1+b2+3; j1+j2+b1+b2+3",
-             den="j1; j2+1"),
+                 "-j1-j2+b1+b2+1; j1-j2+b1+b2+2; j1-j2+b1+b2+3; j1+j2+b1+b2+3"),
         _row(0, 0, PART_00, -1, "1", srad="5/2",
              num="j1-j2+b1-b2; -j1+j2+b1-b2; j1+j2+b1-b2+1; j1+j2-b1+b2+1;"
                  "-j1-j2+b1+b2+1; j1-j2+b1+b2+2; -j1+j2+b1+b2+2; j1+j2+b1+b2+3"),
@@ -573,74 +537,45 @@ RAISING_TABLES[(2, -2)] = _channel(
     shift=(2, -2),
     norm_factors=(
         "2; 2b1+2; 2b1+3; 2b1-2b2+1; 2b1-2b2+3; b1-b2+1; b1-b2+2; b2; 2b2+1"),
-    rows=_rows(
+    rows=(
         _row(2, 2, PART_11, +1, "1/4",
              num="j1-j2+b1-b2+1; j1-j2+b1-b2+2; -j1+j2+b1-b2+1; -j1+j2+b1-b2+2;"
                  "j1+j2+b1-b2+2; j1+j2+b1-b2+3; j1+j2+b1-b2+4; j1+j2+b1-b2+5;"
-                 "-j1-j2+b1+b2-1; -j1-j2+b1+b2; j1+j2+b1+b2+3; j1+j2+b1+b2+4",
-             den="j1+1; 2j1+3; j2+1; 2j2+3"),
+                 "-j1-j2+b1+b2-1; -j1-j2+b1+b2; j1+j2+b1+b2+3; j1+j2+b1+b2+4"),
         _row(-2, -2, PART_11, +1, "1/4",
              num="j1-j2+b1-b2+1; j1-j2+b1-b2+2; -j1+j2+b1-b2+1; -j1+j2+b1-b2+2;"
                  "j1+j2-b1+b2-3; j1+j2-b1+b2-2; j1+j2-b1+b2-1; j1+j2-b1+b2;"
-                 "-j1-j2+b1+b2+1; -j1-j2+b1+b2+2; j1+j2+b1+b2+1; j1+j2+b1+b2+2",
-             den="j1; 2j1-1; j2; 2j2-1"),
-        _row(-2, 2, PART_11, +1, "1/4",
-             num="-j1+j2+b1-b2+1; -j1+j2+b1-b2+2; -j1+j2+b1-b2+3; -j1+j2+b1-b2+4;"
-                 "j1+j2+b1-b2+2; j1+j2+b1-b2+3; j1+j2-b1+b2-1; j1+j2-b1+b2;"
-                 "j1-j2+b1+b2; j1-j2+b1+b2+1; -j1+j2+b1+b2+2; -j1+j2+b1+b2+3",
-             den="j1; 2j1-1; j2+1; 2j2+3"),
+                 "-j1-j2+b1+b2+1; -j1-j2+b1+b2+2; j1+j2+b1+b2+1; j1+j2+b1+b2+2"),
         _row(2, -2, PART_11, +1, "1/4",
              num="j1-j2+b1-b2+1; j1-j2+b1-b2+2; j1-j2+b1-b2+3; j1-j2+b1-b2+4;"
                  "j1+j2+b1-b2+2; j1+j2+b1-b2+3; j1+j2-b1+b2-1; j1+j2-b1+b2;"
-                 "j1-j2+b1+b2+2; j1-j2+b1+b2+3; -j1+j2+b1+b2; -j1+j2+b1+b2+1",
-             den="j1+1; 2j1+3; j2; 2j2-1"),
+                 "j1-j2+b1+b2+2; j1-j2+b1+b2+3; -j1+j2+b1+b2; -j1+j2+b1+b2+1"),
         _row(2, 0, PART_11, -1, "1/4",
              num="j1-j2+b1-b2+1; j1-j2+b1-b2+2; j1-j2+b1-b2+3; -j1+j2+b1-b2+1;"
                  "j1+j2+b1-b2+2; j1+j2+b1-b2+3; j1+j2+b1-b2+4; j1+j2-b1+b2;"
-                 "-j1-j2+b1+b2; j1-j2+b1+b2+2; -j1+j2+b1+b2+1; j1+j2+b1+b2+3",
-             den="j1+1; 2j1+3; j2; j2+1"),
-        _row(-2, 0, PART_11, -1, "1/4",
-             num="j1-j2+b1-b2+1; -j1+j2+b1-b2+1; -j1+j2+b1-b2+2; -j1+j2+b1-b2+3;"
-                 "j1+j2+b1-b2+2; j1+j2-b1+b2-2; j1+j2-b1+b2-1; j1+j2-b1+b2;"
-                 "-j1-j2+b1+b2+1; j1-j2+b1+b2+1; -j1+j2+b1+b2+2; j1+j2+b1+b2+2",
-             den="j1; 2j1-1; j2; j2+1"),
-        _row(0, 2, PART_11, -1, "1/4",
-             num="j1-j2+b1-b2+1; -j1+j2+b1-b2+1; -j1+j2+b1-b2+2; -j1+j2+b1-b2+3;"
-                 "j1+j2+b1-b2+2; j1+j2+b1-b2+3; j1+j2+b1-b2+4; j1+j2-b1+b2;"
-                 "-j1-j2+b1+b2; j1-j2+b1+b2+1; -j1+j2+b1+b2+2; j1+j2+b1+b2+3",
-             den="j1; j1+1; j2+1; 2j2+3"),
+                 "-j1-j2+b1+b2; j1-j2+b1+b2+2; -j1+j2+b1+b2+1; j1+j2+b1+b2+3"),
         _row(0, -2, PART_11, -1, "1/4",
              num="j1-j2+b1-b2+1; j1-j2+b1-b2+2; j1-j2+b1-b2+3; -j1+j2+b1-b2+1;"
                  "j1+j2+b1-b2+2; j1+j2-b1+b2-2; j1+j2-b1+b2-1; j1+j2-b1+b2;"
-                 "-j1-j2+b1+b2+1; j1-j2+b1+b2+2; -j1+j2+b1+b2+1; j1+j2+b1+b2+2",
-             den="j1; j1+1; j2; 2j2-1"),
+                 "-j1-j2+b1+b2+1; j1-j2+b1+b2+2; -j1+j2+b1+b2+1; j1+j2+b1+b2+2"),
         _row(0, 0, PART_11, +1, "1/4",
              poly=lambda j1, j2, b1, b2: (2 * j1 * j2
                                           + (-j1 - j2 + b1 + b2 + 1)
                                           * (j1 + j2 + b1 + b2 + 2)),
              num="j1-j2+b1-b2+1; j1-j2+b1-b2+2; -j1+j2+b1-b2+1; -j1+j2+b1-b2+2;"
-                 "j1+j2+b1-b2+2; j1+j2+b1-b2+3; j1+j2-b1+b2-1; j1+j2-b1+b2",
-             den="j1; j1+1; j2; j2+1"),
+                 "j1+j2+b1-b2+2; j1+j2+b1-b2+3; j1+j2-b1+b2-1; j1+j2-b1+b2"),
         _row(1, 1, PART_HH, -1, "1/2",
              num="j1-j2+b1-b2+1; j1-j2+b1-b2+2; -j1+j2+b1-b2+1; -j1+j2+b1-b2+2;"
                  "j1+j2+b1-b2+2; j1+j2+b1-b2+3; j1+j2+b1-b2+4; j1+j2-b1+b2;"
-                 "-j1-j2+b1+b2; j1+j2+b1+b2+3",
-             den="j1+1; j2+1"),
+                 "-j1-j2+b1+b2; j1+j2+b1+b2+3"),
         _row(-1, -1, PART_HH, -1, "1/2",
              num="j1-j2+b1-b2+1; j1-j2+b1-b2+2; -j1+j2+b1-b2+1; -j1+j2+b1-b2+2;"
                  "j1+j2+b1-b2+2; j1+j2-b1+b2-2; j1+j2-b1+b2-1; j1+j2-b1+b2;"
-                 "-j1-j2+b1+b2+1; j1+j2+b1+b2+2",
-             den="j1; j2"),
+                 "-j1-j2+b1+b2+1; j1+j2+b1+b2+2"),
         _row(1, -1, PART_HH, +1, "1/2",
              num="j1-j2+b1-b2+1; j1-j2+b1-b2+2; j1-j2+b1-b2+3; -j1+j2+b1-b2+1;"
                  "j1+j2+b1-b2+2; j1+j2+b1-b2+3; j1+j2-b1+b2-1; j1+j2-b1+b2;"
-                 "j1-j2+b1+b2+2; -j1+j2+b1+b2+1",
-             den="j1+1; j2"),
-        _row(-1, 1, PART_HH, +1, "1/2",
-             num="j1-j2+b1-b2+1; -j1+j2+b1-b2+1; -j1+j2+b1-b2+2; -j1+j2+b1-b2+3;"
-                 "j1+j2+b1-b2+2; j1+j2+b1-b2+3; j1+j2-b1+b2-1; j1+j2-b1+b2;"
-                 "j1-j2+b1+b2+1; -j1+j2+b1+b2+2",
-             den="j1; j2+1"),
+                 "j1-j2+b1+b2+2; -j1+j2+b1+b2+1"),
         _row(0, 0, PART_00, +1, "1/2", srad="5",
              num="j1-j2+b1-b2+1; j1-j2+b1-b2+2; -j1+j2+b1-b2+1; -j1+j2+b1-b2+2;"
                  "j1+j2+b1-b2+2; j1+j2+b1-b2+3; j1+j2-b1+b2-1; j1+j2-b1+b2"),
@@ -651,76 +586,45 @@ RAISING_TABLES[(1, 1)] = _channel(
     shift=(1, 1),
     norm_factors=(
         "2b1+2; b1-b2; b1-b2+1; b1+b2+1; b1+b2+2; b1+b2+3; 2b2+1; 2b1+2b2+3"),
-    rows=_rows(
+    rows=(
         _row(2, 2, PART_11, -1, "1/2", srad="1/2", outer="j1-j2",
              num="j1+j2+b1-b2+2; j1+j2+b1-b2+3; j1+j2-b1+b2+1; j1+j2-b1+b2+2;"
                  "-j1-j2+b1+b2; j1-j2+b1+b2+2; -j1+j2+b1+b2+2; j1+j2+b1+b2+3;"
-                 "j1+j2+b1+b2+4; j1+j2+b1+b2+5",
-             den="j1+1; 2j1+3; j2+1; 2j2+3"),
+                 "j1+j2+b1+b2+4; j1+j2+b1+b2+5"),
         _row(-2, -2, PART_11, +1, "1/2", srad="1/2", outer="j1-j2",
              num="j1+j2+b1-b2; j1+j2+b1-b2+1; j1+j2-b1+b2-1; j1+j2-b1+b2;"
                  "-j1-j2+b1+b2+1; -j1-j2+b1+b2+2; -j1-j2+b1+b2+3; j1-j2+b1+b2+2;"
-                 "-j1+j2+b1+b2+2; j1+j2+b1+b2+2",
-             den="j1; 2j1-1; j2; 2j2-1"),
-        _row(-2, 2, PART_11, +1, "1/2", srad="1/2", outer="j1+j2+1",
-             num="j1-j2+b1-b2-1; j1-j2+b1-b2; -j1+j2+b1-b2+1; -j1+j2+b1-b2+2;"
-                 "-j1-j2+b1+b2+1; j1-j2+b1+b2+1; -j1+j2+b1+b2+2; -j1+j2+b1+b2+3;"
-                 "-j1+j2+b1+b2+4; j1+j2+b1+b2+3",
-             den="j1; 2j1-1; j2+1; 2j2+3"),
+                 "-j1+j2+b1+b2+2; j1+j2+b1+b2+2"),
         _row(2, -2, PART_11, -1, "1/2", srad="1/2", outer="j1+j2+1",
              num="j1-j2+b1-b2+1; j1-j2+b1-b2+2; -j1+j2+b1-b2-1; -j1+j2+b1-b2;"
                  "-j1-j2+b1+b2+1; j1-j2+b1+b2+2; j1-j2+b1+b2+3; j1-j2+b1+b2+4;"
-                 "-j1+j2+b1+b2+1; j1+j2+b1+b2+3",
-             den="j1+1; 2j1+3; j2; 2j2-1"),
+                 "-j1+j2+b1+b2+1; j1+j2+b1+b2+3"),
         _row(2, 0, PART_11, -1, "1/2", srad="1/2",
              poly=lambda j1, j2, b1, b2: (j2 * (j2 + 1)
                                           + (j1 + 1) * (-j1 + b1 + b2 + 1)),
              num="j1-j2+b1-b2+1; -j1+j2+b1-b2; j1+j2+b1-b2+2; j1+j2-b1+b2+1;"
-                 "j1-j2+b1+b2+2; j1-j2+b1+b2+3; j1+j2+b1+b2+3; j1+j2+b1+b2+4",
-             den="j1+1; 2j1+3; j2; j2+1"),
-        _row(-2, 0, PART_11, -1, "1/2", srad="1/2",
-             poly=lambda j1, j2, b1, b2: (j1 * j1 + (b1 + b2 + 2) * j1
-                                          - j2 * (j2 + 1)),
-             num="j1-j2+b1-b2; -j1+j2+b1-b2+1; j1+j2+b1-b2+1; j1+j2-b1+b2;"
-                 "-j1-j2+b1+b2+1; -j1-j2+b1+b2+2; -j1+j2+b1+b2+2; -j1+j2+b1+b2+3",
-             den="j1; 2j1-1; j2; j2+1"),
-        _row(0, 2, PART_11, +1, "1/2", srad="1/2",
-             poly=lambda j1, j2, b1, b2: (j1 * (j1 + 1)
-                                          + (j2 + 1) * (-j2 + b1 + b2 + 1)),
-             num="j1-j2+b1-b2; -j1+j2+b1-b2+1; j1+j2+b1-b2+2; j1+j2-b1+b2+1;"
-                 "-j1+j2+b1+b2+2; -j1+j2+b1+b2+3; j1+j2+b1+b2+3; j1+j2+b1+b2+4",
-             den="j1; j1+1; j2+1; 2j2+3"),
+                 "j1-j2+b1+b2+2; j1-j2+b1+b2+3; j1+j2+b1+b2+3; j1+j2+b1+b2+4"),
         _row(0, -2, PART_11, -1, "1/2", srad="1/2",
              poly=lambda j1, j2, b1, b2: (j1 * j1 + j1
                                           - j2 * (j2 + b1 + b2 + 2)),
              num="j1-j2+b1-b2+1; -j1+j2+b1-b2; j1+j2+b1-b2+1; j1+j2-b1+b2;"
-                 "-j1-j2+b1+b2+1; -j1-j2+b1+b2+2; j1-j2+b1+b2+2; j1-j2+b1+b2+3",
-             den="j1; j1+1; j2; 2j2-1"),
+                 "-j1-j2+b1+b2+1; -j1-j2+b1+b2+2; j1-j2+b1+b2+2; j1-j2+b1+b2+3"),
         _row(0, 0, PART_11, +1, "1/2", srad="1/2", outer="j1-j2; j1+j2+1",
              poly=lambda j1, j2, b1, b2: (-j1 * j1 - j1 - j2 * j2 - j2
                                           + (b1 - b2) * (b1 - b2 + 1)),
-             num="-j1-j2+b1+b2+1; j1-j2+b1+b2+2; -j1+j2+b1+b2+2; j1+j2+b1+b2+3",
-             den="j1; j1+1; j2; j2+1"),
+             num="-j1-j2+b1+b2+1; j1-j2+b1+b2+2; -j1+j2+b1+b2+2; j1+j2+b1+b2+3"),
         _row(1, 1, PART_HH, +1, "1/2", srad="1/2",
              outer="j1-j2; 2j1+2j2-b1-b2+1",
              num="j1+j2+b1-b2+2; j1+j2-b1+b2+1; j1-j2+b1+b2+2; -j1+j2+b1+b2+2;"
-                 "j1+j2+b1+b2+3; j1+j2+b1+b2+4",
-             den="j1+1; j2+1"),
+                 "j1+j2+b1+b2+3; j1+j2+b1+b2+4"),
         _row(-1, -1, PART_HH, -1, "1/2", srad="1/2",
              outer="j1-j2; 2j1+2j2+b1+b2+3",
              num="j1+j2+b1-b2+1; j1+j2-b1+b2; -j1-j2+b1+b2+1; -j1-j2+b1+b2+2;"
-                 "j1-j2+b1+b2+2; -j1+j2+b1+b2+2",
-             den="j1; j2"),
+                 "j1-j2+b1+b2+2; -j1+j2+b1+b2+2"),
         _row(1, -1, PART_HH, -1, "1/2", srad="1/2",
              outer="j1+j2+1; -2j1+2j2+b1+b2+1",
              num="j1-j2+b1-b2+1; -j1+j2+b1-b2; -j1-j2+b1+b2+1; j1-j2+b1+b2+2;"
-                 "j1-j2+b1+b2+3; j1+j2+b1+b2+3",
-             den="j1+1; j2"),
-        _row(-1, 1, PART_HH, +1, "1/2", srad="1/2",
-             outer="j1+j2+1; 2j1-2j2+b1+b2+1",
-             num="j1-j2+b1-b2; -j1+j2+b1-b2+1; -j1-j2+b1+b2+1; -j1+j2+b1+b2+2;"
-                 "-j1+j2+b1+b2+3; j1+j2+b1+b2+3",
-             den="j1; j2+1"),
+                 "j1-j2+b1+b2+3; j1+j2+b1+b2+3"),
         _row(0, 0, PART_00, +1, "1", srad="5/2", outer="j1-j2; j1+j2+1",
              num="-j1-j2+b1+b2+1; j1-j2+b1+b2+2; -j1+j2+b1+b2+2; j1+j2+b1+b2+3"),
     ),
@@ -730,77 +634,46 @@ RAISING_TABLES[(1, -1)] = _channel(
     shift=(1, -1),
     norm_factors=(
         "2b1+2; 2b1-2b2+1; b1-b2; b1-b2+1; b1-b2+2; b1+b2+1; b1+b2+2; 2b2+1"),
-    rows=_rows(
+    rows=(
         _row(2, 2, PART_11, +1, "1/2", srad="1/2", outer="j1-j2",
              num="j1-j2+b1-b2+1; -j1+j2+b1-b2+1; j1+j2+b1-b2+2; j1+j2+b1-b2+3;"
                  "j1+j2+b1-b2+4; j1+j2-b1+b2+1; -j1-j2+b1+b2-1; -j1-j2+b1+b2;"
-                 "j1+j2+b1+b2+3; j1+j2+b1+b2+4",
-             den="j1+1; 2j1+3; j2+1; 2j2+3"),
+                 "j1+j2+b1+b2+3; j1+j2+b1+b2+4"),
         _row(-2, -2, PART_11, +1, "1/2", srad="1/2", outer="j1-j2",
              num="j1-j2+b1-b2+1; -j1+j2+b1-b2+1; j1+j2+b1-b2+1; j1+j2-b1+b2-2;"
                  "j1+j2-b1+b2-1; j1+j2-b1+b2; -j1-j2+b1+b2+1; -j1-j2+b1+b2+2;"
-                 "j1+j2+b1+b2+1; j1+j2+b1+b2+2",
-             den="j1; 2j1-1; j2; 2j2-1"),
-        _row(-2, 2, PART_11, +1, "1/2", srad="1/2", outer="j1+j2+1",
-             num="j1-j2+b1-b2; -j1+j2+b1-b2+1; -j1+j2+b1-b2+2; -j1+j2+b1-b2+3;"
-                 "j1+j2+b1-b2+2; j1+j2-b1+b2; j1-j2+b1+b2; j1-j2+b1+b2+1;"
-                 "-j1+j2+b1+b2+2; -j1+j2+b1+b2+3",
-             den="j1; 2j1-1; j2+1; 2j2+3"),
+                 "j1+j2+b1+b2+1; j1+j2+b1+b2+2"),
         _row(2, -2, PART_11, -1, "1/2", srad="1/2", outer="j1+j2+1",
              num="j1-j2+b1-b2+1; j1-j2+b1-b2+2; j1-j2+b1-b2+3; -j1+j2+b1-b2;"
                  "j1+j2+b1-b2+2; j1+j2-b1+b2; j1-j2+b1+b2+2; j1-j2+b1+b2+3;"
-                 "-j1+j2+b1+b2; -j1+j2+b1+b2+1",
-             den="j1+1; 2j1+3; j2; 2j2-1"),
+                 "-j1+j2+b1+b2; -j1+j2+b1+b2+1"),
         _row(2, 0, PART_11, +1, "1/2", srad="1/2",
              poly=lambda j1, j2, b1, b2: (j2 * (j2 + 1)
                                           - (j1 + 1) * (j1 - b1 + b2)),
              num="j1-j2+b1-b2+1; j1-j2+b1-b2+2; j1+j2+b1-b2+2; j1+j2+b1-b2+3;"
-                 "-j1-j2+b1+b2; j1-j2+b1+b2+2; -j1+j2+b1+b2+1; j1+j2+b1+b2+3",
-             den="j1+1; 2j1+3; j2; j2+1"),
-        _row(-2, 0, PART_11, -1, "1/2", srad="1/2",
-             poly=lambda j1, j2, b1, b2: (j1 * j1 + (b1 - b2 + 1) * j1
-                                          - j2 * (j2 + 1)),
-             num="-j1+j2+b1-b2+1; -j1+j2+b1-b2+2; j1+j2-b1+b2-1; j1+j2-b1+b2;"
-                 "-j1-j2+b1+b2+1; j1-j2+b1+b2+1; -j1+j2+b1+b2+2; j1+j2+b1+b2+2",
-             den="j1; 2j1-1; j2; j2+1"),
-        _row(0, 2, PART_11, -1, "1/2", srad="1/2",
-             poly=lambda j1, j2, b1, b2: (j1 * j1 + j1
-                                          - (j2 + 1) * (j2 - b1 + b2)),
-             num="-j1+j2+b1-b2+1; -j1+j2+b1-b2+2; j1+j2+b1-b2+2; j1+j2+b1-b2+3;"
-                 "-j1-j2+b1+b2; j1-j2+b1+b2+1; -j1+j2+b1+b2+2; j1+j2+b1+b2+3",
-             den="j1; j1+1; j2+1; 2j2+3"),
+                 "-j1-j2+b1+b2; j1-j2+b1+b2+2; -j1+j2+b1+b2+1; j1+j2+b1+b2+3"),
         _row(0, -2, PART_11, -1, "1/2", srad="1/2",
              poly=lambda j1, j2, b1, b2: (j1 * j1 + j1
                                           - j2 * (j2 + b1 - b2 + 1)),
              num="j1-j2+b1-b2+1; j1-j2+b1-b2+2; j1+j2-b1+b2-1; j1+j2-b1+b2;"
-                 "-j1-j2+b1+b2+1; j1-j2+b1+b2+2; -j1+j2+b1+b2+1; j1+j2+b1+b2+2",
-             den="j1; j1+1; j2; 2j2-1"),
+                 "-j1-j2+b1+b2+1; j1-j2+b1+b2+2; -j1+j2+b1+b2+1; j1+j2+b1+b2+2"),
         _row(0, 0, PART_11, +1, "1/2", srad="1/2",
              poly=lambda j1, j2, b1, b2: ((j1 * j1 + j1 - j2 * (j2 + 1))
                                           * (-j1 * j1 - j1 - j2 * j2 - j2
                                              + (b1 + b2 + 1) * (b1 + b2 + 2))),
-             num="j1-j2+b1-b2+1; -j1+j2+b1-b2+1; j1+j2+b1-b2+2; j1+j2-b1+b2",
-             den="j1; j1+1; j2; j2+1"),
+             num="j1-j2+b1-b2+1; -j1+j2+b1-b2+1; j1+j2+b1-b2+2; j1+j2-b1+b2"),
         _row(1, 1, PART_HH, -1, "1/2", srad="1/2",
              outer="j1-j2; 2j1+2j2-b1+b2+2",
              num="j1-j2+b1-b2+1; -j1+j2+b1-b2+1; j1+j2+b1-b2+2; j1+j2+b1-b2+3;"
-                 "-j1-j2+b1+b2; j1+j2+b1+b2+3",
-             den="j1+1; j2+1"),
+                 "-j1-j2+b1+b2; j1+j2+b1+b2+3"),
         _row(-1, -1, PART_HH, -1, "1/2", srad="1/2",
              outer="j1-j2; 2j1+2j2+b1-b2+2",
              num="j1-j2+b1-b2+1; -j1+j2+b1-b2+1; j1+j2-b1+b2-1; j1+j2-b1+b2;"
-                 "-j1-j2+b1+b2+1; j1+j2+b1+b2+2",
-             den="j1; j2"),
+                 "-j1-j2+b1+b2+1; j1+j2+b1+b2+2"),
         _row(1, -1, PART_HH, +1, "1/2", srad="1/2",
              outer="j1+j2+1; 2j1-2j2-b1+b2",
              num="j1-j2+b1-b2+1; j1-j2+b1-b2+2; j1+j2+b1-b2+2; j1+j2-b1+b2;"
-                 "j1-j2+b1+b2+2; -j1+j2+b1+b2+1",
-             den="j1+1; j2"),
-        _row(-1, 1, PART_HH, +1, "1/2", srad="1/2",
-             outer="j1+j2+1; 2j1-2j2+b1-b2",
-             num="-j1+j2+b1-b2+1; -j1+j2+b1-b2+2; j1+j2+b1-b2+2; j1+j2-b1+b2;"
-                 "j1-j2+b1+b2+1; -j1+j2+b1+b2+2",
-             den="j1; j2+1"),
+                 "j1-j2+b1+b2+2; -j1+j2+b1+b2+1"),
         _row(0, 0, PART_00, +1, "1", srad="5/2", outer="j1-j2; j1+j2+1",
              num="j1-j2+b1-b2+1; -j1+j2+b1-b2+1; j1+j2+b1-b2+2; j1+j2-b1+b2"),
     ),
@@ -809,62 +682,40 @@ RAISING_TABLES[(1, -1)] = _channel(
 # ---------------------------------------------------------------------------
 # Diagonal channel (first copy) and its un-normalized companion, from which
 # the second copy is built by Gram-Schmidt.  The two tables share all their
-# square-root parts; only prefactors, signs and scales differ.
+# square-root parts, the numerators below and each entry's denominator; only
+# prefactors, signs and scales differ.
 
-_DIAG_SQRT: dict[tuple[int, int, So4Label], tuple[str, str]] = {
+_DIAG_SQRT: dict[tuple[int, int, So4Label], str] = {
     (2, 2, PART_11): (
         "j1+j2-b1-b2; j1+j2-b1-b2+1; j1+j2+b1-b2+2; j1+j2+b1-b2+3;"
-        "j1+j2-b1+b2+1; j1+j2-b1+b2+2; j1+j2+b1+b2+3; j1+j2+b1+b2+4",
-        "j1+1; 2j1+3; j2+1; 2j2+3"),
+        "j1+j2-b1+b2+1; j1+j2-b1+b2+2; j1+j2+b1+b2+3; j1+j2+b1+b2+4"),
     (-2, -2, PART_11): (
         "j1+j2+b1-b2; j1+j2+b1-b2+1; j1+j2-b1+b2-1; j1+j2-b1+b2;"
-        "-j1-j2+b1+b2+1; -j1-j2+b1+b2+2; j1+j2+b1+b2+1; j1+j2+b1+b2+2",
-        "j1; 2j1-1; j2; 2j2-1"),
-    (-2, 2, PART_11): (
-        "j1-j2+b1-b2-1; j1-j2+b1-b2; -j1+j2+b1-b2+1; -j1+j2+b1-b2+2;"
-        "j1-j2+b1+b2; j1-j2+b1+b2+1; -j1+j2+b1+b2+2; -j1+j2+b1+b2+3",
-        "j1; 2j1-1; j2+1; 2j2+3"),
+        "-j1-j2+b1+b2+1; -j1-j2+b1+b2+2; j1+j2+b1+b2+1; j1+j2+b1+b2+2"),
     (2, -2, PART_11): (
         "j1-j2+b1-b2+1; j1-j2+b1-b2+2; -j1+j2+b1-b2-1; -j1+j2+b1-b2;"
-        "j1-j2+b1+b2+2; j1-j2+b1+b2+3; -j1+j2+b1+b2; -j1+j2+b1+b2+1",
-        "j1+1; 2j1+3; j2; 2j2-1"),
+        "j1-j2+b1+b2+2; j1-j2+b1+b2+3; -j1+j2+b1+b2; -j1+j2+b1+b2+1"),
     (2, 0, PART_11): (
         "j1-j2+b1-b2+1; -j1+j2+b1-b2; j1+j2+b1-b2+2; j1+j2-b1+b2+1;"
-        "-j1-j2+b1+b2; j1-j2+b1+b2+2; -j1+j2+b1+b2+1; j1+j2+b1+b2+3",
-        "j1+1; 2j1+3; j2; j2+1"),
-    (-2, 0, PART_11): (
-        "j1-j2+b1-b2; -j1+j2+b1-b2+1; j1+j2+b1-b2+1; j1+j2-b1+b2;"
-        "-j1-j2+b1+b2+1; j1-j2+b1+b2+1; -j1+j2+b1+b2+2; j1+j2+b1+b2+2",
-        "j1; 2j1-1; j2; j2+1"),
-    (0, 2, PART_11): (
-        "j1-j2+b1-b2; -j1+j2+b1-b2+1; j1+j2+b1-b2+2; j1+j2-b1+b2+1;"
-        "-j1-j2+b1+b2; j1-j2+b1+b2+1; -j1+j2+b1+b2+2; j1+j2+b1+b2+3",
-        "j1; j1+1; j2+1; 2j2+3"),
+        "-j1-j2+b1+b2; j1-j2+b1+b2+2; -j1+j2+b1+b2+1; j1+j2+b1+b2+3"),
     (0, -2, PART_11): (
         "j1-j2+b1-b2+1; -j1+j2+b1-b2; j1+j2+b1-b2+1; j1+j2-b1+b2;"
-        "-j1-j2+b1+b2+1; j1-j2+b1+b2+2; -j1+j2+b1+b2+1; j1+j2+b1+b2+2",
-        "j1; j1+1; j2; 2j2-1"),
-    (0, 0, PART_11): ("", "j1; j1+1; j2; j2+1"),
+        "-j1-j2+b1+b2+1; j1-j2+b1+b2+2; -j1+j2+b1+b2+1; j1+j2+b1+b2+2"),
+    (0, 0, PART_11): "",
     (1, 1, PART_HH): (
-        "j1+j2+b1-b2+2; j1+j2-b1+b2+1; -j1-j2+b1+b2; j1+j2+b1+b2+3",
-        "j1+1; j2+1"),
+        "j1+j2+b1-b2+2; j1+j2-b1+b2+1; -j1-j2+b1+b2; j1+j2+b1+b2+3"),
     (-1, -1, PART_HH): (
-        "j1+j2+b1-b2+1; j1+j2-b1+b2; -j1-j2+b1+b2+1; j1+j2+b1+b2+2",
-        "j1; j2"),
+        "j1+j2+b1-b2+1; j1+j2-b1+b2; -j1-j2+b1+b2+1; j1+j2+b1+b2+2"),
     (1, -1, PART_HH): (
-        "j1-j2+b1-b2+1; -j1+j2+b1-b2; j1-j2+b1+b2+2; -j1+j2+b1+b2+1",
-        "j1+1; j2"),
-    (-1, 1, PART_HH): (
-        "j1-j2+b1-b2; -j1+j2+b1-b2+1; j1-j2+b1+b2+1; -j1+j2+b1+b2+2",
-        "j1; j2+1"),
-    (0, 0, PART_00): ("", ""),
+        "j1-j2+b1-b2+1; -j1+j2+b1-b2; j1-j2+b1+b2+2; -j1+j2+b1+b2+1"),
+    (0, 0, PART_00): "",
 }
 
 
 def _diag_row(tdj1: int, tdj2: int, part: So4Label, sign: int, scale: str,
               srad: str = "1", outer: str = "", poly: Optional[Poly] = None) -> RowSpec:
-    num, den = _DIAG_SQRT[(tdj1, tdj2, part)]
-    return _row(tdj1, tdj2, part, sign, scale, srad, outer, poly, num, den)
+    return _row(tdj1, tdj2, part, sign, scale, srad, outer, poly,
+                _DIAG_SQRT[(tdj1, tdj2, part)])
 
 
 DIAGONAL_TABLE = _channel(
@@ -872,20 +723,16 @@ DIAGONAL_TABLE = _channel(
     norm_scale="2",
     norm_srad="5",
     norm_factors=(_diag_norm_bracket,),
-    rows=_rows(
+    rows=(
         _diag_row(2, 2, PART_11, -1, "1/8"),
         _diag_row(-2, -2, PART_11, -1, "1/8"),
-        _diag_row(-2, 2, PART_11, -1, "1/8"),
         _diag_row(2, -2, PART_11, -1, "1/8"),
         _diag_row(2, 0, PART_11, -1, "1/8"),
-        _diag_row(-2, 0, PART_11, +1, "1/8"),
-        _diag_row(0, 2, PART_11, -1, "1/8"),
         _diag_row(0, -2, PART_11, +1, "1/8"),
         _diag_row(0, 0, PART_11, -1, "1/8", poly=_diag_core_poly),
         _diag_row(1, 1, PART_HH, +1, "1/8", outer="2j1+2j2+3"),
         _diag_row(-1, -1, PART_HH, +1, "1/8", outer="2j1+2j2+1"),
         _diag_row(1, -1, PART_HH, +1, "1/8", outer="2j1-2j2+1"),
-        _diag_row(-1, 1, PART_HH, -1, "1/8", outer="2j1-2j2-1"),
         _diag_row(0, 0, PART_00, -1, "1/10", srad="5", poly=_diag_scalar_poly),
     ),
 )
@@ -893,17 +740,12 @@ DIAGONAL_TABLE = _channel(
 AUX_TABLE = _channel(
     shift=(0, 0),
     norm_factors=(),
-    rows=_rows(
+    rows=(
         _diag_row(2, 2, PART_11, +1, "1/4", outer="j1-j2; j1-j2"),
         _diag_row(-2, -2, PART_11, +1, "1/4", outer="j1-j2; j1-j2"),
-        _diag_row(-2, 2, PART_11, +1, "1/4", outer="j1+j2+1; j1+j2+1"),
         _diag_row(2, -2, PART_11, +1, "1/4", outer="j1+j2+1; j1+j2+1"),
         _diag_row(2, 0, PART_11, +1, "1/4",
                   poly=lambda j1, j2, b1, b2: ((j1 + 1) ** 2 - j2 * (j2 + 1))),
-        _diag_row(-2, 0, PART_11, +1, "1/4",
-                  poly=lambda j1, j2, b1, b2: (-j1 * j1 + j2 * j2 + j2)),
-        _diag_row(0, 2, PART_11, +1, "1/4",
-                  poly=lambda j1, j2, b1, b2: ((j2 + 1) ** 2 - j1 * (j1 + 1))),
         _diag_row(0, -2, PART_11, +1, "1/4",
                   poly=lambda j1, j2, b1, b2: (j1 * j1 + j1 - j2 * j2)),
         _diag_row(0, 0, PART_11, -1, "1/4", poly=_aux_core_poly),
@@ -911,8 +753,6 @@ AUX_TABLE = _channel(
         _diag_row(-1, -1, PART_HH, -1, "1/4", outer="j1-j2; j1-j2; 2j1+2j2+1"),
         _diag_row(1, -1, PART_HH, +1, "1/4",
                   outer="j1+j2+1; j1+j2+1; -2j1+2j2-1"),
-        _diag_row(-1, 1, PART_HH, +1, "1/4",
-                  outer="2j1-2j2-1; j1+j2+1; j1+j2+1"),
         _diag_row(0, 0, PART_00, -1, "1/10", srad="5", poly=_aux_scalar_poly),
     ),
 )

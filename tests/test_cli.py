@@ -81,6 +81,18 @@ def test_eval_malformed_field_exits_2(capsys, flag, value, message):
     assert (code, out, err) == (2, "", f"malformed key: {message}\n")
 
 
+@pytest.mark.parametrize("text", ["1_0", "\u0661\u0660"])
+def test_eval_source_spelled_for_int_alone_exits_2(capsys, text):
+    # int() reads "1_0" and Arabic-Indic "10" as 10. Spelled "10" the key is
+    # valid and exits 0; spelled so it is malformed, not the source (10,0).
+    key = ("--channel=+1,+1", "--source-so4", "5,5", "--entry=+1,+1",
+           "--part", "1,1")
+    assert run(capsys, "eval", "--source", "10,0", *key)[:2] == (0, "1\n1.0\n")
+    code, out, err = run(capsys, "eval", "--source", f"{text},0", *key)
+    assert (code, out, err) == (
+        2, "", f"malformed key: cannot parse half-integer {text!r}\n")
+
+
 def test_eval_copy2_channel(capsys):
     code, out, _ = run(capsys, "eval", "--source", "3/2,1/2",
                        "--channel", "0,0#2", "--source-so4", "1,1",

@@ -50,6 +50,22 @@ def test_halfint_parse_and_str():
         HalfInt.parse("1/3")
 
 
+@pytest.mark.parametrize("text", ["1_0", "1_0/2", "3/0_2", "\u0663",
+                                  "\u0661/2", "1/\u0662", "\uff13"])
+def test_halfint_parse_takes_ascii_digits_only(text):
+    # int() alone reads "1_0" as 10 and Arabic-Indic or full-width digits
+    # as their values; a label spelled so is malformed.
+    with pytest.raises(MalformedKey, match="cannot parse half-integer"):
+        HalfInt.parse(text)
+
+
+def test_irrep_label_parse_takes_ascii_digits_only():
+    # Before the check this read as the label (3,5).
+    with pytest.raises(MalformedKey,
+                       match=r"cannot parse half-integer '\u0663'"):
+        IrrepLabel.parse("\u0663,1_0/2")
+
+
 def test_halfint_adds_only_halfints():
     assert HalfInt(1) + HalfInt(3) == HalfInt(4)
     with pytest.raises(TypeError):

@@ -1,10 +1,10 @@
 """Which check catches which error class: one catalogue of table mutations.
 
-Each mutation negates some rows of the closed-form tables by patching
+Each mutation changes some rows of the closed-form tables by patching
 ChannelTable.bare_value, the one per-row evaluation: every direct, copy-2,
-companion and transposed (lowering) value goes through it, so a flip of a
-raising row also flips the lowering rows read off it. Wong's errors are the
-model: wrong signs in printed rows.
+companion and transposed (lowering) value goes through it, so a change to a
+raising row also changes the lowering rows read off it. Wong's errors are
+the model: wrong signs and wrong factors in printed rows.
 
 - A coordinated flip negates one entry, or one entry and its mirror, in
   every table at once. The tables stay unitary, so no exact check sees it;
@@ -13,6 +13,10 @@ model: wrong signs in printed rows.
   check must pass.
 - A single-row flip negates one row of one table. Every one of them breaks
   the reduced Gram identity.
+- A factor error rewrites one written row: b1 and b2 swapped in one linear
+  form, one form's constant off by one, or the row scaled by sqrt(2). Each
+  names the check that fails it; the one the tier-1 bound misses is pinned
+  as that gap, with the bound that catches it.
 
 A check that stops catching its class fails this file.
 """
@@ -22,6 +26,7 @@ from typing import Callable, NamedTuple
 import pytest
 
 from so5cg import verify
+from so5cg._formula import _lins, _pieces
 from so5cg.labels import (
     ENTRY_SHIFTS,
     PART_00,
@@ -34,7 +39,15 @@ from so5cg.labels import (
 )
 from so5cg.oracle import compare
 from so5cg.reduced import aux_table_rows, table_rows
-from so5cg.tables import AUX_TABLE, DIAGONAL_TABLE, RAISING_TABLES, ChannelTable
+from so5cg.tables import (
+    AUX_TABLE,
+    DIAGONAL_TABLE,
+    RAISING_TABLES,
+    UNIT,
+    ChannelTable,
+    RowSpec,
+    compose,
+)
 
 # The source the oracle compares at: (1,1/2), dimension 35, twelve channels.
 ORACLE_SOURCE = IrrepLabel(2, 1)
@@ -132,3 +145,83 @@ def test_every_table_value_goes_through_bare_value(monkeypatch):
             -r.value for r in rows], channel
     assert [r.value for r in aux_table_rows(source)] == [
         -r.value for r in clean_aux]
+
+
+class FactorError(NamedTuple):
+    """One written row rewritten, the check that must fail on it, and the
+    checks pinned to pass it: a gap, named so that closing it shows."""
+
+    name: str
+    table: ChannelTable
+    entry: EntryShift
+    rewrite: Callable[[RowSpec], RowSpec]
+    caught_by: str
+    missed_by: tuple[str, ...] = ()
+
+
+def _in_form(field: str, text: str, new: str) -> Callable[[RowSpec], RowSpec]:
+    """Replace the linear form text among the row's outer, num or den forms."""
+    def rewrite(spec: RowSpec) -> RowSpec:
+        forms = _pieces(getattr(spec, field))
+        forms[[f.strip() for f in forms].index(text)] = new
+        written = ";".join(forms)
+        return spec._replace(**{field: written,
+                                f"{field}_lins": _lins(written)})
+    return rewrite
+
+
+def _times_sqrt2(spec: RowSpec) -> RowSpec:
+    return spec._replace(const=compose(spec.const, (2, 1, 1)))
+
+
+# Each check returns a counterexample, or None when it passes.
+CHECKS = {
+    "reduced_unitarity(4)": lambda: verify.reduced_unitarity(UNITARITY_BOUND),
+    "reduced_unitarity(6)": lambda: verify.reduced_unitarity(6),
+    "mixing_identities(4)": lambda: verify.mixing_identities(UNITARITY_BOUND),
+    "compare((1,1/2))": lambda: (None if compare(ORACLE_SOURCE).passed
+                                 else "oracle mismatch"),
+}
+
+FACTOR_ERRORS = (
+    FactorError("b1<->b2 in one numerator form", RAISING_TABLES[(2, 2)],
+                EntryShift(2, 2, PART_11),
+                _in_form("num", "j1+j2+b1-b2+2", "j1+j2-b1+b2+2"),
+                "reduced_unitarity(4)"),
+    FactorError("numerator constant off by one", DIAGONAL_TABLE,
+                EntryShift(1, 1, PART_HH),
+                _in_form("num", "j1+j2+b1-b2+2", "j1+j2+b1-b2+3"),
+                "mixing_identities(4)"),
+    FactorError("row times sqrt(2)", AUX_TABLE, EntryShift(2, 0, PART_11),
+                _times_sqrt2, "mixing_identities(4)"),
+    # Up to 2j1 = 4 this row is nonzero only at source (2,2), where b1 = b2
+    # and the swap changes nothing; source (5/2,2) shows it.
+    FactorError("b1<->b2 in a row nonzero only at b1 = b2 up to 2j1 = 4",
+                RAISING_TABLES[(2, -2)], EntryShift(-2, -2, PART_11),
+                _in_form("num", "j1-j2+b1-b2+1", "j1-j2-b1+b2+1"),
+                "reduced_unitarity(6)",
+                missed_by=("reduced_unitarity(4)", "compare((1,1/2))")),
+)
+
+
+def _substitute(monkeypatch, table: ChannelTable, spec: RowSpec) -> None:
+    """Evaluate spec in place of table's row of spec.key."""
+    bare = ChannelTable.bare_value
+
+    def mutated(self, entry, tj1, tj2, tb1, tb2, scale=UNIT, row=None):
+        if self is table and entry == spec.key:
+            row = spec.bind(tb1, tb2)
+        return bare(self, entry, tj1, tj2, tb1, tb2, scale, row)
+
+    monkeypatch.setattr(ChannelTable, "bare_value", mutated)
+
+
+@pytest.mark.parametrize("error", FACTOR_ERRORS,
+                         ids=[e.name for e in FACTOR_ERRORS])
+def test_factor_errors_fail_their_check(monkeypatch, error):
+    assert CHECKS[error.caught_by]() is None
+    _substitute(monkeypatch, error.table,
+                error.rewrite(error.table.rows[error.entry]))
+    assert CHECKS[error.caught_by]() is not None
+    for check in error.missed_by:
+        assert CHECKS[check]() is None, check

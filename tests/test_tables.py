@@ -6,6 +6,7 @@ SqrtSum, the same zero or the same FormulaDomainError as the integer
 evaluator at the doubled spins.
 """
 
+import hashlib
 import itertools
 import re
 from fractions import Fraction
@@ -14,7 +15,7 @@ import pytest
 
 from so5cg.errors import ChannelAbsent, FormulaDomainError
 from so5cg.exactnum import ZERO, sqrt_rational
-from so5cg.labels import ENTRY_SHIFTS, branching, iter_labels
+from so5cg.labels import ENTRY_SHIFTS, EntryShift, branching, iter_labels
 from so5cg.tables import AUX_TABLE, DIAGONAL_TABLE, RAISING_TABLES
 
 TABLES = {**{f"raising {shift}": table
@@ -205,3 +206,48 @@ def test_bound_rows_with_a_scale_match_their_formulas(name):
                 assert same(got, want), (name, str(entry), tj1, tj2, tb1, tb2,
                                          got, want)
     assert errors
+
+
+# Every block of every source with 2j1 <= 8, as (tj1, tj2, tb1, tb2).
+SOURCE_BLOCKS = [(*s.twice, *src.twice) for src in iter_labels(8)
+                 for s in branching(src)]
+
+# sha256 over every row of every table at the bound-row points and at
+# SOURCE_BLOCKS: each value, or each FormulaDomainError message.
+ROW_VALUES_DIGEST = (
+    "6984840700d968d49071f51af826dd8418c6ae71241be4d748720a3290724c2c")
+
+
+def test_row_values_digest():
+    # The exported digests of test_golden.py never reach a row outside its
+    # domain; this pins those errors too, row by row, beside the values.
+    points = [(tj1, tj2, tb1, tb2) for tb1, tb2 in BIND_POINTS
+              for tj1, tj2 in BLOCK_GRID] + SOURCE_BLOCKS
+    digest = hashlib.sha256()
+    for name in sorted(TABLES):
+        bare = TABLES[name].bare_value
+        for entry in ENTRY_SHIFTS:
+            for point in points:
+                got = evaluated(bare, entry, *point)
+                digest.update(f"{name} {entry} {point} {got!r}\n".encode())
+    assert digest.hexdigest() == ROW_VALUES_DIGEST
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
+def test_every_row_is_its_swap_partner_times_sigma(name):
+    # The j1<->j2 swap: entry (tdj2, tdj1) at block (tj2, tj1) is sigma
+    # times entry (tdj1, tdj2) at (tj1, tj2), or both are out of domain.
+    # sigma is -1 for the two half-shift channels and +1 for the rest.
+    table = TABLES[name]
+    sigma = -1 if table.shift[0] % 2 else 1
+    for entry in ENTRY_SHIFTS:
+        swap = EntryShift(entry.tdj2, entry.tdj1, entry.part)
+        for tj1, tj2, tb1, tb2 in SOURCE_BLOCKS:
+            value = evaluated(table.bare_value, entry, tj1, tj2, tb1, tb2)
+            got = evaluated(table.bare_value, swap, tj2, tj1, tb1, tb2)
+            if isinstance(value, Exception):
+                assert type(got) is type(value), (name, str(entry), tj1, tj2,
+                                                  tb1, tb2, got)
+            else:
+                assert got == sigma * value, (name, str(entry), tj1, tj2,
+                                              tb1, tb2, got, value)
