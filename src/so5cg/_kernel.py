@@ -6,9 +6,11 @@
   * all functions take and return canonical term lists, except the dot
     product kernel, which works on scaled vectors: a sparse vector of term
     lists is brought once to integer numerators over one common
-    denominator (scale_vector), and the products of two scaled vectors are
-    summed on plain ints keyed by the product of their radicands
-    (dot_scaled); over() turns that sum back into a term list.
+    denominator (scale_vector); the products of one scaled vector with
+    each of several others are summed on plain ints keyed by the product
+    of their radicands (product_sums), each sum is folded onto square-free
+    radicands (fold), and over() turns the result back into a term list.
+    dot_scaled is the two together for one pair.
 """
 
 from __future__ import annotations
@@ -139,41 +141,52 @@ def scale_vector(vector):
     return den, layers
 
 
-def dot_scaled(a, b) -> dict[int, int]:
-    """Exact dot product of two scaled vectors' layers over their shared
-    keys, as {rad: numerator} over the product of their denominators, with
-    no zero numerator.
+def product_sums(a, others) -> list[dict[int, int]]:
+    """For the layers b of each scaled vector in others, the products of
+    a's and b's layers over their shared keys, summed on ints keyed by
+    r1*r2: one sum per key, not yet folded (fold)."""
+    out = []
+    for b in others:
+        acc: dict[int, int] = {}
+        for x in a:
+            for y in b:
+                small, big = (x, y) if len(x) <= len(y) else (y, x)
+                for key, (r1, n1) in small.items():
+                    if key in big:
+                        r2, n2 = big[key]
+                        k = r1 * r2
+                        if k in acc:
+                            acc[k] += n1 * n2
+                        else:
+                            acc[k] = n1 * n2
+        out.append(acc)
+    return out
 
-    Products are summed keyed by r1*r2. For square-free r1, r2 that is
-    g**2 * rad with g = gcd(r1, r2) and rad square-free, so the key alone
-    fixes g and rad; one witness r1 per key recovers them with one gcd when
-    the sums are folded, and no product is ever factored.
+
+def fold(acc: dict[int, int]) -> dict[int, int]:
+    """Sums keyed by r1*r2 as {rad: numerator}, with no zero numerator.
+
+    For square-free r1, r2 the key is g**2 * rad with g = gcd(r1, r2) and
+    rad square-free, so squarefree_split(key) is (g, rad); the split is
+    memoized, and a Gram meets few distinct keys (464 in a deck of the 14
+    coupling_gram benchmark sources).
     """
-    acc: dict[int, int] = {}
-    witness: dict[int, int] = {}
-    for x in a:
-        for y in b:
-            small, big = (x, y) if len(x) <= len(y) else (y, x)
-            for key, (r1, n1) in small.items():
-                if key in big:
-                    r2, n2 = big[key]
-                    k = r1 * r2
-                    if k in acc:
-                        acc[k] += n1 * n2
-                    else:
-                        acc[k] = n1 * n2
-                        witness[k] = r1
     out: dict[int, int] = {}
     for k, total in acc.items():
         if total:
-            r1 = witness[k]
-            g = gcd(r1, k // r1)
-            rad = k // (g * g)
+            g, rad = squarefree_split(k)
             out[rad] = out.get(rad, 0) + total * g
     # Sums under distinct keys can still cancel on one radicand:
     # sqrt(6)*sqrt(10) and sqrt(15)*1 both land on sqrt(15).
     return out if all(out.values()) else {
         rad: num for rad, num in out.items() if num}
+
+
+def dot_scaled(a, b) -> dict[int, int]:
+    """Exact dot product of two scaled vectors' layers over their shared
+    keys, as {rad: numerator} over the product of their denominators, with
+    no zero numerator."""
+    return fold(product_sums(a, (b,))[0])
 
 
 def over(acc: dict[int, int], den: int):

@@ -44,6 +44,7 @@ from .labels import (
     check_block,
     decompose_with_14,
     dim,
+    parse_int,
     parse_pair,
 )
 from .reduced import (
@@ -79,7 +80,7 @@ def _parse_channel(text: str):
         # Channel checks the copy's range; only its text is read here.
         s, _, copy_text = s.partition("#")
         try:
-            copy = int(copy_text)
+            copy = parse_int(copy_text)
         except ValueError as exc:
             raise MalformedKey(
                 f"channel copy must be an integer, got {text!r}") from exc
@@ -349,7 +350,7 @@ def _add_output_flags(sub) -> None:
                      help="skip the SO5CG_CACHE directory")
 
 
-def _non_negative(kind):
+def _non_negative(kind, name: str):
     """An argparse type: kind(text), which must be finite and >= 0. A
     negative --max-twice-j sweeps nothing and no deviation exceeds a NaN
     --tol, so either would pass every check."""
@@ -359,7 +360,7 @@ def _non_negative(kind):
             raise argparse.ArgumentTypeError(
                 f"must be a finite number >= 0, got {text!r}")
         return value
-    parse.__name__ = kind.__name__  # argparse: "invalid int value: 'x'"
+    parse.__name__ = name  # argparse: "invalid int value: 'x'"
     return parse
 
 
@@ -411,9 +412,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = subs.add_parser("verify", help="run an invariant suite")
     p_ver.add_argument("suite", choices=(*SUITE_NAMES, "all"))
-    p_ver.add_argument("--max-twice-j", type=_non_negative(int), default=8,
-                       dest="max_twice_j")
-    p_ver.add_argument("--tol", type=_non_negative(float), default=1e-9)
+    p_ver.add_argument("--max-twice-j", type=_non_negative(parse_int, "int"),
+                       default=8, dest="max_twice_j")
+    p_ver.add_argument("--tol", type=_non_negative(float, "float"), default=1e-9)
     p_ver.add_argument("--source", default=None,
                        help="restrict the oracle suite (also within all) "
                             "to one source")

@@ -14,7 +14,8 @@ from itertools import groupby
 from typing import (Callable, Hashable, Iterator, Mapping, NamedTuple, Optional,
                     Sequence)
 
-from ._kernel import dot_scaled, mul_terms, over, scale_vector
+from ._kernel import (dot_scaled, fold, mul_terms, over, product_sums,
+                      scale_vector)
 from .errors import MalformedKey
 from .exactnum import ZERO, SqrtSum
 from .labels import (
@@ -303,26 +304,34 @@ def gram_deviation(labels: Sequence, vectors: Sequence[Mapping],
 
     Each vector maps component keys to SqrtSums. Vectors in different
     sectors share no components, so only same-sector pairs (a, b), a <= b,
-    are examined, sector by sector. A sector's vectors are scaled once, to
-    integer numerators over a common denominator D (_kernel.scale_vector);
-    each Gram entry is then summed on ints (_kernel.dot_scaled) and compared
-    with D_a * D_b on the diagonal and 0 off it. Only a deviation is turned
-    back into a SqrtSum.
+    are examined, sector by sector, in row-major order. A sector's vectors
+    are scaled once, to integer numerators over a common denominator D
+    (_kernel.scale_vector). The norm of a one-layer vector, as every
+    coupling-matrix column is, is sum(n*n*r) on radicand 1 and is compared
+    with D_a**2 as it is; any other norm is a _kernel.dot_scaled. Off the
+    diagonal, row a's products are summed on ints keyed by r1*r2 in one
+    call (_kernel.product_sums); a pair whose every sum is 0 is exactly 0,
+    and only the others are folded onto their radicands (_kernel.fold) and
+    compared with 0. Only a deviation is turned back into a SqrtSum.
     """
     sectors: dict[Hashable, list[int]] = {}
     for k, label in enumerate(labels):
         sectors.setdefault(sector(label), []).append(k)
     for _, group in sorted(sectors.items()):
-        scaled = [scale_vector({i: value.terms
-                                for i, value in vectors[k].items()})
-                  for k in group]
-        for a, (da, la) in enumerate(scaled):
-            for b in range(a, len(group)):
-                db, lb = scaled[b]
-                acc = dot_scaled(la, lb)
-                if acc != ({1: da * db} if a == b else {}):
+        dens, layers = zip(*[scale_vector({i: value.terms
+                                           for i, value in vectors[k].items()})
+                             for k in group])
+        for a, la in enumerate(layers):
+            da = dens[a]
+            norm = ({1: sum([n * n * r for r, n in la[0].values()])}
+                    if len(la) == 1 else dot_scaled(la, la))
+            if norm != {1: da * da}:
+                return (labels[group[a]], labels[group[a]],
+                        SqrtSum(over(norm, da * da)))
+            for b, acc in enumerate(product_sums(la, layers[a + 1:]), a + 1):
+                if any(acc.values()) and (acc := fold(acc)):
                     return (labels[group[a]], labels[group[b]],
-                            SqrtSum(over(acc, da * db)))
+                            SqrtSum(over(acc, da * dens[b])))
     return None
 
 

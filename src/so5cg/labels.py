@@ -34,6 +34,15 @@ def _check_twice(*values) -> None:
             raise MalformedKey(f"HalfInt needs an int doubled value, got {value!r}")
 
 
+def parse_int(text: str) -> int:
+    """int(text) on ASCII digits only: int() alone would also read "1_0"
+    as 10, and Arabic-Indic or other non-ASCII digits. The one rule for an
+    integer in label text and in the CLI's integer options."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"invalid literal for int(): {text!r}")
+    return int(text)
+
+
 def parse_pair(text: str, expected: str) -> tuple[int, int]:
     """The doubled values of an "a,b" pair of half-integers: the one
     splitter of label text. A text that is not two parts is reported as
@@ -97,15 +106,12 @@ class HalfInt(_Label):
         """Parse "2", "-1", "3/2", "+1/2"."""
         s = text.strip()
         try:
-            # int() alone would also read "1_0" as 10 and non-ASCII digits.
-            if not s.isascii() or "_" in s:
-                raise ValueError(s)
             if "/" in s:
                 num, den = s.split("/")
-                if int(den) != 2:
+                if parse_int(den) != 2:
                     raise ValueError(s)
-                return cls(int(num))
-            return cls(2 * int(s))
+                return cls(parse_int(num))
+            return cls(2 * parse_int(s))
         except ValueError as exc:
             raise MalformedKey(f"cannot parse half-integer {text!r}") from exc
 

@@ -1,27 +1,28 @@
 """Exact SU(2) Clebsch-Gordan coefficients.
 
-Closed single-sum form with factorials over exact rationals, in the
-standard real phase convention (highest-stretched coefficient positive).
+Racah's closed single-sum form on plain ints, in the standard real phase
+convention (highest-stretched coefficient positive): the sum over one
+common denominator, the square root of the factorials as one product.
 All spins enter as doubled integers so half-integer cases stay exact.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
 
+from ._kernel import sqrt_of_product
 from .errors import MalformedKey
-from .exactnum import ZERO, SqrtSum, sqrt_rational
-from .labels import _check_twice
+from .exactnum import ZERO, SqrtSum
+from .labels import HalfInt, _check_twice
 
 
 def _check_pair(tj: int, tm: int, what: str) -> None:
     if tj < 0:
-        raise MalformedKey(f"{what}: negative spin {Fraction(tj, 2)}")
+        raise MalformedKey(f"{what}: negative spin {HalfInt(tj)}")
     if abs(tm) > tj:
-        raise MalformedKey(f"{what}: |m| exceeds j ({Fraction(tm, 2)} vs {Fraction(tj, 2)})")
+        raise MalformedKey(f"{what}: |m| exceeds j ({HalfInt(tm)} vs {HalfInt(tj)})")
     if (tj - tm) % 2 != 0:
-        raise MalformedKey(f"{what}: m not in the j ladder ({Fraction(tm, 2)} vs {Fraction(tj, 2)})")
+        raise MalformedKey(f"{what}: m not in the j ladder ({HalfInt(tm)} vs {HalfInt(tj)})")
 
 
 def su2_cg(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int) -> SqrtSum:
@@ -49,25 +50,28 @@ def su2_cg(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int) -> SqrtSum:
             raise AssertionError(f"factorial of doubled value {twice}")
         return factorial(twice // 2)
 
-    norm = Fraction(
-        (tJ + 1)
-        * f(tj1 + tj2 - tJ)
-        * f(tj1 - tj2 + tJ)
-        * f(-tj1 + tj2 + tJ)
-        * f(tJ + tM)
-        * f(tJ - tM)
-        * f(tj1 - tm1)
-        * f(tj1 + tm1)
-        * f(tj2 - tm2)
-        * f(tj2 + tm2),
-        f(tj1 + tj2 + tJ + 2),
-    )
+    # sqrt(norm) for norm = (2J + 1) * (nine factorials) / top, taken as
+    # sqrt(norm * top**2) / top.
+    top = f(tj1 + tj2 + tJ + 2)
+    outer, rad = sqrt_of_product((
+        tJ + 1,
+        f(tj1 + tj2 - tJ),
+        f(tj1 - tj2 + tJ),
+        f(-tj1 + tj2 + tJ),
+        f(tJ + tM),
+        f(tJ - tM),
+        f(tj1 - tm1),
+        f(tj1 + tm1),
+        f(tj2 - tm2),
+        f(tj2 + tm2),
+        top,
+    ))
     k_min = max(0, -(tJ - tj2 + tm1) // 2, -(tJ - tj1 - tm2) // 2)
     k_max = min((tj1 + tj2 - tJ) // 2, (tj1 - tm1) // 2, (tj2 + tm2) // 2)
-    total = Fraction(0)
+    dens = []
     for k in range(k_min, k_max + 1):
         tk = 2 * k
-        den = (
+        dens.append(
             factorial(k)
             * f(tj1 + tj2 - tJ - tk)
             * f(tj1 - tm1 - tk)
@@ -75,6 +79,13 @@ def su2_cg(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int) -> SqrtSum:
             * f(tJ - tj2 + tm1 + tk)
             * f(tJ - tj1 - tm2 + tk)
         )
-        total += Fraction(-1 if k % 2 else 1, den)
-    return sqrt_rational(norm) * total
-
+    # The sum of (-1)**k / dens[k] over their least common multiple.
+    common = lcm(*dens)
+    total = sum(common // d if k % 2 == 0 else -(common // d)
+                for k, d in enumerate(dens, k_min))
+    if not total:
+        return ZERO
+    num = outer * total
+    den = top * common
+    g = gcd(num, den)
+    return SqrtSum(((rad, num // g, den // g),))

@@ -93,6 +93,33 @@ def test_eval_source_spelled_for_int_alone_exits_2(capsys, text):
         2, "", f"malformed key: cannot parse half-integer {text!r}\n")
 
 
+@pytest.mark.parametrize("copy", ["\u0662", "1_0"])
+def test_eval_copy_spelled_for_int_alone_exits_2(capsys, copy):
+    # int() reads Arabic-Indic "2" as copy 2, absent here (exit 3), and
+    # "1_0" as copy 10; the copy takes ASCII digits only, as a label does.
+    channel = f"0,0#{copy}"
+    code, out, err = run(capsys, "eval", "--source", "0,0",
+                         f"--channel={channel}", "--source-so4", "0,0",
+                         "--entry", "0,0", "--part", "0,0")
+    assert (code, out, err) == (
+        2, "", f"malformed key: channel copy must be an integer, "
+               f"got {channel!r}\n")
+
+
+@pytest.mark.parametrize("bound", ["0_3", "\u0663"])
+def test_verify_bound_spelled_for_int_alone_exits_2(capsys, bound):
+    # int() reads both as 3, and the sweep ran with that bound and exit 0.
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "su2", "--max-twice-j", bound])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: so5cg verify ")
+    assert err.splitlines()[-1] == (
+        "so5cg verify: error: argument --max-twice-j: invalid int value: "
+        f"{bound!r}")
+
+
 def test_eval_copy2_channel(capsys):
     code, out, _ = run(capsys, "eval", "--source", "3/2,1/2",
                        "--channel", "0,0#2", "--source-so4", "1,1",

@@ -16,6 +16,7 @@ from so5cg.fullcg import (
     coupled_cols,
     coupling_matrix,
     full,
+    gram_deviation,
     product_rows,
     row_gram_deviation,
     transpose,
@@ -181,6 +182,45 @@ def test_gram_deviation_reports_labels_and_exact_value():
     assert v2 != 1
     assert isinstance(row, RowState)
     assert row_gram_deviation(doubled) == (row, row, 1 + 3 * v2)
+
+
+def test_a_one_layer_column_with_a_wrong_norm_is_reported_on_the_diagonal():
+    # The first column of a sector is examined against itself before any
+    # pair; its entries are single terms, so its norm is the closed form.
+    matrix = coupling_matrix(IrrepLabel(1, 0))
+    firsts = {}
+    for col in matrix.cols:
+        firsts.setdefault(col.sector, col)
+    col = max(firsts.values(), key=lambda c: len(matrix.columns[c]))
+    column = dict(matrix.columns[col])
+    assert len(column) > 1
+    assert all(len(v.terms) == 1 for v in column.values())
+    i = min(column)
+    v = column[i]
+    column[i] = v * Fraction(3, 2)
+    columns = dict(matrix.columns)
+    columns[col] = column
+    bad = CouplingMatrix(matrix.source, matrix.rows, matrix.cols, columns)
+    norm = 1 + Fraction(5, 4) * v * v
+    assert norm.is_rational() and norm != 1
+    assert column_gram_deviation(bad) == (col, col, norm)
+
+
+def cancelling_pair(sign):
+    """Two unit vectors whose products sit under the keys 6*10 and 15*1:
+    both sums are nonzero, and sqrt(60) = 2*sqrt(15) cancels the other
+    only after the fold, when sign is -1."""
+    a = {0: sqrt_rational(Fraction(6, 25)), 1: sqrt_rational(Fraction(15, 25)),
+         2: ONE * Fraction(2, 5)}
+    b = {0: sqrt_rational(Fraction(10, 25)), 1: ONE * Fraction(2 * sign, 5),
+         3: sqrt_rational(Fraction(11, 25))}
+    return a, b
+
+
+def test_a_pair_that_cancels_only_after_the_fold_is_orthogonal():
+    assert gram_deviation("ab", cancelling_pair(-1), lambda label: 0) is None
+    assert gram_deviation("ab", cancelling_pair(1), lambda label: 0) == (
+        "a", "b", sqrt_rational(Fraction(16 * 15, 625)))
 
 
 @pytest.mark.parametrize("twice", [(5, 1), (5, 3), (5, 5)])

@@ -1,6 +1,7 @@
 """SO(3) layer: tabulated values, phases, exact orthogonality relations."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given
@@ -50,6 +51,18 @@ def test_malformed_keys_refused():
         su2_cg(-2, 0, 2, 0, 2, 0)
 
 
+@pytest.mark.parametrize("args,message", [
+    ((-1, 1, 2, 0, 1, 1), "first factor: negative spin -1/2"),
+    ((2, 4, 2, -2, 2, 2), "first factor: |m| exceeds j (2 vs 1)"),
+    ((3, 2, 1, 1, 2, 2), "first factor: m not in the j ladder (1 vs 3/2)"),
+    ((2, 0, 1, -3, 3, -3), "second factor: |m| exceeds j (-3/2 vs 1/2)"),
+    ((2, 0, 2, 0, -4, 0), "total: negative spin -2")])
+def test_malformed_key_messages_write_spins_as_half_integers(args, message):
+    with pytest.raises(MalformedKey) as caught:
+        su2_cg(*args)
+    assert str(caught.value) == message
+
+
 @pytest.mark.parametrize("args", [
     (True, True, 0, 0, 1, 1), (2, 0, 2, 0, 2, False), (2.0, 0, 2, 0, 2, 0),
     (2, 0, 2, 0, Fraction(2), 0)])
@@ -91,3 +104,46 @@ def test_orthogonality_random_column_pair(tj1, tj2, data):
         acc = acc + su2_cg(tj1, tm1, tj2, tm2, ja, tM) * su2_cg(
             tj1, tm1, tj2, tm2, jb, tM)
     assert acc == (ONE if ja == jb else ZERO)
+
+
+def reference_cg(tj1, tm1, tj2, tm2, tJ, tM):
+    """Racah's formula on Fractions, the form su2_cg took before it moved
+    to plain ints; valid doubled arguments with m1 + m2 = M only."""
+    if not abs(tj1 - tj2) <= tJ <= tj1 + tj2 or (tj1 + tj2 + tJ) % 2:
+        return ZERO
+
+    def f(twice):
+        assert twice % 2 == 0 and twice >= 0
+        return factorial(twice // 2)
+
+    norm = Fraction(
+        (tJ + 1) * f(tj1 + tj2 - tJ) * f(tj1 - tj2 + tJ) * f(-tj1 + tj2 + tJ)
+        * f(tJ + tM) * f(tJ - tM) * f(tj1 - tm1) * f(tj1 + tm1)
+        * f(tj2 - tm2) * f(tj2 + tm2),
+        f(tj1 + tj2 + tJ + 2))
+    k_min = max(0, -(tJ - tj2 + tm1) // 2, -(tJ - tj1 - tm2) // 2)
+    k_max = min((tj1 + tj2 - tJ) // 2, (tj1 - tm1) // 2, (tj2 + tm2) // 2)
+    total = Fraction(0)
+    for k in range(k_min, k_max + 1):
+        tk = 2 * k
+        den = (factorial(k) * f(tj1 + tj2 - tJ - tk) * f(tj1 - tm1 - tk)
+               * f(tj2 + tm2 - tk) * f(tJ - tj2 + tm1 + tk)
+               * f(tJ - tj1 - tm2 + tk))
+        total += Fraction(-1 if k % 2 else 1, den)
+    return sqrt_rational(norm) * total
+
+
+def test_every_coefficient_up_to_2j_8_matches_the_fraction_formula():
+    count = 0
+    for tj1 in range(9):
+        for tj2 in range(9):
+            for tJ in range(abs(tj1 - tj2), min(tj1 + tj2, 8) + 1, 2):
+                for tm1 in range(-tj1, tj1 + 1, 2):
+                    for tm2 in range(-tj2, tj2 + 1, 2):
+                        tM = tm1 + tm2
+                        if abs(tM) > tJ:
+                            continue
+                        args = (tj1, tm1, tj2, tm2, tJ, tM)
+                        assert su2_cg(*args) == reference_cg(*args), args
+                        count += 1
+    assert count == 4451
