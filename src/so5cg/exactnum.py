@@ -35,6 +35,16 @@ def _coerce_terms(value) -> tuple[tuple[int, int, int], ...]:
     return NotImplemented
 
 
+def _term_float(rad: int, num: int, den: int) -> float:
+    """num/den * sqrt(rad) as a float; a radicand past the float range is
+    folded into one Fraction first, whose value may still be small."""
+    try:
+        return num / den * _fsqrt(rad)
+    except OverflowError:
+        value = _fsqrt(Fraction(num * num * rad, den * den))
+        return value if num > 0 else -value
+
+
 class SqrtSum:
     """Immutable exact number: a rational combination of square roots."""
 
@@ -76,7 +86,7 @@ class SqrtSum:
         raise ValueError(f"not a rational value: {self}")
 
     def __float__(self) -> float:
-        return float(sum(num / den * _fsqrt(rad) for rad, num, den in self._terms))
+        return float(sum(_term_float(*term) for term in self._terms))
 
     # -- ring operations ---------------------------------------------
 

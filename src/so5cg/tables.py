@@ -16,18 +16,31 @@ source exactly when every normalization factor is positive.
 
 Each fact is written once.  A row's denominator depends only on its entry,
 so each entry's denominator is written once (_ENTRY_DEN) for every table.
-Each table writes its ten rows with tdj1 >= tdj2; the four with tdj1 < tdj2,
-the entries (0,+1), (-1,0), (-1,+1) and (-1/2,+1/2), are the swaps of the
-rows (+1,0), (0,-1), (+1,-1) and (+1/2,-1/2).  The swap of the row of entry
-(dj1, dj2) is the row of entry (dj2, dj1) with j1 and j2 exchanged in its
-outer and numerator forms and in its polynomial, and its sign times sigma:
+Each table writes in full only the five rows that no swap or reflection
+reaches: (+1,+1), (+1,0) and (0,0) on part (1,1), (+1/2,+1/2), and (0,0) on
+part (0,0).  Each of the other nine is read off a partner row (_DERIVED): a
+change of (j1, j2) is made in the partner's outer and numerator forms and in
+its polynomial, each numerator form is oriented to be positive at one
+interior point, doubled (tj1, tj2, tb1, tb2) = (23, 17, 40, 18), and the row
+takes the denominator of its own entry.
+
+The j1<->j2 swap gives the four rows with tdj1 < tdj2, (0,+1), (-1,0),
+(-1,+1) and (-1/2,+1/2), with the partner's sign times sigma:
 
     row[(dj2, dj1)](j2, j1; b) = sigma * row[(dj1, dj2)](j1, j2; b),
 
 with sigma = -1 for the two half-shift channels (doubled shifts (1,1) and
 (1,-1)) and +1 for the other raising channels, the diagonal channel and its
-companion.  The derived rows keep their swapped text, so each row can still
-be read and checked against its own strings.
+companion.  The SO(3) reflections R1: j1 -> -j1-1 and R2: j2 -> -j2-1 fix
+j(j+1) and take the entry (dj1, dj2) to (-dj1, dj2) and (dj1, -dj2).  R2
+gives (+1,-1), (0,-1) and (+1/2,-1/2) from (+1,+1), (0,+1) and (+1/2,+1/2),
+and R1R2 gives (-1,-1) and (-1/2,-1/2) from (+1,+1) and (+1/2,+1/2).  A
+reflected row is its partner's formula up to one constant sign, for which no
+rule in the channel and the entry is known, so each table writes the sign
+of each of its five reflected rows, as their derived text reads, and
+nothing else of them.  Every derived
+row keeps its text, so each row can still be read and checked against its
+own strings.
 
 The formulas are written below in the form a reader checks against the
 paper: strings of linear forms and Python polynomials in the spins.  At
@@ -65,6 +78,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import mul
 from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 from ._formula import IntPoly, Lin, Poly, _int_poly, _lins, _pieces
@@ -130,7 +144,8 @@ class RowSpec(NamedTuple):
     """One table row of a coupling channel.
 
     The formula is kept as written (sign, scale, srad and the strings of
-    linear forms, poly with its source), or for a swapped row as derived;
+    linear forms, poly with its source), or for a derived row as read off
+    its partner;
     ``const``, ``outer_lins``, ``num_lins`` and ``den_lins`` are the same
     formula compiled.
     """
@@ -193,20 +208,75 @@ def _row(tdj1: int, tdj2: int, part: So4Label, sign: int, scale: str,
                    compiled, num, den, const, outer_lins, num_lins, den_lins)
 
 
-def _swapped(text: str) -> str:
-    """Linear forms as written, with j1 and j2 swapped."""
-    return text.replace("j1", "j_").replace("j2", "j1").replace("j_", "j2")
+def _form(lin: Lin) -> str:
+    """A compiled linear form as written: (2, -2, 2, -2, 2) is "j1-j2+b1-b2+1"."""
+    form = ""
+    for c, name in zip(lin, ("j1", "j2", "b1", "b2")):
+        if c:
+            form += (("-" if c < 0 else "+" if form else "")
+                     + (str(abs(c)) if abs(c) != 1 else "") + name)
+    return f"{form}{lin[4] // 2:+d}" if lin[4] else form
 
 
-def _swap(row: RowSpec, sigma: int) -> RowSpec:
-    """The row of entry (tdj2, tdj1) from the row of (tdj1, tdj2): j1 and j2
-    swapped in its outer and numerator forms and in its polynomial, the
-    denominator of its own entry, and its sign times sigma."""
-    key, source = row.key, None if row.poly is None else row.poly.source
+# The changes of (j1, j2) that read a row off its partner: the j1<->j2 swap,
+# and the reflections j2 -> -j2-1 (R2) and (j1, j2) -> (-j1-1, -j2-1) (R1R2).
+# Each is given as its map of a compiled linear form, whose value is
+# c_j1*tj1 + c_j2*tj2 + ... + c_0 at the doubled spins, and as its map of
+# (j1, j2) for a polynomial.
+_CHANGES = {
+    "swap": (lambda c: (c[1], c[0], c[2], c[3], c[4]),
+            lambda j1, j2: (j2, j1)),
+    "R2": (lambda c: (c[0], -c[1], c[2], c[3], c[4] - 2 * c[1]),
+           lambda j1, j2: (j1, -j2 - 1)),
+    "R1R2": (lambda c: (-c[0], -c[1], c[2], c[3], c[4] - 2 * (c[0] + c[1])),
+             lambda j1, j2: (-j1 - 1, -j2 - 1)),
+}
+
+# Each of the nine rows a table does not write in full, read off its partner,
+# in an order that builds every partner first: (entry, partner, change).
+_DERIVED = tuple((EntryShift(*key), EntryShift(*partner), change)
+                 for key, partner, change in (
+    ((0, 2, PART_11), (2, 0, PART_11), "swap"),
+    ((2, -2, PART_11), (2, 2, PART_11), "R2"),
+    ((0, -2, PART_11), (0, 2, PART_11), "R2"),
+    ((1, -1, PART_HH), (1, 1, PART_HH), "R2"),
+    ((-2, -2, PART_11), (2, 2, PART_11), "R1R2"),
+    ((-1, -1, PART_HH), (1, 1, PART_HH), "R1R2"),
+    ((-2, 0, PART_11), (0, -2, PART_11), "swap"),
+    ((-2, 2, PART_11), (2, -2, PART_11), "swap"),
+    ((-1, 1, PART_HH), (1, -1, PART_HH), "swap"),
+))
+
+# The doubled (tj1, tj2, tb1, tb2) of an interior point, and 1: each derived
+# numerator form is oriented to be positive there.
+_INTERIOR = (23, 17, 40, 18, 1)
+
+
+def _derive(row: RowSpec, key: EntryShift, change: str, sign: int) -> RowSpec:
+    """The row of entry key read off its partner row: the change of (j1, j2)
+    made in its outer and numerator forms and in its polynomial, each
+    numerator form then oriented positive at _INTERIOR, the denominator of
+    its own entry, and the sign given."""
+    lin, spins = _CHANGES[change]
+    source = None if row.poly is None else row.poly.source
     poly = None if source is None else (
-        lambda j1, j2, b1, b2: source(j2, j1, b1, b2))
-    return _row(key.tdj2, key.tdj1, key.part, sigma * row.sign, row.scale,
-                row.srad, _swapped(row.outer), poly, _swapped(row.num))
+        lambda j1, j2, b1, b2: source(*spins(j1, j2), b1, b2))
+    num = [c if sum(map(mul, c, _INTERIOR)) > 0 else tuple(-x for x in c)
+           for c in map(lin, row.num_lins)]
+    return _row(key.tdj1, key.tdj2, key.part, sign, row.scale, row.srad,
+                "; ".join(_form(lin(c)) for c in row.outer_lins), poly,
+                "; ".join(map(_form, num)))
+
+
+class _Reflected(NamedTuple):
+    """A row written by its sign only, its text read off its partner."""
+
+    key: EntryShift
+    sign: int
+
+
+def _reflected(tdj1: int, tdj2: int, part: So4Label, sign: int) -> _Reflected:
+    return _Reflected(EntryShift(tdj1, tdj2, part), sign)
 
 
 class ChannelTable(NamedTuple):
@@ -295,11 +365,12 @@ class ChannelTable(NamedTuple):
 
 
 def _channel(shift: tuple[int, int], norm_factors: Union[str, tuple[Poly, ...]],
-             rows: tuple[RowSpec, ...], norm_scale: str = "1",
-             norm_srad: str = "1") -> ChannelTable:
+             rows: tuple[Union[RowSpec, _Reflected], ...],
+             norm_scale: str = "1", norm_srad: str = "1") -> ChannelTable:
     """A channel from its formulas; norm_factors is a string of linear
-    forms or a tuple of polynomials.  rows are the ten written rows, those
-    with tdj1 >= tdj2; the other four are swaps of those with tdj1 > tdj2."""
+    forms or a tuple of polynomials.  rows are the ten rows with
+    tdj1 >= tdj2: five written in full and five reflected, given by their
+    sign; the other four are swaps (_DERIVED)."""
     if isinstance(norm_factors, str):
         norm_factors = tuple(_pieces(norm_factors))
     compiled = tuple(_int_poly(f) for f in norm_factors)
@@ -308,14 +379,18 @@ def _channel(shift: tuple[int, int], norm_factors: Union[str, tuple[Poly, ...]],
     # The swap's sign: -1 for the half-shift channels, whose doubled shift
     # is odd.
     sigma = -1 if shift[0] % 2 else 1
-    table = {r.key: r for r in rows}
-    for r in rows:
-        if r.key.tdj1 > r.key.tdj2:
-            swapped = _swap(r, sigma)
-            table[swapped.key] = swapped
-    if len(rows) != 10 or len(table) != 14:
-        raise ValueError("a channel table writes 10 distinct rows with "
-                         "tdj1 >= tdj2 and swaps 4 of them")
+    table = {r.key: r for r in rows if isinstance(r, RowSpec)}
+    signs = {r.key: r.sign for r in rows if isinstance(r, _Reflected)}
+    if (len(table) != 5 or table.keys() & {key for key, _, _ in _DERIVED}
+            or signs.keys() != {key for key, _, change in _DERIVED
+                                if change != "swap"}):
+        raise ValueError("a channel table writes the 5 rows no swap or "
+                         "reflection reaches and the signs of the 5 reflected")
+    for key, partner, change in _DERIVED:
+        row = table[partner]
+        table[key] = _derive(
+            row, key, change,
+            sigma * row.sign if change == "swap" else signs[key])
     return ChannelTable(shift, norm_scale, norm_srad, compiled, const, table)
 
 
@@ -396,22 +471,13 @@ RAISING_TABLES[(2, 2)] = _channel(
              num="j1+j2+b1-b2+2; j1+j2+b1-b2+3; j1+j2-b1+b2+1; j1+j2-b1+b2+2;"
                  "j1-j2+b1+b2+2; j1-j2+b1+b2+3; -j1+j2+b1+b2+2; -j1+j2+b1+b2+3;"
                  "j1+j2+b1+b2+3; j1+j2+b1+b2+4; j1+j2+b1+b2+5; j1+j2+b1+b2+6"),
-        _row(-2, -2, PART_11, +1, "1/4",
-             num="j1+j2+b1-b2; j1+j2+b1-b2+1; j1+j2-b1+b2-1; j1+j2-b1+b2;"
-                 "-j1-j2+b1+b2+1; -j1-j2+b1+b2+2; -j1-j2+b1+b2+3; -j1-j2+b1+b2+4;"
-                 "j1-j2+b1+b2+2; j1-j2+b1+b2+3; -j1+j2+b1+b2+2; -j1+j2+b1+b2+3"),
-        _row(2, -2, PART_11, +1, "1/4",
-             num="j1-j2+b1-b2+1; j1-j2+b1-b2+2; -j1+j2+b1-b2-1; -j1+j2+b1-b2;"
-                 "-j1-j2+b1+b2+1; -j1-j2+b1+b2+2; j1-j2+b1+b2+2; j1-j2+b1+b2+3;"
-                 "j1-j2+b1+b2+4; j1-j2+b1+b2+5; j1+j2+b1+b2+3; j1+j2+b1+b2+4"),
+        _reflected(-2, -2, PART_11, +1),
+        _reflected(2, -2, PART_11, +1),
         _row(2, 0, PART_11, +1, "1/4",
              num="j1-j2+b1-b2+1; -j1+j2+b1-b2; j1+j2+b1-b2+2; j1+j2-b1+b2+1;"
                  "-j1-j2+b1+b2+1; j1-j2+b1+b2+2; j1-j2+b1+b2+3; j1-j2+b1+b2+4;"
                  "-j1+j2+b1+b2+2; j1+j2+b1+b2+3; j1+j2+b1+b2+4; j1+j2+b1+b2+5"),
-        _row(0, -2, PART_11, -1, "1/4",
-             num="j1-j2+b1-b2+1; -j1+j2+b1-b2; j1+j2+b1-b2+1; j1+j2-b1+b2;"
-                 "-j1-j2+b1+b2+1; -j1-j2+b1+b2+2; -j1-j2+b1+b2+3; j1-j2+b1+b2+2;"
-                 "j1-j2+b1+b2+3; j1-j2+b1+b2+4; -j1+j2+b1+b2+2; j1+j2+b1+b2+3"),
+        _reflected(0, -2, PART_11, -1),
         _row(0, 0, PART_11, -1, "1/4", poly=_shift_pp_swave_poly,
              num="-j1-j2+b1+b2+1; -j1-j2+b1+b2+2; j1-j2+b1+b2+2; j1-j2+b1+b2+3;"
                  "-j1+j2+b1+b2+2; -j1+j2+b1+b2+3; j1+j2+b1+b2+3; j1+j2+b1+b2+4"),
@@ -419,14 +485,8 @@ RAISING_TABLES[(2, 2)] = _channel(
              num="j1+j2+b1-b2+2; j1+j2-b1+b2+1; -j1-j2+b1+b2+1; j1-j2+b1+b2+2;"
                  "j1-j2+b1+b2+3; -j1+j2+b1+b2+2; -j1+j2+b1+b2+3; j1+j2+b1+b2+3;"
                  "j1+j2+b1+b2+4; j1+j2+b1+b2+5"),
-        _row(-1, -1, PART_HH, -1, "1/2",
-             num="j1+j2+b1-b2+1; j1+j2-b1+b2; -j1-j2+b1+b2+1; -j1-j2+b1+b2+2;"
-                 "-j1-j2+b1+b2+3; j1-j2+b1+b2+2; j1-j2+b1+b2+3; -j1+j2+b1+b2+2;"
-                 "-j1+j2+b1+b2+3; j1+j2+b1+b2+3"),
-        _row(1, -1, PART_HH, +1, "1/2",
-             num="j1-j2+b1-b2+1; -j1+j2+b1-b2; -j1-j2+b1+b2+1; -j1-j2+b1+b2+2;"
-                 "j1-j2+b1+b2+2; j1-j2+b1+b2+3; j1-j2+b1+b2+4; -j1+j2+b1+b2+2;"
-                 "j1+j2+b1+b2+3; j1+j2+b1+b2+4"),
+        _reflected(-1, -1, PART_HH, -1),
+        _reflected(1, -1, PART_HH, +1),
         _row(0, 0, PART_00, +1, "1/2", srad="5",
              num="-j1-j2+b1+b2+1; -j1-j2+b1+b2+2; j1-j2+b1+b2+2; j1-j2+b1+b2+3;"
                  "-j1+j2+b1+b2+2; -j1+j2+b1+b2+3; j1+j2+b1+b2+3; j1+j2+b1+b2+4"),
@@ -442,26 +502,15 @@ RAISING_TABLES[(2, 0)] = _channel(
              num="j1-j2+b1-b2+1; -j1+j2+b1-b2+1; j1+j2+b1-b2+2; j1+j2+b1-b2+3;"
                  "j1+j2+b1-b2+4; j1+j2-b1+b2+1; -j1-j2+b1+b2; j1-j2+b1+b2+2;"
                  "-j1+j2+b1+b2+2; j1+j2+b1+b2+3; j1+j2+b1+b2+4; j1+j2+b1+b2+5"),
-        _row(-2, -2, PART_11, +1, "1/4",
-             num="j1-j2+b1-b2+1; -j1+j2+b1-b2+1; j1+j2+b1-b2+1; j1+j2-b1+b2-2;"
-                 "j1+j2-b1+b2-1; j1+j2-b1+b2; -j1-j2+b1+b2+1; -j1-j2+b1+b2+2;"
-                 "-j1-j2+b1+b2+3; j1-j2+b1+b2+2; -j1+j2+b1+b2+2; j1+j2+b1+b2+2"),
-        _row(2, -2, PART_11, +1, "1/4",
-             num="j1-j2+b1-b2+1; j1-j2+b1-b2+2; j1-j2+b1-b2+3; -j1+j2+b1-b2;"
-                 "j1+j2+b1-b2+2; j1+j2-b1+b2; -j1-j2+b1+b2+1; j1-j2+b1+b2+2;"
-                 "j1-j2+b1+b2+3; j1-j2+b1+b2+4; -j1+j2+b1+b2+1; j1+j2+b1+b2+3"),
+        _reflected(-2, -2, PART_11, +1),
+        _reflected(2, -2, PART_11, +1),
         _row(2, 0, PART_11, +1, "1/4",
              poly=lambda j1, j2, b1, b2: (-j1 * j1 + (2 * b1 + 1) * j1
                                           + j2 * j2 - b1 * b1 + b2 * b2
                                           + j2 - b1 + b2),
              num="j1-j2+b1-b2+1; j1-j2+b1-b2+2; j1+j2+b1-b2+2; j1+j2+b1-b2+3;"
                  "j1-j2+b1+b2+2; j1-j2+b1+b2+3; j1+j2+b1+b2+3; j1+j2+b1+b2+4"),
-        _row(0, -2, PART_11, +1, "1/4",
-             poly=lambda j1, j2, b1, b2: (j1 * j1 + j1 - j2 * j2
-                                          - b1 * b1 + b2 * b2 - 3 * b1
-                                          - j2 * (2 * b1 + 3) + b2 - 2),
-             num="j1-j2+b1-b2+1; j1-j2+b1-b2+2; j1+j2-b1+b2-1; j1+j2-b1+b2;"
-                 "-j1-j2+b1+b2+1; -j1-j2+b1+b2+2; j1-j2+b1+b2+2; j1-j2+b1+b2+3"),
+        _reflected(0, -2, PART_11, +1),
         _row(0, 0, PART_11, -1, "1/4",
              poly=lambda j1, j2, b1, b2: (j1 * j1 + j1 + j2 * j2 + j2
                                           - b1 * b1 + b2 * b2
@@ -471,12 +520,8 @@ RAISING_TABLES[(2, 0)] = _channel(
         _row(1, 1, PART_HH, +1, "1/2", outer="j1+j2-b1",
              num="j1-j2+b1-b2+1; -j1+j2+b1-b2+1; j1+j2+b1-b2+2; j1+j2+b1-b2+3;"
                  "j1-j2+b1+b2+2; -j1+j2+b1+b2+2; j1+j2+b1+b2+3; j1+j2+b1+b2+4"),
-        _row(-1, -1, PART_HH, -1, "1/2", outer="j1+j2+b1+2",
-             num="j1-j2+b1-b2+1; -j1+j2+b1-b2+1; j1+j2-b1+b2-1; j1+j2-b1+b2;"
-                 "-j1-j2+b1+b2+1; -j1-j2+b1+b2+2; j1-j2+b1+b2+2; -j1+j2+b1+b2+2"),
-        _row(1, -1, PART_HH, +1, "1/2", outer="-j1+j2+b1+1",
-             num="j1-j2+b1-b2+1; j1-j2+b1-b2+2; j1+j2+b1-b2+2; j1+j2-b1+b2;"
-                 "-j1-j2+b1+b2+1; j1-j2+b1+b2+2; j1-j2+b1+b2+3; j1+j2+b1+b2+3"),
+        _reflected(-1, -1, PART_HH, +1),
+        _reflected(1, -1, PART_HH, -1),
         _row(0, 0, PART_00, +1, "1/2", srad="5",
              num="j1-j2+b1-b2+1; -j1+j2+b1-b2+1; j1+j2+b1-b2+2; j1+j2-b1+b2;"
                  "-j1-j2+b1+b2+1; j1-j2+b1+b2+2; -j1+j2+b1+b2+2; j1+j2+b1+b2+3"),
@@ -492,26 +537,15 @@ RAISING_TABLES[(0, 2)] = _channel(
              num="j1-j2+b1-b2; -j1+j2+b1-b2; j1+j2+b1-b2+2; j1+j2-b1+b2+1;"
                  "j1+j2-b1+b2+2; j1+j2-b1+b2+3; -j1-j2+b1+b2; j1-j2+b1+b2+2;"
                  "-j1+j2+b1+b2+2; j1+j2+b1+b2+3; j1+j2+b1+b2+4; j1+j2+b1+b2+5"),
-        _row(-2, -2, PART_11, -1, "1/2", srad="1/2",
-             num="j1-j2+b1-b2; -j1+j2+b1-b2; j1+j2+b1-b2-1; j1+j2+b1-b2;"
-                 "j1+j2+b1-b2+1; j1+j2-b1+b2; -j1-j2+b1+b2+1; -j1-j2+b1+b2+2;"
-                 "-j1-j2+b1+b2+3; j1-j2+b1+b2+2; -j1+j2+b1+b2+2; j1+j2+b1+b2+2"),
-        _row(2, -2, PART_11, +1, "1/2", srad="1/2",
-             num="j1-j2+b1-b2+1; -j1+j2+b1-b2-2; -j1+j2+b1-b2-1; -j1+j2+b1-b2;"
-                 "j1+j2+b1-b2+1; j1+j2-b1+b2+1; -j1-j2+b1+b2+1; j1-j2+b1+b2+2;"
-                 "j1-j2+b1+b2+3; j1-j2+b1+b2+4; -j1+j2+b1+b2+1; j1+j2+b1+b2+3"),
+        _reflected(-2, -2, PART_11, -1),
+        _reflected(2, -2, PART_11, +1),
         _row(2, 0, PART_11, +1, "1/2", srad="1/2",
              poly=lambda j1, j2, b1, b2: (-j1 * j1 + 2 * b2 * j1 + j2 * j2
                                           + b1 * b1 - b2 * b2 + j2
                                           + 2 * b1 + 1),
              num="j1-j2-b1+b2; j1-j2-b1+b2+1; j1+j2-b1+b2+1; j1+j2-b1+b2+2;"
                  "j1-j2+b1+b2+2; j1-j2+b1+b2+3; j1+j2+b1+b2+3; j1+j2+b1+b2+4"),
-        _row(0, -2, PART_11, +1, "1/2", srad="1/2",
-             poly=lambda j1, j2, b1, b2: (j1 * j1 + j1 - j2 * j2
-                                          + b1 * b1 - b2 * b2 + 2 * b1
-                                          - 2 * b2 - 2 * j2 * (b2 + 1)),
-             num="-j1+j2+b1-b2-1; -j1+j2+b1-b2; j1+j2+b1-b2; j1+j2+b1-b2+1;"
-                 "-j1-j2+b1+b2+1; -j1-j2+b1+b2+2; j1-j2+b1+b2+2; j1-j2+b1+b2+3"),
+        _reflected(0, -2, PART_11, +1),
         _row(0, 0, PART_11, +1, "1/2", srad="1/2",
              poly=lambda j1, j2, b1, b2: (j1 * j1 + j1 + j2 * j2 + j2
                                           + b1 * b1 - b2 * b2
@@ -521,12 +555,8 @@ RAISING_TABLES[(0, 2)] = _channel(
         _row(1, 1, PART_HH, -1, "1/2", srad="1/2", outer="2j1+2j2-2b2+1",
              num="j1-j2+b1-b2; -j1+j2+b1-b2; j1+j2-b1+b2+1; j1+j2-b1+b2+2;"
                  "j1-j2+b1+b2+2; -j1+j2+b1+b2+2; j1+j2+b1+b2+3; j1+j2+b1+b2+4"),
-        _row(-1, -1, PART_HH, +1, "1/2", srad="1/2", outer="2j1+2j2+2b2+3",
-             num="j1-j2+b1-b2; -j1+j2+b1-b2; j1+j2+b1-b2; j1+j2+b1-b2+1;"
-                 "-j1-j2+b1+b2+1; -j1-j2+b1+b2+2; j1-j2+b1+b2+2; -j1+j2+b1+b2+2"),
-        _row(1, -1, PART_HH, +1, "1/2", srad="1/2", outer="-2j1+2j2+2b2+1",
-             num="-j1+j2+b1-b2-1; -j1+j2+b1-b2; j1+j2+b1-b2+1; j1+j2-b1+b2+1;"
-                 "-j1-j2+b1+b2+1; j1-j2+b1+b2+2; j1-j2+b1+b2+3; j1+j2+b1+b2+3"),
+        _reflected(-1, -1, PART_HH, -1),
+        _reflected(1, -1, PART_HH, -1),
         _row(0, 0, PART_00, -1, "1", srad="5/2",
              num="j1-j2+b1-b2; -j1+j2+b1-b2; j1+j2+b1-b2+1; j1+j2-b1+b2+1;"
                  "-j1-j2+b1+b2+1; j1-j2+b1+b2+2; -j1+j2+b1+b2+2; j1+j2+b1+b2+3"),
@@ -542,22 +572,13 @@ RAISING_TABLES[(2, -2)] = _channel(
              num="j1-j2+b1-b2+1; j1-j2+b1-b2+2; -j1+j2+b1-b2+1; -j1+j2+b1-b2+2;"
                  "j1+j2+b1-b2+2; j1+j2+b1-b2+3; j1+j2+b1-b2+4; j1+j2+b1-b2+5;"
                  "-j1-j2+b1+b2-1; -j1-j2+b1+b2; j1+j2+b1+b2+3; j1+j2+b1+b2+4"),
-        _row(-2, -2, PART_11, +1, "1/4",
-             num="j1-j2+b1-b2+1; j1-j2+b1-b2+2; -j1+j2+b1-b2+1; -j1+j2+b1-b2+2;"
-                 "j1+j2-b1+b2-3; j1+j2-b1+b2-2; j1+j2-b1+b2-1; j1+j2-b1+b2;"
-                 "-j1-j2+b1+b2+1; -j1-j2+b1+b2+2; j1+j2+b1+b2+1; j1+j2+b1+b2+2"),
-        _row(2, -2, PART_11, +1, "1/4",
-             num="j1-j2+b1-b2+1; j1-j2+b1-b2+2; j1-j2+b1-b2+3; j1-j2+b1-b2+4;"
-                 "j1+j2+b1-b2+2; j1+j2+b1-b2+3; j1+j2-b1+b2-1; j1+j2-b1+b2;"
-                 "j1-j2+b1+b2+2; j1-j2+b1+b2+3; -j1+j2+b1+b2; -j1+j2+b1+b2+1"),
+        _reflected(-2, -2, PART_11, +1),
+        _reflected(2, -2, PART_11, +1),
         _row(2, 0, PART_11, -1, "1/4",
              num="j1-j2+b1-b2+1; j1-j2+b1-b2+2; j1-j2+b1-b2+3; -j1+j2+b1-b2+1;"
                  "j1+j2+b1-b2+2; j1+j2+b1-b2+3; j1+j2+b1-b2+4; j1+j2-b1+b2;"
                  "-j1-j2+b1+b2; j1-j2+b1+b2+2; -j1+j2+b1+b2+1; j1+j2+b1+b2+3"),
-        _row(0, -2, PART_11, -1, "1/4",
-             num="j1-j2+b1-b2+1; j1-j2+b1-b2+2; j1-j2+b1-b2+3; -j1+j2+b1-b2+1;"
-                 "j1+j2+b1-b2+2; j1+j2-b1+b2-2; j1+j2-b1+b2-1; j1+j2-b1+b2;"
-                 "-j1-j2+b1+b2+1; j1-j2+b1+b2+2; -j1+j2+b1+b2+1; j1+j2+b1+b2+2"),
+        _reflected(0, -2, PART_11, -1),
         _row(0, 0, PART_11, +1, "1/4",
              poly=lambda j1, j2, b1, b2: (2 * j1 * j2
                                           + (-j1 - j2 + b1 + b2 + 1)
@@ -568,14 +589,8 @@ RAISING_TABLES[(2, -2)] = _channel(
              num="j1-j2+b1-b2+1; j1-j2+b1-b2+2; -j1+j2+b1-b2+1; -j1+j2+b1-b2+2;"
                  "j1+j2+b1-b2+2; j1+j2+b1-b2+3; j1+j2+b1-b2+4; j1+j2-b1+b2;"
                  "-j1-j2+b1+b2; j1+j2+b1+b2+3"),
-        _row(-1, -1, PART_HH, -1, "1/2",
-             num="j1-j2+b1-b2+1; j1-j2+b1-b2+2; -j1+j2+b1-b2+1; -j1+j2+b1-b2+2;"
-                 "j1+j2+b1-b2+2; j1+j2-b1+b2-2; j1+j2-b1+b2-1; j1+j2-b1+b2;"
-                 "-j1-j2+b1+b2+1; j1+j2+b1+b2+2"),
-        _row(1, -1, PART_HH, +1, "1/2",
-             num="j1-j2+b1-b2+1; j1-j2+b1-b2+2; j1-j2+b1-b2+3; -j1+j2+b1-b2+1;"
-                 "j1+j2+b1-b2+2; j1+j2+b1-b2+3; j1+j2-b1+b2-1; j1+j2-b1+b2;"
-                 "j1-j2+b1+b2+2; -j1+j2+b1+b2+1"),
+        _reflected(-1, -1, PART_HH, -1),
+        _reflected(1, -1, PART_HH, +1),
         _row(0, 0, PART_00, +1, "1/2", srad="5",
              num="j1-j2+b1-b2+1; j1-j2+b1-b2+2; -j1+j2+b1-b2+1; -j1+j2+b1-b2+2;"
                  "j1+j2+b1-b2+2; j1+j2+b1-b2+3; j1+j2-b1+b2-1; j1+j2-b1+b2"),
@@ -591,24 +606,14 @@ RAISING_TABLES[(1, 1)] = _channel(
              num="j1+j2+b1-b2+2; j1+j2+b1-b2+3; j1+j2-b1+b2+1; j1+j2-b1+b2+2;"
                  "-j1-j2+b1+b2; j1-j2+b1+b2+2; -j1+j2+b1+b2+2; j1+j2+b1+b2+3;"
                  "j1+j2+b1+b2+4; j1+j2+b1+b2+5"),
-        _row(-2, -2, PART_11, +1, "1/2", srad="1/2", outer="j1-j2",
-             num="j1+j2+b1-b2; j1+j2+b1-b2+1; j1+j2-b1+b2-1; j1+j2-b1+b2;"
-                 "-j1-j2+b1+b2+1; -j1-j2+b1+b2+2; -j1-j2+b1+b2+3; j1-j2+b1+b2+2;"
-                 "-j1+j2+b1+b2+2; j1+j2+b1+b2+2"),
-        _row(2, -2, PART_11, -1, "1/2", srad="1/2", outer="j1+j2+1",
-             num="j1-j2+b1-b2+1; j1-j2+b1-b2+2; -j1+j2+b1-b2-1; -j1+j2+b1-b2;"
-                 "-j1-j2+b1+b2+1; j1-j2+b1+b2+2; j1-j2+b1+b2+3; j1-j2+b1+b2+4;"
-                 "-j1+j2+b1+b2+1; j1+j2+b1+b2+3"),
+        _reflected(-2, -2, PART_11, -1),
+        _reflected(2, -2, PART_11, -1),
         _row(2, 0, PART_11, -1, "1/2", srad="1/2",
              poly=lambda j1, j2, b1, b2: (j2 * (j2 + 1)
                                           + (j1 + 1) * (-j1 + b1 + b2 + 1)),
              num="j1-j2+b1-b2+1; -j1+j2+b1-b2; j1+j2+b1-b2+2; j1+j2-b1+b2+1;"
                  "j1-j2+b1+b2+2; j1-j2+b1+b2+3; j1+j2+b1+b2+3; j1+j2+b1+b2+4"),
-        _row(0, -2, PART_11, -1, "1/2", srad="1/2",
-             poly=lambda j1, j2, b1, b2: (j1 * j1 + j1
-                                          - j2 * (j2 + b1 + b2 + 2)),
-             num="j1-j2+b1-b2+1; -j1+j2+b1-b2; j1+j2+b1-b2+1; j1+j2-b1+b2;"
-                 "-j1-j2+b1+b2+1; -j1-j2+b1+b2+2; j1-j2+b1+b2+2; j1-j2+b1+b2+3"),
+        _reflected(0, -2, PART_11, -1),
         _row(0, 0, PART_11, +1, "1/2", srad="1/2", outer="j1-j2; j1+j2+1",
              poly=lambda j1, j2, b1, b2: (-j1 * j1 - j1 - j2 * j2 - j2
                                           + (b1 - b2) * (b1 - b2 + 1)),
@@ -617,14 +622,8 @@ RAISING_TABLES[(1, 1)] = _channel(
              outer="j1-j2; 2j1+2j2-b1-b2+1",
              num="j1+j2+b1-b2+2; j1+j2-b1+b2+1; j1-j2+b1+b2+2; -j1+j2+b1+b2+2;"
                  "j1+j2+b1+b2+3; j1+j2+b1+b2+4"),
-        _row(-1, -1, PART_HH, -1, "1/2", srad="1/2",
-             outer="j1-j2; 2j1+2j2+b1+b2+3",
-             num="j1+j2+b1-b2+1; j1+j2-b1+b2; -j1-j2+b1+b2+1; -j1-j2+b1+b2+2;"
-                 "j1-j2+b1+b2+2; -j1+j2+b1+b2+2"),
-        _row(1, -1, PART_HH, -1, "1/2", srad="1/2",
-             outer="j1+j2+1; -2j1+2j2+b1+b2+1",
-             num="j1-j2+b1-b2+1; -j1+j2+b1-b2; -j1-j2+b1+b2+1; j1-j2+b1+b2+2;"
-                 "j1-j2+b1+b2+3; j1+j2+b1+b2+3"),
+        _reflected(-1, -1, PART_HH, -1),
+        _reflected(1, -1, PART_HH, +1),
         _row(0, 0, PART_00, +1, "1", srad="5/2", outer="j1-j2; j1+j2+1",
              num="-j1-j2+b1+b2+1; j1-j2+b1+b2+2; -j1+j2+b1+b2+2; j1+j2+b1+b2+3"),
     ),
@@ -639,24 +638,14 @@ RAISING_TABLES[(1, -1)] = _channel(
              num="j1-j2+b1-b2+1; -j1+j2+b1-b2+1; j1+j2+b1-b2+2; j1+j2+b1-b2+3;"
                  "j1+j2+b1-b2+4; j1+j2-b1+b2+1; -j1-j2+b1+b2-1; -j1-j2+b1+b2;"
                  "j1+j2+b1+b2+3; j1+j2+b1+b2+4"),
-        _row(-2, -2, PART_11, +1, "1/2", srad="1/2", outer="j1-j2",
-             num="j1-j2+b1-b2+1; -j1+j2+b1-b2+1; j1+j2+b1-b2+1; j1+j2-b1+b2-2;"
-                 "j1+j2-b1+b2-1; j1+j2-b1+b2; -j1-j2+b1+b2+1; -j1-j2+b1+b2+2;"
-                 "j1+j2+b1+b2+1; j1+j2+b1+b2+2"),
-        _row(2, -2, PART_11, -1, "1/2", srad="1/2", outer="j1+j2+1",
-             num="j1-j2+b1-b2+1; j1-j2+b1-b2+2; j1-j2+b1-b2+3; -j1+j2+b1-b2;"
-                 "j1+j2+b1-b2+2; j1+j2-b1+b2; j1-j2+b1+b2+2; j1-j2+b1+b2+3;"
-                 "-j1+j2+b1+b2; -j1+j2+b1+b2+1"),
+        _reflected(-2, -2, PART_11, -1),
+        _reflected(2, -2, PART_11, -1),
         _row(2, 0, PART_11, +1, "1/2", srad="1/2",
              poly=lambda j1, j2, b1, b2: (j2 * (j2 + 1)
                                           - (j1 + 1) * (j1 - b1 + b2)),
              num="j1-j2+b1-b2+1; j1-j2+b1-b2+2; j1+j2+b1-b2+2; j1+j2+b1-b2+3;"
                  "-j1-j2+b1+b2; j1-j2+b1+b2+2; -j1+j2+b1+b2+1; j1+j2+b1+b2+3"),
-        _row(0, -2, PART_11, -1, "1/2", srad="1/2",
-             poly=lambda j1, j2, b1, b2: (j1 * j1 + j1
-                                          - j2 * (j2 + b1 - b2 + 1)),
-             num="j1-j2+b1-b2+1; j1-j2+b1-b2+2; j1+j2-b1+b2-1; j1+j2-b1+b2;"
-                 "-j1-j2+b1+b2+1; j1-j2+b1+b2+2; -j1+j2+b1+b2+1; j1+j2+b1+b2+2"),
+        _reflected(0, -2, PART_11, -1),
         _row(0, 0, PART_11, +1, "1/2", srad="1/2",
              poly=lambda j1, j2, b1, b2: ((j1 * j1 + j1 - j2 * (j2 + 1))
                                           * (-j1 * j1 - j1 - j2 * j2 - j2
@@ -666,14 +655,8 @@ RAISING_TABLES[(1, -1)] = _channel(
              outer="j1-j2; 2j1+2j2-b1+b2+2",
              num="j1-j2+b1-b2+1; -j1+j2+b1-b2+1; j1+j2+b1-b2+2; j1+j2+b1-b2+3;"
                  "-j1-j2+b1+b2; j1+j2+b1+b2+3"),
-        _row(-1, -1, PART_HH, -1, "1/2", srad="1/2",
-             outer="j1-j2; 2j1+2j2+b1-b2+2",
-             num="j1-j2+b1-b2+1; -j1+j2+b1-b2+1; j1+j2-b1+b2-1; j1+j2-b1+b2;"
-                 "-j1-j2+b1+b2+1; j1+j2+b1+b2+2"),
-        _row(1, -1, PART_HH, +1, "1/2", srad="1/2",
-             outer="j1+j2+1; 2j1-2j2-b1+b2",
-             num="j1-j2+b1-b2+1; j1-j2+b1-b2+2; j1+j2+b1-b2+2; j1+j2-b1+b2;"
-                 "j1-j2+b1+b2+2; -j1+j2+b1+b2+1"),
+        _reflected(-1, -1, PART_HH, -1),
+        _reflected(1, -1, PART_HH, +1),
         _row(0, 0, PART_00, +1, "1", srad="5/2", outer="j1-j2; j1+j2+1",
              num="j1-j2+b1-b2+1; -j1+j2+b1-b2+1; j1+j2+b1-b2+2; j1+j2-b1+b2"),
     ),
@@ -682,32 +665,19 @@ RAISING_TABLES[(1, -1)] = _channel(
 # ---------------------------------------------------------------------------
 # Diagonal channel (first copy) and its un-normalized companion, from which
 # the second copy is built by Gram-Schmidt.  The two tables share all their
-# square-root parts, the numerators below and each entry's denominator; only
-# prefactors, signs and scales differ.
+# square-root parts, the numerators below of the rows written in full and
+# each entry's denominator; only prefactors, signs and scales differ.
 
 _DIAG_SQRT: dict[tuple[int, int, So4Label], str] = {
     (2, 2, PART_11): (
         "j1+j2-b1-b2; j1+j2-b1-b2+1; j1+j2+b1-b2+2; j1+j2+b1-b2+3;"
         "j1+j2-b1+b2+1; j1+j2-b1+b2+2; j1+j2+b1+b2+3; j1+j2+b1+b2+4"),
-    (-2, -2, PART_11): (
-        "j1+j2+b1-b2; j1+j2+b1-b2+1; j1+j2-b1+b2-1; j1+j2-b1+b2;"
-        "-j1-j2+b1+b2+1; -j1-j2+b1+b2+2; j1+j2+b1+b2+1; j1+j2+b1+b2+2"),
-    (2, -2, PART_11): (
-        "j1-j2+b1-b2+1; j1-j2+b1-b2+2; -j1+j2+b1-b2-1; -j1+j2+b1-b2;"
-        "j1-j2+b1+b2+2; j1-j2+b1+b2+3; -j1+j2+b1+b2; -j1+j2+b1+b2+1"),
     (2, 0, PART_11): (
         "j1-j2+b1-b2+1; -j1+j2+b1-b2; j1+j2+b1-b2+2; j1+j2-b1+b2+1;"
         "-j1-j2+b1+b2; j1-j2+b1+b2+2; -j1+j2+b1+b2+1; j1+j2+b1+b2+3"),
-    (0, -2, PART_11): (
-        "j1-j2+b1-b2+1; -j1+j2+b1-b2; j1+j2+b1-b2+1; j1+j2-b1+b2;"
-        "-j1-j2+b1+b2+1; j1-j2+b1+b2+2; -j1+j2+b1+b2+1; j1+j2+b1+b2+2"),
     (0, 0, PART_11): "",
     (1, 1, PART_HH): (
         "j1+j2+b1-b2+2; j1+j2-b1+b2+1; -j1-j2+b1+b2; j1+j2+b1+b2+3"),
-    (-1, -1, PART_HH): (
-        "j1+j2+b1-b2+1; j1+j2-b1+b2; -j1-j2+b1+b2+1; j1+j2+b1+b2+2"),
-    (1, -1, PART_HH): (
-        "j1-j2+b1-b2+1; -j1+j2+b1-b2; j1-j2+b1+b2+2; -j1+j2+b1+b2+1"),
     (0, 0, PART_00): "",
 }
 
@@ -725,14 +695,14 @@ DIAGONAL_TABLE = _channel(
     norm_factors=(_diag_norm_bracket,),
     rows=(
         _diag_row(2, 2, PART_11, -1, "1/8"),
-        _diag_row(-2, -2, PART_11, -1, "1/8"),
-        _diag_row(2, -2, PART_11, -1, "1/8"),
+        _reflected(-2, -2, PART_11, -1),
+        _reflected(2, -2, PART_11, -1),
         _diag_row(2, 0, PART_11, -1, "1/8"),
-        _diag_row(0, -2, PART_11, +1, "1/8"),
+        _reflected(0, -2, PART_11, +1),
         _diag_row(0, 0, PART_11, -1, "1/8", poly=_diag_core_poly),
         _diag_row(1, 1, PART_HH, +1, "1/8", outer="2j1+2j2+3"),
-        _diag_row(-1, -1, PART_HH, +1, "1/8", outer="2j1+2j2+1"),
-        _diag_row(1, -1, PART_HH, +1, "1/8", outer="2j1-2j2+1"),
+        _reflected(-1, -1, PART_HH, -1),
+        _reflected(1, -1, PART_HH, +1),
         _diag_row(0, 0, PART_00, -1, "1/10", srad="5", poly=_diag_scalar_poly),
     ),
 )
@@ -742,17 +712,15 @@ AUX_TABLE = _channel(
     norm_factors=(),
     rows=(
         _diag_row(2, 2, PART_11, +1, "1/4", outer="j1-j2; j1-j2"),
-        _diag_row(-2, -2, PART_11, +1, "1/4", outer="j1-j2; j1-j2"),
-        _diag_row(2, -2, PART_11, +1, "1/4", outer="j1+j2+1; j1+j2+1"),
+        _reflected(-2, -2, PART_11, +1),
+        _reflected(2, -2, PART_11, +1),
         _diag_row(2, 0, PART_11, +1, "1/4",
                   poly=lambda j1, j2, b1, b2: ((j1 + 1) ** 2 - j2 * (j2 + 1))),
-        _diag_row(0, -2, PART_11, +1, "1/4",
-                  poly=lambda j1, j2, b1, b2: (j1 * j1 + j1 - j2 * j2)),
+        _reflected(0, -2, PART_11, -1),
         _diag_row(0, 0, PART_11, -1, "1/4", poly=_aux_core_poly),
         _diag_row(1, 1, PART_HH, -1, "1/4", outer="j1-j2; j1-j2; 2j1+2j2+3"),
-        _diag_row(-1, -1, PART_HH, -1, "1/4", outer="j1-j2; j1-j2; 2j1+2j2+1"),
-        _diag_row(1, -1, PART_HH, +1, "1/4",
-                  outer="j1+j2+1; j1+j2+1; -2j1+2j2-1"),
+        _reflected(-1, -1, PART_HH, +1),
+        _reflected(1, -1, PART_HH, -1),
         _diag_row(0, 0, PART_00, -1, "1/10", srad="5", poly=_aux_scalar_poly),
     ),
 )

@@ -41,6 +41,18 @@ def test_eval_absent_channel_exits_3(capsys):
     assert "absent" in err
 
 
+def test_eval_lowering_absence_names_the_transposed_source(capsys):
+    # A lowering channel is evaluated through its transpose, a raising
+    # channel of the target, so its absence names that channel's shift and
+    # the target as source. The golden table digests hash this stderr.
+    code, out, err = run(capsys, "eval", "--source", "2,1",
+                         "--channel=-1/2,+1/2", "--source-so4", "3/2,1/2",
+                         "--entry=+1/2,+1/2", "--part", "1/2,1/2")
+    assert (code, out) == (3, "")
+    assert err == ("channel absent: channel with shift (1, -1) absent at "
+                   "source (3/2,3/2): normalization factor 0 <= 0\n")
+
+
 def test_eval_malformed_label_exits_2(capsys):
     code, _, err = run(capsys, "eval", "--source", "0,-1", "--channel=+1,+1",
                        "--source-so4", "0,0", "--entry", "+1,+1",

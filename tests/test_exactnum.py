@@ -1,7 +1,7 @@
 """Exact algebraic-number ring: canonical form, ring laws, serialization."""
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isclose
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,6 +20,7 @@ from so5cg._kernel import (
 )
 from so5cg.errors import NegativeRadicand
 from so5cg.exactnum import ONE, ZERO, SqrtSum, sqrt_product, sqrt_rational
+from so5cg.su2 import su2_cg
 
 rationals = st.fractions(
     min_value=-50, max_value=50, max_denominator=12)
@@ -71,6 +72,19 @@ def test_float_values():
     assert float(ZERO) == 0.0
     assert float(ONE) == 1.0
     assert abs(float(sqrt_rational(Fraction(1, 1080))) - 0.03042903097) < 1e-11
+
+
+def test_float_of_a_radicand_past_the_float_range():
+    # A coefficient of modest size whose radicand has 1,882 bits: the term
+    # is folded into one Fraction before its square root is taken.
+    value = su2_cg(1000, -400, 1000, 200, 1000, -200)
+    (rad, num, den), = value.terms
+    assert rad.bit_length() == 1882
+    got = float(value)
+    assert 0 < got < 1
+    assert isclose(got * got, Fraction(num * num * rad, den * den),
+                   rel_tol=1e-14)
+    assert float(-value) == -got
 
 
 def test_single_term_division():

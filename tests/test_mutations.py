@@ -13,10 +13,10 @@ the model: wrong signs and wrong factors in printed rows.
   check must pass.
 - A single-row flip negates one row of one table. Every one of them breaks
   the reduced Gram identity.
-- A factor error rewrites one written row: b1 and b2 swapped in one linear
-  form, one form's constant off by one, or the row scaled by sqrt(2). Each
-  names the check that fails it; the one the tier-1 bound misses is pinned
-  as that gap, with the bound that catches it.
+- A factor error rewrites one row's text, as written or as derived: b1 and
+  b2 swapped in one linear form, one form's constant off by one, or the row
+  scaled by sqrt(2). Each names the check that fails it; the one the tier-1
+  bound misses is pinned as that gap, with the bound that catches it.
 
 A check that stops catching its class fails this file.
 """
@@ -148,7 +148,7 @@ def test_every_table_value_goes_through_bare_value(monkeypatch):
 
 
 class FactorError(NamedTuple):
-    """One written row rewritten, the check that must fail on it, and the
+    """One row rewritten, the check that must fail on it, and the
     checks pinned to pass it: a gap, named so that closing it shows."""
 
     name: str
@@ -195,7 +195,8 @@ FACTOR_ERRORS = (
     FactorError("row times sqrt(2)", AUX_TABLE, EntryShift(2, 0, PART_11),
                 _times_sqrt2, "mixing_identities(4)"),
     # Up to 2j1 = 4 this row is nonzero only at source (2,2), where b1 = b2
-    # and the swap changes nothing; source (5/2,2) shows it.
+    # and the swap changes nothing; source (5/2,2) shows it. The row is
+    # reflected from (+1,+1), and the rewrite is made in its derived text.
     FactorError("b1<->b2 in a row nonzero only at b1 = b2 up to 2j1 = 4",
                 RAISING_TABLES[(2, -2)], EntryShift(-2, -2, PART_11),
                 _in_form("num", "j1-j2+b1-b2+1", "j1-j2-b1+b2+1"),

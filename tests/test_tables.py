@@ -8,11 +8,13 @@ evaluator at the doubled spins.
 
 import hashlib
 import itertools
+import operator
 import re
 from fractions import Fraction
 
 import pytest
 
+from so5cg._formula import _VARIABLES
 from so5cg.errors import ChannelAbsent, FormulaDomainError
 from so5cg.exactnum import ZERO, sqrt_rational
 from so5cg.labels import ENTRY_SHIFTS, EntryShift, branching, iter_labels
@@ -251,3 +253,80 @@ def test_every_row_is_its_swap_partner_times_sigma(name):
             else:
                 assert got == sigma * value, (name, str(entry), tj1, tj2,
                                               tb1, tb2, got, value)
+
+
+# The reflections j -> -j-1 of one SO(3) spin, which fix j(j+1): each maps a
+# compiled linear form (c_j1, c_j2, c_b1, c_b2, c_0), whose value at the
+# doubled spins is c_j1*tj1 + ... + c_0, and the spins (j1, j2) of a
+# polynomial, and takes the entry (dj1, dj2) to (-dj1, dj2) or (dj1, -dj2).
+REFLECTIONS = {
+    "R1": (lambda c: (-c[0], c[1], c[2], c[3], c[4] - 2 * c[0]),
+           lambda j1, j2: (-j1 - 1, j2),
+           lambda e: EntryShift(-e.tdj1, e.tdj2, e.part)),
+    "R2": (lambda c: (c[0], -c[1], c[2], c[3], c[4] - 2 * c[1]),
+           lambda j1, j2: (j1, -j2 - 1),
+           lambda e: EntryShift(e.tdj1, -e.tdj2, e.part)),
+}
+
+# The doubled (tj1, tj2, tb1, tb2), and 1, of the interior point at which a
+# derived numerator form is oriented positive.
+INTERIOR = (23, 17, 40, 18, 1)
+
+
+def flips(forms, partner_forms):
+    """How many of forms are negated in partner_forms, as multisets; None
+    when they differ otherwise."""
+    left, count = list(partner_forms), 0
+    for c in forms:
+        if c in left:
+            left.remove(c)
+        elif tuple(-x for x in c) in left:
+            left.remove(tuple(-x for x in c))
+            count += 1
+        else:
+            return None
+    return None if left else count
+
+
+def expanded(poly, spins=lambda j1, j2: (j1, j2)):
+    if poly is None:
+        return {(0, 0, 0, 0): 1}
+    j1, j2, b1, b2 = _VARIABLES
+    return {e: c for e, c in poly.source(*spins(j1, j2), b1, b2).terms.items()
+            if c}
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
+@pytest.mark.parametrize("reflection", sorted(REFLECTIONS))
+def test_every_row_is_its_reflection_partner_up_to_one_sign(name, reflection):
+    # Each of the 14 rows, written, swapped or reflected, is its partner's
+    # formula with j -> -j-1 substituted: the same scale and srad, the same
+    # outer, numerator and denominator forms up to sign, with an even number
+    # of negations in the radicand, and the same polynomial up to sign. So
+    # the pair differs by one constant sign, +1 for a row the reflection
+    # takes to itself. Orienting the substituted numerator forms positive at
+    # INTERIOR, the rule by which the tables derive rows, gives the
+    # partner's numerator up to an even number of negations, which changes
+    # no value and no domain error.
+    lin, spins, image = REFLECTIONS[reflection]
+    table = TABLES[name]
+    for entry in ENTRY_SHIFTS:
+        row, partner = table.rows[entry], table.rows[image(entry)]
+        where = (name, reflection, str(entry))
+        assert (row.scale, row.srad) == (partner.scale, partner.srad), where
+        outer = flips([lin(c) for c in row.outer_lins], partner.outer_lins)
+        num = [lin(c) for c in row.num_lins]
+        radicand = (flips(num, partner.num_lins),
+                    flips([lin(c) for c in row.den_lins], partner.den_lins))
+        assert None not in (outer, *radicand), where
+        # The radicand prod(num) / prod(den) itself keeps its sign.
+        assert sum(radicand) % 2 == 0, where
+        oriented = [c if sum(map(operator.mul, c, INTERIOR)) > 0
+                    else tuple(-x for x in c) for c in num]
+        assert flips(oriented, partner.num_lins) % 2 == 0, where
+        poly, want = expanded(row.poly, spins), expanded(partner.poly)
+        assert poly in (want, {e: -c for e, c in want.items()}), where
+        sign = (row.sign * partner.sign * (-1) ** outer
+                * (1 if poly == want else -1))
+        if partner.key == entry:
+            assert sign == 1, where
