@@ -11,6 +11,7 @@ from these.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, NamedTuple, Union
 
@@ -63,6 +64,8 @@ class _Expansion:
 
     Calling a formula on the four variables as instances of this class
     expands it once; the formula itself is never evaluated on numbers.
+    Constants are ints, or Fractions where a formula shifts a variable by a
+    half.
     """
 
     __slots__ = ("terms",)
@@ -74,7 +77,7 @@ class _Expansion:
     def _of(value) -> dict:
         if isinstance(value, _Expansion):
             return value.terms
-        if isinstance(value, int):
+        if isinstance(value, (int, Fraction)):
             return {(0, 0, 0, 0): value}
         return NotImplemented
 
@@ -158,9 +161,15 @@ def _int_poly(source: Union[Poly, str]) -> IntPoly:
         expanded = source(*_VARIABLES).terms
         degree = max((sum(e) for e, c in expanded.items() if c), default=0)
         # Each monomial of total degree k takes 2**(degree - k) from the
-        # substitution j = tj/2 scaled by 2**degree.
-        terms = tuple((c << (degree - sum(e)), *e)
-                      for e, c in expanded.items() if c)
+        # substitution j = tj/2 scaled by 2**degree; a half shift in the
+        # formula must still leave an int.
+        terms = []
+        for e, c in expanded.items():
+            if c:
+                c *= 1 << (degree - sum(e))
+                if c.denominator != 1:
+                    raise ValueError(f"not an int on the doubled spins: {c}")
+                terms.append((int(c), *e))
     groups: dict[tuple[int, int], list] = {}
     for c, e1, e2, e3, e4 in terms:
         groups.setdefault((e1, e2), []).append((c, e3, e4))

@@ -16,13 +16,15 @@ source exactly when every normalization factor is positive.
 
 Each fact is written once.  A row's denominator depends only on its entry,
 so each entry's denominator is written once (_ENTRY_DEN) for every table.
-Each table writes in full only the five rows that no swap or reflection
+Three tables are read whole off a partner table (_image), and each of the
+other five writes in full only the five rows that no swap or reflection
 reaches: (+1,+1), (+1,0) and (0,0) on part (1,1), (+1/2,+1/2), and (0,0) on
-part (0,0).  Each of the other nine is read off a partner row (_DERIVED): a
-change of (j1, j2) is made in the partner's outer and numerator forms and in
-its polynomial, each numerator form is oriented to be positive at one
-interior point, doubled (tj1, tj2, tb1, tb2) = (23, 17, 40, 18), and the row
-takes the denominator of its own entry.
+part (0,0), 25 rows in all.  Each of its other nine rows is read off a
+partner row (_DERIVED).  A derived row is its partner with a change made
+in the outer and numerator forms and in the polynomial; each numerator form
+is then oriented to be positive at one interior point, doubled (tj1, tj2,
+tb1, tb2) = (23, 17, 40, 18), and the row takes the denominator of its own
+entry.
 
 The j1<->j2 swap gives the four rows with tdj1 < tdj2, (0,+1), (-1,0),
 (-1,+1) and (-1/2,+1/2), with the partner's sign times sigma:
@@ -38,9 +40,22 @@ and R1R2 gives (-1,-1) and (-1/2,-1/2) from (+1,+1) and (+1/2,+1/2).  A
 reflected row is its partner's formula up to one constant sign, for which no
 rule in the channel and the entry is known, so each table writes the sign
 of each of its five reflected rows, as their derived text reads, and
-nothing else of them.  Every derived
-row keeps its text, so each row can still be read and checked against its
-own strings.
+nothing else of them.
+
+The Weyl group of Spin(5), which labels.decompose_with_14 uses, acts on the
+source label.  In the coordinates (x, y) = (b1+b2+3/2, b1-b2+1/2) about rho,
+W1: y -> -y takes (b1, b2) to (b2-1/2, b1+1/2), and W2: x <-> y takes b2 to
+-b2-1.  Each row of the channels (0,+1), (+1,-1) and (+1/2,-1/2) is the row
+of the same entry of (+1,0), (+1,+1) and (+1/2,+1/2) at the changed source
+label, by W1, W2 and W2, times one constant sign, and (0,+1) times sqrt(2).
+W1 can leave an outer form with a half-integer constant, such as
+j1+j2-b2+1/2; it is written doubled and its 1/2 taken into the row's scale.
+For (+1/2,-1/2) the orientation negates one numerator form of each row, so
+the row's radicand is minus the partner's at the changed label, and so is
+the squared normalization.  So these three tables write their partner, the change, the
+entries whose sign is -1 and their normalization, which stays written
+because absence messages print its factors.  Every derived row keeps its
+text, so each row can still be read and checked against its own strings.
 
 The formulas are written below in the form a reader checks against the
 paper: strings of linear forms and Python polynomials in the spins.  At
@@ -209,7 +224,12 @@ def _row(tdj1: int, tdj2: int, part: So4Label, sign: int, scale: str,
 
 
 def _form(lin: Lin) -> str:
-    """A compiled linear form as written: (2, -2, 2, -2, 2) is "j1-j2+b1-b2+1"."""
+    """A compiled linear form as written: (1, -1, 1, -1, 2) is "j1-j2+b1-b2+1".
+
+    Its constant is lin[4] / 2, so an odd lin[4] has no such text.
+    """
+    if lin[4] % 2:
+        raise ValueError(f"linear form {lin} has a half-integer constant")
     form = ""
     for c, name in zip(lin, ("j1", "j2", "b1", "b2")):
         if c:
@@ -218,18 +238,25 @@ def _form(lin: Lin) -> str:
     return f"{form}{lin[4] // 2:+d}" if lin[4] else form
 
 
-# The changes of (j1, j2) that read a row off its partner: the j1<->j2 swap,
-# and the reflections j2 -> -j2-1 (R2) and (j1, j2) -> (-j1-1, -j2-1) (R1R2).
-# Each is given as its map of a compiled linear form, whose value is
-# c_j1*tj1 + c_j2*tj2 + ... + c_0 at the doubled spins, and as its map of
-# (j1, j2) for a polynomial.
+# The changes that read a row off its partner.  Within a table, changes of
+# (j1, j2): the j1<->j2 swap, and the reflections j2 -> -j2-1 (R2) and
+# (j1, j2) -> (-j1-1, -j2-1) (R1R2).  Between tables, changes of the source
+# label (b1, b2): W1 takes (b1, b2) to (b2-1/2, b1+1/2) and W2 takes b2 to
+# -b2-1.  Each is given as its map of a compiled linear form, whose value is
+# c_j1*tj1 + c_j2*tj2 + c_b1*tb1 + c_b2*tb2 + c_0 at the doubled spins, and
+# as its map of (j1, j2, b1, b2) for a polynomial.
+_HALF = Fraction(1, 2)
 _CHANGES = {
     "swap": (lambda c: (c[1], c[0], c[2], c[3], c[4]),
-            lambda j1, j2: (j2, j1)),
+             lambda j1, j2, b1, b2: (j2, j1, b1, b2)),
     "R2": (lambda c: (c[0], -c[1], c[2], c[3], c[4] - 2 * c[1]),
-           lambda j1, j2: (j1, -j2 - 1)),
+           lambda j1, j2, b1, b2: (j1, -j2 - 1, b1, b2)),
     "R1R2": (lambda c: (-c[0], -c[1], c[2], c[3], c[4] - 2 * (c[0] + c[1])),
-             lambda j1, j2: (-j1 - 1, -j2 - 1)),
+             lambda j1, j2, b1, b2: (-j1 - 1, -j2 - 1, b1, b2)),
+    "W1": (lambda c: (c[0], c[1], c[3], c[2], c[4] - c[2] + c[3]),
+           lambda j1, j2, b1, b2: (j1, j2, b2 - _HALF, b1 + _HALF)),
+    "W2": (lambda c: (c[0], c[1], c[2], -c[3], c[4] - 2 * c[3]),
+           lambda j1, j2, b1, b2: (j1, j2, b1, -b2 - 1)),
 }
 
 # Each of the nine rows a table does not write in full, read off its partner,
@@ -252,19 +279,34 @@ _DERIVED = tuple((EntryShift(*key), EntryShift(*partner), change)
 _INTERIOR = (23, 17, 40, 18, 1)
 
 
-def _derive(row: RowSpec, key: EntryShift, change: str, sign: int) -> RowSpec:
-    """The row of entry key read off its partner row: the change of (j1, j2)
-    made in its outer and numerator forms and in its polynomial, each
-    numerator form then oriented positive at _INTERIOR, the denominator of
-    its own entry, and the sign given."""
+def _outer(lins: Iterable[Lin]) -> tuple[str, Fraction]:
+    """Outer forms as written, and the factor taken out of them: a form with
+    a half-integer constant is written doubled, so its 1/2 goes into the
+    factor."""
+    forms, factor = [], Fraction(1)
+    for c in lins:
+        if c[4] % 2:
+            c, factor = tuple(2 * x for x in c), factor / 2
+        forms.append(_form(c))
+    return "; ".join(forms), factor
+
+
+def _derive(row: RowSpec, key: EntryShift, change: str, sign: int,
+            srad: str = "1") -> RowSpec:
+    """The row of entry key read off its partner row: the change made in its
+    outer and numerator forms and in its polynomial, each numerator form
+    then oriented positive at _INTERIOR, the denominator of its own entry,
+    the sign given, and the partner's srad times srad."""
     lin, spins = _CHANGES[change]
     source = None if row.poly is None else row.poly.source
     poly = None if source is None else (
-        lambda j1, j2, b1, b2: source(*spins(j1, j2), b1, b2))
+        lambda *spin: source(*spins(*spin)))
+    outer, factor = _outer(map(lin, row.outer_lins))
     num = [c if sum(map(mul, c, _INTERIOR)) > 0 else tuple(-x for x in c)
            for c in map(lin, row.num_lins)]
-    return _row(key.tdj1, key.tdj2, key.part, sign, row.scale, row.srad,
-                "; ".join(_form(lin(c)) for c in row.outer_lins), poly,
+    return _row(key.tdj1, key.tdj2, key.part, sign,
+                str(Fraction(row.scale) * factor),
+                str(Fraction(row.srad) * Fraction(srad)), outer, poly,
                 "; ".join(map(_form, num)))
 
 
@@ -364,18 +406,33 @@ class ChannelTable(NamedTuple):
         return _root(spec.const, outer, den, factors, scale)
 
 
+def _image(partner: ChannelTable, change: str,
+           minus: tuple[tuple[int, int, So4Label], ...],
+           srad: str = "1") -> dict[EntryShift, RowSpec]:
+    """The 14 rows of a table read off a partner table by a change of the
+    source label (W1 or W2), each row times the constant sqrt(srad).  The
+    rows of the entries in minus take the sign -1, the others +1."""
+    negative = {EntryShift(*key) for key in minus}
+    return {key: _derive(row, key, change, -1 if key in negative else 1, srad)
+            for key, row in partner.rows.items()}
+
+
 def _channel(shift: tuple[int, int], norm_factors: Union[str, tuple[Poly, ...]],
-             rows: tuple[Union[RowSpec, _Reflected], ...],
+             rows: Union[tuple[Union[RowSpec, _Reflected], ...],
+                         dict[EntryShift, RowSpec]],
              norm_scale: str = "1", norm_srad: str = "1") -> ChannelTable:
     """A channel from its formulas; norm_factors is a string of linear
-    forms or a tuple of polynomials.  rows are the ten rows with
+    forms or a tuple of polynomials.  rows are either all 14 rows, as
+    _image reads them off a partner table, or the ten rows with
     tdj1 >= tdj2: five written in full and five reflected, given by their
-    sign; the other four are swaps (_DERIVED)."""
+    sign, the other four being swaps (_DERIVED)."""
     if isinstance(norm_factors, str):
         norm_factors = tuple(_pieces(norm_factors))
     compiled = tuple(_int_poly(f) for f in norm_factors)
     const = _constant(1, norm_scale, norm_srad,
                       sum(f.degree for f in compiled), 0)
+    if isinstance(rows, dict):
+        return ChannelTable(shift, norm_scale, norm_srad, compiled, const, rows)
     # The swap's sign: -1 for the half-shift channels, whose doubled shift
     # is odd.
     sigma = -1 if shift[0] % 2 else 1
@@ -532,69 +589,18 @@ RAISING_TABLES[(0, 2)] = _channel(
     shift=(0, 2),
     norm_factors=(
         "2b1+1; 2b1+3; 2b1-2b2+1; b1-b2; b1+b2+2; 2b2+1; 2b2+2; 2b1+2b2+3"),
-    rows=(
-        _row(2, 2, PART_11, +1, "1/2", srad="1/2",
-             num="j1-j2+b1-b2; -j1+j2+b1-b2; j1+j2+b1-b2+2; j1+j2-b1+b2+1;"
-                 "j1+j2-b1+b2+2; j1+j2-b1+b2+3; -j1-j2+b1+b2; j1-j2+b1+b2+2;"
-                 "-j1+j2+b1+b2+2; j1+j2+b1+b2+3; j1+j2+b1+b2+4; j1+j2+b1+b2+5"),
-        _reflected(-2, -2, PART_11, -1),
-        _reflected(2, -2, PART_11, +1),
-        _row(2, 0, PART_11, +1, "1/2", srad="1/2",
-             poly=lambda j1, j2, b1, b2: (-j1 * j1 + 2 * b2 * j1 + j2 * j2
-                                          + b1 * b1 - b2 * b2 + j2
-                                          + 2 * b1 + 1),
-             num="j1-j2-b1+b2; j1-j2-b1+b2+1; j1+j2-b1+b2+1; j1+j2-b1+b2+2;"
-                 "j1-j2+b1+b2+2; j1-j2+b1+b2+3; j1+j2+b1+b2+3; j1+j2+b1+b2+4"),
-        _reflected(0, -2, PART_11, +1),
-        _row(0, 0, PART_11, +1, "1/2", srad="1/2",
-             poly=lambda j1, j2, b1, b2: (j1 * j1 + j1 + j2 * j2 + j2
-                                          + b1 * b1 - b2 * b2
-                                          + 2 * b1 - 2 * b2),
-             num="j1-j2+b1-b2; -j1+j2+b1-b2; j1+j2+b1-b2+1; j1+j2-b1+b2+1;"
-                 "-j1-j2+b1+b2+1; j1-j2+b1+b2+2; -j1+j2+b1+b2+2; j1+j2+b1+b2+3"),
-        _row(1, 1, PART_HH, -1, "1/2", srad="1/2", outer="2j1+2j2-2b2+1",
-             num="j1-j2+b1-b2; -j1+j2+b1-b2; j1+j2-b1+b2+1; j1+j2-b1+b2+2;"
-                 "j1-j2+b1+b2+2; -j1+j2+b1+b2+2; j1+j2+b1+b2+3; j1+j2+b1+b2+4"),
-        _reflected(-1, -1, PART_HH, -1),
-        _reflected(1, -1, PART_HH, -1),
-        _row(0, 0, PART_00, -1, "1", srad="5/2",
-             num="j1-j2+b1-b2; -j1+j2+b1-b2; j1+j2+b1-b2+1; j1+j2-b1+b2+1;"
-                 "-j1-j2+b1+b2+1; j1-j2+b1+b2+2; -j1+j2+b1+b2+2; j1+j2+b1+b2+3"),
-    ),
+    rows=_image(RAISING_TABLES[(2, 0)], "W1", srad="2", minus=(
+        (-2, -2, PART_11), (1, 1, PART_HH), (1, -1, PART_HH),
+        (-1, 1, PART_HH), (-1, -1, PART_HH), (0, 0, PART_00))),
 )
 
 RAISING_TABLES[(2, -2)] = _channel(
     shift=(2, -2),
     norm_factors=(
         "2; 2b1+2; 2b1+3; 2b1-2b2+1; 2b1-2b2+3; b1-b2+1; b1-b2+2; b2; 2b2+1"),
-    rows=(
-        _row(2, 2, PART_11, +1, "1/4",
-             num="j1-j2+b1-b2+1; j1-j2+b1-b2+2; -j1+j2+b1-b2+1; -j1+j2+b1-b2+2;"
-                 "j1+j2+b1-b2+2; j1+j2+b1-b2+3; j1+j2+b1-b2+4; j1+j2+b1-b2+5;"
-                 "-j1-j2+b1+b2-1; -j1-j2+b1+b2; j1+j2+b1+b2+3; j1+j2+b1+b2+4"),
-        _reflected(-2, -2, PART_11, +1),
-        _reflected(2, -2, PART_11, +1),
-        _row(2, 0, PART_11, -1, "1/4",
-             num="j1-j2+b1-b2+1; j1-j2+b1-b2+2; j1-j2+b1-b2+3; -j1+j2+b1-b2+1;"
-                 "j1+j2+b1-b2+2; j1+j2+b1-b2+3; j1+j2+b1-b2+4; j1+j2-b1+b2;"
-                 "-j1-j2+b1+b2; j1-j2+b1+b2+2; -j1+j2+b1+b2+1; j1+j2+b1+b2+3"),
-        _reflected(0, -2, PART_11, -1),
-        _row(0, 0, PART_11, +1, "1/4",
-             poly=lambda j1, j2, b1, b2: (2 * j1 * j2
-                                          + (-j1 - j2 + b1 + b2 + 1)
-                                          * (j1 + j2 + b1 + b2 + 2)),
-             num="j1-j2+b1-b2+1; j1-j2+b1-b2+2; -j1+j2+b1-b2+1; -j1+j2+b1-b2+2;"
-                 "j1+j2+b1-b2+2; j1+j2+b1-b2+3; j1+j2-b1+b2-1; j1+j2-b1+b2"),
-        _row(1, 1, PART_HH, -1, "1/2",
-             num="j1-j2+b1-b2+1; j1-j2+b1-b2+2; -j1+j2+b1-b2+1; -j1+j2+b1-b2+2;"
-                 "j1+j2+b1-b2+2; j1+j2+b1-b2+3; j1+j2+b1-b2+4; j1+j2-b1+b2;"
-                 "-j1-j2+b1+b2; j1+j2+b1+b2+3"),
-        _reflected(-1, -1, PART_HH, -1),
-        _reflected(1, -1, PART_HH, +1),
-        _row(0, 0, PART_00, +1, "1/2", srad="5",
-             num="j1-j2+b1-b2+1; j1-j2+b1-b2+2; -j1+j2+b1-b2+1; -j1+j2+b1-b2+2;"
-                 "j1+j2+b1-b2+2; j1+j2+b1-b2+3; j1+j2-b1+b2-1; j1+j2-b1+b2"),
-    ),
+    rows=_image(RAISING_TABLES[(2, 2)], "W2", minus=(
+        (2, 0, PART_11), (0, 2, PART_11), (0, 0, PART_11), (0, -2, PART_11),
+        (-2, 0, PART_11), (1, 1, PART_HH), (-1, -1, PART_HH))),
 )
 
 RAISING_TABLES[(1, 1)] = _channel(
@@ -633,33 +639,9 @@ RAISING_TABLES[(1, -1)] = _channel(
     shift=(1, -1),
     norm_factors=(
         "2b1+2; 2b1-2b2+1; b1-b2; b1-b2+1; b1-b2+2; b1+b2+1; b1+b2+2; 2b2+1"),
-    rows=(
-        _row(2, 2, PART_11, +1, "1/2", srad="1/2", outer="j1-j2",
-             num="j1-j2+b1-b2+1; -j1+j2+b1-b2+1; j1+j2+b1-b2+2; j1+j2+b1-b2+3;"
-                 "j1+j2+b1-b2+4; j1+j2-b1+b2+1; -j1-j2+b1+b2-1; -j1-j2+b1+b2;"
-                 "j1+j2+b1+b2+3; j1+j2+b1+b2+4"),
-        _reflected(-2, -2, PART_11, -1),
-        _reflected(2, -2, PART_11, -1),
-        _row(2, 0, PART_11, +1, "1/2", srad="1/2",
-             poly=lambda j1, j2, b1, b2: (j2 * (j2 + 1)
-                                          - (j1 + 1) * (j1 - b1 + b2)),
-             num="j1-j2+b1-b2+1; j1-j2+b1-b2+2; j1+j2+b1-b2+2; j1+j2+b1-b2+3;"
-                 "-j1-j2+b1+b2; j1-j2+b1+b2+2; -j1+j2+b1+b2+1; j1+j2+b1+b2+3"),
-        _reflected(0, -2, PART_11, -1),
-        _row(0, 0, PART_11, +1, "1/2", srad="1/2",
-             poly=lambda j1, j2, b1, b2: ((j1 * j1 + j1 - j2 * (j2 + 1))
-                                          * (-j1 * j1 - j1 - j2 * j2 - j2
-                                             + (b1 + b2 + 1) * (b1 + b2 + 2))),
-             num="j1-j2+b1-b2+1; -j1+j2+b1-b2+1; j1+j2+b1-b2+2; j1+j2-b1+b2"),
-        _row(1, 1, PART_HH, -1, "1/2", srad="1/2",
-             outer="j1-j2; 2j1+2j2-b1+b2+2",
-             num="j1-j2+b1-b2+1; -j1+j2+b1-b2+1; j1+j2+b1-b2+2; j1+j2+b1-b2+3;"
-                 "-j1-j2+b1+b2; j1+j2+b1+b2+3"),
-        _reflected(-1, -1, PART_HH, -1),
-        _reflected(1, -1, PART_HH, +1),
-        _row(0, 0, PART_00, +1, "1", srad="5/2", outer="j1-j2; j1+j2+1",
-             num="j1-j2+b1-b2+1; -j1+j2+b1-b2+1; j1+j2+b1-b2+2; j1+j2-b1+b2"),
-    ),
+    rows=_image(RAISING_TABLES[(1, 1)], "W2", minus=(
+        (2, -2, PART_11), (0, 2, PART_11), (0, -2, PART_11), (-2, -2, PART_11),
+        (1, 1, PART_HH), (-1, 1, PART_HH), (-1, -1, PART_HH))),
 )
 
 # ---------------------------------------------------------------------------

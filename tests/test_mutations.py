@@ -195,8 +195,9 @@ FACTOR_ERRORS = (
     FactorError("row times sqrt(2)", AUX_TABLE, EntryShift(2, 0, PART_11),
                 _times_sqrt2, "mixing_identities(4)"),
     # Up to 2j1 = 4 this row is nonzero only at source (2,2), where b1 = b2
-    # and the swap changes nothing; source (5/2,2) shows it. The row is
-    # reflected from (+1,+1), and the rewrite is made in its derived text.
+    # and the swap changes nothing; source (5/2,2) shows it. The row is read
+    # off raising (2,2)'s (-1,-1) row by W2: b2 -> -b2-1, that one off its
+    # (+1,+1) row by R1R2, and the rewrite is made in its derived text.
     FactorError("b1<->b2 in a row nonzero only at b1 = b2 up to 2j1 = 4",
                 RAISING_TABLES[(2, -2)], EntryShift(-2, -2, PART_11),
                 _in_form("num", "j1-j2+b1-b2+1", "j1-j2-b1+b2+1"),

@@ -10,15 +10,24 @@ import hashlib
 import itertools
 import operator
 import re
+from collections import Counter
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
-from so5cg._formula import _VARIABLES
+from so5cg._formula import _UNITS, _VARIABLES, _Expansion, _int_poly
 from so5cg.errors import ChannelAbsent, FormulaDomainError
 from so5cg.exactnum import ZERO, sqrt_rational
 from so5cg.labels import ENTRY_SHIFTS, EntryShift, branching, iter_labels
-from so5cg.tables import AUX_TABLE, DIAGONAL_TABLE, RAISING_TABLES
+from so5cg.tables import (
+    AUX_TABLE,
+    DIAGONAL_TABLE,
+    RAISING_TABLES,
+    _form,
+    mixing_h2,
+    mixing_x_rational,
+)
 
 TABLES = {**{f"raising {shift}": table
              for shift, table in RAISING_TABLES.items()},
@@ -330,3 +339,227 @@ def test_every_row_is_its_reflection_partner_up_to_one_sign(name, reflection):
                 * (1 if poly == want else -1))
         if partner.key == entry:
             assert sign == 1, where
+
+
+def test_form_refuses_a_half_integer_constant():
+    # b1 + 1/2 compiles to (0, 0, 1, 0, 1); it has no text with an integer
+    # constant, and must not come back from _form as b1 or b1 - 1.
+    assert _form((0, 0, 1, 0, 2)) == "b1+1"
+    assert _form((0, 0, 1, 0, -2)) == "b1-1"
+    for lin in ((0, 0, 1, 0, 1), (0, 0, 1, 0, -1), (2, 0, 0, -2, 3)):
+        with pytest.raises(ValueError, match="half-integer constant"):
+            _form(lin)
+
+
+def test_a_polynomial_must_be_an_int_on_the_doubled_spins():
+    # b1 + 1/2 is (tb1 + 1) / 2: an int polynomial over the doubled spins.
+    # b1/3 is not, and is refused rather than truncated.
+    assert _int_poly(lambda j1, j2, b1, b2: b1 + Fraction(1, 2)).by_j == (
+        (0, 0, ((1, 1, 0), (1, 0, 0))),)
+    with pytest.raises(ValueError, match="not an int"):
+        _int_poly(lambda j1, j2, b1, b2: b1 * Fraction(1, 3))
+
+
+# The Weyl reflections of the source label about rho, on the doubled spins
+# (tj1, tj2, tb1, tb2): in the coordinates (b1+b2+3/2, b1-b2+1/2) of
+# labels.decompose_with_14, W1 negates the second and W2 swaps the two.
+WEYL = {
+    "W1": lambda tj1, tj2, tb1, tb2: (tj1, tj2, tb2 - 1, tb1 + 1),
+    "W2": lambda tj1, tj2, tb1, tb2: (tj1, tj2, tb1, -tb2 - 2),
+}
+NONE = _Expansion({})
+ONE = _Expansion({(0, 0, 0, 0): 1})
+
+
+def nonzero(value: _Expansion) -> dict:
+    return {e: c for e, c in value.terms.items() if c}
+
+
+def linear(lin, spins=_VARIABLES) -> _Expansion:
+    """A compiled linear form at spins, expanded in the doubled variables."""
+    return sum((c * v for c, v in zip(lin, (*spins, 1))), NONE)
+
+
+def doubled(poly, spins=_VARIABLES) -> _Expansion:
+    """A compiled polynomial at spins, expanded in the doubled variables."""
+    if poly is None:
+        return ONE
+    tj1, tj2, tb1, tb2 = spins
+    out = NONE
+    for e1, e2, terms in poly.by_j:
+        for c, e3, e4 in terms:
+            out = out + c * tj1 ** e1 * tj2 ** e2 * tb1 ** e3 * tb2 ** e4
+    return out
+
+
+def image(lin, change):
+    """A compiled linear form with the source label changed, compiled."""
+    terms = linear(lin, WEYL[change](*_VARIABLES)).terms
+    return tuple(terms.get(unit, 0) for unit in _UNITS)
+
+
+def square(const) -> Fraction:
+    """The square of a compiled constant (rad, num, den)."""
+    rad, num, den = const
+    return Fraction(rad * num * num, den * den)
+
+
+def weyl_ratio(row, partner, change):
+    """row against partner's row with the source label changed: the flips
+    of its outer and of its numerator forms, the sign of its polynomial and
+    the square of its constant over the partner's.
+
+    Each form of the image must be one of the row's up to sign, the
+    polynomial the same up to sign and the denominator the same. An outer
+    form of the image with a half-integer constant is compared doubled, so
+    the row's constant carries its 1/2.
+    """
+    outer, halves = [], 0
+    for c in (image(c, change) for c in partner.outer_lins):
+        if c[4] % 2:
+            c, halves = tuple(2 * x for x in c), halves + 1
+        outer.append(c)
+    forms = (flips(row.outer_lins, outer),
+             flips(row.num_lins, [image(c, change) for c in partner.num_lins]))
+    assert None not in forms and row.den_lins == partner.den_lins
+    poly = nonzero(doubled(row.poly))
+    want = nonzero(doubled(partner.poly, WEYL[change](*_VARIABLES)))
+    assert poly in (want, {e: -c for e, c in want.items()})
+    return (*forms, 1 if poly == want else -1,
+            square(row.const) * 4 ** halves / square(partner.const))
+
+
+def normalization_ratio(table, partner, change) -> Fraction:
+    """The table's signed squared normalization over the partner's with
+    the source label changed, which must be a constant."""
+    # norm**2 = square(norm_const) / prod(factor values), so the ratio is
+    # square(table) * prod(partner factors changed) / (square(partner) *
+    # prod(table factors)).
+    left = square(table.norm_const) * ONE
+    for f in partner.norm_factors:
+        left = left * doubled(f, WEYL[change](*_VARIABLES))
+    right = square(partner.norm_const) * ONE
+    for f in table.norm_factors:
+        right = right * doubled(f)
+    left, right = nonzero(left), nonzero(right)
+    assert left.keys() == right.keys()
+    ratios = {Fraction(left[e]) / right[e] for e in left}
+    assert len(ratios) == 1
+    return ratios.pop()
+
+
+# Each table read off a partner table by a Weyl reflection: the partner, the
+# reflection, the square of the rows' constant over the partner's, the
+# parity of the numerator flips and the normalizations' ratio.
+WEYL_IMAGES = {
+    (0, 2): ((2, 0), "W1", 2, 0, Fraction(1, 2)),
+    (2, -2): ((2, 2), "W2", 1, 0, 1),
+    (1, -1): ((1, 1), "W2", 1, 1, -1),
+}
+
+
+@pytest.mark.parametrize("shift", list(WEYL_IMAGES), ids=str)
+def test_every_row_is_its_weyl_partner_up_to_one_sign(shift):
+    # Each row of the table is its partner's row of the same entry at the
+    # changed source label times one constant sign, and sqrt(2) for (0,2):
+    # the same forms up to sign and the same polynomial up to sign. For
+    # (1,-1) an odd number of numerator forms is negated, so each squared
+    # row is minus its partner's as a signed square, and so is the squared
+    # normalization; the product of the two is the partner's.
+    partner, change, root, parity, norm = WEYL_IMAGES[shift]
+    table, partner = RAISING_TABLES[shift], RAISING_TABLES[partner]
+    for entry in ENTRY_SHIFTS:
+        _, num, _, ratio = weyl_ratio(table.rows[entry], partner.rows[entry],
+                                      change)
+        assert (num % 2, ratio) == (parity, root), (shift, str(entry))
+    assert normalization_ratio(table, partner, change) == norm
+
+
+# The Weyl reflections that take a table written in full to itself.
+SELF_IMAGES = [("raising (2, 2)", "W1"), ("raising (1, 1)", "W1"),
+               ("diagonal", "W1"), ("aux", "W1"),
+               ("raising (2, 0)", "W2"), ("diagonal", "W2"), ("aux", "W2")]
+
+
+@pytest.mark.parametrize("name,change", SELF_IMAGES)
+def test_written_tables_are_their_own_weyl_images(name, change):
+    # Each row is itself at the changed source label, with sign +1: its
+    # forms up to an even number of negations in the radicand, and outer
+    # negations matched by the polynomial's sign. With the tables read off
+    # these by W1 and W2 and the rows read off by the swap and reflections,
+    # every row of every table then rests on the 25 written rows and these
+    # identities.
+    table = TABLES[name]
+    for entry in ENTRY_SHIFTS:
+        row = table.rows[entry]
+        outer, num, poly, ratio = weyl_ratio(row, row, change)
+        assert (num % 2, (-1) ** outer * poly, ratio) == (0, 1, 1), (
+            name, change, str(entry))
+    assert normalization_ratio(table, table, change) == 1
+
+
+def overlap(table, other):
+    """sum_e r_e(T - e) * s_e(T - e) over the rows r of table and s of
+    other, which share each entry's numerator and denominator forms: the
+    terms by entry, as polynomials in the doubled target block (T1, T2) and
+    source label (B1, B2), multiplied through by the product of the
+    distinct denominator forms, each at its largest multiplicity, and that
+    product."""
+    def at_block(lin, entry):
+        # A row's form at the source block T - entry, as a form in T.
+        c1, c2, c3, c4, c0 = lin
+        return c1, c2, c3, c4, c0 - c1 * entry.tdj1 - c2 * entry.tdj2
+
+    dens = {entry: Counter(at_block(c, entry) for c in row.den_lins)
+            for entry, row in table.rows.items()}
+    common = reduce(operator.or_, dens.values())
+    parts = {}
+    t1, t2, b1, b2 = _VARIABLES
+    for entry, row in table.rows.items():
+        pair = other.rows[entry]
+        assert (pair.num_lins, pair.den_lins) == (row.num_lins, row.den_lins)
+        (rad, num, den), (pair_rad, pair_num, pair_den) = row.const, pair.const
+        assert rad == pair_rad
+        spins = (t1 - entry.tdj1, t2 - entry.tdj2, b1, b2)
+        part = doubled(row.poly, spins) * doubled(pair.poly, spins)
+        for c in row.outer_lins + pair.outer_lins + row.num_lins:
+            part = part * linear(at_block(c, entry))
+        for c, k in (common - dens[entry]).items():
+            part = part * linear(c) ** k
+        parts[entry] = part * Fraction(rad * num * pair_num, den * pair_den)
+    product = ONE
+    for c, k in common.items():
+        product = product * linear(c) ** k
+    return parts, product
+
+
+# Every table whose rows are normalized to one at each target block.
+NORMALIZED = [f"raising {shift}" for shift in RAISING_TABLES] + ["diagonal"]
+
+
+@pytest.mark.parametrize("name", NORMALIZED)
+def test_norm_certificate(name):
+    # The sum over a target block of the squared normalized rows is 1, as
+    # an identity in the doubled spins: it holds at every spin, for the
+    # formulas the evaluator runs, written or derived.
+    table = TABLES[name]
+    parts, rhs = overlap(table, table)
+    # norm**2 = square(norm_const) / prod(factor values).
+    rhs = rhs * (1 / square(table.norm_const))
+    for f in table.norm_factors:
+        rhs = rhs * doubled(f)
+    total = sum(parts.values(), NONE)
+    assert nonzero(total - rhs) == {}
+    # Negative control: any one row times sqrt(2) breaks it.
+    for entry, part in parts.items():
+        assert nonzero(total + part - rhs), (name, str(entry))
+
+
+def test_mixing_identities_certificate():
+    # The companion's overlap with the bare diagonal rows is mixing_x and
+    # its squared norm mixing_h2, as identities in the doubled spins.
+    b1, b2 = (v * Fraction(1, 2) for v in _VARIABLES[2:])
+    for other, want in ((DIAGONAL_TABLE, mixing_x_rational(b1, b2)),
+                        (AUX_TABLE, mixing_h2(b1, b2))):
+        parts, product = overlap(AUX_TABLE, other)
+        assert nonzero(sum(parts.values(), NONE) - product * want) == {}
