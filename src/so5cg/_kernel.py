@@ -4,13 +4,15 @@
     sum_i (num_i/den_i)*sqrt(rad_i), with rad square-free and strictly
     increasing across the tuple, num != 0, den > 0, gcd(num, den) == 1.
   * all functions take and return canonical term lists, except the dot
-    product kernel, which works on scaled vectors: a sparse vector of term
-    lists is brought once to integer numerators over one common
-    denominator (scale_vector); the products of one scaled vector with
-    each of several others are summed on plain ints keyed by the product
-    of their radicands (product_sums), each sum is folded onto square-free
-    radicands (fold), and over() turns the result back into a term list.
-    dot_scaled is the two together for one pair.
+    product kernel, which works on scaled vectors: integer numerators over
+    one common denominator, as layers of {key: (rad, num)}. scale_vector
+    brings a sparse vector of term lists to that form once; a
+    coupling-matrix column is assembled in it (fullcg.Column). The
+    products of one scaled vector with each of several others are summed
+    on plain ints keyed by the product of their radicands (product_sums),
+    each sum is folded onto square-free radicands (fold), and over() turns
+    the result back into a term list. dot_scaled is the two together for
+    one pair.
 """
 
 from __future__ import annotations
@@ -125,8 +127,8 @@ def scale_vector(vector):
     """A sparse vector of term lists, keyed by anything hashable, as
     (den, layers): den is the least common multiple of every term's
     denominator, and layers[k] maps each key whose term list has a term k
-    to (rad, num * den // d) of that term. A vector of single terms, as
-    every coupling-matrix column is, has one layer."""
+    to (rad, num * den // d) of that term. A vector of single terms has
+    one layer."""
     den = 1
     for terms in vector.values():
         for _, _, d in terms:

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import groupby
+from math import gcd, lcm
 from typing import (Callable, Hashable, Iterator, Mapping, NamedTuple, Optional,
                     Sequence)
 
-from ._kernel import (dot_scaled, fold, mul_terms, over, product_sums,
-                      scale_vector)
+from ._kernel import dot_scaled, fold, over, product_sums, scale_vector
 from .errors import MalformedKey
 from .exactnum import ZERO, SqrtSum
 from .labels import (
@@ -143,15 +143,42 @@ def full(source: IrrepLabel, row: RowState, col: ColState) -> SqrtSum:
     return r * cg1 * cg2
 
 
-Column = dict[int, SqrtSum]
+class Column(dict):
+    """One coupled state's column, scaled: each nonzero entry
+    (num/den)*sqrt(rad) maps its row index to (rad, num), over the one
+    positive int denominator den of the column. rad is square-free and num
+    a nonzero int; num/den need not be in lowest terms."""
+
+    __slots__ = ("den",)
+
+    def __init__(self, den: int):
+        super().__init__()
+        self.den = den
+
+    def value(self, i: int) -> SqrtSum:
+        """The entry at row index i as a SqrtSum."""
+        rad, num = self[i]
+        g = gcd(num, self.den)
+        return SqrtSum(((rad, num // g, self.den // g),))
+
+
+def _one_term(terms, what: str) -> tuple[int, int, int]:
+    """The one (rad, num, den) of a single-term value's term list.
+
+    Columns are assembled on single terms; a value of more terms raises
+    ValueError rather than being cut short.
+    """
+    if len(terms) != 1:
+        raise ValueError(f"{what} is not a single term: {terms}")
+    return terms[0]
 
 
 # At most six slots per source spin: the bound holds all for 2j1 < 680.
 @lru_cache(maxsize=4096)
 def _su2_factors(ts: int, tp: int, tt: int) -> tuple[tuple, ...]:
-    """Every nonzero <s m, p pm | t mt> of one SO(3) slot, pm = mt - m, as
-    (2mt, i, j, terms), where i and j count m and pm up from -s and -p;
-    spins are doubled throughout."""
+    """Every nonzero <s m, p pm | t mt> = (num/den)*sqrt(rad) of one SO(3)
+    slot, pm = mt - m, as (2mt, i, j, rad, num, den), where i and j count m
+    and pm up from -s and -p; spins are doubled throughout."""
     out = []
     for tmt in range(-tt, tt + 1, 2):
         for tm in range(-ts, ts + 1, 2):
@@ -160,7 +187,7 @@ def _su2_factors(ts: int, tp: int, tt: int) -> tuple[tuple, ...]:
                 cg = su2_cg(ts, tm, tp, tpm, tt, tmt)
                 if cg:
                     out.append((tmt, (tm + ts) // 2, (tpm + tp) // 2,
-                                cg.terms))
+                                *_one_term(cg.terms, "an SU(2) factor")))
     return tuple(out)
 
 
@@ -184,37 +211,63 @@ _PART_STARTS = _block_starts(FOURTEEN, 1)
 def _block_columns(components, t: So4Label, bases: dict[tuple[int, int], int]
                    ) -> dict[int, dict[int, Column]]:
     """The columns of every coupled state of target block t, keyed by their
-    doubled magnetic labels, 2mt1 then 2mt2; each column maps a row index to
-    its nonzero value.
+    doubled magnetic labels, 2mt1 then 2mt2.
 
     components holds the block's nonzero reduced values as (2s1, 2s2, 2p,
-    terms), the source block and the 14-part's spin (both of its spins are
-    p) doubled; each entry is r * cg1 * cg2 on term lists. bases maps each
-    source block to the index of its first row.
+    (rad, num, den)), the source block and the 14-part's spin (both of its
+    spins are p) doubled. Each entry is r * cg1 * cg2, multiplied on ints
+    over one denominator for the whole block: the product of the lcms of
+    the reduced values' denominators and of the left and right SU(2)
+    factors' denominators. Each column is then divided down to its least
+    denominator. bases maps each source block to the index of its first
+    row.
     """
     tt1, tt2 = t.twice
-    columns = {tmt1: {tmt2: {} for tmt2 in range(-tt2, tt2 + 1, 2)}
-               for tmt1 in range(-tt1, tt1 + 1, 2)}
+    slots = []
+    den_r = den1 = den2 = 1
     for ts1, ts2, tp, r in components:
-        left = _su2_factors(ts1, tp, tt1)
-        right = _su2_factors(ts2, tp, tt2)
+        left, right = _su2_factors(ts1, tp, tt1), _su2_factors(ts2, tp, tt2)
+        den_r = lcm(den_r, r[2])
+        den1 = lcm(den1, *(f[5] for f in left))
+        den2 = lcm(den2, *(f[5] for f in right))
+        slots.append((ts1, ts2, tp, r, left, right))
+    den = den_r * den1 * den2
+    columns = {tmt1: {tmt2: Column(den) for tmt2 in range(-tt2, tt2 + 1, 2)}
+               for tmt1 in range(-tt1, tt1 + 1, 2)}
+    for ts1, ts2, tp, (rad, num, d), left, right in slots:
+        num *= den_r // d
+        right = [(tmt2, i2 * 14 + j2, r2, n2 * (den2 // d2))
+                 for tmt2, i2, j2, r2, n2, d2 in right]
         # Row of (s; m1, m2 | p; pm1, pm2): the start of block s, 14 rows
         # per (m1, m2) state, then the start of part p and (pm1, pm2) in it.
         base = bases[(ts1, ts2)] + _PART_STARTS[(tp, tp)]
-        for tmt1, i1, j1, cg1 in left:
-            rc1 = mul_terms(r, cg1)
+        for tmt1, i1, j1, r1, n1, d1 in left:
+            g = gcd(rad, r1)
+            rad1 = (rad // g) * (r1 // g)
+            num1 = num * n1 * (den1 // d1) * g
             first = base + i1 * (ts2 + 1) * 14 + j1 * (tp + 1)
             by_mt2 = columns[tmt1]
-            for tmt2, i2, j2, cg2 in right:
-                by_mt2[tmt2][first + i2 * 14 + j2] = SqrtSum(
-                    mul_terms(rc1, cg2))
+            for tmt2, offset, r2, n2 in right:
+                g = gcd(rad1, r2)
+                by_mt2[tmt2][first + offset] = ((rad1 // g) * (r2 // g),
+                                                num1 * n2 * g)
+    # Each column over its least denominator: the Gram's products stay
+    # small ints.
+    for by_mt2 in columns.values():
+        for column in by_mt2.values():
+            g = gcd(den, *(num for _, num in column.values()))
+            if g > 1:
+                column.den = den // g
+                for i, (rad, num) in column.items():
+                    column[i] = (rad, num // g)
     return columns
 
 
 class CouplingMatrix(NamedTuple):
     """The full change of basis for one source irrep, stored column-sparse.
 
-    Each column maps a row index into ``rows`` to its nonzero value.
+    Each column is a Column: its row indices into ``rows``, each with the
+    scaled entry of that row.
     """
 
     source: IrrepLabel
@@ -227,13 +280,15 @@ class CouplingMatrix(NamedTuple):
         return (len(self.rows), len(self.cols))
 
     def iter_entries(self) -> Iterator[tuple[int, int, SqrtSum]]:
-        """Nonzero entries as (row index, col index, value), row-major."""
-        triplets = []
-        for j, col in enumerate(self.cols):
-            for i, value in self.columns[col].items():
-                triplets.append((i, j, value))
-        triplets.sort(key=lambda t: (t[0], t[1]))
-        yield from triplets
+        """Nonzero entries as (row index, col index, value), row-major; each
+        value is built as it is yielded."""
+        columns = [self.columns[col] for col in self.cols]
+        n = len(columns)
+        # (i, j) sorted as the one int i * n + j, with 0 <= j < n.
+        for k in sorted(i * n + j for j, column in enumerate(columns)
+                        for i in column):
+            i, j = divmod(k, n)
+            yield i, j, columns[j].value(i)
 
     def to_csv_rows(self) -> Iterator[list[str]]:
         header = ["s_tj1", "s_tj2", "tm1", "tm2", "p_tj1", "p_tj2",
@@ -288,7 +343,8 @@ def coupling_matrix(source: IrrepLabel) -> CouplingMatrix:
         value = _row_values(source, Channel(target.tj1 - source.tj1,
                                             target.tj2 - source.tj2, copy))
         for t, block in groupby(channel_cols, key=lambda col: col.target_so4):
-            components = [(*key, r.terms) for key, r
+            components = [(*key, _one_term(r.terms, "a reduced value"))
+                          for key, r
                           in _vector(value, source, t.tj1, t.tj2).items()
                           if r]
             vectors = _block_columns(components, t, bases)
@@ -297,30 +353,28 @@ def coupling_matrix(source: IrrepLabel) -> CouplingMatrix:
     return CouplingMatrix(source, rows, cols, columns)
 
 
-def gram_deviation(labels: Sequence, vectors: Sequence[Mapping],
-                   sector: Callable[..., Hashable]):
-    """First (label, label, value) where the exact Gram of the vectors
-    differs from identity, or None.
+def _first_deviation(labels: Sequence, scaled: Callable[[int], tuple],
+                     sector: Callable[..., Hashable]):
+    """First (label, label, value) where the exact Gram of the scaled
+    vectors differs from identity, or None.
 
-    Each vector maps component keys to SqrtSums. Vectors in different
-    sectors share no components, so only same-sector pairs (a, b), a <= b,
-    are examined, sector by sector, in row-major order. A sector's vectors
-    are scaled once, to integer numerators over a common denominator D
-    (_kernel.scale_vector). The norm of a one-layer vector, as every
-    coupling-matrix column is, is sum(n*n*r) on radicand 1 and is compared
-    with D_a**2 as it is; any other norm is a _kernel.dot_scaled. Off the
-    diagonal, row a's products are summed on ints keyed by r1*r2 in one
-    call (_kernel.product_sums); a pair whose every sum is 0 is exactly 0,
-    and only the others are folded onto their radicands (_kernel.fold) and
-    compared with 0. Only a deviation is turned back into a SqrtSum.
+    scaled(k) is vector k as (D, layers): integer numerators over one
+    common denominator D, each layer a map from component keys to (rad,
+    num), as _kernel.scale_vector gives. Vectors in different sectors share
+    no components, so only same-sector pairs (a, b), a <= b, are examined,
+    sector by sector, in row-major order. The norm of a one-layer vector is
+    sum(n*n*r) on radicand 1 and is compared with D_a**2 as it is; any
+    other norm is a _kernel.dot_scaled. Off the diagonal, row a's products
+    are summed on ints keyed by r1*r2 in one call (_kernel.product_sums); a
+    pair whose every sum is 0 is exactly 0, and only the others are folded
+    onto their radicands (_kernel.fold) and compared with 0. Only a
+    deviation is turned back into a SqrtSum.
     """
     sectors: dict[Hashable, list[int]] = {}
     for k, label in enumerate(labels):
         sectors.setdefault(sector(label), []).append(k)
     for _, group in sorted(sectors.items()):
-        dens, layers = zip(*[scale_vector({i: value.terms
-                                           for i, value in vectors[k].items()})
-                             for k in group])
+        dens, layers = zip(*[scaled(k) for k in group])
         for a, la in enumerate(layers):
             da = dens[a]
             norm = ({1: sum([n * n * r for r, n in la[0].values()])}
@@ -335,6 +389,23 @@ def gram_deviation(labels: Sequence, vectors: Sequence[Mapping],
     return None
 
 
+def gram_deviation(labels: Sequence, vectors: Sequence[Mapping],
+                   sector: Callable[..., Hashable]):
+    """First (label, label, value) where the exact Gram of the vectors
+    differs from identity, or None.
+
+    Each vector maps component keys to SqrtSums. When its sector is
+    reached, it is scaled once (_kernel.scale_vector), term k of every
+    entry in layer k, and the sectors' Grams are taken as for coupling
+    matrix columns (_first_deviation).
+    """
+    return _first_deviation(
+        labels,
+        lambda k: scale_vector({i: value.terms
+                                for i, value in vectors[k].items()}),
+        sector)
+
+
 class EntryOutsideMatrix(ValueError):
     """A column of a matrix holds an entry at a row index outside it."""
 
@@ -344,14 +415,14 @@ class EntryOutsideMatrix(ValueError):
         self.column, self.index, self.size = column, index, size
 
 
-def transpose(columns: Sequence[Column], size: int) -> list[Column]:
+def transpose(columns: Sequence[Mapping], size: int) -> list[dict]:
     """The size rows of a column-sparse matrix, keyed by column index.
 
     An entry at a row index outside range(size) raises EntryOutsideMatrix
     with the column's index: neither one past the end nor a negative one is
     filed under a row.
     """
-    rows: list[Column] = [{} for _ in range(size)]
+    rows: list[dict] = [{} for _ in range(size)]
     for j, column in enumerate(columns):
         for i, value in column.items():
             if not 0 <= i < size:
@@ -364,18 +435,21 @@ def column_gram_deviation(matrix: CouplingMatrix
                           ) -> Optional[tuple[ColState, ColState, SqrtSum]]:
     """First (col, col, value) where the exact Gram differs from identity.
 
-    Columns are grouped by magnetic sector; None means exact orthonormality
+    Columns are grouped by magnetic sector and read as they are assembled,
+    each one layer over its denominator. None means exact orthonormality
     when every entry of a column sits in a row of the column's sector,
     which verify.full_orthogonality audits first.
     """
-    return gram_deviation(matrix.cols,
-                          [matrix.columns[col] for col in matrix.cols],
-                          lambda col: col.sector)
+    columns = [matrix.columns[col] for col in matrix.cols]
+    return _first_deviation(matrix.cols,
+                            lambda k: (columns[k].den, (columns[k],)),
+                            lambda col: col.sector)
 
 
 def row_gram_deviation(matrix: CouplingMatrix
                        ) -> Optional[tuple[RowState, RowState, SqrtSum]]:
-    """Row-side analogue of column_gram_deviation (completeness check).
+    """Row-side analogue of column_gram_deviation (completeness check):
+    the rows as SqrtSum vectors, through gram_deviation.
 
     A column entry outside the matrix's rows raises EntryOutsideMatrix
     naming the column's ColState and the row index.
@@ -386,4 +460,6 @@ def row_gram_deviation(matrix: CouplingMatrix
     except EntryOutsideMatrix as exc:
         raise EntryOutsideMatrix(matrix.cols[exc.column], exc.index,
                                  exc.size) from None
-    return gram_deviation(matrix.rows, rows, lambda row: row.sector)
+    values = [{j: columns[j].value(i) for j in row}
+              for i, row in enumerate(rows)]
+    return gram_deviation(matrix.rows, values, lambda row: row.sector)

@@ -420,13 +420,14 @@ def _analytic_columns(matrix: CouplingMatrix,
     n = len(tag_index)
     for col in matrix.cols:
         v = np.zeros(n, dtype=complex)
-        for i, value in matrix.columns[col].items():
+        column = matrix.columns[col]
+        for i in column:
             row = matrix.rows[i]
             lt = (row.source_so4.tj1, row.source_so4.tj2,
                   row.m1.twice, row.m2.twice)
             rt = (row.part.tj1, row.part.tj2,
                   row.pm1.twice, row.pm2.twice)
-            v[tag_index[(lt, rt)]] = float(value)
+            v[tag_index[(lt, rt)]] = float(column.value(i))
         out[col] = v
     return out
 

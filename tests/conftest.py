@@ -2,6 +2,10 @@
 
 import pytest
 
+# The shared helpers hold plain asserts; rewrite them as in a test module,
+# so that they still fail under python -O.
+pytest.register_assert_rewrite("helpers")
+
 _CRITERION_LINES: dict[int, str] = {}
 
 

@@ -1,8 +1,15 @@
 """Full coefficients and per-source coupling matrices."""
 
+import gc
+import os
+import subprocess
+import sys
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from helpers import column_values, scaled_column
 
 from so5cg.errors import MalformedKey
 from so5cg.exactnum import ONE, ZERO, sqrt_rational
@@ -109,7 +116,8 @@ def test_full_is_the_coupling_matrix_entry(twice):
     for col in matrix.cols:
         column = matrix.columns[col]
         for i in sectors[(col.mt1.twice, col.mt2.twice)]:
-            assert full(src, matrix.rows[i], col) == column.get(i, 0), (
+            want = column.value(i) if i in column else 0
+            assert full(src, matrix.rows[i], col) == want, (
                 matrix.rows[i], col)
 
 
@@ -168,9 +176,9 @@ def test_row_order_is_lexicographic():
 def test_gram_deviation_reports_labels_and_exact_value():
     matrix = coupling_matrix(IrrepLabel(1, 0))
     col = max(matrix.cols, key=lambda c: len(matrix.columns[c]))
-    column = matrix.columns[col]
+    column = column_values(matrix.columns[col])
     columns = dict(matrix.columns)
-    columns[col] = {i: 2 * v for i, v in column.items()}
+    columns[col] = scaled_column({i: 2 * v for i, v in column.items()})
     doubled = CouplingMatrix(matrix.source, matrix.rows, matrix.cols, columns)
     # Doubling one column leaves every pair orthogonal and its norm 4.
     assert column_gram_deviation(doubled) == (col, col, 4)
@@ -186,20 +194,20 @@ def test_gram_deviation_reports_labels_and_exact_value():
 
 def test_a_one_layer_column_with_a_wrong_norm_is_reported_on_the_diagonal():
     # The first column of a sector is examined against itself before any
-    # pair; its entries are single terms, so its norm is the closed form.
+    # pair; a column is one layer of single terms, so its norm is the
+    # closed form.
     matrix = coupling_matrix(IrrepLabel(1, 0))
     firsts = {}
     for col in matrix.cols:
         firsts.setdefault(col.sector, col)
     col = max(firsts.values(), key=lambda c: len(matrix.columns[c]))
-    column = dict(matrix.columns[col])
+    column = column_values(matrix.columns[col])
     assert len(column) > 1
-    assert all(len(v.terms) == 1 for v in column.values())
     i = min(column)
     v = column[i]
     column[i] = v * Fraction(3, 2)
     columns = dict(matrix.columns)
-    columns[col] = column
+    columns[col] = scaled_column(column)
     bad = CouplingMatrix(matrix.source, matrix.rows, matrix.cols, columns)
     norm = 1 + Fraction(5, 4) * v * v
     assert norm.is_rational() and norm != 1
@@ -254,9 +262,10 @@ def reference_gram(labels, vectors, sector):
 
 
 def corrupted(matrix, how):
-    """The matrix with one entry of its middle column changed."""
-    col = matrix.cols[len(matrix.cols) // 2]
-    column = dict(matrix.columns[col])
+    """The matrix's columns as SqrtSum maps, in column order, with one entry
+    of its middle column changed."""
+    columns = [column_values(matrix.columns[col]) for col in matrix.cols]
+    column = columns[len(columns) // 2]
     i = sorted(column)[len(column) // 2]
     v = column[i]
     if how == "sign flip":
@@ -268,24 +277,36 @@ def corrupted(matrix, how):
     else:
         column[i] = v + sqrt_rational(2 if v.terms[0][0] != 2 else 3) / 7
         assert len(column[i].terms) == 2
-    columns = dict(matrix.columns)
-    columns[col] = column
-    return CouplingMatrix(matrix.source, matrix.rows, matrix.cols, columns)
+    return columns
+
+
+def col_sector(col):
+    return (col.mt1.twice, col.mt2.twice)
+
+
+def row_sector(row):
+    return (row.m1.twice + row.pm1.twice, row.m2.twice + row.pm2.twice)
 
 
 @pytest.mark.parametrize("source", ["1,0", "3/2,1/2", "2,2"])
 def test_gram_deviations_match_a_sqrtsum_reference(source):
     matrix = coupling_matrix(IrrepLabel.parse(source))
     for how in ("sign flip", "dropped entry", "scaled entry", "two-term"):
-        bad = corrupted(matrix, how)
-        columns = [bad.columns[col] for col in bad.cols]
-        col_ref = reference_gram(bad.cols, columns,
-                                 lambda col: (col.mt1.twice, col.mt2.twice))
-        row_ref = reference_gram(bad.rows,
-                                 transpose(columns, len(bad.rows)),
-                                 lambda row: (row.m1.twice + row.pm1.twice,
-                                              row.m2.twice + row.pm2.twice))
+        columns = corrupted(matrix, how)
+        rows = transpose(columns, len(matrix.rows))
+        col_ref = reference_gram(matrix.cols, columns, col_sector)
+        row_ref = reference_gram(matrix.rows, rows, row_sector)
         assert col_ref is not None and row_ref is not None, how
+        if how == "two-term":
+            # No column holds it: the Gram core is checked on the vectors.
+            with pytest.raises(ValueError, match="not a single term"):
+                scaled_column(columns[len(columns) // 2])
+            assert gram_deviation(matrix.cols, columns, col_sector) == col_ref
+            assert gram_deviation(matrix.rows, rows, row_sector) == row_ref
+            continue
+        bad = matrix._replace(columns={col: scaled_column(column) for
+                                       col, column in zip(matrix.cols,
+                                                          columns)})
         assert column_gram_deviation(bad) == col_ref, how
         assert row_gram_deviation(bad) == row_ref, how
 
@@ -312,3 +333,52 @@ def test_su2_slot_factors_sit_in_a_bounded_memo():
     assert _su2_factors.cache_info().maxsize is not None
     coupling_matrix(IrrepLabel(1, 0))
     assert _su2_factors.cache_info().currsize > 0
+
+
+TWO_TERMS = """
+import sys
+from so5cg import fullcg
+from so5cg.exactnum import ONE, sqrt_rational
+from so5cg.labels import IrrepLabel
+two = ONE + sqrt_rational(2)
+vector, su2_cg = fullcg._vector, fullcg.su2_cg
+if sys.argv[1] == "reduced":
+    fullcg._vector = lambda *args: {k: two for k in vector(*args)}
+else:
+    fullcg.su2_cg = lambda *args: two if su2_cg(*args) else su2_cg(*args)
+try:
+    fullcg.coupling_matrix(IrrepLabel(1, 0))
+except ValueError as exc:
+    print(__debug__, exc)
+"""
+
+
+@pytest.mark.parametrize("what", ["reduced", "su2"])
+def test_a_two_term_factor_is_refused_under_python_O(what):
+    # Columns hold single terms. A two-term reduced value or SU(2) factor
+    # stops assembly with an explicit raise, which -O does not strip.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-O", "-c", TWO_TERMS, what],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    name = "a reduced value" if what == "reduced" else "an SU(2) factor"
+    assert proc.stdout.startswith(f"False {name} is not a single term: ")
+
+
+def test_a_coupling_matrix_holds_at_most_180_bytes_per_nonzero():
+    # Side 770, all memos hot: what is traced is the matrix itself, its
+    # row and column labels included.
+    source = IrrepLabel(4, 4)
+    coupling_matrix(source)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        matrix = coupling_matrix(source)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    nonzeros = sum(len(column) for column in matrix.columns.values())
+    assert nonzeros == 8377
+    assert held <= 180 * nonzeros, held / nonzeros

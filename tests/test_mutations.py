@@ -15,8 +15,10 @@ the model: wrong signs and wrong factors in printed rows.
   the reduced Gram identity.
 - A factor error rewrites one row's text, as written or as derived: b1 and
   b2 swapped in one linear form, one form's constant off by one, or the row
-  scaled by sqrt(2). Each names the check that fails it; the one the tier-1
-  bound misses is pinned as that gap, with the bound that catches it.
+  scaled by sqrt(2). Each names the checks that fail it; the one the tier-1
+  bound misses is pinned as that gap, with the bound that catches it. The
+  norm certificate, an identity in the doubled spins, fails every rewrite
+  of a normalized table at once.
 
 A check that stops catching its class fails this file.
 """
@@ -24,6 +26,7 @@ A check that stops catching its class fails this file.
 from typing import Callable, NamedTuple
 
 import pytest
+from helpers import norm_certificate
 
 from so5cg import verify
 from so5cg._formula import _lins, _pieces
@@ -148,14 +151,14 @@ def test_every_table_value_goes_through_bare_value(monkeypatch):
 
 
 class FactorError(NamedTuple):
-    """One row rewritten, the check that must fail on it, and the
+    """One row rewritten, the checks that must fail on it, and the
     checks pinned to pass it: a gap, named so that closing it shows."""
 
     name: str
     table: ChannelTable
     entry: EntryShift
     rewrite: Callable[[RowSpec], RowSpec]
-    caught_by: str
+    caught_by: tuple[str, ...]
     missed_by: tuple[str, ...] = ()
 
 
@@ -174,34 +177,41 @@ def _times_sqrt2(spec: RowSpec) -> RowSpec:
     return spec._replace(const=compose(spec.const, (2, 1, 1)))
 
 
-# Each check returns a counterexample, or None when it passes.
+# Each check takes the table as evaluated and returns a counterexample, or
+# None when it passes. The sweeps read the table through bare_value; the
+# norm certificate reads its compiled rows.
 CHECKS = {
-    "reduced_unitarity(4)": lambda: verify.reduced_unitarity(UNITARITY_BOUND),
-    "reduced_unitarity(6)": lambda: verify.reduced_unitarity(6),
-    "mixing_identities(4)": lambda: verify.mixing_identities(UNITARITY_BOUND),
-    "compare((1,1/2))": lambda: (None if compare(ORACLE_SOURCE).passed
-                                 else "oracle mismatch"),
+    "reduced_unitarity(4)":
+        lambda table: verify.reduced_unitarity(UNITARITY_BOUND),
+    "reduced_unitarity(6)": lambda table: verify.reduced_unitarity(6),
+    "mixing_identities(4)":
+        lambda table: verify.mixing_identities(UNITARITY_BOUND),
+    "compare((1,1/2))": lambda table: (None if compare(ORACLE_SOURCE).passed
+                                       else "oracle mismatch"),
+    "norm_certificate": norm_certificate,
 }
 
 FACTOR_ERRORS = (
     FactorError("b1<->b2 in one numerator form", RAISING_TABLES[(2, 2)],
                 EntryShift(2, 2, PART_11),
                 _in_form("num", "j1+j2+b1-b2+2", "j1+j2-b1+b2+2"),
-                "reduced_unitarity(4)"),
+                ("reduced_unitarity(4)", "norm_certificate")),
     FactorError("numerator constant off by one", DIAGONAL_TABLE,
                 EntryShift(1, 1, PART_HH),
                 _in_form("num", "j1+j2+b1-b2+2", "j1+j2+b1-b2+3"),
-                "mixing_identities(4)"),
+                ("mixing_identities(4)", "norm_certificate")),
+    # The companion is not normalized to one: no norm certificate.
     FactorError("row times sqrt(2)", AUX_TABLE, EntryShift(2, 0, PART_11),
-                _times_sqrt2, "mixing_identities(4)"),
+                _times_sqrt2, ("mixing_identities(4)",)),
     # Up to 2j1 = 4 this row is nonzero only at source (2,2), where b1 = b2
     # and the swap changes nothing; source (5/2,2) shows it. The row is read
     # off raising (2,2)'s (-1,-1) row by W2: b2 -> -b2-1, that one off its
-    # (+1,+1) row by R1R2, and the rewrite is made in its derived text.
+    # (+1,+1) row by R1R2, and the rewrite is made in its derived text. The
+    # norm certificate holds at every spin, so it sees the row at b1 != b2.
     FactorError("b1<->b2 in a row nonzero only at b1 = b2 up to 2j1 = 4",
                 RAISING_TABLES[(2, -2)], EntryShift(-2, -2, PART_11),
                 _in_form("num", "j1-j2+b1-b2+1", "j1-j2-b1+b2+1"),
-                "reduced_unitarity(6)",
+                ("reduced_unitarity(6)", "norm_certificate"),
                 missed_by=("reduced_unitarity(4)", "compare((1,1/2))")),
 )
 
@@ -221,9 +231,13 @@ def _substitute(monkeypatch, table: ChannelTable, spec: RowSpec) -> None:
 @pytest.mark.parametrize("error", FACTOR_ERRORS,
                          ids=[e.name for e in FACTOR_ERRORS])
 def test_factor_errors_fail_their_check(monkeypatch, error):
-    assert CHECKS[error.caught_by]() is None
-    _substitute(monkeypatch, error.table,
-                error.rewrite(error.table.rows[error.entry]))
-    assert CHECKS[error.caught_by]() is not None
+    table = error.table
+    for check in error.caught_by:
+        assert CHECKS[check](table) is None, check
+    spec = error.rewrite(table.rows[error.entry])
+    bad = table._replace(rows={**table.rows, error.entry: spec})
+    _substitute(monkeypatch, table, spec)
+    for check in error.caught_by:
+        assert CHECKS[check](bad) is not None, check
     for check in error.missed_by:
-        assert CHECKS[check]() is None, check
+        assert CHECKS[check](bad) is None, check

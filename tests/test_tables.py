@@ -10,13 +10,21 @@ import hashlib
 import itertools
 import operator
 import re
-from collections import Counter
 from fractions import Fraction
-from functools import reduce
 
 import pytest
+from helpers import (
+    NONE,
+    ONE,
+    doubled,
+    linear,
+    nonzero,
+    norm_identity,
+    overlap,
+    square,
+)
 
-from so5cg._formula import _UNITS, _VARIABLES, _Expansion, _int_poly
+from so5cg._formula import _UNITS, _VARIABLES, _int_poly
 from so5cg.errors import ChannelAbsent, FormulaDomainError
 from so5cg.exactnum import ZERO, sqrt_rational
 from so5cg.labels import ENTRY_SHIFTS, EntryShift, branching, iter_labels
@@ -367,41 +375,12 @@ WEYL = {
     "W1": lambda tj1, tj2, tb1, tb2: (tj1, tj2, tb2 - 1, tb1 + 1),
     "W2": lambda tj1, tj2, tb1, tb2: (tj1, tj2, tb1, -tb2 - 2),
 }
-NONE = _Expansion({})
-ONE = _Expansion({(0, 0, 0, 0): 1})
-
-
-def nonzero(value: _Expansion) -> dict:
-    return {e: c for e, c in value.terms.items() if c}
-
-
-def linear(lin, spins=_VARIABLES) -> _Expansion:
-    """A compiled linear form at spins, expanded in the doubled variables."""
-    return sum((c * v for c, v in zip(lin, (*spins, 1))), NONE)
-
-
-def doubled(poly, spins=_VARIABLES) -> _Expansion:
-    """A compiled polynomial at spins, expanded in the doubled variables."""
-    if poly is None:
-        return ONE
-    tj1, tj2, tb1, tb2 = spins
-    out = NONE
-    for e1, e2, terms in poly.by_j:
-        for c, e3, e4 in terms:
-            out = out + c * tj1 ** e1 * tj2 ** e2 * tb1 ** e3 * tb2 ** e4
-    return out
 
 
 def image(lin, change):
     """A compiled linear form with the source label changed, compiled."""
     terms = linear(lin, WEYL[change](*_VARIABLES)).terms
     return tuple(terms.get(unit, 0) for unit in _UNITS)
-
-
-def square(const) -> Fraction:
-    """The square of a compiled constant (rad, num, den)."""
-    rad, num, den = const
-    return Fraction(rad * num * num, den * den)
 
 
 def weyl_ratio(row, partner, change):
@@ -498,41 +477,6 @@ def test_written_tables_are_their_own_weyl_images(name, change):
     assert normalization_ratio(table, table, change) == 1
 
 
-def overlap(table, other):
-    """sum_e r_e(T - e) * s_e(T - e) over the rows r of table and s of
-    other, which share each entry's numerator and denominator forms: the
-    terms by entry, as polynomials in the doubled target block (T1, T2) and
-    source label (B1, B2), multiplied through by the product of the
-    distinct denominator forms, each at its largest multiplicity, and that
-    product."""
-    def at_block(lin, entry):
-        # A row's form at the source block T - entry, as a form in T.
-        c1, c2, c3, c4, c0 = lin
-        return c1, c2, c3, c4, c0 - c1 * entry.tdj1 - c2 * entry.tdj2
-
-    dens = {entry: Counter(at_block(c, entry) for c in row.den_lins)
-            for entry, row in table.rows.items()}
-    common = reduce(operator.or_, dens.values())
-    parts = {}
-    t1, t2, b1, b2 = _VARIABLES
-    for entry, row in table.rows.items():
-        pair = other.rows[entry]
-        assert (pair.num_lins, pair.den_lins) == (row.num_lins, row.den_lins)
-        (rad, num, den), (pair_rad, pair_num, pair_den) = row.const, pair.const
-        assert rad == pair_rad
-        spins = (t1 - entry.tdj1, t2 - entry.tdj2, b1, b2)
-        part = doubled(row.poly, spins) * doubled(pair.poly, spins)
-        for c in row.outer_lins + pair.outer_lins + row.num_lins:
-            part = part * linear(at_block(c, entry))
-        for c, k in (common - dens[entry]).items():
-            part = part * linear(c) ** k
-        parts[entry] = part * Fraction(rad * num * pair_num, den * pair_den)
-    product = ONE
-    for c, k in common.items():
-        product = product * linear(c) ** k
-    return parts, product
-
-
 # Every table whose rows are normalized to one at each target block.
 NORMALIZED = [f"raising {shift}" for shift in RAISING_TABLES] + ["diagonal"]
 
@@ -543,11 +487,7 @@ def test_norm_certificate(name):
     # an identity in the doubled spins: it holds at every spin, for the
     # formulas the evaluator runs, written or derived.
     table = TABLES[name]
-    parts, rhs = overlap(table, table)
-    # norm**2 = square(norm_const) / prod(factor values).
-    rhs = rhs * (1 / square(table.norm_const))
-    for f in table.norm_factors:
-        rhs = rhs * doubled(f)
+    parts, rhs = norm_identity(table)
     total = sum(parts.values(), NONE)
     assert nonzero(total - rhs) == {}
     # Negative control: any one row times sqrt(2) breaks it.

@@ -3,6 +3,7 @@
 from collections import Counter
 
 import pytest
+from helpers import column_values, scaled_column
 
 from so5cg.exactnum import ONE
 from so5cg.fullcg import (
@@ -177,13 +178,15 @@ def test_bulk_passes_bind_each_row_at_most_once_per_channel(monkeypatch):
 
 
 def _corrupted(source, edit):
-    """coupling_matrix(source) with edit(columns, col) applied to a copy of
-    its column map, col looking a column up by its text."""
+    """coupling_matrix(source) with edit(columns, col) applied to its
+    columns as SqrtSum maps, col looking a column up by its text."""
     matrix = coupling_matrix(source)
-    columns = {col: dict(entries) for col, entries in matrix.columns.items()}
+    columns = {col: column_values(column)
+               for col, column in matrix.columns.items()}
     by_text = {str(col): col for col in matrix.cols}
     edit(columns, by_text.__getitem__)
-    return matrix._replace(columns=columns)
+    return matrix._replace(columns={col: scaled_column(values)
+                                    for col, values in columns.items()})
 
 
 def test_full_orthogonality_reports_an_entry_in_another_sector(monkeypatch):
