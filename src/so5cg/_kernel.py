@@ -3,16 +3,17 @@
   * a "term list" is a tuple of (rad, num, den) int triples meaning
     sum_i (num_i/den_i)*sqrt(rad_i), with rad square-free and strictly
     increasing across the tuple, num != 0, den > 0, gcd(num, den) == 1.
-  * all functions take and return canonical term lists, except the dot
-    product kernel, which works on scaled vectors: integer numerators over
-    one common denominator, as layers of {key: (rad, num)}. scale_vector
-    brings a sparse vector of term lists to that form once; a
-    coupling-matrix column is assembled in it (fullcg.Column). The
-    products of one scaled vector with each of several others are summed
-    on plain ints keyed by the product of their radicands (product_sums),
-    each sum is folded onto square-free radicands (fold), and over() turns
-    the result back into a term list. dot_scaled is the two together for
-    one pair.
+  * all functions take and return canonical term lists, except the inner
+    product kernel, which works on scaled vectors: (den, {key: (rad,
+    num)}), each nonzero entry (num/den)*sqrt(rad) over one common
+    denominator. Every entry of a vector whose inner products are taken is
+    a single term; scale_vector brings a sparse vector of term lists to
+    that form and refuses any other entry (one_term), and a coupling-matrix
+    column is assembled in it (fullcg.Column). The products of one scaled
+    vector with each of several others are summed on plain ints keyed by
+    the product of their radicands (product_sums), each sum is folded onto
+    square-free radicands (fold), and over() turns the result back into a
+    term list.
 """
 
 from __future__ import annotations
@@ -123,44 +124,48 @@ def mul_terms(a, b):
     return _canonical(acc)
 
 
-def scale_vector(vector):
-    """A sparse vector of term lists, keyed by anything hashable, as
-    (den, layers): den is the least common multiple of every term's
-    denominator, and layers[k] maps each key whose term list has a term k
-    to (rad, num * den // d) of that term. A vector of single terms has
-    one layer."""
+def one_term(terms, what: str) -> tuple[int, int, int]:
+    """The one (rad, num, den) of a single-term value's term list.
+
+    Inner products are taken on single terms; a value of more terms raises
+    ValueError rather than being cut short.
+    """
+    if len(terms) != 1:
+        raise ValueError(f"{what} is not a single term: {terms}")
+    return terms[0]
+
+
+def scale_vector(vector) -> tuple[int, dict]:
+    """A sparse vector of term lists, keyed by anything hashable, as (den,
+    scaled): den is the least common multiple of its entries'
+    denominators, and scaled maps the key of each nonzero entry (rad, num,
+    d) to (rad, num * den // d). An entry of more than one term raises
+    ValueError (one_term)."""
+    terms = {key: one_term(t, "an entry") for key, t in vector.items() if t}
     den = 1
-    for terms in vector.values():
-        for _, _, d in terms:
-            if den % d:
-                den = lcm(den, d)
-    layers: list[dict] = []
-    for key, terms in vector.items():
-        for k, (rad, num, d) in enumerate(terms):
-            if k == len(layers):
-                layers.append({})
-            layers[k][key] = (rad, num * (den // d))
-    return den, layers
+    for _, _, d in terms.values():
+        if den % d:
+            den = lcm(den, d)
+    return den, {key: (rad, num * (den // d))
+                 for key, (rad, num, d) in terms.items()}
 
 
 def product_sums(a, others) -> list[dict[int, int]]:
-    """For the layers b of each scaled vector in others, the products of
-    a's and b's layers over their shared keys, summed on ints keyed by
-    r1*r2: one sum per key, not yet folded (fold)."""
+    """For each scaled vector b in others, the products of a's and b's
+    entries over their shared keys, summed on ints keyed by r1*r2: one sum
+    per key, not yet folded (fold)."""
     out = []
     for b in others:
         acc: dict[int, int] = {}
-        for x in a:
-            for y in b:
-                small, big = (x, y) if len(x) <= len(y) else (y, x)
-                for key, (r1, n1) in small.items():
-                    if key in big:
-                        r2, n2 = big[key]
-                        k = r1 * r2
-                        if k in acc:
-                            acc[k] += n1 * n2
-                        else:
-                            acc[k] = n1 * n2
+        small, big = (a, b) if len(a) <= len(b) else (b, a)
+        for key, (r1, n1) in small.items():
+            if key in big:
+                r2, n2 = big[key]
+                k = r1 * r2
+                if k in acc:
+                    acc[k] += n1 * n2
+                else:
+                    acc[k] = n1 * n2
         out.append(acc)
     return out
 
@@ -184,28 +189,9 @@ def fold(acc: dict[int, int]) -> dict[int, int]:
         rad: num for rad, num in out.items() if num}
 
 
-def dot_scaled(a, b) -> dict[int, int]:
-    """Exact dot product of two scaled vectors' layers over their shared
-    keys, as {rad: numerator} over the product of their denominators, with
-    no zero numerator."""
-    return fold(product_sums(a, (b,))[0])
-
-
 def over(acc: dict[int, int], den: int):
     """The canonical term list of sum_rad (acc[rad]/den)*sqrt(rad)."""
     return _canonical({rad: (num, den) for rad, num in acc.items()})
-
-
-def dot_terms(u, v):
-    """Exact dot product of two sparse vectors of term lists (mappings from
-    any hashable key to a term list) over their shared keys.
-
-    Equal to folding add_terms over mul_terms(u[key], v[key]); each vector
-    is scaled once and the products are summed on ints (dot_scaled).
-    """
-    du, lu = scale_vector(u)
-    dv, lv = scale_vector(v)
-    return over(dot_scaled(lu, lv), du * dv)
 
 
 def neg_terms(t):

@@ -15,7 +15,7 @@ from math import gcd, lcm
 from typing import (Callable, Hashable, Iterator, Mapping, NamedTuple, Optional,
                     Sequence)
 
-from ._kernel import dot_scaled, fold, over, product_sums, scale_vector
+from ._kernel import fold, one_term, over, product_sums, scale_vector
 from .errors import MalformedKey
 from .exactnum import ZERO, SqrtSum
 from .labels import (
@@ -162,17 +162,6 @@ class Column(dict):
         return SqrtSum(((rad, num // g, self.den // g),))
 
 
-def _one_term(terms, what: str) -> tuple[int, int, int]:
-    """The one (rad, num, den) of a single-term value's term list.
-
-    Columns are assembled on single terms; a value of more terms raises
-    ValueError rather than being cut short.
-    """
-    if len(terms) != 1:
-        raise ValueError(f"{what} is not a single term: {terms}")
-    return terms[0]
-
-
 # At most six slots per source spin: the bound holds all for 2j1 < 680.
 @lru_cache(maxsize=4096)
 def _su2_factors(ts: int, tp: int, tt: int) -> tuple[tuple, ...]:
@@ -187,7 +176,7 @@ def _su2_factors(ts: int, tp: int, tt: int) -> tuple[tuple, ...]:
                 cg = su2_cg(ts, tm, tp, tpm, tt, tmt)
                 if cg:
                     out.append((tmt, (tm + ts) // 2, (tpm + tp) // 2,
-                                *_one_term(cg.terms, "an SU(2) factor")))
+                                *one_term(cg.terms, "an SU(2) factor")))
     return tuple(out)
 
 
@@ -343,7 +332,7 @@ def coupling_matrix(source: IrrepLabel) -> CouplingMatrix:
         value = _row_values(source, Channel(target.tj1 - source.tj1,
                                             target.tj2 - source.tj2, copy))
         for t, block in groupby(channel_cols, key=lambda col: col.target_so4):
-            components = [(*key, _one_term(r.terms, "a reduced value"))
+            components = [(*key, one_term(r.terms, "a reduced value"))
                           for key, r
                           in _vector(value, source, t.tj1, t.tj2).items()
                           if r]
@@ -358,31 +347,29 @@ def _first_deviation(labels: Sequence, scaled: Callable[[int], tuple],
     """First (label, label, value) where the exact Gram of the scaled
     vectors differs from identity, or None.
 
-    scaled(k) is vector k as (D, layers): integer numerators over one
-    common denominator D, each layer a map from component keys to (rad,
-    num), as _kernel.scale_vector gives. Vectors in different sectors share
-    no components, so only same-sector pairs (a, b), a <= b, are examined,
-    sector by sector, in row-major order. The norm of a one-layer vector is
-    sum(n*n*r) on radicand 1 and is compared with D_a**2 as it is; any
-    other norm is a _kernel.dot_scaled. Off the diagonal, row a's products
-    are summed on ints keyed by r1*r2 in one call (_kernel.product_sums); a
-    pair whose every sum is 0 is exactly 0, and only the others are folded
-    onto their radicands (_kernel.fold) and compared with 0. Only a
-    deviation is turned back into a SqrtSum.
+    scaled(k) is vector k as (D, {key: (rad, num)}): each entry
+    (num/D)*sqrt(rad) a single term over one common denominator D, as
+    _kernel.scale_vector gives. Vectors in different sectors share no
+    components, so only same-sector pairs (a, b), a <= b, are examined,
+    sector by sector, in row-major order. A norm is rational, sum(n*n*r)
+    over D_a**2, and is compared with D_a**2 on ints. Off the diagonal,
+    row a's products are summed on ints keyed by r1*r2 in one call
+    (_kernel.product_sums); a pair whose every sum is 0 is exactly 0, and
+    only the others are folded onto their radicands (_kernel.fold) and
+    compared with 0. Only a deviation is turned back into a SqrtSum.
     """
     sectors: dict[Hashable, list[int]] = {}
     for k, label in enumerate(labels):
         sectors.setdefault(sector(label), []).append(k)
     for _, group in sorted(sectors.items()):
-        dens, layers = zip(*[scaled(k) for k in group])
-        for a, la in enumerate(layers):
+        dens, vectors = zip(*[scaled(k) for k in group])
+        for a, va in enumerate(vectors):
             da = dens[a]
-            norm = ({1: sum([n * n * r for r, n in la[0].values()])}
-                    if len(la) == 1 else dot_scaled(la, la))
-            if norm != {1: da * da}:
+            norm = sum([n * n * r for r, n in va.values()])
+            if norm != da * da:
                 return (labels[group[a]], labels[group[a]],
-                        SqrtSum(over(norm, da * da)))
-            for b, acc in enumerate(product_sums(la, layers[a + 1:]), a + 1):
+                        SqrtSum(over({1: norm}, da * da)))
+            for b, acc in enumerate(product_sums(va, vectors[a + 1:]), a + 1):
                 if any(acc.values()) and (acc := fold(acc)):
                     return (labels[group[a]], labels[group[b]],
                             SqrtSum(over(acc, da * dens[b])))
@@ -394,10 +381,10 @@ def gram_deviation(labels: Sequence, vectors: Sequence[Mapping],
     """First (label, label, value) where the exact Gram of the vectors
     differs from identity, or None.
 
-    Each vector maps component keys to SqrtSums. When its sector is
-    reached, it is scaled once (_kernel.scale_vector), term k of every
-    entry in layer k, and the sectors' Grams are taken as for coupling
-    matrix columns (_first_deviation).
+    Each vector maps component keys to SqrtSums, each a single term or 0.
+    When its sector is reached, it is scaled once (_kernel.scale_vector)
+    and the sectors' Grams are taken as for coupling matrix columns
+    (_first_deviation); an entry of more terms raises ValueError.
     """
     return _first_deviation(
         labels,
@@ -436,23 +423,23 @@ def column_gram_deviation(matrix: CouplingMatrix
     """First (col, col, value) where the exact Gram differs from identity.
 
     Columns are grouped by magnetic sector and read as they are assembled,
-    each one layer over its denominator. None means exact orthonormality
-    when every entry of a column sits in a row of the column's sector,
-    which verify.full_orthogonality audits first.
+    each over its denominator. None means exact orthonormality when every
+    entry of a column sits in a row of the column's sector, which
+    verify.full_orthogonality audits first.
     """
     columns = [matrix.columns[col] for col in matrix.cols]
     return _first_deviation(matrix.cols,
-                            lambda k: (columns[k].den, (columns[k],)),
+                            lambda k: (columns[k].den, columns[k]),
                             lambda col: col.sector)
 
 
 def row_gram_deviation(matrix: CouplingMatrix
                        ) -> Optional[tuple[RowState, RowState, SqrtSum]]:
-    """Row-side analogue of column_gram_deviation (completeness check):
-    the rows as SqrtSum vectors, through gram_deviation.
+    """Row-side analogue of column_gram_deviation (completeness check).
 
-    A column entry outside the matrix's rows raises EntryOutsideMatrix
-    naming the column's ColState and the row index.
+    Each row is scaled on ints (_kernel.scale_vector) from its columns'
+    (rad, num, den). A column entry outside the matrix's rows raises
+    EntryOutsideMatrix naming the column's ColState and the row index.
     """
     columns = [matrix.columns[col] for col in matrix.cols]
     try:
@@ -460,6 +447,8 @@ def row_gram_deviation(matrix: CouplingMatrix
     except EntryOutsideMatrix as exc:
         raise EntryOutsideMatrix(matrix.cols[exc.column], exc.index,
                                  exc.size) from None
-    values = [{j: columns[j].value(i) for j in row}
-              for i, row in enumerate(rows)]
-    return gram_deviation(matrix.rows, values, lambda row: row.sector)
+    return _first_deviation(
+        matrix.rows,
+        lambda i: scale_vector({j: ((rad, num, columns[j].den),)
+                                for j, (rad, num) in rows[i].items()}),
+        lambda row: row.sector)

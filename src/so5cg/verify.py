@@ -14,7 +14,6 @@ from .errors import ChannelAbsent, FormulaDomainError
 from .exactnum import ONE, ZERO, sqrt_rational
 from .fullcg import (
     CouplingMatrix,
-    EntryOutsideMatrix,
     column_gram_deviation,
     coupling_matrix,
     gram_deviation,
@@ -56,7 +55,9 @@ from .tables import AUX_TABLE
 
 def reduced_unitarity(max_twice_j1: int) -> Optional[str]:
     """Exact Gram identity of the reduced vectors at every (source, t),
-    each target block t one Gram sector of the source's channel vectors."""
+    each target block t one Gram sector of the source's channel vectors.
+    A reduced value of more than one term, which the Gram refuses, is the
+    source's counterexample."""
     for src in iter_labels(max_twice_j1):
         labels, vectors = [], []
         for ch in channels_present(src):
@@ -66,7 +67,10 @@ def reduced_unitarity(max_twice_j1: int) -> Optional[str]:
                 if v:
                     labels.append((ch, t))
                     vectors.append(v)
-        bad = gram_deviation(labels, vectors, lambda label: label[1])
+        try:
+            bad = gram_deviation(labels, vectors, lambda label: label[1])
+        except ValueError as exc:
+            return f"source {src}: {exc}"
         if bad is not None:
             (c1, t), (c2, _), g = bad
             want = ONE if c1 == c2 else ZERO
@@ -104,10 +108,14 @@ def _orthonormality_fault(matrix: CouplingMatrix) -> Optional[str]:
 
 def full_orthogonality(sources: tuple[IrrepLabel, ...]) -> Optional[str]:
     """The fault of the first source whose coupling matrix has one, or None
-    (_orthonormality_fault)."""
+    (_orthonormality_fault). A reduced value or SU(2) factor of more than
+    one term, which assembly refuses, is the source's fault."""
     for src in sources:
-        # The matrix lives only for this call, so one is held at a time.
-        bad = _orthonormality_fault(coupling_matrix(src))
+        try:
+            # The matrix lives only for this call, so one is held at a time.
+            bad = _orthonormality_fault(coupling_matrix(src))
+        except ValueError as exc:
+            bad = str(exc)
         if bad is not None:
             return f"source {src}: {bad}"
     return None
@@ -118,12 +126,14 @@ def full_row_orthogonality(sources: tuple[IrrepLabel, ...]) -> Optional[str]:
 
     No suite runs it: full_orthogonality's support audit and column Gram
     already imply CCᵀ = I, and the row Gram is the dearer of the two. It is
-    kept as an independent cross-check of the rows.
+    kept as an independent cross-check of the rows. A value that assembly
+    refuses and a column entry outside the rows (EntryOutsideMatrix), both
+    ValueErrors, are the source's fault.
     """
     for src in sources:
         try:
             bad = row_gram_deviation(coupling_matrix(src))
-        except EntryOutsideMatrix as exc:
+        except ValueError as exc:
             return f"source {src}: {exc}"
         if bad is not None:
             a, b, value = bad

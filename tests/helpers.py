@@ -12,23 +12,21 @@ import operator
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
-from math import lcm
 from typing import Mapping, Optional
 
 from so5cg._formula import _VARIABLES, _Expansion
+from so5cg._kernel import scale_vector
 from so5cg.exactnum import SqrtSum
-from so5cg.fullcg import Column, _one_term
+from so5cg.fullcg import Column
 
 
 def scaled_column(values: Mapping[int, SqrtSum]) -> Column:
-    """The Column holding values, each a one-term SqrtSum, over the lcm of
-    their denominators; a value of any other number of terms raises
-    ValueError."""
-    terms = {i: _one_term(value.terms, "a column entry")
-             for i, value in values.items()}
-    column = Column(lcm(*(den for _, _, den in terms.values())))
-    for i, (rad, num, den) in terms.items():
-        column[i] = (rad, num * (column.den // den))
+    """The Column holding values, each a one-term SqrtSum or 0, over the
+    lcm of their denominators (_kernel.scale_vector); a value of more terms
+    raises ValueError."""
+    den, scaled = scale_vector({i: value.terms for i, value in values.items()})
+    column = Column(den)
+    column.update(scaled)
     return column
 
 

@@ -9,17 +9,18 @@ from hypothesis import strategies as st
 
 from so5cg._kernel import (
     add_terms,
-    dot_scaled,
-    dot_terms,
+    fold,
     mul_terms,
     neg_terms,
     over,
+    product_sums,
     scale_vector,
     sqrt_of_product,
     squarefree_split,
 )
 from so5cg.errors import NegativeRadicand
 from so5cg.exactnum import ONE, ZERO, SqrtSum, sqrt_product, sqrt_rational
+from so5cg.reduced import dot
 from so5cg.su2 import su2_cg
 
 rationals = st.fractions(
@@ -211,43 +212,6 @@ def term_lists(draw):
 term_list_values = st.composite(term_lists)()
 
 
-@given(st.lists(st.tuples(term_list_values, term_list_values), max_size=8),
-       st.lists(term_list_values, max_size=3),
-       st.lists(term_list_values, max_size=3))
-# r1 == r2 with mixed denominators, products cancelling to empty across
-# pairs, and sqrt(6)*sqrt(10) = 2*sqrt(15) cancelling against -2*sqrt(15).
-@example([((), ((1, 1, 1),))], [], [])
-@example([(((2, 1, 3),), ((2, 3, 1),)), (((1, -2, 1),), ((1, 1, 1),))],
-         [], [])
-@example([(((6, 1, 1),), ((10, 1, 1),)), (((15, -2, 1),), ((1, 1, 1),))],
-         [((1, 5, 7),)], [((3, 1, 2),)])
-@example([(((2, 1, 3), (3, -1, 2)), ((2, 3, 5), (3, 1, 7))),
-          (((6, 1, 4),), ((6, 1, 9), (15, 2, 1)))], [], [])
-@settings(max_examples=150)
-def test_dot_terms_is_the_folded_sum_of_products(pairs, only_u, only_v):
-    # Keys 0.. are shared; keys only one vector holds add nothing.
-    u = {i: a for i, (a, _) in enumerate(pairs)}
-    v = {i: b for i, (_, b) in enumerate(pairs)}
-    u.update({-1 - i: a for i, a in enumerate(only_u)})
-    v.update({("v", i): b for i, b in enumerate(only_v)})
-    expected = ()
-    for a, b in pairs:
-        expected = add_terms(expected, mul_terms(a, b))
-    assert dot_terms(u, v) == expected
-    assert dot_terms(v, u) == expected
-    # The Gram check compares dot_scaled's sums as they are: no radicand
-    # may be left with a zero numerator.
-    (du, lu), (dv, lv) = scale_vector(u), scale_vector(v)
-    acc = dot_scaled(lu, lv)
-    assert 0 not in acc.values()
-    assert over(acc, du * dv) == expected
-
-
-def test_dot_terms_of_no_pairs_is_empty():
-    assert dot_terms({}, {}) == ()
-    assert dot_terms({0: ((2, 1, 3),)}, {1: ((2, 1, 3),)}) == ()
-
-
 def single_terms(draw):
     rad = draw(st.sampled_from(SQUAREFREE))
     num = draw(st.integers(-10**6, 10**6).filter(bool))
@@ -257,6 +221,60 @@ def single_terms(draw):
 
 
 single_term_values = st.composite(single_terms)()
+# The entries of a vector whose inner products are taken: one term, or 0.
+entries = st.one_of(st.just(()), single_term_values)
+
+
+def scaled_dot(u, v):
+    """The inner product of two vectors of term lists, through the scaled
+    kernel: the folded sums and their common denominator."""
+    (du, su), (dv, sv) = scale_vector(u), scale_vector(v)
+    return fold(product_sums(su, (sv,))[0]), du * dv
+
+
+@given(st.lists(st.tuples(entries, entries), max_size=8),
+       st.lists(entries, max_size=3), st.lists(entries, max_size=3))
+# r1 == r2 with mixed denominators, products cancelling to empty across
+# pairs, and sqrt(6)*sqrt(10) = 2*sqrt(15) cancelling against -2*sqrt(15).
+@example([((), ((1, 1, 1),))], [], [])
+@example([(((2, 1, 3),), ((2, 3, 1),)), (((1, -2, 1),), ((1, 1, 1),))],
+         [], [])
+@example([(((6, 1, 1),), ((10, 1, 1),)), (((15, -2, 1),), ((1, 1, 1),))],
+         [((1, 5, 7),)], [((3, 1, 2),)])
+@settings(max_examples=150)
+def test_dot_is_the_folded_sum_of_products(pairs, only_u, only_v):
+    # Keys 0.. are shared; keys only one vector holds add nothing.
+    u = {i: a for i, (a, _) in enumerate(pairs)}
+    v = {i: b for i, (_, b) in enumerate(pairs)}
+    u.update({-1 - i: a for i, a in enumerate(only_u)})
+    v.update({("v", i): b for i, b in enumerate(only_v)})
+    expected = ()
+    for a, b in pairs:
+        expected = add_terms(expected, mul_terms(a, b))
+    for x, y in ((u, v), (v, u)):
+        # The Gram check compares the folded sums as they are: no radicand
+        # may be left with a zero numerator.
+        acc, den = scaled_dot(x, y)
+        assert 0 not in acc.values()
+        assert over(acc, den) == expected
+        assert dot({key: SqrtSum(t) for key, t in x.items()},
+                   {key: SqrtSum(t) for key, t in y.items()}
+                   ).terms == expected
+
+
+def test_dot_of_no_pairs_is_empty():
+    assert over(*scaled_dot({}, {})) == ()
+    assert over(*scaled_dot({0: ((2, 1, 3),)}, {1: ((2, 1, 3),)})) == ()
+
+
+def test_an_entry_of_more_terms_is_refused():
+    # Every inner product is taken on single terms: a two-term entry raises
+    # rather than being cut short, whichever vector holds it.
+    two = ((2, 1, 3), (3, -1, 2))
+    with pytest.raises(ValueError, match="not a single term"):
+        scale_vector({0: two, 1: ((6, 1, 4),)})
+    with pytest.raises(ValueError, match="not a single term"):
+        dot({0: SqrtSum(((6, 1, 4),))}, {0: SqrtSum(two)})
 
 
 @given(single_term_values, single_term_values, term_list_values)

@@ -192,10 +192,10 @@ def test_gram_deviation_reports_labels_and_exact_value():
     assert row_gram_deviation(doubled) == (row, row, 1 + 3 * v2)
 
 
-def test_a_one_layer_column_with_a_wrong_norm_is_reported_on_the_diagonal():
+def test_a_column_with_a_wrong_norm_is_reported_on_the_diagonal():
     # The first column of a sector is examined against itself before any
-    # pair; a column is one layer of single terms, so its norm is the
-    # closed form.
+    # pair; a column's entries are single terms, so its norm is the
+    # rational closed form.
     matrix = coupling_matrix(IrrepLabel(1, 0))
     firsts = {}
     for col in matrix.cols:
@@ -298,12 +298,18 @@ def test_gram_deviations_match_a_sqrtsum_reference(source):
         row_ref = reference_gram(matrix.rows, rows, row_sector)
         assert col_ref is not None and row_ref is not None, how
         if how == "two-term":
-            # No column holds it: the Gram core is checked on the vectors.
+            # Every exact inner product is taken on single terms: no column
+            # holds the entry, and the Gram refuses it rather than cutting
+            # it short.
             with pytest.raises(ValueError, match="not a single term"):
                 scaled_column(columns[len(columns) // 2])
-            assert gram_deviation(matrix.cols, columns, col_sector) == col_ref
-            assert gram_deviation(matrix.rows, rows, row_sector) == row_ref
+            with pytest.raises(ValueError, match="not a single term"):
+                gram_deviation(matrix.cols, columns, col_sector)
+            with pytest.raises(ValueError, match="not a single term"):
+                gram_deviation(matrix.rows, rows, row_sector)
             continue
+        assert gram_deviation(matrix.cols, columns, col_sector) == col_ref
+        assert gram_deviation(matrix.rows, rows, row_sector) == row_ref
         bad = matrix._replace(columns={col: scaled_column(column) for
                                        col, column in zip(matrix.cols,
                                                           columns)})

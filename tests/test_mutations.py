@@ -23,12 +23,13 @@ the model: wrong signs and wrong factors in printed rows.
 A check that stops catching its class fails this file.
 """
 
+import json
 from typing import Callable, NamedTuple
 
 import pytest
 from helpers import norm_certificate
 
-from so5cg import verify
+from so5cg import cli, verify
 from so5cg._formula import _lins, _pieces
 from so5cg.labels import (
     ENTRY_SHIFTS,
@@ -200,9 +201,12 @@ FACTOR_ERRORS = (
                 EntryShift(1, 1, PART_HH),
                 _in_form("num", "j1+j2+b1-b2+2", "j1+j2+b1-b2+3"),
                 ("mixing_identities(4)", "norm_certificate")),
-    # The companion is not normalized to one: no norm certificate.
+    # The companion is not normalized to one: no norm certificate. Copy 2
+    # = (aux - x*copy1)/sqrt(norm2) becomes two terms at source (3/2,1/2),
+    # which the Gram refuses: a failed check, not a traceback.
     FactorError("row times sqrt(2)", AUX_TABLE, EntryShift(2, 0, PART_11),
-                _times_sqrt2, ("mixing_identities(4)",)),
+                _times_sqrt2, ("reduced_unitarity(4)",
+                               "mixing_identities(4)")),
     # Up to 2j1 = 4 this row is nonzero only at source (2,2), where b1 = b2
     # and the swap changes nothing; source (5/2,2) shows it. The row is read
     # off raising (2,2)'s (-1,-1) row by W2: b2 -> -b2-1, that one off its
@@ -241,3 +245,25 @@ def test_factor_errors_fail_their_check(monkeypatch, error):
         assert CHECKS[check](bad) is not None, check
     for check in error.missed_by:
         assert CHECKS[check](bad) is None, check
+
+
+def test_a_refused_two_term_value_fails_verify_orthogonality(monkeypatch,
+                                                              capsys):
+    # Both orthogonality checks reach copy 2 at source (3/2,1/2) with the
+    # companion's row times sqrt(2); each reports the refused two-term
+    # value as that source's counterexample, and the command exits 1.
+    error, = (e for e in FACTOR_ERRORS if e.name == "row times sqrt(2)")
+    _substitute(monkeypatch, error.table,
+                error.rewrite(error.table.rows[error.entry]))
+    assert cli.main(["verify", "orthogonality", "--max-twice-j", "4"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [check["name"] for check in checks] == [
+        "reduced_unitarity <= 4", "full_orthogonality <= 4"]
+    # The row Gram, which no suite runs, reports it the same way.
+    counterexamples = [check["counterexample"] for check in checks
+                       if not check["pass"]]
+    counterexamples.append(verify.full_row_orthogonality((IrrepLabel(3, 1),)))
+    assert len(counterexamples) == 3
+    for counterexample in counterexamples:
+        assert counterexample.startswith("source 3/2,1/2: ")
+        assert "not a single term" in counterexample

@@ -503,3 +503,28 @@ def test_mixing_identities_certificate():
                         (AUX_TABLE, mixing_h2(b1, b2))):
         parts, product = overlap(AUX_TABLE, other)
         assert nonzero(sum(parts.values(), NONE) - product * want) == {}
+
+
+def test_copy_two_is_one_term_at_every_spin():
+    # Copy 2 is (aux - x*copy1) / sqrt(norm2). At each entry the diagonal
+    # row and its companion share their numerator and denominator forms,
+    # srad and the radicand of their constant, so the two bare rows have
+    # one radicand at every spin. The normalization is one term whose
+    # square is rational, so x*copy1 keeps that radicand, and copy 2 is a
+    # single term wherever it is present: the premise of the exact inner
+    # products, which take single terms only.
+    assert DIAGONAL_TABLE.rows.keys() == AUX_TABLE.rows.keys()
+    assert len(AUX_TABLE.rows) == 14
+    for entry, row in DIAGONAL_TABLE.rows.items():
+        pair = AUX_TABLE.rows[entry]
+        assert ((pair.num_lins, pair.den_lins, pair.srad, pair.const[0])
+                == (row.num_lins, row.den_lins, row.srad, row.const[0])), entry
+    present = 0
+    for source in iter_labels(24):
+        try:
+            norm = DIAGONAL_TABLE.normalization(*source.twice)
+        except ChannelAbsent:
+            continue
+        present += 1
+        assert len(norm.terms) == 1 and (norm * norm).is_rational(), source
+    assert present > 300
