@@ -10,10 +10,9 @@
     a single term; scale_vector brings a sparse vector of term lists to
     that form and refuses any other entry (one_term), and a coupling-matrix
     column is assembled in it (fullcg.Column). The products of one scaled
-    vector with each of several others are summed on plain ints keyed by
-    the product of their radicands (product_sums), each sum is folded onto
-    square-free radicands (fold), and over() turns the result back into a
-    term list.
+    vector with each of several others are summed on plain ints under
+    their square-free radicands (product_sums), and over() turns a sum
+    back into a term list.
 """
 
 from __future__ import annotations
@@ -125,11 +124,8 @@ def mul_terms(a, b):
 
 
 def one_term(terms, what: str) -> tuple[int, int, int]:
-    """The one (rad, num, den) of a single-term value's term list.
-
-    Inner products are taken on single terms; a value of more terms raises
-    ValueError rather than being cut short.
-    """
+    """The one (rad, num, den) of a single-term value's term list; a value
+    of more terms raises ValueError rather than being cut short."""
     if len(terms) != 1:
         raise ValueError(f"{what} is not a single term: {terms}")
     return terms[0]
@@ -152,45 +148,28 @@ def scale_vector(vector) -> tuple[int, dict]:
 
 def product_sums(a, others) -> list[dict[int, int]]:
     """For each scaled vector b in others, the products of a's and b's
-    entries over their shared keys, summed on ints keyed by r1*r2: one sum
-    per key, not yet folded (fold)."""
+    entries over their shared keys, summed on ints keyed by square-free
+    radicands: sqrt(r1)*sqrt(r2) = g*sqrt((r1/g)*(r2/g)) for g = gcd(r1,
+    r2), as in mul_terms. A sum may be 0; the inner product is 0 exactly
+    when every sum is."""
     out = []
     for b in others:
         acc: dict[int, int] = {}
         small, big = (a, b) if len(a) <= len(b) else (b, a)
+        get = big.get
         for key, (r1, n1) in small.items():
-            if key in big:
-                r2, n2 = big[key]
-                k = r1 * r2
-                if k in acc:
-                    acc[k] += n1 * n2
-                else:
-                    acc[k] = n1 * n2
+            entry = get(key)
+            if entry is not None:
+                r2, n2 = entry
+                g = gcd(r1, r2)
+                k = (r1 // g) * (r2 // g)
+                acc[k] = acc.get(k, 0) + n1 * n2 * g
         out.append(acc)
     return out
 
 
-def fold(acc: dict[int, int]) -> dict[int, int]:
-    """Sums keyed by r1*r2 as {rad: numerator}, with no zero numerator.
-
-    For square-free r1, r2 the key is g**2 * rad with g = gcd(r1, r2) and
-    rad square-free, so squarefree_split(key) is (g, rad); the split is
-    memoized, and a Gram meets few distinct keys (464 in a deck of the 14
-    coupling_gram benchmark sources).
-    """
-    out: dict[int, int] = {}
-    for k, total in acc.items():
-        if total:
-            g, rad = squarefree_split(k)
-            out[rad] = out.get(rad, 0) + total * g
-    # Sums under distinct keys can still cancel on one radicand:
-    # sqrt(6)*sqrt(10) and sqrt(15)*1 both land on sqrt(15).
-    return out if all(out.values()) else {
-        rad: num for rad, num in out.items() if num}
-
-
 def over(acc: dict[int, int], den: int):
-    """The canonical term list of sum_rad (acc[rad]/den)*sqrt(rad)."""
+    """The term list of sum_rad (acc[rad]/den)*sqrt(rad), zero sums dropped."""
     return _canonical({rad: (num, den) for rad, num in acc.items()})
 
 

@@ -15,7 +15,7 @@ from math import gcd, lcm
 from typing import (Callable, Hashable, Iterator, Mapping, NamedTuple, Optional,
                     Sequence)
 
-from ._kernel import fold, one_term, over, product_sums, scale_vector
+from ._kernel import one_term, over, product_sums, scale_vector
 from .errors import MalformedKey
 from .exactnum import ZERO, SqrtSum
 from .labels import (
@@ -256,7 +256,8 @@ class CouplingMatrix(NamedTuple):
     """The full change of basis for one source irrep, stored column-sparse.
 
     Each column is a Column: its row indices into ``rows``, each with the
-    scaled entry of that row.
+    scaled entry of that row. ``columns`` is keyed by ``cols`` in order, so
+    its values are the columns by index (ordered_columns).
     """
 
     source: IrrepLabel
@@ -268,10 +269,16 @@ class CouplingMatrix(NamedTuple):
     def shape(self) -> tuple[int, int]:
         return (len(self.rows), len(self.cols))
 
+    def ordered_columns(self) -> list[Column]:
+        """The columns by index; ValueError unless keyed by cols in order."""
+        if list(self.columns) != list(self.cols):
+            raise ValueError("the columns are not keyed by cols in order")
+        return list(self.columns.values())
+
     def iter_entries(self) -> Iterator[tuple[int, int, SqrtSum]]:
         """Nonzero entries as (row index, col index, value), row-major; each
         value is built as it is yielded."""
-        columns = [self.columns[col] for col in self.cols]
+        columns = self.ordered_columns()
         n = len(columns)
         # (i, j) sorted as the one int i * n + j, with 0 <= j < n.
         for k in sorted(i * n + j for j, column in enumerate(columns)
@@ -289,10 +296,11 @@ class CouplingMatrix(NamedTuple):
                                     + self.cols[j].sort_key())] + [format(v)]
 
 
-def _states(block: So4Label) -> list[tuple[HalfInt, HalfInt]]:
+@lru_cache(maxsize=4096)
+def _states(block: So4Label) -> tuple[tuple[HalfInt, HalfInt], ...]:
     """The (m1, m2) magnetic labels of one SO(4) block, in increasing order."""
     m2s = m_values(HalfInt(block.tj2))
-    return [(m1, m2) for m1 in m_values(HalfInt(block.tj1)) for m2 in m2s]
+    return tuple((m1, m2) for m1 in m_values(HalfInt(block.tj1)) for m2 in m2s)
 
 
 def product_rows(source: IrrepLabel) -> tuple[RowState, ...]:
@@ -353,10 +361,9 @@ def _first_deviation(labels: Sequence, scaled: Callable[[int], tuple],
     components, so only same-sector pairs (a, b), a <= b, are examined,
     sector by sector, in row-major order. A norm is rational, sum(n*n*r)
     over D_a**2, and is compared with D_a**2 on ints. Off the diagonal,
-    row a's products are summed on ints keyed by r1*r2 in one call
-    (_kernel.product_sums); a pair whose every sum is 0 is exactly 0, and
-    only the others are folded onto their radicands (_kernel.fold) and
-    compared with 0. Only a deviation is turned back into a SqrtSum.
+    row a's products are summed on ints keyed by their square-free
+    radicands in one call (_kernel.product_sums), so a pair is exactly 0
+    when every sum is 0. Only a deviation is turned back into a SqrtSum.
     """
     sectors: dict[Hashable, list[int]] = {}
     for k, label in enumerate(labels):
@@ -370,27 +377,36 @@ def _first_deviation(labels: Sequence, scaled: Callable[[int], tuple],
                 return (labels[group[a]], labels[group[a]],
                         SqrtSum(over({1: norm}, da * da)))
             for b, acc in enumerate(product_sums(va, vectors[a + 1:]), a + 1):
-                if any(acc.values()) and (acc := fold(acc)):
+                if any(acc.values()):
                     return (labels[group[a]], labels[group[b]],
                             SqrtSum(over(acc, da * dens[b])))
     return None
 
 
+class RefusedEntry(ValueError):
+    """An entry of more than one term, which an inner product refuses."""
+
+    def __init__(self, label, key, terms):
+        super().__init__(f"{label}, entry {key}: not a single term: {terms}")
+        self.label, self.key, self.terms = label, key, terms
+
+
 def gram_deviation(labels: Sequence, vectors: Sequence[Mapping],
                    sector: Callable[..., Hashable]):
     """First (label, label, value) where the exact Gram of the vectors
-    differs from identity, or None.
-
-    Each vector maps component keys to SqrtSums, each a single term or 0.
-    When its sector is reached, it is scaled once (_kernel.scale_vector)
-    and the sectors' Grams are taken as for coupling matrix columns
-    (_first_deviation); an entry of more terms raises ValueError.
-    """
-    return _first_deviation(
-        labels,
-        lambda k: scale_vector({i: value.terms
-                                for i, value in vectors[k].items()}),
-        sector)
+    differs from identity, or None. Each vector maps component keys to
+    SqrtSums, each a single term or 0, and is scaled once when its sector
+    is reached (_kernel.scale_vector); the Grams are then taken as for
+    coupling matrix columns (_first_deviation). An entry of more terms
+    raises RefusedEntry naming the vector's label and the entry's key."""
+    def scaled(k):
+        vector = {i: value.terms for i, value in vectors[k].items()}
+        try:
+            return scale_vector(vector)
+        except ValueError:
+            key = next(i for i, terms in vector.items() if len(terms) > 1)
+            raise RefusedEntry(labels[k], key, vector[key]) from None
+    return _first_deviation(labels, scaled, sector)
 
 
 class EntryOutsideMatrix(ValueError):
@@ -422,12 +438,12 @@ def column_gram_deviation(matrix: CouplingMatrix
                           ) -> Optional[tuple[ColState, ColState, SqrtSum]]:
     """First (col, col, value) where the exact Gram differs from identity.
 
-    Columns are grouped by magnetic sector and read as they are assembled,
-    each over its denominator. None means exact orthonormality when every
-    entry of a column sits in a row of the column's sector, which
-    verify.full_orthogonality audits first.
+    Columns are grouped by magnetic sector and read as they are assembled
+    (CouplingMatrix.ordered_columns), each over its denominator. None means
+    exact orthonormality when every entry of a column sits in a row of the
+    column's sector, which verify.full_orthogonality audits first.
     """
-    columns = [matrix.columns[col] for col in matrix.cols]
+    columns = matrix.ordered_columns()
     return _first_deviation(matrix.cols,
                             lambda k: (columns[k].den, columns[k]),
                             lambda col: col.sector)
@@ -441,7 +457,7 @@ def row_gram_deviation(matrix: CouplingMatrix
     (rad, num, den). A column entry outside the matrix's rows raises
     EntryOutsideMatrix naming the column's ColState and the row index.
     """
-    columns = [matrix.columns[col] for col in matrix.cols]
+    columns = matrix.ordered_columns()
     try:
         rows = transpose(columns, len(matrix.rows))
     except EntryOutsideMatrix as exc:

@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Optional
 
-from ._kernel import fold, over, product_sums, scale_vector, sqrt_of_product
+from ._kernel import over, product_sums, scale_vector, sqrt_of_product
 from .errors import ChannelAbsent, MalformedKey
 from .exactnum import ZERO, SqrtSum, sqrt_rational
 from .labels import (
@@ -324,11 +324,11 @@ def aux_vector(source: IrrepLabel, target_so4: So4Label) -> ReducedVector:
 def dot(u: dict, v: dict) -> SqrtSum:
     """Exact inner product over the shared components of two vectors, keyed
     by labels or by ints alike, each entry a single term or 0: both are
-    scaled (_kernel.scale_vector), their products summed on ints and
-    folded; an entry of more terms raises ValueError."""
+    scaled and their products summed on ints under square-free radicands
+    (_kernel.product_sums); an entry of more terms raises ValueError."""
     du, su = scale_vector({key: value.terms for key, value in u.items()})
     dv, sv = scale_vector({key: value.terms for key, value in v.items()})
-    return SqrtSum(over(fold(product_sums(su, (sv,))[0]), du * dv))
+    return SqrtSum(over(product_sums(su, (sv,))[0], du * dv))
 
 
 class ReducedRow(NamedTuple):

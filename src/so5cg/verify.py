@@ -14,6 +14,7 @@ from .errors import ChannelAbsent, FormulaDomainError
 from .exactnum import ONE, ZERO, sqrt_rational
 from .fullcg import (
     CouplingMatrix,
+    RefusedEntry,
     column_gram_deviation,
     coupling_matrix,
     gram_deviation,
@@ -57,7 +58,8 @@ def reduced_unitarity(max_twice_j1: int) -> Optional[str]:
     """Exact Gram identity of the reduced vectors at every (source, t),
     each target block t one Gram sector of the source's channel vectors.
     A reduced value of more than one term, which the Gram refuses, is the
-    source's counterexample."""
+    source's counterexample, named by channel, t and component (2s1, 2s2,
+    2p): the source block and the 14-part's spin, doubled."""
     for src in iter_labels(max_twice_j1):
         labels, vectors = [], []
         for ch in channels_present(src):
@@ -69,8 +71,10 @@ def reduced_unitarity(max_twice_j1: int) -> Optional[str]:
                     vectors.append(v)
         try:
             bad = gram_deviation(labels, vectors, lambda label: label[1])
-        except ValueError as exc:
-            return f"source {src}: {exc}"
+        except RefusedEntry as exc:
+            ch, t = exc.label
+            return (f"source {src}: channel {ch}, t {t}, (2s1, 2s2, 2p) = "
+                    f"{exc.key}: not a single term: {exc.terms}")
         if bad is not None:
             (c1, t), (c2, _), g = bad
             want = ONE if c1 == c2 else ZERO

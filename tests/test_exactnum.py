@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from so5cg._kernel import (
     add_terms,
-    fold,
     mul_terms,
     neg_terms,
     over,
@@ -227,9 +226,9 @@ entries = st.one_of(st.just(()), single_term_values)
 
 def scaled_dot(u, v):
     """The inner product of two vectors of term lists, through the scaled
-    kernel: the folded sums and their common denominator."""
+    kernel: the sums of products and their common denominator."""
     (du, su), (dv, sv) = scale_vector(u), scale_vector(v)
-    return fold(product_sums(su, (sv,))[0]), du * dv
+    return product_sums(su, (sv,))[0], du * dv
 
 
 @given(st.lists(st.tuples(entries, entries), max_size=8),
@@ -242,7 +241,8 @@ def scaled_dot(u, v):
 @example([(((6, 1, 1),), ((10, 1, 1),)), (((15, -2, 1),), ((1, 1, 1),))],
          [((1, 5, 7),)], [((3, 1, 2),)])
 @settings(max_examples=150)
-def test_dot_is_the_folded_sum_of_products(pairs, only_u, only_v):
+def test_product_sums_are_keyed_by_squarefree_radicands(pairs, only_u,
+                                                        only_v):
     # Keys 0.. are shared; keys only one vector holds add nothing.
     u = {i: a for i, (a, _) in enumerate(pairs)}
     v = {i: b for i, (_, b) in enumerate(pairs)}
@@ -252,10 +252,11 @@ def test_dot_is_the_folded_sum_of_products(pairs, only_u, only_v):
     for a, b in pairs:
         expected = add_terms(expected, mul_terms(a, b))
     for x, y in ((u, v), (v, u)):
-        # The Gram check compares the folded sums as they are: no radicand
-        # may be left with a zero numerator.
+        # Each sum is under its square-free radicand as it is formed, so
+        # the Gram check reads a pair as 0 exactly when every sum is 0.
         acc, den = scaled_dot(x, y)
-        assert 0 not in acc.values()
+        assert all(squarefree_split(key)[0] == 1 for key in acc)
+        assert any(acc.values()) == bool(expected)
         assert over(acc, den) == expected
         assert dot({key: SqrtSum(t) for key, t in x.items()},
                    {key: SqrtSum(t) for key, t in y.items()}

@@ -11,13 +11,16 @@ from pathlib import Path
 import pytest
 from helpers import column_values, scaled_column
 
+from so5cg import verify
 from so5cg.errors import MalformedKey
-from so5cg.exactnum import ONE, ZERO, sqrt_rational
+from so5cg.exactnum import ONE, ZERO, SqrtSum, sqrt_rational
 from so5cg.fullcg import (
     ColState,
     CouplingMatrix,
     EntryOutsideMatrix,
+    RefusedEntry,
     RowState,
+    _states,
     check_row,
     column_gram_deviation,
     coupled_cols,
@@ -165,12 +168,16 @@ def test_matrix_export_shapes():
 
 def test_row_order_is_lexicographic():
     # product_rows and coupled_cols build their states in sort_key order,
-    # copy 2 at (3/2,1/2) and side 770 at (2,2) included.
+    # copy 2 at (3/2,1/2) and side 770 at (2,2) included, and
+    # coupling_matrix keys its columns by cols in that order, as the Gram
+    # and iter_entries read them by index.
     for source in iter_labels(4):
         keys = [r.sort_key() for r in product_rows(source)]
         assert keys == sorted(keys), source
         ckeys = [c.sort_key() for c in coupled_cols(source)]
         assert ckeys == sorted(ckeys), source
+        matrix = coupling_matrix(source)
+        assert list(matrix.columns) == list(matrix.cols), source
 
 
 def test_gram_deviation_reports_labels_and_exact_value():
@@ -215,9 +222,9 @@ def test_a_column_with_a_wrong_norm_is_reported_on_the_diagonal():
 
 
 def cancelling_pair(sign):
-    """Two unit vectors whose products sit under the keys 6*10 and 15*1:
-    both sums are nonzero, and sqrt(60) = 2*sqrt(15) cancels the other
-    only after the fold, when sign is -1."""
+    """Two unit vectors whose products sqrt(6)*sqrt(10) = 2*sqrt(15) and
+    sqrt(15)*1 come from different radicands and land on one: they cancel
+    when sign is -1."""
     a = {0: sqrt_rational(Fraction(6, 25)), 1: sqrt_rational(Fraction(15, 25)),
          2: ONE * Fraction(2, 5)}
     b = {0: sqrt_rational(Fraction(10, 25)), 1: ONE * Fraction(2 * sign, 5),
@@ -225,10 +232,47 @@ def cancelling_pair(sign):
     return a, b
 
 
-def test_a_pair_that_cancels_only_after_the_fold_is_orthogonal():
+def test_a_pair_that_cancels_across_radicands_is_orthogonal():
     assert gram_deviation("ab", cancelling_pair(-1), lambda label: 0) is None
     assert gram_deviation("ab", cancelling_pair(1), lambda label: 0) == (
         "a", "b", sqrt_rational(Fraction(16 * 15, 625)))
+
+
+def test_gram_deviation_names_a_refused_entry():
+    # An entry of two terms is refused, named by its vector's label and its
+    # component key, not cut short to one term.
+    two = SqrtSum(((2, 1, 3), (3, -1, 2)))
+    with pytest.raises(RefusedEntry) as caught:
+        gram_deviation("ab", [{0: ONE}, {0: ZERO, (1, 2): two}],
+                       lambda label: 0)
+    assert (caught.value.label, caught.value.key) == ("b", (1, 2))
+    assert caught.value.terms == two.terms
+    assert str(caught.value) == (
+        "b, entry (1, 2): not a single term: ((2, 1, 3), (3, -1, 2))")
+
+
+def test_columns_out_of_order_are_refused(monkeypatch):
+    # Reading a reordered dict by index would pair each column with
+    # another's label; every reader refuses it instead, and the full
+    # orthogonality check reports it as the source's fault.
+    src = IrrepLabel(2, 0)
+    matrix = coupling_matrix(src)
+    reordered = matrix._replace(
+        columns=dict(reversed(list(matrix.columns.items()))))
+    for read in (column_gram_deviation, row_gram_deviation,
+                 lambda m: list(m.iter_entries())):
+        with pytest.raises(ValueError, match="not keyed by cols in order"):
+            read(reordered)
+    monkeypatch.setattr(verify, "coupling_matrix", lambda source: reordered)
+    assert verify.full_orthogonality((src,)) == (
+        "source 1,0: the columns are not keyed by cols in order")
+
+
+def test_magnetic_states_are_built_once_per_block():
+    block = So4Label(3, 1)
+    states = _states(block)
+    assert isinstance(states, tuple) and len(states) == 8
+    assert _states(So4Label(3, 1)) is states
 
 
 @pytest.mark.parametrize("twice", [(5, 1), (5, 3), (5, 5)])

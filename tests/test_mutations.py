@@ -267,3 +267,16 @@ def test_a_refused_two_term_value_fails_verify_orthogonality(monkeypatch,
     for counterexample in counterexamples:
         assert counterexample.startswith("source 3/2,1/2: ")
         assert "not a single term" in counterexample
+
+
+def test_reduced_unitarity_names_the_refused_row(monkeypatch):
+    # The refused value is named by its channel, target block t and
+    # component (2s1, 2s2, 2p): copy 2 into t = (1,1) from source block
+    # (0,1) through the 14-part (1,1), the component the companion's
+    # rewritten (+1,0) row feeds.
+    error, = (e for e in FACTOR_ERRORS if e.name == "row times sqrt(2)")
+    _substitute(monkeypatch, error.table,
+                error.rewrite(error.table.rows[error.entry]))
+    assert verify.reduced_unitarity(UNITARITY_BOUND) == (
+        "source 3/2,1/2: channel 0,0#2, t 1,1, (2s1, 2s2, 2p) = (0, 2, 2): "
+        "not a single term: ((237, -38, 3555), (474, -1, 90))")
